@@ -29,9 +29,9 @@ from .grids import (Grid1D, Grid2D, ResistivityField, SystemOperator,
 from .jacobian import assemble_jacobian
 from .krylov import preconditioner_chain
 from .laplace import laplace_derivative, laplace_moments, laplace_transform
-from .ratfit import (NodeFamily, fit_multipoint, fit_pade_toeplitz, node_family,
-                     to_pole_residue)
-from .cfrac import pole_residue_to_cfrac
+from .ratfit import (NodeFamily, PoleResidue, fit_multipoint, fit_pade_toeplitz,
+                     node_family, to_pole_residue)
+from .cfrac import ContinuedFraction, pole_residue_to_cfrac
 
 __all__ = [
     "InversionConfig",
@@ -49,32 +49,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Knobs of the Gauss-Newton drivers; defaults follow the experiments.
+    """Settings of the Gauss-Newton drivers; defaults follow the experiments.
 
-    ``weights='identity'`` keeps the plain discrete H1 seminorm in the
-    null-space correction (smooth targets); ``'adaptive'`` uses the
+    ``m0`` is the largest reduced-model size the data fit tries, with nodes
+    from ``family_kind`` (``s_hat`` is the single-node expansion point).
+    ``n_gn`` Gauss-Newton steps start from the constant field r = 1; each
+    takes the full pseudoinverse step, halved until the update stays
+    positive.  ``weights='identity'`` keeps the plain discrete H1 seminorm
+    in the null-space correction (smooth targets); ``'adaptive'`` uses the
     misfit-scaled inverse-gradient weights that suppress Gibbs artifacts
-    at jumps.  ``parametrization='spectral'`` switches the residual to the
-    log pole/residue coordinates (baseline for comparison).
+    at jumps.  ``nullspace_correction=False`` keeps the plain step.
+    ``parametrization='spectral'`` switches the residual to the log
+    pole/residue coordinates (baseline for comparison).  ``n_sources`` is
+    the number of boundary segments a 2D grid without segments gets, and
+    ``keep_iterates`` stores every iterate in the history.
     """
 
     m0: int = 6
     family_kind: str = "zolotarev"
     s_hat: float = 60.0
     n_gn: int = 5
-    step_length: float = 1.0
     weights: str = "identity"
-    c_phi: float | None = None
-    kkt_drop: int = 1
-    svd_rcond: float = 1e-12
-    max_halvings: int = 20
     parametrization: str = "cfrac"
     nullspace_correction: bool = True
-    stagnation_rtol: float = 1e-8
-    backtracking: bool = False
-    toeplitz_scale: float | str = "auto"
     n_sources: int = 8
-    r_init: np.ndarray | None = None
     keep_iterates: bool = False
 
     def family(self, m: int) -> NodeFamily:
@@ -98,11 +96,16 @@ class FitTarget:
         raise RomresError(f"unknown parametrization {parametrization!r}")
 
 
-_FIT_ERRORS = (SpectralValidityError, AdmissibilityError, DegeneracyError,
-               RomresError)
+# the fit-validity failures that reducing m can cure; any other error is a
+# bad input or a defect and propagates
+_FIT_ERRORS = (SpectralValidityError, AdmissibilityError, DegeneracyError)
+
+# the Gauss-Newton loop stops once the residual norm changes by less than
+# this fraction between iterations
+_STAGNATION_RTOL = 1e-8
 
 
-def _target_from_model(model) -> FitTarget:
+def _target_from_model(model) -> tuple[PoleResidue, ContinuedFraction]:
     pr = to_pole_residue(model)
     cf, _, _ = pole_residue_to_cfrac(pr)
     return pr, cf
@@ -137,9 +140,8 @@ def data_fitting_Q(series: TimeSeries, config: InversionConfig | None = None,
     raise DataUnusableError("no admissible reduced model at any m >= 1")
 
 
-def _toeplitz_scale(tau: np.ndarray, rule) -> float:
-    if rule != "auto":
-        return float(rule)
+def _toeplitz_scale(tau: np.ndarray) -> float:
+    """Geometric moment decay rate, which equilibrates the Toeplitz system."""
     lo, hi = abs(tau[0]), abs(tau[-1])
     if lo == 0 or hi == 0:
         return 1.0
@@ -165,7 +167,7 @@ def data_fitting_moments(moments: np.ndarray, s_hat: float,
         tau = tau_all[: 2 * m]
         try:
             model = fit_pade_toeplitz(tau, shift=s_hat,
-                                      scale=_toeplitz_scale(tau, config.toeplitz_scale))
+                                      scale=_toeplitz_scale(tau))
             pr, cf = _target_from_model(model)
             return FitTarget(m=pr.m, log_cfrac=cf.log_vector(),
                              spectral=np.concatenate([pr.theta, pr.c]),
@@ -200,8 +202,7 @@ def adaptive_weights(Dt: sp.spmatrix, r: np.ndarray, phi: float) -> np.ndarray:
 
 
 def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
-                         w: np.ndarray | None = None, drop: int = 1,
-                         solver: str = "auto"):
+                         w: np.ndarray | None = None, solver: str = "auto"):
     """Null-space correction minimizing the weighted H1 seminorm.
 
     Computes the minimizer of
@@ -211,7 +212,7 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
     so the seminorm picks the smoothest representative while the
     linearized residual is untouched.  ``solver='kkt'`` forms the
     first-order stationarity (saddle) system and applies an SVD solve
-    with the ``drop`` smallest singular components discarded, then snaps
+    with the smallest singular component discarded, then snaps
     the correction back onto null(J); that matches the classical recipe
     and is adequate for identity weights.  Adaptive weights can span
     10+ decades, which pushes parts of the saddle spectrum below the SVD
@@ -249,11 +250,10 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
         U, s, Vh = np.linalg.svd(M)
     except np.linalg.LinAlgError as exc:
         raise RegularizationError(f"saddle-system SVD failed: {exc}") from exc
-    if drop >= s.size or (drop and s[:-drop].size and s[-drop - 1] == 0):
+    if s.size < 2 or s[-2] == 0:
         raise RegularizationError("saddle system singular beyond truncation")
     inv = np.zeros_like(s)
-    keep = s.size - drop if drop else s.size
-    inv[:keep] = 1.0 / s[:keep]
+    inv[:-1] = 1.0 / s[:-1]
     x = Vh.T @ (inv * (U.T @ rhs))
     # exact constraint enforcement: project the correction onto null(J)
     corr = x[:n] - r_gn
@@ -266,20 +266,10 @@ def regularization_gradient(grid: Grid1D | Grid2D) -> sp.csr_matrix:
     if isinstance(grid, Grid1D):
         D = build_difference_1d(grid)
         return D[:-1, :].tocsr()
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    rows, cols, vals = [], [], []
-    e = 0
-    for iy in range(ny):
-        for ix in range(nx - 1):
-            c0, c1 = iy * nx + ix, iy * nx + ix + 1
-            rows += [e, e]; cols += [c0, c1]; vals += [-1.0 / hx, 1.0 / hx]
-            e += 1
-    for iy in range(ny - 1):
-        for ix in range(nx):
-            c0, c1 = iy * nx + ix, (iy + 1) * nx + ix
-            rows += [e, e]; cols += [c0, c1]; vals += [-1.0 / hy, 1.0 / hy]
-            e += 1
-    return sp.csr_matrix((vals, (rows, cols)), shape=(e, grid.n_cells))
+    # build_difference_2d lists the interior x- and y-edges first
+    D, _ = build_difference_2d(grid)
+    n_interior = grid.ny * (grid.nx - 1) + (grid.ny - 1) * grid.nx
+    return D[:n_interior, :]
 
 
 def relative_error(r_star: np.ndarray, r_true: np.ndarray) -> float:
@@ -312,14 +302,14 @@ class InversionHistory:
 
 
 def _gn_loop(eval_chain, jac, n_param, l_star, config: InversionConfig, Dt,
-             r_true=None, r_init=None):
+             r_true=None):
     """Shared Gauss-Newton driver over an abstract chain evaluator.
 
     ``eval_chain(r) -> (l_vec, payload)`` and ``jac(payload) -> J`` supply
     the residual and its Jacobian; everything else (step, weights,
     null-space correction, bookkeeping) is common to 1D and 2D.
     """
-    r = np.ones(n_param) if r_init is None else np.asarray(r_init, dtype=float).copy()
+    r = np.ones(n_param)
     hist = InversionHistory()
     prev_res = None
     for p in range(1, config.n_gn + 1):
@@ -333,47 +323,29 @@ def _gn_loop(eval_chain, jac, n_param, l_star, config: InversionConfig, Dt,
         if config.keep_iterates:
             hist.iterates.append(r.copy())
         if prev_res is not None and abs(prev_res - res_norm) <= \
-                config.stagnation_rtol * max(prev_res, 1e-300):
+                _STAGNATION_RTOL * max(prev_res, 1e-300):
             hist.notes.append(f"stagnated at iteration {p}")
             break
         prev_res = res_norm
         J = jac(payload)
-        r_gn, rho, a_used = gauss_newton_step(r, J, residual,
-                                              alpha=config.step_length,
-                                              rcond=config.svd_rcond,
-                                              max_halvings=config.max_halvings)
+        r_gn, _, a_used = gauss_newton_step(r, J, residual)
         hist.step_length.append(a_used)
         if not config.nullspace_correction:
             r_next = r_gn
         else:
             if config.weights == "adaptive":
                 m_eff = J.shape[0] // 2
-                cp = config.c_phi if config.c_phi is not None else 1.0 / (2.0 * m_eff ** 2)
-                phi = cp * res_norm
+                phi = 1.0 / (2.0 * m_eff ** 2) * res_norm
                 w = adaptive_weights(Dt, r_gn, phi)
             elif config.weights == "identity":
                 w = None
             else:
                 raise RomresError(f"unknown weight mode {config.weights!r}")
-            r_next = regularize_nullspace(r_gn, J, Dt, w=w, drop=config.kkt_drop)
+            r_next = regularize_nullspace(r_gn, J, Dt, w=w)
             if not np.all(r_next > 0):
                 hist.notes.append(f"null-space correction left positivity at "
                                   f"iteration {p}; kept the plain update")
                 r_next = r_gn
-        if config.backtracking:
-            l_try, _ = eval_chain(r_next)
-            if np.linalg.norm(l_try - l_star) > res_norm:
-                a = a_used
-                while a > 2 ** -config.max_halvings:
-                    a *= 0.5
-                    cand = r + a * rho
-                    if np.all(cand > 0):
-                        l_try, _ = eval_chain(cand)
-                        if np.linalg.norm(l_try - l_star) <= res_norm:
-                            r_next = cand
-                            break
-                else:
-                    hist.notes.append(f"backtracking failed at iteration {p}")
         r = r_next
     l_vec, _ = eval_chain(r)
     hist.iterations.append(config.n_gn + 1)
@@ -414,7 +386,7 @@ def invert_1d(data: TimeSeries | FitTarget, grid: Grid1D,
         return assemble_jacobian(ctx, target=config.parametrization)
 
     r, hist = _gn_loop(eval_chain, jac, grid.n_points, l_star, config, Dt,
-                       r_true=r_true, r_init=config.r_init)
+                       r_true=r_true)
     hist.m = m
     return ResistivityField(r, grid), hist
 
@@ -452,16 +424,16 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
         if tau.ndim != 2 or tau.shape[0] != n_d:
             raise RomresError("moment array must be (n_sources, 2*m0)")
     else:
+        if len(data) != n_d:
+            raise RomresError(f"{len(data)} time series for {n_d} boundary segments; "
+                              "need one per segment")
         tau = moments_from_series(data, config.s_hat, 2 * config.m0)
 
     m = min(config.m0, tau.shape[1] // 2)
     targets = None
     while m >= 1:
-        try:
-            fits = [data_fitting_moments(tau[j], config.s_hat, config, m0=m)
-                    for j in range(n_d)]
-        except DataUnusableError:
-            raise
+        fits = [data_fitting_moments(tau[j], config.s_hat, config, m0=m)
+                for j in range(n_d)]
         if all(f.m == m for f in fits):
             targets = fits
             break
@@ -472,7 +444,6 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
         node_family("single-node", m, s_hat=config.s_hat)
     l_star = np.concatenate([t.vector(config.parametrization) for t in targets])
 
-    D, M_avg = build_difference_2d(grid)
     Dt = regularization_gradient(grid)
 
     def eval_chain(r):
@@ -491,6 +462,6 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
                           for c in ctxs])
 
     r, hist = _gn_loop(eval_chain, jac, grid.n_cells, l_star, config, Dt,
-                       r_true=r_true, r_init=config.r_init)
+                       r_true=r_true)
     hist.m = m
     return ResistivityField(r, grid), hist

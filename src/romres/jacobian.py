@@ -8,12 +8,16 @@ differentiation), the projected operator, the eigendecomposition, the
 Lanczos iteration (closed-form perturbation matrices) and the coefficient
 recursion.
 
-Two implementations are provided.  The ``reference`` path follows the
-chain one parameter at a time and exists for tests and cross-checks; the
-``fast`` path evaluates the same formulas for all parameters at once,
+Three paths produce the derivatives (dA_m, db_m) of the projected system;
+every stage after it (spectral, eta, Lanczos, coefficient recursion) has
+one batched implementation that all three share.  The ``fast`` path serves
+raw snapshot bases: it evaluates the formulas for all parameters at once,
 contracting every appearance of the rank-one operator derivatives with the
-difference factor D up front so the per-parameter work involves only m x m
-arrays.
+difference factor D up front, so the per-parameter work involves only
+m x m arrays.  Sequential bases are differentiated in forward mode through
+their recurrence instead.  The ``reference`` path follows the snapshot,
+basis and projection stages one parameter at a time and exists for tests
+and cross-checks of the fast path.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .cfrac import Tridiagonal
+from .cfrac import ContinuedFraction, Tridiagonal
 from .errors import DegeneracyError, RomresError
 from .forward import shifted_solver
 from .krylov import ChainContext
@@ -84,22 +88,27 @@ def diff_snapshots(solver: shifted_solver, family: NodeFamily, K: np.ndarray,
 
 
 def diff_cholesky(L: np.ndarray, dM: np.ndarray) -> np.ndarray:
-    """Perturbation of a Cholesky factor, column by column.
+    """Perturbations of a Cholesky factor, column by column.
 
     Solves (dL) L^T + L (dL)^T = dM for lower-triangular dL given the
-    lower-triangular factor L with positive diagonal.
+    lower-triangular factor L with positive diagonal, for each dM of a
+    batch of shape (n, m, m).
     """
     m = L.shape[0]
     if np.any(np.diag(L) <= 0):
         raise RomresError("Cholesky factor must have positive diagonal")
-    dL = np.zeros_like(L)
+    n = dM.shape[0]
+    dL = np.zeros((n, m, m))
     for k in range(m):
-        s = dM[k, k] / 2.0 - np.dot(dL[k, :k], L[k, :k])
-        dL[k, k] = s / L[k, k]
-        for i in range(k + 1, m):
-            s = dM[i, k] - np.dot(dL[k, : k + 1], L[i, : k + 1]) \
-                - np.dot(dL[i, :k], L[k, :k])
-            dL[i, k] = s / L[k, k]
+        s = dM[:, k, k] / 2.0
+        if k:
+            s = s - dL[:, k, :k] @ L[k, :k]
+        dL[:, k, k] = s / L[k, k]
+        if k + 1 < m:
+            s = dM[:, k + 1:, k] - dL[:, k, : k + 1] @ L[k + 1:, : k + 1].T
+            if k:
+                s = s - np.einsum("nij,j->ni", dL[:, k + 1:, :k], L[k, :k])
+            dL[:, k + 1:, k] = s / L[k, k]
     return dL
 
 
@@ -126,38 +135,36 @@ def diff_reduced(A, b: np.ndarray, V: np.ndarray, dV: np.ndarray,
     return dA_m, db_m
 
 
-def diff_spectral(A_m: np.ndarray, dA_m: np.ndarray, b_m: np.ndarray,
-                  db_m: np.ndarray, theta: np.ndarray, Z: np.ndarray):
+def diff_spectral(dA_m: np.ndarray, b_m: np.ndarray, db_m: np.ndarray,
+                  theta: np.ndarray, Z: np.ndarray):
     """Derivatives of poles and residues from the eigendecomposition.
 
     d theta_j = -z_j^T dA_m z_j; the eigenvector derivative uses the
     deflated eigen-expansion of the pseudoinverse (A_m + theta_j I)^+,
-    which requires simple eigenvalues.
+    which requires simple eigenvalues.  dA_m (n, m, m) and db_m (n, m)
+    carry a batch axis; dtheta and dc come back with shape (n, m).
     """
-    m = theta.size
-    gaps = np.abs(theta[:, None] - theta[None, :]) + np.eye(m)
-    if np.min(gaps) < 1e-10 * max(np.max(np.abs(theta)), 1e-300):
+    gap = theta[None, :] - theta[:, None]  # [i, j] -> theta_j - theta_i
+    np.fill_diagonal(gap, np.inf)
+    if np.min(np.abs(gap)) < 1e-10 * max(np.max(np.abs(theta)), 1e-300):
         raise DegeneracyError("eigenvalue gap below resolution in diff_spectral")
-    W = Z.T @ dA_m @ Z
-    dtheta = -np.diag(W).copy()
+    W = np.einsum("nab,ai,bj->nij", dA_m, Z, Z, optimize=True)
+    dtheta = -np.einsum("njj->nj", W)
     phi = b_m @ Z
-    dc = np.empty(m)
-    for j in range(m):
-        acc = 0.0
-        for i in range(m):
-            if i == j:
-                continue
-            acc -= phi[i] * W[i, j] / (theta[j] - theta[i])
-        dc[j] = 2.0 * phi[j] * (db_m @ Z[:, j] + acc)
+    cross = -np.einsum("i,nij,ij->nj", phi, W, 1.0 / gap)
+    dc = 2.0 * phi[None, :] * (db_m @ Z + cross)
     return dtheta, dc
 
 
 def diff_eta(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    """Derivative of the normalized weight vector eta_i = sqrt(c_i / sum c)."""
+    """Derivative of the normalized weights eta_i = sqrt(c_i / sum c).
+
+    ``dc`` carries a batch axis, shape (n, m), and so does the result.
+    """
     S = float(np.sum(c))
-    dS = float(np.sum(dc))
+    dS = dc.sum(axis=1)
     eta = np.sqrt(c / S)
-    return (dc - eta ** 2 * dS) / (2.0 * eta * S)
+    return (dc - eta ** 2 * dS[:, None]) / (2.0 * eta * S)
 
 
 def diff_lanczos(theta: np.ndarray, tri: Tridiagonal, X: np.ndarray,
@@ -171,17 +178,11 @@ def diff_lanczos(theta: np.ndarray, tri: Tridiagonal, X: np.ndarray,
     tangent to the unit sphere (eta^T deta = 0), which holds automatically
     for perturbations coming from the residue weights.
 
-    Accepts batched inputs with a leading axis: dtheta, deta of shape
-    (n, m) return (n, m) and (n, m-1) perturbation arrays.
+    dtheta and deta carry a batch axis, shape (n, m); dalpha comes back
+    with shape (n, m) and dbeta with shape (n, m-1).
     """
     if tri.beta.size and np.any(tri.beta <= 0):
         raise DegeneracyError("vanishing Lanczos coupling")
-    dtheta = np.asarray(dtheta, dtype=float)
-    deta = np.asarray(deta, dtype=float)
-    squeeze = dtheta.ndim == 1
-    if squeeze:
-        dtheta = dtheta[None, :]
-        deta = deta[None, :]
     n, m = dtheta.shape
     lam = -theta
     dlam = -dtheta
@@ -208,88 +209,65 @@ def diff_lanczos(theta: np.ndarray, tri: Tridiagonal, X: np.ndarray,
     Ex = lam * x
     dEx = dlam * x[None, :] + lam[None, :] * dx
     dalpha[:, m - 1] = dx @ Ex + dEx @ x
-    if squeeze:
-        return dalpha[0], dbeta[0]
     return dalpha, dbeta
 
 
-def diff_cfrac_recursion(tri: Tridiagonal, dalpha: np.ndarray, dbeta: np.ndarray,
+def diff_cfrac_recursion(tri: Tridiagonal, cf: ContinuedFraction,
+                         dalpha: np.ndarray, dbeta: np.ndarray,
                          c: np.ndarray, dc: np.ndarray):
-    """Differentiate the coefficient recursion; returns (dkappa, dkappahat)."""
+    """Differentiate the coefficient recursion that produced ``cf`` from
+    ``tri`` and the total weight sum(c).
+
+    dalpha, dbeta and dc carry a batch axis, shape (n, .); returns
+    (dkappa, dkappahat), each of shape (n, m).
+    """
     a, bt = tri.alpha, tri.beta
-    m = tri.m
+    kh, kp = cf.kappa_hat, cf.kappa
+    n, m = dc.shape
     S = float(np.sum(c))
-    dS = float(np.sum(dc))
-    kh = np.empty(m)
-    kp = np.empty(m)
-    dkh = np.empty(m)
-    dkp = np.empty(m)
-    kh[0] = 1.0 / S
-    dkh[0] = -dS / S ** 2
+    dkh = np.empty((n, m))
+    dkp = np.empty((n, m))
+    dkh[:, 0] = -dc.sum(axis=1) / S ** 2
     x = kh[0] * a[0]
-    kp[0] = -1.0 / x
-    dkp[0] = (dkh[0] * a[0] + kh[0] * dalpha[0]) / x ** 2
+    dkp[:, 0] = (dkh[:, 0] * a[0] + kh[0] * dalpha[:, 0]) / x ** 2
     for j in range(1, m):
         x = kp[j - 1] ** 2 * bt[j - 1] ** 2 * kh[j - 1]
-        kh[j] = 1.0 / x
-        dx = (2.0 * kp[j - 1] * dkp[j - 1] * bt[j - 1] ** 2 * kh[j - 1]
-              + kp[j - 1] ** 2 * 2.0 * bt[j - 1] * dbeta[j - 1] * kh[j - 1]
-              + kp[j - 1] ** 2 * bt[j - 1] ** 2 * dkh[j - 1])
-        dkh[j] = -dx / x ** 2
+        dx = (2.0 * kp[j - 1] * dkp[:, j - 1] * bt[j - 1] ** 2 * kh[j - 1]
+              + kp[j - 1] ** 2 * 2.0 * bt[j - 1] * dbeta[:, j - 1] * kh[j - 1]
+              + kp[j - 1] ** 2 * bt[j - 1] ** 2 * dkh[:, j - 1])
+        dkh[:, j] = -dx / x ** 2
         y = a[j] * kh[j] + 1.0 / kp[j - 1]
-        kp[j] = -1.0 / y
-        dy = dalpha[j] * kh[j] + a[j] * dkh[j] - dkp[j - 1] / kp[j - 1] ** 2
-        dkp[j] = dy / y ** 2
+        dy = dalpha[:, j] * kh[j] + a[j] * dkh[:, j] - dkp[:, j - 1] / kp[j - 1] ** 2
+        dkp[:, j] = dy / y ** 2
     return dkp, dkh
 
 
-def _jacobian_reference(ctx: ChainContext) -> np.ndarray:
+def _jacobian_reference(ctx: ChainContext):
+    """(dA_m, db_m) one parameter at a time through the snapshot, basis
+    and projection derivatives."""
     op = ctx.operator
     D = op.D
     K, V, U = ctx.basis.K, ctx.basis.V, ctx.basis.U
     m = ctx.m
     n_e = op.n_edges
-    J = np.empty((2 * m, n_e))
-    L = U.T
-    theta, c = ctx.pr.theta, ctx.pr.c
+    dA_all = np.empty((n_e, m, m))
+    db_all = np.empty((n_e, m))
     for k in range(n_e):
         d_k = np.asarray(D.getrow(k).todense()).ravel()
         dK = diff_snapshots(ctx.solver, ctx.family, K, d_k)
         dM = dK.T @ K + K.T @ dK
-        dU = diff_cholesky(L, dM).T
+        dU = diff_cholesky(U.T, dM[None])[0].T
         dV = diff_basis(K, dK, V, U, dU)
-        dA_m, db_m = diff_reduced(op.A, ctx.b, V, dV, d_k)
-        dtheta, dc = diff_spectral(ctx.model.A_m, dA_m, ctx.model.b_m, db_m,
-                                   theta, ctx.Z)
-        deta = diff_eta(c, dc)
-        dalpha, dbeta = diff_lanczos(theta, ctx.tri, ctx.X, dtheta, deta)
-        dkp, dkh = diff_cfrac_recursion(ctx.tri, dalpha, dbeta, c, dc)
-        J[:m, k] = dkp / ctx.cf.kappa
-        J[m:, k] = dkh / ctx.cf.kappa_hat
-    return J
+        dA_all[k], db_all[k] = diff_reduced(op.A, ctx.b, V, dV, d_k)
+    return dA_all, db_all
 
 
-def _batched_diff_cholesky(L: np.ndarray, dM: np.ndarray) -> np.ndarray:
-    """diff_cholesky over a leading batch axis of dM."""
-    m = L.shape[0]
-    n = dM.shape[0]
-    dL = np.zeros((n, m, m))
-    for k in range(m):
-        s = dM[:, k, k] / 2.0
-        if k:
-            s = s - dL[:, k, :k] @ L[k, :k]
-        dL[:, k, k] = s / L[k, k]
-        if k + 1 < m:
-            s = dM[:, k + 1:, k] - dL[:, k, : k + 1] @ L[k + 1:, : k + 1].T
-            if k:
-                s = s - np.einsum("nij,j->ni", dL[:, k + 1:, :k], L[k, :k])
-            dL[:, k + 1:, k] = s / L[k, k]
-    return dL
+def _jacobian_fast(ctx: ChainContext):
+    """(dA_m, db_m) for a raw snapshot basis.
 
-
-def _jacobian_fast(ctx: ChainContext) -> np.ndarray:
-    """Raw-snapshot path: every rank-one derivative is contracted with D
-    up front, so the per-parameter work reduces to m x m algebra."""
+    Every rank-one derivative is contracted with D up front, so the
+    per-parameter work reduces to m x m algebra.
+    """
     op = ctx.operator
     D = op.D
     A = op.A
@@ -329,7 +307,7 @@ def _jacobian_fast(ctx: ChainContext) -> np.ndarray:
 
     inv_n = 1.0 / col_scale
     dM = (KtdK + KtdK.transpose(0, 2, 1)) * inv_n[None, :, None] * inv_n[None, None, :]
-    dLt = _batched_diff_cholesky(Lt, dM)
+    dLt = diff_cholesky(Lt, dM)
 
     A_m, b_m = ctx.model.A_m, ctx.model.b_m
     term = dKtAV * inv_n[None, :, None] - dLt @ A_m
@@ -342,17 +320,20 @@ def _jacobian_fast(ctx: ChainContext) -> np.ndarray:
     return dA_m, db_m
 
 
-def _jacobian_sequential(ctx: ChainContext, chunk: int = 256) -> np.ndarray:
-    """Forward-mode differentiation of the sequential basis recurrence.
+def _jacobian_sequential(ctx: ChainContext, chunk: int = 256):
+    """(dA_m, db_m) by forward-mode differentiation of the sequential basis
+    recurrence.
 
     Used when the raw snapshot columns are too collinear to differentiate;
     propagates the perturbations of every basis vector through solve,
-    orthogonalization and normalization, in parameter chunks.
+    orthogonalization and normalization, in parameter chunks.  The basis
+    supplies each step's raw solve (K), Gram-Schmidt coefficients and norm
+    (U).
     """
     op = ctx.operator
     D = op.D
     A = op.A
-    V = ctx.basis.V
+    K, V, U = ctx.basis.K, ctx.basis.V, ctx.basis.U
     fam = ctx.family
     m = ctx.m
     n_e = op.n_edges
@@ -360,25 +341,7 @@ def _jacobian_sequential(ctx: ChainContext, chunk: int = 256) -> np.ndarray:
     b = ctx.b
     AV = A @ V
     DV = np.asarray(D @ V)
-    A_m, b_m = ctx.model.A_m, ctx.model.b_m
-
-    # replay the value recurrence, keeping pre-orthogonalization vectors
-    steps = []  # (node, u_raw, coeffs, nrm)
-    col = 0
-    for s, mult in zip(fam.nodes, fam.multiplicities):
-        x = b
-        for _ in range(int(mult)):
-            u_raw = ctx.solver.solve(s, x)
-            u = u_raw.copy()
-            coeffs = np.zeros(col)
-            for _ in range(2):
-                cc = V[:, :col].T @ u
-                u -= V[:, :col] @ cc
-                coeffs += cc
-            nrm = np.linalg.norm(u)
-            steps.append((s, u_raw, coeffs, nrm))
-            x = V[:, col]
-            col += 1
+    DK = np.asarray(D @ K)
 
     dA_all = np.empty((n_e, m, m))
     db_all = np.empty((n_e, m))
@@ -386,19 +349,15 @@ def _jacobian_sequential(ctx: ChainContext, chunk: int = 256) -> np.ndarray:
     for lo in range(0, n_e, chunk):
         hi = min(lo + chunk, n_e)
         q = hi - lo
-        gdt = {}  # (sI - A)^{-1} D^T for this parameter chunk, per node
         dV = np.zeros((m, n_state, q))
         col = 0
         for s, mult in zip(fam.nodes, fam.multiplicities):
+            # (sI - A)^{-1} D^T for this parameter chunk
+            gd = ctx.solver.solve(s, np.asarray(Dt[:, lo:hi].todense()))
             dx = np.zeros((n_state, q))  # derivative of the chain input (b: zero)
             for _ in range(int(mult)):
-                s_node, u_raw, coeffs, nrm = steps[col]
-                gd = gdt.get(s_node)
-                if gd is None:
-                    gd = ctx.solver.solve(s_node, np.asarray(Dt[:, lo:hi].todense()))
-                    gdt[s_node] = gd
-                w = np.asarray(D @ u_raw)[lo:hi]
-                du = -gd * w[None, :] + ctx.solver.solve(s_node, dx)
+                u_raw, coeffs, nrm = K[:, col], U[:col, col], U[col, col]
+                du = -gd * DK[lo:hi, col][None, :] + ctx.solver.solve(s, dx)
                 # differentiate u = u_raw - V c,  c = V^T u_raw (both passes)
                 c_d = np.einsum("lnq,n->lq", dV[:col], u_raw) + V[:, :col].T @ du
                 du_perp = du - V[:, :col] @ c_d
@@ -418,55 +377,6 @@ def _jacobian_sequential(ctx: ChainContext, chunk: int = 256) -> np.ndarray:
     return dA_all, db_all
 
 
-def _spectral_core(ctx: ChainContext, dA_m: np.ndarray, db_m: np.ndarray):
-    """Batched (dA_m, db_m) -> (dtheta, dc) through the eigendecomposition."""
-    theta = ctx.pr.theta
-    Z = ctx.Z
-    W = np.einsum("nab,ai,bj->nij", dA_m, Z, Z, optimize=True)
-    dtheta = -np.einsum("njj->nj", W)
-    phi = ctx.model.b_m @ Z
-    with np.errstate(divide="ignore"):
-        inv_gap = 1.0 / (theta[None, :] - theta[:, None])  # [i, j] -> 1/(th_j - th_i)
-    np.fill_diagonal(inv_gap, 0.0)
-    cross = -np.einsum("i,nij,ij->nj", phi, W, inv_gap)
-    dc = 2.0 * phi[None, :] * (db_m @ Z + cross)
-    return dtheta, dc
-
-
-def _cfrac_rows(ctx: ChainContext, dtheta: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    """Batched (dtheta, dc) -> rows of the log-coefficient Jacobian."""
-    m = ctx.m
-    n_b = dtheta.shape[0]
-    S_tot = float(np.sum(ctx.pr.c))
-    dS = dc.sum(axis=1)
-    eta = ctx.eta
-    deta = (dc - eta[None, :] ** 2 * dS[:, None]) / (2.0 * eta[None, :] * S_tot)
-
-    dalpha, dbeta = diff_lanczos(ctx.pr.theta, ctx.tri, ctx.X, dtheta, deta)
-
-    a, bt = ctx.tri.alpha, ctx.tri.beta
-    kh, kp = ctx.cf.kappa_hat, ctx.cf.kappa
-    dkh = np.empty((n_b, m))
-    dkp = np.empty((n_b, m))
-    dkh[:, 0] = -dS / S_tot ** 2
-    x = kh[0] * a[0]
-    dkp[:, 0] = (dkh[:, 0] * a[0] + kh[0] * dalpha[:, 0]) / x ** 2
-    for j in range(1, m):
-        x = kp[j - 1] ** 2 * bt[j - 1] ** 2 * kh[j - 1]
-        dx = (2.0 * kp[j - 1] * dkp[:, j - 1] * bt[j - 1] ** 2 * kh[j - 1]
-              + kp[j - 1] ** 2 * 2.0 * bt[j - 1] * dbeta[:, j - 1] * kh[j - 1]
-              + kp[j - 1] ** 2 * bt[j - 1] ** 2 * dkh[:, j - 1])
-        dkh[:, j] = -dx / x ** 2
-        y = a[j] * kh[j] + 1.0 / kp[j - 1]
-        dy = dalpha[:, j] * kh[j] + a[j] * dkh[:, j] - dkp[:, j - 1] / kp[j - 1] ** 2
-        dkp[:, j] = dy / y ** 2
-
-    J = np.empty((2 * m, n_b))
-    J[:m] = (dkp / kp[None, :]).T
-    J[m:] = (dkh / kh[None, :]).T
-    return J
-
-
 def assemble_jacobian(ctx: ChainContext, method: str = "fast",
                       target: str = "cfrac") -> np.ndarray:
     """Jacobian of the preconditioner map with respect to the parameters.
@@ -478,30 +388,30 @@ def assemble_jacobian(ctx: ChainContext, method: str = "fast",
     baseline parametrization used for comparison).  The chain is
     differentiated with respect to the edge resistivities and composed
     with the (sparse) edge-from-parameter averaging map, which is the
-    identity in 1D.
+    identity in 1D.  ``method='fast'`` picks the path that matches the
+    basis generation; ``'reference'`` needs a raw basis.
     """
+    if target not in ("cfrac", "spectral"):
+        raise RomresError(f"unknown Jacobian target {target!r}")
     if method == "reference":
         if ctx.basis.generation == "sequential":
             raise RomresError("reference path needs a raw snapshot basis")
-        if target != "cfrac":
-            raise RomresError("reference path computes the cfrac target only")
-        J_edge = _jacobian_reference(ctx)
-    elif method in ("fast", "sequential"):
-        if method == "sequential" or ctx.basis.generation == "sequential":
+        dA_m, db_m = _jacobian_reference(ctx)
+    elif method == "fast":
+        if ctx.basis.generation == "sequential":
             dA_m, db_m = _jacobian_sequential(ctx)
         else:
             dA_m, db_m = _jacobian_fast(ctx)
-        dtheta, dc = _spectral_core(ctx, dA_m, db_m)
-        if target == "cfrac":
-            J_edge = _cfrac_rows(ctx, dtheta, dc)
-        elif target == "spectral":
-            m = ctx.m
-            J_edge = np.empty((2 * m, dtheta.shape[0]))
-            J_edge[:m] = dtheta.T
-            J_edge[m:] = dc.T
-        else:
-            raise RomresError(f"unknown Jacobian target {target!r}")
     else:
         raise RomresError(f"unknown Jacobian method {method!r}")
+    theta, c = ctx.pr.theta, ctx.pr.c
+    dtheta, dc = diff_spectral(dA_m, ctx.model.b_m, db_m, theta, ctx.Z)
+    if target == "spectral":
+        J_edge = np.vstack([dtheta.T, dc.T])
+    else:
+        deta = diff_eta(c, dc)
+        dalpha, dbeta = diff_lanczos(theta, ctx.tri, ctx.X, dtheta, deta)
+        dkp, dkh = diff_cfrac_recursion(ctx.tri, ctx.cf, dalpha, dbeta, c, dc)
+        J_edge = np.vstack([(dkp / ctx.cf.kappa).T, (dkh / ctx.cf.kappa_hat).T])
     M = ctx.operator.averaging
     return np.asarray(J_edge @ M)

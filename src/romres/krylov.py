@@ -46,8 +46,9 @@ class KrylovBasis:
     the literal resolvent powers (differentiable columns); ``sequential``
     re-applies the resolvent to the newest orthonormal vector, which spans
     the same subspace but stays well conditioned when plain powers go
-    numerically collinear.  In the sequential case K coincides with V and
-    U is the identity.
+    numerically collinear.  In the sequential case column j of K is that
+    re-applied resolvent (before orthogonalization) and U holds its
+    Gram-Schmidt coefficients, so K = V U still holds.
     """
 
     K: np.ndarray
@@ -97,6 +98,20 @@ def snapshot_columns(solver: shifted_solver, b: np.ndarray, family: NodeFamily) 
     return np.column_stack(cols)
 
 
+def _gram_schmidt_step(V: np.ndarray, j: int, u: np.ndarray):
+    """Orthogonalize u against V[:, :j] in place, in two classical passes.
+
+    Returns the summed projection coefficients of both passes, so that
+    u_before = u_after + V[:, :j] @ coeffs.
+    """
+    coeffs = np.zeros(j)
+    for _ in range(2):
+        c = V[:, :j].T @ u
+        u -= V[:, :j] @ c
+        coeffs += c
+    return coeffs
+
+
 def _orthonormalize_mgs(K: np.ndarray, floor: float = 1e-13):
     """Gram-Schmidt with one re-pass; returns (V, U) with positive diag(U)."""
     n, m = K.shape
@@ -105,10 +120,7 @@ def _orthonormalize_mgs(K: np.ndarray, floor: float = 1e-13):
     for j in range(m):
         u = K[:, j].copy()
         nrm0 = np.linalg.norm(u)
-        for _ in range(2):
-            c = V[:, :j].T @ u
-            u -= V[:, :j] @ c
-            U[:j, j] += c
+        U[:j, j] = _gram_schmidt_step(V, j, u)
         nb = np.linalg.norm(u)
         if nb <= floor * nrm0:
             raise BasisCollapseError(
@@ -119,52 +131,34 @@ def _orthonormalize_mgs(K: np.ndarray, floor: float = 1e-13):
     return V, U
 
 
-def sequential_basis(solver: shifted_solver, b: np.ndarray, family: NodeFamily) -> np.ndarray:
+def sequential_basis(solver: shifted_solver, b: np.ndarray, family: NodeFamily) -> KrylovBasis:
     """Orthonormal basis built by re-solving on the newest basis vector.
 
     Spans the same rational Krylov subspace as the raw powers but never
     forms them, so confluent families stay numerically sound at depths
-    where the raw snapshot matrix loses rank to roundoff.
+    where the raw snapshot matrix loses rank to roundoff.  Column j of K
+    is the solve that produced V[:, j], and column j of U holds its
+    Gram-Schmidt coefficients and norm, so K = V U as for raw bases.
     """
-    n = b.size
-    V = np.zeros((n, family.m))
+    n, m = b.size, family.m
+    K = np.zeros((n, m))
+    V = np.zeros((n, m))
+    U = np.zeros((m, m))
     col = 0
     for s, mult in zip(family.nodes, family.multiplicities):
         x = np.asarray(b, dtype=float)
         for _ in range(int(mult)):
             x = solver.solve(s, x)
-            for _ in range(2):
-                x -= V[:, :col] @ (V[:, :col].T @ x)
+            K[:, col] = x
+            U[:col, col] = _gram_schmidt_step(V, col, x)
             nrm = np.linalg.norm(x)
             if nrm == 0.0:
                 raise BasisCollapseError("sequential snapshot vanished; reduce m")
+            U[col, col] = nrm
             x = x / nrm
             V[:, col] = x
             col += 1
-    return V
-
-
-def _orthonormalize_cholqr(K: np.ndarray):
-    """QR through Cholesky of the column-equilibrated Gram matrix."""
-    norms = np.linalg.norm(K, axis=0)
-    if np.any(norms == 0):
-        raise BasisCollapseError("zero snapshot column")
-    Kt = K / norms
-    G = Kt.T @ Kt
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise BasisCollapseError("Gram matrix not positive definite; reduce m") from exc
-    piv = np.diag(L) ** 2
-    if np.min(piv) < 1e-13 * np.trace(G):
-        raise BasisCollapseError("Cholesky pivot below roundoff floor; reduce m")
-    V = sla.solve_triangular(L, Kt.T, lower=True).T
-    # one re-orthonormalization pass tightens V^T V = I for squared conditioning
-    G2 = V.T @ V
-    L2 = np.linalg.cholesky(G2)
-    V = sla.solve_triangular(L2, V.T, lower=True).T
-    U = (L2.T @ L.T) * norms[None, :]
-    return V, U
+    return KrylovBasis(K=K, V=V, U=U, family=family, generation="sequential")
 
 
 # below this relative residual the raw snapshot columns are too collinear
@@ -173,16 +167,15 @@ _RAW_RESIDUAL_FLOOR = 1e-8
 
 
 def build_krylov(A, b, family: NodeFamily, solver: shifted_solver | None = None,
-                 method: str = "mgs", generation: str = "auto") -> KrylovBasis:
+                 generation: str = "auto") -> KrylovBasis:
     """Orthonormal basis of the rational Krylov subspace of ``family``.
 
-    ``generation='raw'`` orthonormalizes the literal snapshot columns
-    (``mgs`` directly, ``cholqr`` through the Gram matrix); these columns
-    are what the analytic Jacobian differentiates.  ``'sequential'``
-    re-solves on the newest orthonormal vector instead, which is the only
-    sound choice once confluent powers go collinear.  ``'auto'`` tries raw
-    and falls back when the smallest orthogonalization residual drops
-    below the trust floor.
+    ``generation='raw'`` orthonormalizes the literal snapshot columns by
+    Gram-Schmidt; these columns are what the analytic Jacobian
+    differentiates.  ``'sequential'`` re-solves on the newest orthonormal
+    vector instead, which is the only sound choice once confluent powers go
+    collinear.  ``'auto'`` tries raw and falls back when the smallest
+    orthogonalization residual drops below the trust floor.
     """
     solver = solver or shifted_solver(A)
     if generation not in ("auto", "raw", "sequential"):
@@ -190,23 +183,15 @@ def build_krylov(A, b, family: NodeFamily, solver: shifted_solver | None = None,
     if generation != "sequential":
         K = snapshot_columns(solver, b, family)
         try:
-            if method == "mgs":
-                V, U = _orthonormalize_mgs(K)
-            elif method == "cholqr":
-                V, U = _orthonormalize_cholqr(K)
-            else:
-                raise RomresError(f"unknown orthonormalization {method!r}")
+            V, U = _orthonormalize_mgs(K)
         except BasisCollapseError:
             if generation == "raw":
                 raise
-            V = U = None
-        if V is not None:
+        else:
             trust = np.min(np.diag(U) / np.linalg.norm(K, axis=0))
             if generation == "raw" or trust > _RAW_RESIDUAL_FLOOR:
                 return KrylovBasis(K=K, V=V, U=U, family=family, generation="raw")
-    V = sequential_basis(solver, b, family)
-    return KrylovBasis(K=V, V=V, U=np.eye(family.m), family=family,
-                       generation="sequential")
+    return sequential_basis(solver, b, family)
 
 
 def project(A, b, basis: KrylovBasis, source_index: int = 0) -> ReducedModel:
@@ -248,7 +233,6 @@ class ChainContext:
     model: ReducedModel
     pr: PoleResidue
     Z: np.ndarray
-    eta: np.ndarray
     tri: Tridiagonal
     X: np.ndarray
     cf: ContinuedFraction
@@ -262,27 +246,24 @@ class ChainContext:
 
 
 def preconditioner_chain(op: SystemOperator, b: np.ndarray, family: NodeFamily,
-                         source_index: int = 0, method: str = "mgs",
-                         generation: str = "auto",
+                         source_index: int = 0, generation: str = "auto",
                          solver: shifted_solver | None = None) -> ChainContext:
     """Run the full stable chain at one operator/source pair."""
     solver = solver or shifted_solver(op.A)
-    basis = build_krylov(op.A, b, family, solver=solver, method=method,
-                         generation=generation)
+    basis = build_krylov(op.A, b, family, solver=solver, generation=generation)
     model = project(op.A, b, basis, source_index=source_index)
     pr, Z = reduced_spectral(model)
     gaps = np.diff(pr.theta)
     if gaps.size and np.min(gaps) < 1e-10 * abs(pr.theta[-1]):
         raise DegeneracyError("nearly coinciding reduced eigenvalues")
     cf, tri, X = pole_residue_to_cfrac(pr)
-    eta = np.sqrt(pr.c / np.sum(pr.c))
     return ChainContext(operator=op, b=b, family=family, solver=solver,
-                        basis=basis, model=model, pr=pr, Z=Z, eta=eta,
+                        basis=basis, model=model, pr=pr, Z=Z,
                         tri=tri, X=X, cf=cf)
 
 
 def preconditioner_R(field: ResistivityField, family: NodeFamily | str | None = None,
-                     segment=None, method: str = "mgs", generation: str = "auto",
+                     segment=None, generation: str = "auto",
                      return_context: bool = False):
     """Log continued-fraction coefficients of a resistivity field.
 
@@ -311,6 +292,6 @@ def preconditioner_R(field: ResistivityField, family: NodeFamily | str | None = 
         b = source_vector(grid, segment).b
     else:
         raise RomresError("unsupported grid type")
-    ctx = preconditioner_chain(op, b, family, method=method, generation=generation)
+    ctx = preconditioner_chain(op, b, family, generation=generation)
     vec = ctx.log_vector()
     return (vec, ctx) if return_context else vec

@@ -14,7 +14,7 @@ from romres.inversion import (InversionConfig, adaptive_weights, data_fitting_Q,
 from romres.jacobian import assemble_jacobian
 from romres.krylov import preconditioner_R
 from romres.phantoms import phantom
-from romres.ratfit import node_family
+from romres.ratfit import fit_multipoint, node_family
 
 
 def synthesize(name, n_fine=149, T=100.0, h_T=2e-5):
@@ -115,6 +115,24 @@ def test_data_fitting_unusable():
     del t
 
 
+def test_data_fitting_input_error_not_reduced(monkeypatch):
+    # only fit-validity failures reduce m; a confluent family given to the
+    # multipoint fit is an input error and surfaces at the first attempt
+    import romres.inversion as inv
+
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args[2].m)
+        return fit_multipoint(*args, **kwargs)
+
+    monkeypatch.setattr(inv, "fit_multipoint", counting_fit)
+    y = TimeSeries(np.exp(-1e-2 * np.arange(1, 2001)), 1e-2)
+    with pytest.raises(RomresError, match="confluent families"):
+        data_fitting_Q(y, InversionConfig(m0=4, family_kind="pade0"))
+    assert calls == [4]
+
+
 def test_data_fitting_moments_reduction():
     # moments of an m=1 function at a shifted node: requested m=2 collapses
     tau = np.array([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0, -1.0 / 81.0])  # 1/(s+1) at s=2
@@ -166,6 +184,25 @@ def test_invert_2d_smoke():
     assert hist.m == 3
     # the step reduces the coefficient misfit
     assert hist.residual[-1] <= hist.residual[0]
+
+
+def test_invert_2d_needs_one_series_per_segment():
+    g = Grid2D(nx=12, ny=4)
+    cfg = InversionConfig(m0=2, family_kind="single-node", n_gn=1, n_sources=3)
+    y = TimeSeries(np.exp(-1e-2 * np.arange(1, 201)), 1e-2)
+    for n_series in (2, 4):
+        with pytest.raises(RomresError, match="one per segment"):
+            invert_2d([y] * n_series, g, cfg)
+
+
+def test_regularization_gradient_interior_edges():
+    # one row per interior edge: the seminorm of a constant field vanishes
+    for grid, n_rows in ((Grid1D(10), 9), (Grid2D(nx=7, ny=9), 9 * 6 + 8 * 7)):
+        Dt = regularization_gradient(grid)
+        n = Dt.shape[1]
+        assert Dt.shape[0] == n_rows
+        assert np.array_equal(np.diff(Dt.indptr), np.full(n_rows, 2))
+        assert np.allclose(Dt @ np.ones(n), 0.0)
 
 
 def test_moments_from_series_match_operator(small_system):

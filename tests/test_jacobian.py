@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from romres.cfrac import pole_residue_to_cfrac
+from romres.errors import DegeneracyError
 from romres.grids import (Grid2D, Grid1D, ResistivityField, assemble_operator,
                           assemble_operator_2d, build_difference_1d,
                           source_vector, uniform_segments)
@@ -10,6 +11,11 @@ from romres.jacobian import (assemble_jacobian, diff_basis, diff_cholesky,
                              diff_reduced, diff_snapshots, diff_spectral)
 from romres.krylov import preconditioner_R, preconditioner_chain
 from romres.ratfit import PoleResidue, node_family
+
+
+# the m x m chain stages take a leading batch axis; their tests run each
+# check at both of these batch sizes
+BATCH_SIZES = (1, 3)
 
 
 def fd_jacobian(fn, r, h=1e-6):
@@ -24,22 +30,27 @@ def fd_jacobian(fn, r, h=1e-6):
 
 def test_diff_cholesky_identity():
     L = np.eye(4)
-    dM = np.diag([0.1, 0.2, 0.3, 0.4])
-    dL = diff_cholesky(L, dM)
-    assert np.allclose(dL, np.diag([0.05, 0.1, 0.15, 0.2]))
-    assert np.allclose(diff_cholesky(L, np.zeros((4, 4))), 0.0)
+    for n in BATCH_SIZES:
+        scale = np.arange(1, n + 1)[:, None, None]
+        dL = diff_cholesky(L, scale * np.diag([0.1, 0.2, 0.3, 0.4]))
+        assert dL.shape == (n, 4, 4)
+        assert np.allclose(dL, scale * np.diag([0.05, 0.1, 0.15, 0.2]))
+        assert np.allclose(diff_cholesky(L, np.zeros((n, 4, 4))), 0.0)
 
 
 def test_diff_cholesky_fd(rng):
     A = rng.random((5, 5))
     M = A @ A.T + 5 * np.eye(5)
-    dM = rng.random((5, 5))
-    dM = dM + dM.T
     L = np.linalg.cholesky(M)
-    dL = diff_cholesky(L, dM)
     h = 1e-7
-    dL_fd = (np.linalg.cholesky(M + h * dM) - np.linalg.cholesky(M - h * dM)) / (2 * h)
-    assert np.max(np.abs(dL - dL_fd)) < 1e-6 * np.max(np.abs(dL_fd))
+    for n in BATCH_SIZES:
+        dM = rng.random((n, 5, 5))
+        dM = dM + dM.transpose(0, 2, 1)
+        dL = diff_cholesky(L, dM)
+        for i in range(n):
+            dL_fd = (np.linalg.cholesky(M + h * dM[i])
+                     - np.linalg.cholesky(M - h * dM[i])) / (2 * h)
+            assert np.max(np.abs(dL[i] - dL_fd)) < 1e-6 * np.max(np.abs(dL_fd))
 
 
 def test_diff_snapshots_fd(small_system, rng):
@@ -72,44 +83,65 @@ def test_chain_stage_identities(small_system):
     grid, field, op, b = small_system
     fam = node_family("zolotarev", 3)
     vec, ctx = preconditioner_R(field, fam, return_context=True)
-    from romres.forward import shifted_solver
     from romres.grids import operator_derivative
 
-    k = 7
-    d_k = operator_derivative(op.D, k)
     K, V, U = ctx.basis.K, ctx.basis.V, ctx.basis.U
-    dK = diff_snapshots(ctx.solver, fam, K, d_k)
-    dM = dK.T @ K + K.T @ dK
-    dU = diff_cholesky(U.T, dM).T
-    dV = diff_basis(K, dK, V, U, dU)
-    # orthogonality derivative: V^T dV antisymmetric
-    S = V.T @ dV
-    assert np.max(np.abs(S + S.T)) < 1e-8
-    dA_m, db_m = diff_reduced(op.A, b, V, dV, d_k)
-    assert np.allclose(dA_m, dA_m.T)
-    dtheta, dc = diff_spectral(ctx.model.A_m, dA_m, ctx.model.b_m, db_m,
-                               ctx.pr.theta, ctx.Z)
-    # Parseval derivative: sum dc = 2 b_m . db_m
-    assert np.sum(dc) == pytest.approx(2.0 * ctx.model.b_m @ db_m, rel=1e-8)
+    for n in BATCH_SIZES:
+        edges = range(7, 7 + n)
+        d = [operator_derivative(op.D, k) for k in edges]
+        dK = [diff_snapshots(ctx.solver, fam, K, d_k) for d_k in d]
+        dM = np.stack([x.T @ K + K.T @ x for x in dK])
+        dU = diff_cholesky(U.T, dM).transpose(0, 2, 1)
+        dA_m, db_m = [], []
+        for i in range(n):
+            dV = diff_basis(K, dK[i], V, U, dU[i])
+            # orthogonality derivative: V^T dV antisymmetric
+            S = V.T @ dV
+            assert np.max(np.abs(S + S.T)) < 1e-8
+            dA, db = diff_reduced(op.A, b, V, dV, d[i])
+            assert np.allclose(dA, dA.T)
+            dA_m.append(dA)
+            db_m.append(db)
+        db_m = np.array(db_m)
+        dtheta, dc = diff_spectral(np.array(dA_m), ctx.model.b_m, db_m,
+                                   ctx.pr.theta, ctx.Z)
+        assert dtheta.shape == dc.shape == (n, 3)
+        # Parseval derivative: sum dc = 2 b_m . db_m
+        assert np.allclose(dc.sum(axis=1), 2.0 * db_m @ ctx.model.b_m, rtol=1e-8)
+        # the normalized weights stay on the unit sphere: eta . deta = 0
+        eta = np.sqrt(ctx.pr.c / np.sum(ctx.pr.c))
+        deta = diff_eta(ctx.pr.c, dc)
+        assert np.max(np.abs(deta @ eta)) < 1e-12 * np.max(np.abs(deta))
 
 
 def test_diff_spectral_diagonal_case():
     theta = np.array([1.0, 3.0])
-    A_m = -np.diag(theta)
     Z = np.eye(2)
     b_m = np.array([0.6, 0.8])
     dA_m = np.array([[0.2, 0.05], [0.05, -0.1]])
     db_m = np.array([0.01, -0.02])
-    dtheta, dc = diff_spectral(A_m, dA_m, b_m, db_m, theta, Z)
-    assert np.allclose(dtheta, [-0.2, 0.1])
+    for n in BATCH_SIZES:
+        scale = np.arange(1, n + 1)[:, None]
+        dtheta, dc = diff_spectral(scale[:, :, None] * dA_m, b_m, scale * db_m,
+                                   theta, Z)
+        assert np.allclose(dtheta, scale * np.array([-0.2, 0.1]))
+
+
+def test_diff_spectral_rejects_coinciding_poles():
+    theta = np.array([2.0, 2.0])
+    with pytest.raises(DegeneracyError):
+        diff_spectral(np.zeros((1, 2, 2)), np.ones(2), np.zeros((1, 2)),
+                      theta, np.eye(2))
 
 
 def test_diff_lanczos_m1():
     pr = PoleResidue(np.array([2.0]), np.array([1.5]))
     cf, tri, X = pole_residue_to_cfrac(pr)
-    dal, dbe = diff_lanczos(pr.theta, tri, X, np.array([0.3]), np.array([0.0]))
-    assert dal[0] == pytest.approx(-0.3)
-    assert dbe.size == 0
+    for n in BATCH_SIZES:
+        dtheta = 0.3 * np.arange(1, n + 1)[:, None]
+        dal, dbe = diff_lanczos(pr.theta, tri, X, dtheta, np.zeros((n, 1)))
+        assert np.allclose(dal, -dtheta)
+        assert dbe.shape == (n, 0)
 
 
 def test_diff_lanczos_zero_input(rng):
@@ -117,48 +149,52 @@ def test_diff_lanczos_zero_input(rng):
     c = rng.uniform(0.2, 1.0, 4)
     pr = PoleResidue(theta, c)
     cf, tri, X = pole_residue_to_cfrac(pr)
-    dal, dbe = diff_lanczos(theta, tri, X, np.zeros(4), np.zeros(4))
-    assert np.allclose(dal, 0.0) and np.allclose(dbe, 0.0)
+    for n in BATCH_SIZES:
+        dal, dbe = diff_lanczos(theta, tri, X, np.zeros((n, 4)), np.zeros((n, 4)))
+        assert dal.shape == (n, 4) and dbe.shape == (n, 3)
+        assert np.allclose(dal, 0.0) and np.allclose(dbe, 0.0)
 
 
 def test_diff_lanczos_fd(rng):
     from romres.cfrac import lanczos_tridiag
 
+    def run(th, et):
+        t, _ = lanczos_tridiag(-np.diag(th), et / np.linalg.norm(et))
+        return t
+
+    h = 1e-6
     for m in (2, 3, 5):
         theta = np.sort(rng.uniform(0.5, 30.0, m))
         c = rng.uniform(0.2, 2.0, m)
         eta = np.sqrt(c / np.sum(c))
-        dtheta = rng.standard_normal(m)
-        deta = rng.standard_normal(m)
-        deta -= eta * (eta @ deta)  # stay on the unit sphere
         pr = PoleResidue(theta, c)
         cf, tri, X = pole_residue_to_cfrac(pr)
-        dal, dbe = diff_lanczos(theta, tri, X, dtheta, deta)
-        h = 1e-6
-
-        def run(th, et):
-            t, _ = lanczos_tridiag(-np.diag(th), et / np.linalg.norm(et))
-            return t
-
-        tp = run(theta + h * dtheta, eta + h * deta)
-        tm = run(theta - h * dtheta, eta - h * deta)
-        assert np.max(np.abs(dal - (tp.alpha - tm.alpha) / (2 * h))) < 1e-5 * \
-            max(np.max(np.abs(dal)), 1.0)
-        if m > 1:
-            assert np.max(np.abs(dbe - (tp.beta - tm.beta) / (2 * h))) < 1e-5 * \
-                max(np.max(np.abs(dbe)), 1.0)
+        for n in BATCH_SIZES:
+            dtheta = rng.standard_normal((n, m))
+            deta = rng.standard_normal((n, m))
+            deta -= (deta @ eta)[:, None] * eta[None, :]  # stay on the unit sphere
+            dal, dbe = diff_lanczos(theta, tri, X, dtheta, deta)
+            for i in range(n):
+                tp = run(theta + h * dtheta[i], eta + h * deta[i])
+                tm = run(theta - h * dtheta[i], eta - h * deta[i])
+                assert np.max(np.abs(dal[i] - (tp.alpha - tm.alpha) / (2 * h))) < \
+                    1e-5 * max(np.max(np.abs(dal[i])), 1.0)
+                assert np.max(np.abs(dbe[i] - (tp.beta - tm.beta) / (2 * h))) < \
+                    1e-5 * max(np.max(np.abs(dbe[i])), 1.0)
 
 
 def test_diff_recursion_m1_closed_form():
     pr = PoleResidue(np.array([2.0]), np.array([1.5]))
     cf, tri, X = pole_residue_to_cfrac(pr)
-    dc = np.array([0.3])
-    dal = np.array([0.7])
-    dkp, dkh = diff_cfrac_recursion(tri, dal, np.zeros(0), pr.c, dc)
     S = 1.5
-    # d log kappahat_1 = -dS/S; d log kappa_1 = -d log kappahat_1 - dal/alpha
-    assert dkh[0] / cf.kappa_hat[0] == pytest.approx(-dc[0] / S)
-    assert dkp[0] / cf.kappa[0] == pytest.approx(dc[0] / S - dal[0] / tri.alpha[0])
+    for n in BATCH_SIZES:
+        scale = np.arange(1, n + 1)[:, None]
+        dc = 0.3 * scale
+        dal = 0.7 * scale
+        dkp, dkh = diff_cfrac_recursion(tri, cf, dal, np.zeros((n, 0)), pr.c, dc)
+        # d log kappahat_1 = -dS/S; d log kappa_1 = -d log kappahat_1 - dal/alpha
+        assert np.allclose(dkh / cf.kappa_hat[0], -dc / S)
+        assert np.allclose(dkp / cf.kappa[0], dc / S - dal / tri.alpha[0])
 
 
 def test_full_chain_fd_1d(rng):
