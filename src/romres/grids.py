@@ -251,57 +251,40 @@ def operator_derivative(D: sp.csr_matrix, k: int) -> np.ndarray:
     return np.asarray(D.getrow(k).todense()).ravel()
 
 
-def _edges_2d(grid: Grid2D):
-    """Enumerate flux edges: (state indices, D coefficients, cell weights)."""
+def build_difference_2d(grid: Grid2D) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Difference factor D and edge-from-cell averaging map M for a 2D grid.
+
+    Rows (flux edges) come in a fixed order: the interior x-edges and then
+    the interior y-edges, each row-major with the lower-left cell first,
+    then the Dirichlet faces (left and right per cell row, top, and the
+    bottom cells outside the accessible interval).  An interior row holds
+    (-1/h, 1/h) in D and (1/2, 1/2) in M; a face row holds one entry.
+    """
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     a0, a1 = grid.accessible
-
-    def cell(ix, iy):
-        return iy * nx + ix
-
-    rows = []  # (list[(state_idx, coeff)], list[(cell_idx, weight)])
-    for iy in range(ny):
-        for ix in range(nx - 1):
-            c0, c1 = cell(ix, iy), cell(ix + 1, iy)
-            rows.append(([(c0, -1.0 / hx), (c1, 1.0 / hx)],
-                         [(c0, 0.5), (c1, 0.5)]))
-    for iy in range(ny - 1):
-        for ix in range(nx):
-            c0, c1 = cell(ix, iy), cell(ix, iy + 1)
-            rows.append(([(c0, -1.0 / hy), (c1, 1.0 / hy)],
-                         [(c0, 0.5), (c1, 0.5)]))
+    cells = np.arange(grid.n_cells).reshape(ny, nx)
+    lo = np.concatenate([cells[:, :-1].ravel(), cells[:-1, :].ravel()])
+    hi = np.concatenate([cells[:, 1:].ravel(), cells[1:, :].ravel()])
+    inv_h = np.repeat([1.0 / hx, 1.0 / hy], [ny * (nx - 1), (ny - 1) * nx])
     # Dirichlet faces: distance from cell center to boundary is half a cell,
     # hence the sqrt(2)/h coefficient so that the diagonal picks up 2r/h^2.
+    # Bottom faces on the accessible interval are zero-flux and carry no row.
+    mid = (np.arange(nx) + 0.5) * hx
+    bottom = cells[0, ~((a0 < mid) & (mid < a1))]
+    faces = np.concatenate([cells[:, [0, nx - 1]].ravel(), cells[-1], bottom])
     sx, sy = np.sqrt(2.0) / hx, np.sqrt(2.0) / hy
-    for iy in range(ny):
-        for ix in (0, nx - 1):
-            c = cell(ix, iy)
-            rows.append(([(c, -sx)], [(c, 1.0)]))
-    for ix in range(nx):
-        c = cell(ix, ny - 1)
-        rows.append(([(c, -sy)], [(c, 1.0)]))
-    for ix in range(nx):
-        mid = (ix + 0.5) * hx
-        if a0 < mid < a1:
-            continue  # zero-flux face on the accessible boundary
-        c = cell(ix, 0)
-        rows.append(([(c, -sy)], [(c, 1.0)]))
-    return rows
+    face_coeff = np.repeat([sx, sy], [2 * ny, nx + bottom.size])
 
-
-def build_difference_2d(grid: Grid2D) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Difference factor D and edge-from-cell averaging map M for a 2D grid."""
-    rows = _edges_2d(grid)
-    n_e = len(rows)
-    n_c = grid.n_cells
-    D = sp.lil_matrix((n_e, n_c))
-    M = sp.lil_matrix((n_e, n_c))
-    for e, (dents, ments) in enumerate(rows):
-        for idx, coeff in dents:
-            D[e, idx] = coeff
-        for idx, w in ments:
-            M[e, idx] = w
-    return D.tocsr(), M.tocsr()
+    n_int = lo.size
+    indptr = np.concatenate([np.arange(0, 2 * n_int + 1, 2),
+                             2 * n_int + np.arange(1, faces.size + 1)])
+    indices = np.concatenate([np.column_stack([lo, hi]).ravel(), faces])
+    d = np.concatenate([np.column_stack([-inv_h, inv_h]).ravel(), -face_coeff])
+    m = np.concatenate([np.full(2 * n_int, 0.5), np.ones(faces.size)])
+    shape = (n_int + faces.size, grid.n_cells)
+    D = sp.csr_matrix((d, indices, indptr), shape=shape)
+    M = sp.csr_matrix((m, indices.copy(), indptr.copy()), shape=shape)
+    return D, M
 
 
 def assemble_operator_2d(field: ResistivityField, grid: Grid2D | None = None) -> SystemOperator:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (AdmissibilityError, DataUnusableError, DegeneracyError,
                      RegularizationError, RomresError, SpectralValidityError,
@@ -210,51 +211,67 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
         min 1/2 || W^(1/2) Dt rho ||^2   s.t.  J rho = J r_gn,
 
     so the seminorm picks the smoothest representative while the
-    linearized residual is untouched.  ``solver='kkt'`` forms the
-    first-order stationarity (saddle) system and applies an SVD solve
-    with the smallest singular component discarded, then snaps
-    the correction back onto null(J); that matches the classical recipe
-    and is adequate for identity weights.  Adaptive weights can span
-    10+ decades, which pushes parts of the saddle spectrum below the SVD
-    noise floor, so ``'nullspace'`` eliminates the constraint exactly
-    (parametrizing the correction in a null-space basis of J) and solves
-    the remaining least-squares problem; ``'auto'`` picks per weight mode.
+    linearized residual is untouched (W = I when ``w`` is None).  Its
+    stationarity conditions form the saddle system
+
+        M [rho; lam] = [0; J r_gn],   M = [[Dt^T W Dt, J^T], [J, 0]].
+
+    M is never formed.  One sparse LU factors the augmented system
+
+        K = [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]
+
+    (one leading row per seminorm edge), whose first block eliminates to
+    M, so K^-1 [0; b] restricted to the trailing blocks is M^-1 b.  The
+    weights enter as -W^-1 on a diagonal of their own, not inside
+    Dt^T W Dt: adaptive weights span 10+ decades, and forming that
+    product adds entries so far apart that its LU loses the small-weight
+    edges to rounding, while the augmented form keeps every edge on its
+    own row (Bjorck 1996, section 2.5).
+
+    ``solver='nullspace'`` returns the exact constrained minimizer
+    M^-1 [0; J r_gn].  ``solver='kkt'`` discards the eigenvector v of the
+    symmetric M whose eigenvalue is smallest in modulus, i.e. applies
+    P M^-1 P with P = I - v v^T.  That equals the truncated-SVD solve
+    which drops M's smallest singular pair: for identity weights M is
+    nonsingular, but that pair is a poorly determined component.  v is
+    the dominant eigenvector of M^-1 (Lanczos on the same LU, from a
+    fixed start so reruns are bit-identical).  ``'auto'`` takes ``kkt``
+    for identity and ``nullspace`` for adaptive weights.  Either way the
+    correction is finally projected onto null(J).
     """
-    n = r_gn.size
-    k = J.shape[0]
     if solver == "auto":
         solver = "kkt" if w is None else "nullspace"
-
-    if solver == "nullspace":
-        U, s, Vh = np.linalg.svd(J, full_matrices=True)
-        rank = int(np.sum(s > max(J.shape) * np.finfo(float).eps * s[0]))
-        Nmat = Vh[rank:].T
-        sw = np.ones(Dt.shape[0]) if w is None else np.sqrt(w)
-        G = sp.diags(sw) @ Dt
-        rhs = -np.asarray(G @ r_gn).ravel()
-        z, *_ = np.linalg.lstsq(np.asarray(G @ Nmat), rhs, rcond=1e-13)
-        return r_gn + Nmat @ z
-
-    if solver != "kkt":
+    if solver not in ("kkt", "nullspace"):
         raise RomresError(f"unknown null-space solver {solver!r}")
-    if w is None:
-        H = (Dt.T @ Dt).toarray()
-    else:
-        H = (Dt.T @ sp.diags(w) @ Dt).toarray()
-    M = np.zeros((n + k, n + k))
-    M[:n, :n] = H
-    M[:n, n:] = J.T
-    M[n:, :n] = J
-    rhs = np.concatenate([np.zeros(n), J @ r_gn])
+    n, k, e = r_gn.size, J.shape[0], Dt.shape[0]
+    w_inv = np.ones(e) if w is None else 1.0 / w
+    Js = sp.csr_matrix(J)
+    K = sp.bmat([[-sp.diags(w_inv), Dt, None],
+                 [Dt.T, None, Js.T],
+                 [None, Js, None]], format="csc")
     try:
-        U, s, Vh = np.linalg.svd(M)
-    except np.linalg.LinAlgError as exc:
-        raise RegularizationError(f"saddle-system SVD failed: {exc}") from exc
-    if s.size < 2 or s[-2] == 0:
-        raise RegularizationError("saddle system singular beyond truncation")
-    inv = np.zeros_like(s)
-    inv[:-1] = 1.0 / s[:-1]
-    x = Vh.T @ (inv * (U.T @ rhs))
+        lu = spla.splu(K)
+    except RuntimeError as exc:
+        raise RegularizationError(f"saddle-system factorization failed: {exc}") from exc
+
+    def solve(b):
+        return lu.solve(np.concatenate([np.zeros(e), b]))[e:]
+
+    rhs = np.concatenate([np.zeros(n), J @ r_gn])
+    if solver == "nullspace":
+        x = solve(rhs)
+    else:
+        M_inv = spla.LinearOperator((n + k, n + k), matvec=solve, dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(n + k)
+        try:
+            _, V = spla.eigsh(M_inv, k=1, which="LM", v0=v0)
+        except spla.ArpackNoConvergence as exc:
+            raise RegularizationError(f"smallest saddle eigenpair not found: {exc}") from exc
+        v = V[:, 0]
+        # deflating the right-hand side keeps the 1/lambda-amplified v
+        # component out of the solve; deflating x removes what rounding adds
+        x = solve(rhs - v * (v @ rhs))
+        x -= v * (v @ x)
     # exact constraint enforcement: project the correction onto null(J)
     corr = x[:n] - r_gn
     corr -= np.linalg.pinv(J, rcond=1e-12) @ (J @ corr)
@@ -341,7 +358,12 @@ def _gn_loop(eval_chain, jac, n_param, l_star, config: InversionConfig, Dt,
                 w = None
             else:
                 raise RomresError(f"unknown weight mode {config.weights!r}")
-            r_next = regularize_nullspace(r_gn, J, Dt, w=w)
+            try:
+                r_next = regularize_nullspace(r_gn, J, Dt, w=w)
+            except RegularizationError as exc:
+                hist.notes.append(f"null-space correction failed at iteration {p} "
+                                  f"({exc}); kept the plain update")
+                r_next = r_gn
             if not np.all(r_next > 0):
                 hist.notes.append(f"null-space correction left positivity at "
                                   f"iteration {p}; kept the plain update")

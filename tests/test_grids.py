@@ -100,6 +100,64 @@ def test_operator_derivative_matches_difference_quotient(rng):
     assert np.allclose(A1 - A0, -np.outer(d_k, d_k), atol=1e-12)
 
 
+def test_2d_difference_entries():
+    # 3x2 cells of 1 x 0.5; the accessible interval (1, 2) covers the middle
+    # bottom cell, whose face is zero-flux and has no row
+    D, M = build_difference_2d(Grid2D(nx=3, ny=2))
+    s = np.sqrt(2.0)
+    interior = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
+    inv_h = [1.0] * 4 + [2.0] * 3
+    faces = [0, 2, 3, 5, 3, 4, 5, 0, 2]  # left/right per row, top, bottom
+    face_coeff = [s] * 4 + [2.0 * s] * 5
+    D_ref, M_ref = np.zeros((16, 6)), np.zeros((16, 6))
+    for e, ((c0, c1), g) in enumerate(zip(interior, inv_h)):
+        D_ref[e, [c0, c1]] = -g, g
+        M_ref[e, [c0, c1]] = 0.5
+    for e, (c, g) in enumerate(zip(faces, face_coeff), start=len(interior)):
+        D_ref[e, c] = -g
+        M_ref[e, c] = 1.0
+    assert np.array_equal(D.toarray(), D_ref)
+    assert np.array_equal(M.toarray(), M_ref)
+
+
+def _difference_2d_loop(grid):
+    """Edge-by-edge enumeration of D and M, the reference of the vectorized one."""
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    a0, a1 = grid.accessible
+    rows = []  # (D entries, M entries) per edge, each a list of (cell, value)
+    for iy in range(ny):
+        for ix in range(nx - 1):
+            c = iy * nx + ix
+            rows.append(([(c, -1.0 / hx), (c + 1, 1.0 / hx)], [(c, 0.5), (c + 1, 0.5)]))
+    for iy in range(ny - 1):
+        for ix in range(nx):
+            c = iy * nx + ix
+            rows.append(([(c, -1.0 / hy), (c + nx, 1.0 / hy)], [(c, 0.5), (c + nx, 0.5)]))
+    sx, sy = np.sqrt(2.0) / hx, np.sqrt(2.0) / hy
+    faces = [(iy * nx + ix, sx) for iy in range(ny) for ix in (0, nx - 1)]
+    faces += [((ny - 1) * nx + ix, sy) for ix in range(nx)]
+    faces += [(ix, sy) for ix in range(nx) if not a0 < (ix + 0.5) * hx < a1]
+    rows += [([(c, -v)], [(c, 1.0)]) for c, v in faces]
+    D = np.zeros((len(rows), grid.n_cells))
+    M = np.zeros_like(D)
+    for e, (dents, ments) in enumerate(rows):
+        for c, v in dents:
+            D[e, c] = v
+        for c, v in ments:
+            M[e, c] = v
+    return D, M
+
+
+def test_2d_difference_matches_loop_reference():
+    for g in (Grid2D(nx=17, ny=9), Grid2D(nx=5, ny=4, Lx=2.0, Ly=1.5, accessible=(0.3, 1.1)),
+              Grid2D(nx=6, ny=3, accessible=(0.0, 3.0)), Grid2D(nx=2, ny=2, accessible=(0.0, 0.1))):
+        D, M = build_difference_2d(g)
+        D_ref, M_ref = _difference_2d_loop(g)
+        assert np.array_equal(D.toarray(), D_ref)
+        assert np.array_equal(M.toarray(), M_ref)
+        assert D.has_sorted_indices and M.has_sorted_indices
+
+
 def test_2d_uniform_operator():
     g = Grid2D(nx=3, ny=3, Lx=1.0, Ly=1.0, accessible=(0.2, 0.8))
     op = assemble_operator_2d(ResistivityField(np.ones(9), g), g)

@@ -1,18 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from romres.errors import DataUnusableError, RomresError, StepFailureError
+import romres.inversion as inversion
+from romres.errors import (DataUnusableError, RegularizationError, RomresError,
+                           StepFailureError)
 from romres.forward import TimeSeries, simulate_response
 from romres.grids import (Grid1D, Grid2D, ResistivityField, assemble_operator,
                           assemble_operator_2d, build_difference_1d,
                           source_vector, uniform_segments)
-from romres.inversion import (InversionConfig, adaptive_weights, data_fitting_Q,
+from romres.inversion import (FitTarget, InversionConfig, adaptive_weights,
+                              data_fitting_Q,
                               data_fitting_moments, gauss_newton_step, invert_1d,
                               invert_2d, moments_from_operator,
                               regularization_gradient, regularize_nullspace,
                               relative_error)
 from romres.jacobian import assemble_jacobian
-from romres.krylov import preconditioner_R
+from romres.krylov import preconditioner_R, preconditioner_chain
 from romres.phantoms import phantom
 from romres.ratfit import fit_multipoint, node_family
 
@@ -77,6 +83,103 @@ def test_nullspace_correction_keeps_constant(small_system):
     r_gn = np.full(grid.n_points, 1.37)
     r_next = regularize_nullspace(r_gn, J, Dt, w=None)
     assert np.allclose(r_next, r_gn, atol=1e-8)
+
+
+def _jacobian_2d(nx, ny, n_sources=2, m=3):
+    """2D field, its multi-source Jacobian and interior difference operator."""
+    g = Grid2D(nx=nx, ny=ny)
+    g = replace(g, segments=uniform_segments(g, n_sources))
+    field = phantom("two-rect-side", g)
+    op = assemble_operator_2d(field, g)
+    fam = node_family("single-node", m, s_hat=30.0)
+    J = np.vstack([assemble_jacobian(preconditioner_chain(op, source_vector(g, s).b, fam,
+                                                          source_index=j))
+                   for j, s in enumerate(g.segments)])
+    return field.values, J, regularization_gradient(g)
+
+
+def _dense_kkt(r_gn, J, Dt, w):
+    """Truncated-SVD solve of the dense saddle matrix, smallest pair dropped."""
+    n, k = r_gn.size, J.shape[0]
+    H = (Dt.T @ sp.diags(w) @ Dt).toarray()
+    M = np.block([[H, J.T], [J, np.zeros((k, k))]])
+    rhs = np.concatenate([np.zeros(n), J @ r_gn])
+    U, s, Vh = np.linalg.svd(M)
+    x = Vh[:-1].T @ ((U[:, :-1].T @ rhs) / s[:-1])
+    corr = x[:n] - r_gn
+    corr -= np.linalg.pinv(J, rcond=1e-12) @ (J @ corr)
+    return r_gn + corr
+
+
+def _dense_nullspace(r_gn, J, Dt, w):
+    """Least squares over a full null-space basis of J."""
+    _, s, Vh = np.linalg.svd(J, full_matrices=True)
+    rank = int(np.sum(s > max(J.shape) * np.finfo(float).eps * s[0]))
+    N = Vh[rank:].T
+    G = sp.diags(np.sqrt(w)) @ Dt
+    z, *_ = np.linalg.lstsq(G @ N, -(G @ r_gn), rcond=1e-13)
+    return r_gn + N @ z
+
+
+def test_nullspace_correction_matches_dense_formulas(rng):
+    r, J, Dt = _jacobian_2d(12, 6)
+    r_gn = r * (1.0 + 0.1 * rng.random(r.size))
+    ones, w = np.ones(Dt.shape[0]), adaptive_weights(Dt, r_gn, 1e-3)
+    # with adaptive weights the smallest saddle eigenvalue lies below the
+    # dense SVD's rounding floor eps*||M||, so its truncated solve is no
+    # reference there ('auto' never pairs kkt with adaptive weights)
+    for solver, w, ref, w_ref, tol in (("kkt", None, _dense_kkt, ones, 1e-8),
+                                       ("nullspace", None, _dense_nullspace, ones, 1e-10),
+                                       ("nullspace", w, _dense_nullspace, w, 1e-10)):
+        r_next = regularize_nullspace(r_gn, J, Dt, w=w, solver=solver)
+        r_ref = ref(r_gn, J, Dt, w_ref)
+        rel = np.linalg.norm(r_next - r_ref) / np.linalg.norm(r_ref)
+        assert rel < tol, (solver, w is None, rel)
+
+
+def test_nullspace_correction_rerun_identical(rng):
+    # the smallest saddle eigenpair comes from Lanczos with a fixed start
+    r, J, Dt = _jacobian_2d(12, 6)
+    r_gn = r * (1.0 + 0.1 * rng.random(r.size))
+    first = regularize_nullspace(r_gn, J, Dt, w=None)
+    assert np.array_equal(regularize_nullspace(r_gn, J, Dt, w=None), first)
+
+
+def test_nullspace_correction_large_grid(rng):
+    # 10800 cells: a dense saddle matrix would take 0.95 GB
+    g = Grid2D(nx=180, ny=60)
+    Dt = regularization_gradient(g)
+    J = rng.standard_normal((80, g.n_cells))
+    r_gn = 1.0 + 0.1 * rng.random(g.n_cells)
+    for w in (None, adaptive_weights(Dt, r_gn, 1e-3)):
+        r_next = regularize_nullspace(r_gn, J, Dt, w=w)
+        rel = np.linalg.norm(J @ (r_next - r_gn)) / np.linalg.norm(J @ r_gn)
+        assert rel < 1e-10, (w is None, rel)
+
+
+def test_singular_saddle_system_raises(small_system):
+    grid, field, op, b = small_system
+    J = np.zeros((2, grid.n_points))
+    J[0, 0] = 1.0  # the zero row leaves the saddle system singular
+    with pytest.raises(RegularizationError):
+        regularize_nullspace(field.values, J, regularization_gradient(grid))
+
+
+def test_failed_correction_keeps_plain_update(monkeypatch):
+    g = Grid1D(60)
+    fam = node_family("zolotarev", 3)
+    target = FitTarget(m=3, log_cfrac=preconditioner_R(phantom("rQ", g), fam),
+                       spectral=np.zeros(6))
+
+    def failing(*args, **kwargs):
+        raise RegularizationError("saddle-system factorization failed")
+
+    plain, _ = invert_1d(target, g, InversionConfig(m0=3, n_gn=2,
+                                                    nullspace_correction=False))
+    monkeypatch.setattr(inversion, "regularize_nullspace", failing)
+    rec, hist = invert_1d(target, g, InversionConfig(m0=3, n_gn=2))
+    assert np.array_equal(rec.values, plain.values)
+    assert sum("null-space correction" in note for note in hist.notes) == 2
 
 
 def test_adaptive_weights_formula(rng):
@@ -167,8 +270,6 @@ def test_invert_1d_history_csv():
 def test_invert_2d_smoke():
     gf = Grid2D(nx=24, ny=8)
     gc = Grid2D(nx=18, ny=6)
-    from dataclasses import replace
-
     gf = replace(gf, segments=uniform_segments(gf, 2))
     gc = replace(gc, segments=uniform_segments(gc, 2))
     truth_f = phantom("two-rect-side", gf)
