@@ -91,7 +91,7 @@ def _scenario_synthesize(cfg: ExperimentConfig, outdir: Path):
     # decimate the stored series so artifacts stay reviewable; the quadrature
     # pathway always consumes the full-resolution samples in memory
     stride = max(1, d.n_samples // 100000)
-    t = d.times()[::stride]
+    t = d.step * np.arange(1, d.n_samples + 1, stride)
     path = write_csv(outdir / "timeseries.csv", ["t", "value"],
                      zip(t, d.samples[::stride]))
     meta = outdir / "timeseries.json"

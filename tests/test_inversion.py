@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import romres.inversion as inversion
 from romres.errors import (DataUnusableError, RegularizationError, RomresError,
-                           StepFailureError)
+                           SpectralValidityError, StepFailureError)
 from romres.forward import TimeSeries, simulate_response
 from romres.grids import (Grid1D, Grid2D, ResistivityField, assemble_operator,
                           assemble_operator_2d, build_difference_1d,
@@ -19,6 +19,7 @@ from romres.inversion import (FitTarget, InversionConfig, adaptive_weights,
                               relative_error)
 from romres.jacobian import assemble_jacobian
 from romres.krylov import preconditioner_R, preconditioner_chain
+from romres.laplace import laplace_derivative, laplace_transform
 from romres.phantoms import phantom
 from romres.ratfit import fit_multipoint, node_family
 
@@ -234,6 +235,29 @@ def test_data_fitting_input_error_not_reduced(monkeypatch):
     with pytest.raises(RomresError, match="confluent families"):
         data_fitting_Q(y, InversionConfig(m0=4, family_kind="pade0"))
     assert calls == [4]
+
+
+def test_data_fitting_reduces_m_after_fit_failure(monkeypatch):
+    # a fit-validity failure at m = 6 retries at m = 5 with that family's
+    # quadratures; the data alone admit m = 6
+    y = synthesize("rQ", n_fine=99, T=100.0, h_T=1e-4)
+    seen = []
+
+    def failing_at_6(values, derivs, fam):
+        seen.append((fam.m, values, derivs))
+        if fam.m == 6:
+            raise SpectralValidityError("injected at m = 6")
+        return fit_multipoint(values, derivs, fam)
+
+    monkeypatch.setattr(inversion, "fit_multipoint", failing_at_6)
+    target = data_fitting_Q(y, InversionConfig(m0=6))
+    assert target.m == 5
+    assert target.attempts == (6, 5)
+    assert [m for m, _, _ in seen] == [6, 5]
+    nodes = node_family("zolotarev", 5).nodes
+    _, values, derivs = seen[1]
+    assert np.array_equal(values, [laplace_transform(y, s) for s in nodes])
+    assert np.array_equal(derivs, [laplace_derivative(y, s) for s in nodes])
 
 
 def test_data_fitting_moments_reduction():

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from romres.errors import RomresError
-from romres.forward import TimeSeries, simulate_response, transfer_eval
+from romres.forward import (_EXP_UNDERFLOW, TimeSeries, simulate_response,
+                            transfer_eval)
 from romres.grids import (Grid1D, ResistivityField, assemble_operator,
                           build_difference_1d, source_vector)
-from romres.laplace import laplace_derivative, laplace_moments, laplace_transform
+from romres.laplace import (_CHUNK, _active_slice, laplace_derivative,
+                            laplace_moments, laplace_transform)
 
 
 def _exp_series(h=1e-4, T=40.0):
@@ -88,3 +90,71 @@ def test_moment_overflow_guard():
     d = TimeSeries(np.exp(-0.5 * t), h)
     tau = laplace_moments(d, 0.0, 20)
     assert np.all(np.isfinite(tau))
+
+
+def _longdouble_rule(series, s):
+    """The rectangle rule's value and s-derivative in extended precision."""
+    n = _active_slice(series, s)
+    h, s = np.longdouble(series.step), np.longdouble(s)
+    value = deriv = np.longdouble(0)
+    for a in range(0, n, 1 << 20):
+        b = min(n, a + (1 << 20))
+        t = h * np.arange(a + 1, b + 1, dtype=np.longdouble)
+        w = series.samples[a:b].astype(np.longdouble) * np.exp(-s * t)
+        value += np.sum(w)
+        deriv -= np.sum(w * t)
+    return h * value, h * deriv
+
+
+def _assert_matches_longdouble(series, s, rel):
+    value, deriv = _longdouble_rule(series, s)
+    assert abs(laplace_transform(series, s) - value) <= rel * abs(value)
+    assert abs(laplace_derivative(series, s) - deriv) <= rel * abs(deriv)
+
+
+def _noisy_series(n, h, seed=7):
+    rng = np.random.default_rng(seed)
+    t = h * np.arange(1, n + 1)
+    d = 0.3 * t ** -0.5 * np.exp(-0.02 * t) + np.exp(-t)
+    return TimeSeries(d * (1.0 + 1e-3 * rng.standard_normal(n)), h)
+
+
+_extended = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="the reference needs an extended-precision long double")
+
+
+@_extended
+@pytest.mark.parametrize("active", [_CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1])
+def test_chunk_boundaries(active):
+    # the cutoff lands just below, on and just past a chunk boundary
+    h = 1e-3
+    d = _noisy_series(3 * _CHUNK, h)
+    s = -_EXP_UNDERFLOW / (h * (active - 0.5))
+    assert _active_slice(d, s) == active
+    _assert_matches_longdouble(d, s, 1e-14)
+
+
+@_extended
+def test_no_cutoff_at_zero_s():
+    d = _noisy_series(3 * _CHUNK + 17, 1e-3)
+    assert _active_slice(d, 0.0) == d.n_samples
+    _assert_matches_longdouble(d, 0.0, 1e-14)
+
+
+def test_single_active_sample():
+    # past s h = 746 only the first sample is read, and its kernel
+    # exp(-s h) underflows to 0 like every later one
+    h = 1e-3
+    d = _noisy_series(10, h)
+    s = -2.0 * _EXP_UNDERFLOW / h
+    assert _active_slice(d, s) == 1
+    assert np.exp(-s * h) == 0.0
+    assert laplace_transform(d, s) == 0.0
+    assert laplace_derivative(d, s) == 0.0
+
+
+@_extended
+def test_long_noisy_series_accuracy():
+    # 1e7 samples at s = 2: a single per-sample dot product is off by ~1e-13
+    _assert_matches_longdouble(_noisy_series(10**7, 1e-5), 2.0, 1e-14)
