@@ -13,10 +13,6 @@ class PositivityError(RomresError):
     """A resistivity vector has nonpositive entries."""
 
 
-class StabilityError(RomresError):
-    """Explicit time stepping would be unstable for the requested step."""
-
-
 class SpectralValidityError(RomresError):
     """A fitted rational model has invalid poles or residues.
 

@@ -10,7 +10,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import RomresError, StabilityError
+from .errors import RomresError
 
 __all__ = [
     "TimeSeries",
@@ -108,49 +108,19 @@ def _spectral_series(lam, w, n_t, h_t):
     return y
 
 
-def simulate_response(A, b, T: float, h_T: float, method: str = "spectral") -> TimeSeries:
+def simulate_response(A, b, T: float, h_T: float) -> TimeSeries:
     """Samples of y(t) = b^T exp(At) b on t = h_T, 2 h_T, ..., T.
 
-    ``spectral`` evaluates the eigenexpansion exactly (modes are truncated
-    only where exp underflows to zero).  ``euler`` runs explicit forward
-    Euler and refuses steps beyond its stability bound 2/|lambda|_max.
+    Evaluates the eigenexpansion exactly; modes are truncated only where
+    exp underflows to zero.
     """
     if h_T <= 0 or T <= 0:
         raise RomresError("T and h_T must be positive")
     n_t = int(round(T / h_T))
     if n_t < 1:
         raise RomresError("empty time interval")
-    b = np.asarray(b, dtype=float)
-
-    if method == "spectral":
-        lam, w = spectral_weights(A, b)
-        return TimeSeries(_spectral_series(lam, w, n_t, h_T), h_T)
-
-    if method == "euler":
-        lam_max = _extreme_eigenvalue(A)
-        bound = 2.0 / abs(lam_max)
-        if h_T > bound:
-            raise StabilityError(
-                f"explicit Euler unstable: h_T={h_T:g} exceeds 2/|lambda|_max={bound:.3e}"
-            )
-        u = b.copy()
-        y = np.empty(n_t)
-        As = sp.csr_matrix(A) if not sp.issparse(A) else A
-        for k in range(n_t):
-            u = u + h_T * (As @ u)
-            y[k] = b @ u
-        return TimeSeries(y, h_T)
-
-    raise RomresError(f"unknown method {method!r}")
-
-
-def _extreme_eigenvalue(A) -> float:
-    n = A.shape[0]
-    if n <= 400 or not sp.issparse(A):
-        lam = sla.eigvalsh(_as_dense(A))
-        return lam[np.argmax(np.abs(lam))]
-    val = spla.eigsh(A, k=1, which="LM", return_eigenvectors=False, tol=1e-8)
-    return float(val[0])
+    lam, w = spectral_weights(A, np.asarray(b, dtype=float))
+    return TimeSeries(_spectral_series(lam, w, n_t, h_T), h_T)
 
 
 def add_noise(series: TimeSeries, noise: NoiseModel) -> TimeSeries:

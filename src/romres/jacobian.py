@@ -14,10 +14,12 @@ one batched implementation that all three share.  The ``fast`` path serves
 raw snapshot bases: it evaluates the formulas for all parameters at once,
 contracting every appearance of the rank-one operator derivatives with the
 difference factor D up front, so the per-parameter work involves only
-m x m arrays.  Sequential bases are differentiated in forward mode through
-their recurrence instead.  The ``reference`` path follows the snapshot,
-basis and projection stages one parameter at a time and exists for tests
-and cross-checks of the fast path.
+m x m arrays.  Sequential bases are differentiated in reverse mode
+instead: one adjoint sweep of their recurrence, with one cotangent per
+output scalar of (dA_m, db_m) rather than one tangent per parameter.  The
+``reference`` path follows the snapshot, basis and projection stages one
+parameter at a time and exists for tests and cross-checks of the fast
+path.
 """
 
 from __future__ import annotations
@@ -320,61 +322,58 @@ def _jacobian_fast(ctx: ChainContext):
     return dA_m, db_m
 
 
-def _jacobian_sequential(ctx: ChainContext, chunk: int = 256):
-    """(dA_m, db_m) by forward-mode differentiation of the sequential basis
+def _jacobian_sequential(ctx: ChainContext):
+    """(dA_m, db_m) for a sequential basis, by one adjoint sweep of its
     recurrence.
 
-    Used when the raw snapshot columns are too collinear to differentiate;
-    propagates the perturbations of every basis vector through solve,
-    orthogonalization and normalization, in parameter chunks.  The basis
+    Used when the raw snapshot columns are too collinear to differentiate.
+    dA_m and db_m depend on the basis derivative only through the scalars
+    dV_i^T W_j with W = [A V, b], so one cotangent is seeded per pair
+    (i, j), V_i-bar = W_j, and all m(m+1) of them are pulled back together
+    through normalization, the two-pass Gram-Schmidt step and the solve of
+    every column, from the last to the first.  The solve of column c
+    depends on edge k through -(sI - A)^{-1} d_k (d_k^T K_c), which adds
+    -(D G u_c-bar)_k (D K_c)_k; G u_c-bar is also the cotangent of the
+    previous column when column c is not the first of its node.  The basis
     supplies each step's raw solve (K), Gram-Schmidt coefficients and norm
     (U).
     """
     op = ctx.operator
     D = op.D
-    A = op.A
     K, V, U = ctx.basis.K, ctx.basis.V, ctx.basis.U
-    fam = ctx.family
     m = ctx.m
-    n_e = op.n_edges
-    n_state = op.n_state
-    b = ctx.b
-    AV = A @ V
-    DV = np.asarray(D @ V)
+    w = m + 1
+    W = np.column_stack([op.A @ V, ctx.b])
     DK = np.asarray(D @ K)
+    DV = np.asarray(D @ V)
+    layout = _column_layout(ctx.family)
 
-    dA_all = np.empty((n_e, m, m))
-    db_all = np.empty((n_e, m))
-    Dt = D.T.tocsc()
-    for lo in range(0, n_e, chunk):
-        hi = min(lo + chunk, n_e)
-        q = hi - lo
-        dV = np.zeros((m, n_state, q))
-        col = 0
-        for s, mult in zip(fam.nodes, fam.multiplicities):
-            # (sI - A)^{-1} D^T for this parameter chunk
-            gd = ctx.solver.solve(s, np.asarray(Dt[:, lo:hi].todense()))
-            dx = np.zeros((n_state, q))  # derivative of the chain input (b: zero)
-            for _ in range(int(mult)):
-                u_raw, coeffs, nrm = K[:, col], U[:col, col], U[col, col]
-                du = -gd * DK[lo:hi, col][None, :] + ctx.solver.solve(s, dx)
-                # differentiate u = u_raw - V c,  c = V^T u_raw (both passes)
-                c_d = np.einsum("lnq,n->lq", dV[:col], u_raw) + V[:, :col].T @ du
-                du_perp = du - V[:, :col] @ c_d
-                if col:
-                    du_perp -= np.einsum("lnq,l->nq", dV[:col], coeffs)
-                xk = V[:, col]
-                dnrm = xk @ du_perp
-                dx = (du_perp - xk[:, None] * dnrm[None, :]) / nrm
-                dV[col] = dx
-                col += 1
-        # dA_m = dV^T (AV) + (AV)^T dV - (V^T d)(d^T V)
-        S = np.einsum("inq,nl->qil", dV, AV, optimize=True)
-        dA = S + S.transpose(0, 2, 1)
-        dA -= DV[lo:hi, :, None] * DV[lo:hi, None, :]
-        dA_all[lo:hi] = dA
-        db_all[lo:hi] = np.einsum("inq,n->qi", dV, b)
-    return dA_all, db_all
+    # Vbar[c][:, i*w + j] is the cotangent of V_c for dV_i^T W_j; it can be
+    # nonzero only for i >= c, so column c works on directions c*w onward
+    Vbar = np.zeros((m, op.n_state, m * w))
+    for i in range(m):
+        Vbar[i, :, i * w:(i + 1) * w] = W
+    # P[k, i*w + j] accumulates d(dV_i^T W_j)/dr_k
+    P = np.zeros((op.n_edges, m * w))
+    for c in range(m - 1, -1, -1):
+        lo = c * w
+        x = V[:, c]
+        ubar = Vbar[c, :, lo:]
+        ubar = (ubar - np.outer(x, x @ ubar)) / U[c, c]
+        if c:
+            proj = V[:, :c].T @ ubar
+            Vbar[:c, :, lo:] -= (U[:c, c, None, None] * ubar[None]
+                                 + K[None, :, c, None] * proj[:, None, :])
+            ubar = ubar - V[:, :c] @ proj
+        j, q = layout[c]
+        y = ctx.solver.solve(ctx.family.nodes[j], ubar)
+        P[:, lo:] -= np.asarray(D @ y) * DK[:, c, None]
+        if q > 1:  # column c was solved on V_{c-1}, not on b
+            Vbar[c - 1, :, lo:] += y
+    P = P.reshape(op.n_edges, m, w)
+    S = P[:, :, :m]
+    dA_m = S + S.transpose(0, 2, 1) - DV[:, :, None] * DV[:, None, :]
+    return dA_m, P[:, :, m]
 
 
 def assemble_jacobian(ctx: ChainContext, method: str = "fast",

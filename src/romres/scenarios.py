@@ -80,7 +80,7 @@ def synthesize_1d(cfg: ExperimentConfig):
     field = phantom(cfg.phantom, grid)
     op = assemble_operator(field, build_difference_1d(grid))
     b = source_vector(grid).b
-    y = simulate_response(op.A, b, cfg.T, cfg.h_T, method="spectral")
+    y = simulate_response(op.A, b, cfg.T, cfg.h_T)
     if cfg.epsilon > 0:
         y = add_noise(y, NoiseModel(cfg.epsilon, cfg.seed))
     return y

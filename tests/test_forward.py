@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from romres.errors import StabilityError
 from romres.forward import (NoiseModel, add_noise, simulate_response,
                             spectral_weights, transfer_eval, transfer_moments)
 
@@ -18,28 +17,6 @@ def test_sample_count():
     y = simulate_response(A, np.array([1.0]), T=2.0, h_T=1e-4)
     assert y.n_samples == 20000
     assert y.times()[0] == pytest.approx(1e-4)
-
-
-def test_euler_self_convergence(small_system):
-    grid, field, op, b = small_system
-    T = 2.0
-    ref = simulate_response(op.A, b, T, 1e-3, method="spectral")
-    devs = []
-    steps = [1e-4, 5e-5, 2.5e-5]
-    for h in steps:
-        ye = simulate_response(op.A, b, T, h, method="euler")
-        stride = int(round(1e-3 / h))
-        devs.append(np.max(np.abs(ye.samples[stride - 1::stride] - ref.samples)
-                           / np.abs(ref.samples)))
-    slope = np.polyfit(np.log(steps), np.log(devs), 1)[0]
-    assert slope >= 0.9  # first-order convergence
-
-
-def test_euler_stability_guard(small_system):
-    grid, field, op, b = small_system
-    with pytest.raises(StabilityError) as err:
-        simulate_response(op.A, b, T=1.0, h_T=1e-2, method="euler")
-    assert "2/|lambda|_max" in str(err.value)
 
 
 def test_response_positive_decreasing(small_system):

@@ -6,9 +6,10 @@ from romres.errors import DegeneracyError
 from romres.grids import (Grid2D, Grid1D, ResistivityField, assemble_operator,
                           assemble_operator_2d, build_difference_1d,
                           source_vector, uniform_segments)
-from romres.jacobian import (assemble_jacobian, diff_basis, diff_cholesky,
-                             diff_cfrac_recursion, diff_eta, diff_lanczos,
-                             diff_reduced, diff_snapshots, diff_spectral)
+from romres.jacobian import (_jacobian_sequential, assemble_jacobian,
+                             diff_basis, diff_cholesky, diff_cfrac_recursion,
+                             diff_eta, diff_lanczos, diff_reduced,
+                             diff_snapshots, diff_spectral)
 from romres.krylov import preconditioner_R, preconditioner_chain
 from romres.ratfit import PoleResidue, node_family
 
@@ -238,6 +239,102 @@ def test_sequential_jacobian_fd(rng):
     J = assemble_jacobian(ctx)
     J_fd = fd_jacobian(R, r)
     assert np.linalg.norm(J - J_fd) / np.linalg.norm(J_fd) < 1e-5
+
+
+def _forward_mode_sequential(ctx, chunk=256):
+    """(dA_m, db_m) of a sequential basis by forward-mode differentiation of
+    its recurrence, one parameter chunk at a time: the tangent of every
+    basis vector is propagated through solve, Gram-Schmidt and
+    normalization.  Reference for the adjoint sweep."""
+    op = ctx.operator
+    D = op.D
+    K, V, U = ctx.basis.K, ctx.basis.V, ctx.basis.U
+    fam = ctx.family
+    m = ctx.m
+    n_e = op.n_edges
+    AV = op.A @ V
+    DV = np.asarray(D @ V)
+    DK = np.asarray(D @ K)
+    dA_all = np.empty((n_e, m, m))
+    db_all = np.empty((n_e, m))
+    Dt = D.T.tocsc()
+    for lo in range(0, n_e, chunk):
+        hi = min(lo + chunk, n_e)
+        q = hi - lo
+        dV = np.zeros((m, op.n_state, q))
+        col = 0
+        for s, mult in zip(fam.nodes, fam.multiplicities):
+            gd = ctx.solver.solve(s, np.asarray(Dt[:, lo:hi].todense()))
+            dx = np.zeros((op.n_state, q))  # the chain input b is fixed
+            for _ in range(int(mult)):
+                u_raw, coeffs, nrm = K[:, col], U[:col, col], U[col, col]
+                du = -gd * DK[lo:hi, col][None, :] + ctx.solver.solve(s, dx)
+                c_d = np.einsum("lnq,n->lq", dV[:col], u_raw) + V[:, :col].T @ du
+                du_perp = du - V[:, :col] @ c_d
+                if col:
+                    du_perp -= np.einsum("lnq,l->nq", dV[:col], coeffs)
+                xk = V[:, col]
+                dnrm = xk @ du_perp
+                dx = (du_perp - xk[:, None] * dnrm[None, :]) / nrm
+                dV[col] = dx
+                col += 1
+        S = np.einsum("inq,nl->qil", dV, AV, optimize=True)
+        dA_all[lo:hi] = (S + S.transpose(0, 2, 1)
+                         - DV[lo:hi, :, None] * DV[lo:hi, None, :])
+        db_all[lo:hi] = np.einsum("inq,n->qi", dV, ctx.b)
+    return dA_all, db_all
+
+
+def test_sequential_matches_forward_mode_reference(rng):
+    # pade0: one node with multiplicity; zolotarev: the recurrence restarts
+    # from b at every node
+    grid = Grid1D(199)
+    field = ResistivityField(1.0 + 0.5 * rng.random(199), grid)
+    for name, m in (("pade0", 6), ("pade0", 8), ("zolotarev", 5)):
+        vec, ctx = preconditioner_R(field, node_family(name, m),
+                                    generation="sequential",
+                                    return_context=True)
+        dA_ref, db_ref = _forward_mode_sequential(ctx)
+        dA_m, db_m = _jacobian_sequential(ctx)
+        assert dA_m.shape == dA_ref.shape and db_m.shape == db_ref.shape
+        assert np.linalg.norm(dA_m - dA_ref) <= 1e-10 * np.linalg.norm(dA_ref)
+        assert np.linalg.norm(db_m - db_ref) <= 1e-10 * np.linalg.norm(db_ref)
+
+
+def test_auto_fallback_to_sequential_fd(rng):
+    # the raw pade0 m = 6 snapshots are too collinear, so "auto" generation
+    # falls back to the sequential basis and its adjoint Jacobian
+    N = 40
+    grid = Grid1D(N)
+    r = 1.0 + 0.5 * rng.random(N)
+    fam = node_family("pade0", 6)
+
+    def R(rv):
+        return preconditioner_R(ResistivityField(rv, grid), fam)
+
+    vec, ctx = preconditioner_R(ResistivityField(r, grid), fam,
+                                return_context=True)
+    assert ctx.basis.generation == "sequential"
+    J = assemble_jacobian(ctx)
+    J_fd = fd_jacobian(R, r)
+    assert np.linalg.norm(J - J_fd) / np.linalg.norm(J_fd) < 1e-5
+
+
+def test_raw_and_sequential_jacobians_agree(rng):
+    # both bases span the same subspace, so the two paths differentiate the
+    # same map
+    grid = Grid1D(199)
+    field = ResistivityField(1.0 + 0.5 * rng.random(199), grid)
+    for name, m in (("zolotarev", 4), ("pade0", 3), ("fast", 3)):
+        fam = node_family(name, m)
+        J = {}
+        for gen in ("raw", "sequential"):
+            vec, ctx = preconditioner_R(field, fam, generation=gen,
+                                        return_context=True)
+            assert ctx.basis.generation == gen
+            J[gen] = assemble_jacobian(ctx)
+        err = np.linalg.norm(J["raw"] - J["sequential"])
+        assert err <= 1e-8 * np.linalg.norm(J["sequential"])
 
 
 def test_full_chain_fd_2d(rng):
