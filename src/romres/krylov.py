@@ -43,12 +43,14 @@ class KrylovBasis:
     """Snapshots K, orthonormal V and triangular U with K = V U, diag(U) > 0.
 
     ``generation`` records how the snapshots were produced: ``raw`` stores
-    the literal resolvent powers (differentiable columns); ``sequential``
-    re-applies the resolvent to the newest orthonormal vector, which spans
-    the same subspace but stays well conditioned when plain powers go
-    numerically collinear.  In the sequential case column j of K is that
-    re-applied resolvent (before orthogonalization) and U holds its
-    Gram-Schmidt coefficients, so K = V U still holds.
+    the literal resolvent powers, each solved on the previous power;
+    ``sequential`` re-applies the resolvent to the newest orthonormal
+    vector, which spans the same subspace but stays well conditioned when
+    plain powers go numerically collinear.  In the sequential case column j
+    of K is that re-applied resolvent (before orthogonalization) and U holds
+    its Gram-Schmidt coefficients, so K = V U still holds.  The Jacobian's
+    adjoint sweep reads K and U for both and needs the generation only to
+    know what each solve was applied to.
     """
 
     K: np.ndarray
@@ -162,7 +164,7 @@ def sequential_basis(solver: shifted_solver, b: np.ndarray, family: NodeFamily) 
 
 
 # below this relative residual the raw snapshot columns are too collinear
-# for the factored derivative formulas; switch to sequential generation
+# to orthonormalize reliably; switch to sequential generation
 _RAW_RESIDUAL_FLOOR = 1e-8
 
 
@@ -171,8 +173,7 @@ def build_krylov(A, b, family: NodeFamily, solver: shifted_solver | None = None,
     """Orthonormal basis of the rational Krylov subspace of ``family``.
 
     ``generation='raw'`` orthonormalizes the literal snapshot columns by
-    Gram-Schmidt; these columns are what the analytic Jacobian
-    differentiates.  ``'sequential'`` re-solves on the newest orthonormal
+    Gram-Schmidt.  ``'sequential'`` re-solves on the newest orthonormal
     vector instead, which is the only sound choice once confluent powers go
     collinear.  ``'auto'`` tries raw and falls back when the smallest
     orthogonalization residual drops below the trust floor.
