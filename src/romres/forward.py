@@ -133,24 +133,55 @@ def add_noise(series: TimeSeries, noise: NoiseModel) -> TimeSeries:
 
 
 class shifted_solver:
-    """Cached sparse factorizations of (s I - A) across shifts."""
+    """Cached factorizations of (s I - A) across shifts.
+
+    The factorization is chosen from the structure of A, because the two
+    kinds of operator are different problems:
+
+    - every stored entry within one diagonal of the main diagonal and
+      n >= 3 (the 1D operators): LAPACK's tridiagonal LU with partial
+      pivoting, ``gttrf``/``gttrs``.  It costs O(n) per shift with no
+      ordering step, and assumes neither symmetry nor definiteness.
+    - everything else (the 2D five-point operators, full reduced models,
+      and n <= 2, which the LAPACK wrapper rejects): SuperLU, whose
+      fill-reducing ordering a banded tridiagonal matrix does not need but
+      a 2D operator does.
+
+    Either way, a singular shift (an exactly zero pivot) raises
+    ``RomresError``.
+    """
 
     def __init__(self, A):
-        self._A = sp.csc_matrix(A)
+        A = sp.csr_matrix(A)
         self._n = A.shape[0]
         self._factors = {}
+        rows = np.repeat(np.arange(self._n), np.diff(A.indptr))
+        if self._n >= 3 and np.all(np.abs(rows - A.indices) <= 1):
+            self._bands = (A.diagonal(-1), A.diagonal(), A.diagonal(1))
+        else:
+            self._bands = None
+            self._A = A.tocsc()
+
+    def _factor(self, s: float):
+        if self._bands is not None:
+            lower, main, upper = self._bands
+            *lu, info = sla.lapack.dgttrf(-lower, s - main, -upper,
+                                          overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            if info > 0:
+                raise RomresError(f"singular shift s={s!r}: zero pivot {info}")
+            return lambda rhs: sla.lapack.dgttrs(*lu, rhs)[0]
+        mat = (s * sp.identity(self._n, format="csc") - self._A).tocsc()
+        try:
+            return spla.splu(mat).solve
+        except RuntimeError as exc:  # singular shift
+            raise RomresError(f"singular shift s={s!r}: {exc}") from exc
 
     def solve(self, s: float, rhs: np.ndarray) -> np.ndarray:
         key = float(s)
-        lu = self._factors.get(key)
-        if lu is None:
-            mat = (key * sp.identity(self._n, format="csc") - self._A).tocsc()
-            try:
-                lu = spla.splu(mat)
-            except RuntimeError as exc:  # singular shift
-                raise RomresError(f"singular shift s={s!r}: {exc}") from exc
-            self._factors[key] = lu
-        return lu.solve(rhs)
+        solve = self._factors.get(key)
+        if solve is None:
+            solve = self._factors[key] = self._factor(key)
+        return solve(rhs)
 
 
 def transfer_eval(A, b_left, b_right=None, s: float = 1.0, solver: shifted_solver | None = None):

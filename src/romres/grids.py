@@ -228,6 +228,14 @@ def build_difference_1d(grid: Grid1D) -> sp.csr_matrix:
     return sp.diags([main, upper], [0, 1], shape=(n, n), format="csr")
 
 
+def _weighted_gram(D: sp.csr_matrix, rho: np.ndarray) -> sp.csr_matrix:
+    """-D^T diag(rho) D as one sparse product, with D's rows scaled by rho."""
+    D = D.tocsr()
+    scaled = sp.csr_matrix((D.data * np.repeat(rho, np.diff(D.indptr)), D.indices, D.indptr),
+                           shape=D.shape)
+    return (-(D.T @ scaled)).tocsr()
+
+
 def assemble_operator(field: ResistivityField, D: sp.csr_matrix) -> SystemOperator:
     """Assemble A(r) = -D^T diag(r) D for edge-valued resistivity."""
     r = field.values
@@ -235,7 +243,7 @@ def assemble_operator(field: ResistivityField, D: sp.csr_matrix) -> SystemOperat
         raise InvalidGridError("resistivity length does not match edge count")
     if not np.all(r > 0):
         raise PositivityError("resistivity must be strictly positive")
-    A = (-(D.T @ sp.diags(r) @ D)).tocsr()
+    A = _weighted_gram(D, r)
     eye = sp.identity(r.shape[0], format="csr")
     return SystemOperator(A=A, D=D, averaging=eye)
 
@@ -299,7 +307,7 @@ def assemble_operator_2d(field: ResistivityField, grid: Grid2D | None = None) ->
         raise InvalidGridError("assemble_operator_2d needs a Grid2D field")
     D, M = build_difference_2d(grid)
     rho = M @ field.values
-    A = (-(D.T @ sp.diags(rho) @ D)).tocsr()
+    A = _weighted_gram(D, rho)
     return SystemOperator(A=A, D=D, averaging=M)
 
 

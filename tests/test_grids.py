@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from romres.errors import InvalidGridError, PositivityError
 from romres.grids import (BoundarySegment, Grid1D, Grid2D, ResistivityField,
@@ -69,6 +70,23 @@ def test_assemble_linear_in_r(rng):
     assert np.allclose(A12, A1 + A2, atol=1e-12)
     A2x = assemble_operator(ResistivityField(2.0 * r1, g), D).A.toarray()
     assert np.allclose(A2x, 2.0 * A1)
+
+
+def test_assembly_matches_two_products_bitwise(rng):
+    # each row of D holds entries of one magnitude, so scaling the rows by
+    # rho before the product rounds exactly as D^T diag(rho) D does
+    g1 = Grid1D(199)
+    D1 = build_difference_1d(g1)
+    r1 = 1.0 + rng.random(199)
+    g2 = Grid2D(nx=30, ny=10)
+    D2, M2 = build_difference_2d(g2)
+    r2 = 1.0 + rng.random(g2.n_cells)
+    cases = ((assemble_operator(ResistivityField(r1, g1), D1).A, D1, r1),
+             (assemble_operator_2d(ResistivityField(r2, g2)).A, D2, M2 @ r2))
+    for A, D, rho in cases:
+        ref = (-(D.T @ sp.diags(rho) @ D)).tocsr()
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, part), getattr(ref, part))
 
 
 def test_positivity_required():
