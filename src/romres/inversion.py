@@ -180,13 +180,16 @@ def data_fitting_moments(moments: np.ndarray, s_hat: float,
 
 def gauss_newton_step(r: np.ndarray, J: np.ndarray, residual: np.ndarray,
                       alpha: float = 1.0, rcond: float = 1e-12,
-                      max_halvings: int = 20):
+                      max_halvings: int = 20, J_pinv: np.ndarray | None = None):
     """Pseudoinverse step with a positivity guard on the step length.
 
     rho = -J^+ residual; alpha is halved (at most ``max_halvings`` times)
-    until r + alpha*rho stays strictly positive.
+    until r + alpha*rho stays strictly positive.  ``J_pinv`` is J^+ if the
+    caller already has it (``rcond`` is then not used).
     """
-    rho = -np.linalg.pinv(J, rcond=rcond) @ residual
+    if J_pinv is None:
+        J_pinv = np.linalg.pinv(J, rcond=rcond)
+    rho = -J_pinv @ residual
     a = alpha
     for _ in range(max_halvings + 1):
         r_gn = r + a * rho
@@ -203,7 +206,8 @@ def adaptive_weights(Dt: sp.spmatrix, r: np.ndarray, phi: float) -> np.ndarray:
 
 
 def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
-                         w: np.ndarray | None = None, solver: str = "auto"):
+                         w: np.ndarray | None = None, solver: str = "auto",
+                         J_pinv: np.ndarray | None = None):
     """Null-space correction minimizing the weighted H1 seminorm.
 
     Computes the minimizer of
@@ -237,7 +241,8 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
     the dominant eigenvector of M^-1 (Lanczos on the same LU, from a
     fixed start so reruns are bit-identical).  ``'auto'`` takes ``kkt``
     for identity and ``nullspace`` for adaptive weights.  Either way the
-    correction is finally projected onto null(J).
+    correction is finally projected onto null(J), through ``J_pinv`` if
+    the caller passes J^+ (``np.linalg.pinv(J, rcond=1e-12)``).
     """
     if solver == "auto":
         solver = "kkt" if w is None else "nullspace"
@@ -274,7 +279,9 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
         x -= v * (v @ x)
     # exact constraint enforcement: project the correction onto null(J)
     corr = x[:n] - r_gn
-    corr -= np.linalg.pinv(J, rcond=1e-12) @ (J @ corr)
+    if J_pinv is None:
+        J_pinv = np.linalg.pinv(J, rcond=1e-12)
+    corr -= J_pinv @ (J @ corr)
     return r_gn + corr
 
 
@@ -345,7 +352,9 @@ def _gn_loop(eval_chain, jac, n_param, l_star, config: InversionConfig, Dt,
             break
         prev_res = res_norm
         J = jac(payload)
-        r_gn, _, a_used = gauss_newton_step(r, J, residual)
+        # one SVD per iteration serves the step and the null(J) projection
+        J_pinv = np.linalg.pinv(J, rcond=1e-12)
+        r_gn, _, a_used = gauss_newton_step(r, J, residual, J_pinv=J_pinv)
         hist.step_length.append(a_used)
         if not config.nullspace_correction:
             r_next = r_gn
@@ -359,7 +368,7 @@ def _gn_loop(eval_chain, jac, n_param, l_star, config: InversionConfig, Dt,
             else:
                 raise RomresError(f"unknown weight mode {config.weights!r}")
             try:
-                r_next = regularize_nullspace(r_gn, J, Dt, w=w)
+                r_next = regularize_nullspace(r_gn, J, Dt, w=w, J_pinv=J_pinv)
             except RegularizationError as exc:
                 hist.notes.append(f"null-space correction failed at iteration {p} "
                                   f"({exc}); kept the plain update")

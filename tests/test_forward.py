@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from romres import forward
 from romres.errors import RomresError
 from romres.forward import (NoiseModel, add_noise, shifted_solver, simulate_response,
                             spectral_weights, transfer_eval, transfer_moments)
@@ -78,6 +81,88 @@ def test_noise_seed_determinism(small_system):
     d1 = add_noise(y, NoiseModel(1e-2, seed=7))
     d2 = add_noise(y, NoiseModel(1e-2, seed=7))
     assert np.array_equal(d1.samples, d2.samples)
+
+
+def reference_series(lam, w, n_t, h_t):
+    """Mode-by-mode sweep over each mode's whole active range."""
+    y = np.zeros(n_t)
+    for li, wi in zip(lam, w):
+        if wi == 0.0:
+            continue
+        if li < 0:
+            n_i = min(n_t, int(np.floor(forward._EXP_UNDERFLOW / (li * h_t))) + 1)
+        else:
+            n_i = n_t
+        if n_i <= 0:
+            continue
+        t = h_t + h_t * np.arange(n_i)
+        y[:n_i] += wi * np.exp(li * t)
+    return y
+
+
+def traced_peak(fn):
+    """Result of fn() and the peak of the memory it allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+B = forward._BLOCK
+
+
+@pytest.mark.parametrize("n_t", [B - 1, B, B + 1, 2 * B + 3])
+def test_spectral_series_matches_mode_sweep(n_t, small_system):
+    grid, field, op, b = small_system
+    h_t = 1e-3
+    # active over exactly the first block: floor(-746 / (li h_t)) + 1 == B
+    li_edge = forward._EXP_UNDERFLOW / (h_t * (B - 0.5))
+    assert int(np.floor(forward._EXP_UNDERFLOW / (li_edge * h_t))) + 1 == B
+    lam, w = spectral_weights(op.A, b)
+    extra_lam = [0.5, 0.0, -1e5, li_edge, -3.0]   # -1e5 underflows after 8 samples
+    extra_w = [1e-3, 0.25, 2.0, 0.75, 0.0]         # -3.0 has a zero weight
+    lam = np.concatenate([lam[:20], extra_lam, lam[20:]])
+    w = np.concatenate([w[:20], extra_w, w[20:]])
+    y = forward._spectral_series(lam, w, n_t, h_t)
+    assert np.array_equal(y, reference_series(lam, w, n_t, h_t))
+
+
+def test_simulate_response_bitwise_on_full_series():
+    # the rQ series of the 1D inversion benchmark: N = 299, 1e7 samples
+    grid = Grid1D(299)
+    op = assemble_operator(phantom("rQ", grid), build_difference_1d(grid))
+    b = source_vector(grid).b
+    y = simulate_response(op.A, b, T=100.0, h_T=1e-5)
+    lam, w = spectral_weights(op.A, b)
+    assert y.n_samples == 10 ** 7
+    assert np.array_equal(y.samples, reference_series(lam, w, y.n_samples, 1e-5))
+
+
+@pytest.mark.parametrize("level", [0.0, 1e-3])
+def test_add_noise_matches_formula(level, small_system):
+    grid, field, op, b = small_system
+    y = simulate_response(op.A, b, T=1.0, h_T=1e-4)
+    chi = np.random.default_rng(5).standard_normal(y.n_samples)
+    d = add_noise(y, NoiseModel(level, seed=5))
+    assert np.array_equal(d.samples, y.samples * (1.0 + level * chi))
+    assert not np.shares_memory(d.samples, y.samples)
+
+
+def test_simulate_response_memory(small_system):
+    grid, field, op, b = small_system
+    y, peak = traced_peak(lambda: simulate_response(op.A, b, T=10.0, h_T=1e-5))
+    assert y.n_samples == 10 ** 6
+    assert peak <= 1.5 * y.samples.nbytes
+
+
+def test_add_noise_memory(small_system):
+    grid, field, op, b = small_system
+    y = simulate_response(op.A, b, T=10.0, h_T=1e-5)
+    d, peak = traced_peak(lambda: add_noise(y, NoiseModel(1e-3, seed=1)))
+    assert peak <= 1.25 * d.samples.nbytes
 
 
 def test_transfer_eval_scalar():

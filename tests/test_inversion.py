@@ -311,6 +311,44 @@ def test_invert_2d_smoke():
     assert hist.residual[-1] <= hist.residual[0]
 
 
+@pytest.fixture
+def pinv_calls(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.pinv while the test runs."""
+    calls = []
+    reference_pinv = np.linalg.pinv
+
+    def counting_pinv(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return reference_pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    return calls
+
+
+@pytest.mark.parametrize("weights", ["identity", "adaptive"])
+def test_one_pseudoinverse_per_gn_iteration(weights, pinv_calls):
+    # the step and the null(J) projection share one SVD of J
+    g = Grid1D(60)
+    fam = node_family("zolotarev", 3)
+    target = FitTarget(m=3, log_cfrac=preconditioner_R(phantom("rQ", g), fam),
+                       spectral=np.zeros(6))
+    _, hist = invert_1d(target, g, InversionConfig(m0=3, n_gn=2, weights=weights))
+    assert not hist.notes
+    assert pinv_calls == [(6, 60)] * len(hist.step_length) == [(6, 60)] * 2
+    pinv_calls.clear()
+    gf, gc = Grid2D(nx=24, ny=8), Grid2D(nx=18, ny=6)
+    gf = replace(gf, segments=uniform_segments(gf, 2))
+    gc = replace(gc, segments=uniform_segments(gc, 2))
+    op = assemble_operator_2d(phantom("two-rect-side", gf), gf)
+    cfg = InversionConfig(m0=3, family_kind="single-node", s_hat=30.0, n_gn=1,
+                          n_sources=2, weights=weights)
+    tau = moments_from_operator(op, [source_vector(gf, s).b for s in gf.segments],
+                                cfg.s_hat, 2 * cfg.m0)
+    _, hist = invert_2d(tau, gc, cfg)
+    assert not hist.notes
+    assert pinv_calls == [(12, gc.n_cells)] * len(hist.step_length) == [(12, gc.n_cells)]
+
+
 def test_invert_2d_needs_one_series_per_segment():
     g = Grid2D(nx=12, ny=4)
     cfg = InversionConfig(m0=2, family_kind="single-node", n_gn=1, n_sources=3)
