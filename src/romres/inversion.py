@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -104,6 +105,19 @@ _FIT_ERRORS = (SpectralValidityError, AdmissibilityError, DegeneracyError)
 # the Gauss-Newton loop stops once the residual norm changes by less than
 # this fraction between iterations
 _STAGNATION_RTOL = 1e-8
+
+# Lanczos subspace for the saddle matrix's smallest eigenpair.  Each basis
+# vector costs one M^-1 solve; the pair is dominant in M^-1 by decades, so
+# invert2d's correction converges in 7 solves (21 at ARPACK's default of
+# 20) to a vector within 2.1e-17 of the default's
+_LANCZOS_NCV = 6
+
+# right-hand sides per SuperLU solve of the capacitance columns: SuperLU
+# hands each supernode's block of right-hand sides to BLAS, which threads
+# wide blocks.  Blocks of 8 stay on one thread; on a 2-core machine
+# invert2d's 80 columns took a steady 7-11 ms that way, against 10-120 ms
+# in one threaded solve.
+_SOLVE_COLUMNS = 8
 
 
 def _target_from_model(model) -> tuple[PoleResidue, ContinuedFraction]:
@@ -205,6 +219,47 @@ def adaptive_weights(Dt: sp.spmatrix, r: np.ndarray, phi: float) -> np.ndarray:
     return 1.0 / (g ** 2 + phi ** 2)
 
 
+def _grounded_saddle_solver(J: np.ndarray, Dt: sp.spmatrix):
+    """M^-1 for identity weights: a grounded Laplacian factor plus a capacitance system."""
+    n, k = Dt.shape[1], J.shape[0]
+    L_g = (Dt.T @ Dt + sp.csc_matrix(([1.0], ([0], [0])), shape=(n, n))).tocsc()
+    try:
+        lu = spla.splu(L_g, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise RegularizationError(f"grounded Laplacian factorization failed: {exc}") from exc
+    G = np.hstack([lu.solve(J[i:i + _SOLVE_COLUMNS].T) for i in range(0, k, _SOLVE_COLUMNS)])
+    J1 = J.sum(axis=1)
+    C = np.zeros((k + 1, k + 1))
+    C[:k, :k] = J @ G
+    C[:k, k] = C[k, :k] = J1
+    # LAPACK's getrf reports an exactly zero pivot in info instead of warning
+    lu_c, piv, info = sla.lapack.dgetrf(C)
+    if info > 0:
+        raise RegularizationError(f"singular capacitance matrix: zero pivot {info}")
+
+    def solve(b):
+        b1, b2 = b[:n], b[n:]
+        g1 = lu.solve(b1)
+        y = sla.lapack.dgetrs(lu_c, piv, np.append(J @ g1 - b2, b1.sum()))[0]
+        return np.concatenate([g1 - G @ y[:k] - y[k], y[:k]])
+
+    return solve
+
+
+def _augmented_saddle_solver(J: np.ndarray, Dt: sp.spmatrix, w: np.ndarray):
+    """M^-1 for general weights: one sparse LU of the augmented system K."""
+    e = Dt.shape[0]
+    Js = sp.csr_matrix(J)
+    K = sp.bmat([[-sp.diags(1.0 / w), Dt, None],
+                 [Dt.T, None, Js.T],
+                 [None, Js, None]], format="csc")
+    try:
+        lu = spla.splu(K)
+    except RuntimeError as exc:
+        raise RegularizationError(f"saddle-system factorization failed: {exc}") from exc
+    return lambda b: lu.solve(np.concatenate([np.zeros(e), b]))[e:]
+
+
 def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
                          w: np.ndarray | None = None, solver: str = "auto",
                          J_pinv: np.ndarray | None = None):
@@ -220,17 +275,43 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
 
         M [rho; lam] = [0; J r_gn],   M = [[Dt^T W Dt, J^T], [J, 0]].
 
-    M is never formed.  One sparse LU factors the augmented system
+    M is never formed.  Two solvers apply M^-1, each for a different
+    problem:
 
-        K = [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]
+    - identity weights (``w`` is None): Dt^T Dt is the grid Laplacian,
+      singular only along the constants because Dt's edge graph is
+      connected.  Grounding one cell, L_g = Dt^T Dt + e_0 e_0^T, makes it
+      symmetric positive definite; it is factored once by SuperLU with a
+      symmetric minimum-degree ordering (``MMD_AT_PLUS_A``).  J's k dense
+      rows never enter a sparse factor, which keeps it small (90 x 30
+      cells, k = 80: 73.5k entries, against 1.36M for K below).  J enters
+      through the dense (k+1) x (k+1) capacitance matrix
 
-    (one leading row per seminorm edge), whose first block eliminates to
-    M, so K^-1 [0; b] restricted to the trailing blocks is M^-1 b.  The
-    weights enter as -W^-1 on a diagonal of their own, not inside
-    Dt^T W Dt: adaptive weights span 10+ decades, and forming that
-    product adds entries so far apart that its LU loses the small-weight
-    edges to rounding, while the augmented form keeps every edge on its
-    own row (Bjorck 1996, section 2.5).
+          C = [[J G, J 1], [(J 1)^T, 0]],   G = L_g^-1 J^T
+
+      (k right-hand sides on the one factor), and M^-1 [b1; b2] =
+      [rho; lam] with
+
+          g1 = L_g^-1 b1,   [lam; a] = C^-1 [J g1 - b2; 1^T b1],
+          rho = g1 - G lam - a 1.
+
+      The last row of C is 1^T of M's first block row (1^T Dt^T Dt = 0),
+      and it makes a = -rho_0, which undoes the grounding.
+    - general weights: one sparse LU factors the augmented system
+
+          K = [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]
+
+      (one leading row per seminorm edge), whose first block eliminates
+      to M, so K^-1 [0; b] restricted to the trailing blocks is M^-1 b.
+      The weights enter as -W^-1 on a diagonal of their own, not inside
+      Dt^T W Dt: adaptive weights span 10+ decades, and forming that
+      product adds entries so far apart that its LU loses the
+      small-weight edges to rounding, while the augmented form keeps
+      every edge on its own row (Bjorck 1996, section 2.5).
+
+    A system with an exactly zero pivot (in L_g, C or K: for example a
+    zero row of J, or an edge graph that leaves a cell unconnected)
+    raises ``RegularizationError``.
 
     ``solver='nullspace'`` returns the exact constrained minimizer
     M^-1 [0; J r_gn].  ``solver='kkt'`` discards the eigenvector v of the
@@ -238,30 +319,20 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
     P M^-1 P with P = I - v v^T.  That equals the truncated-SVD solve
     which drops M's smallest singular pair: for identity weights M is
     nonsingular, but that pair is a poorly determined component.  v is
-    the dominant eigenvector of M^-1 (Lanczos on the same LU, from a
-    fixed start so reruns are bit-identical).  ``'auto'`` takes ``kkt``
-    for identity and ``nullspace`` for adaptive weights.  Either way the
-    correction is finally projected onto null(J), through ``J_pinv`` if
-    the caller passes J^+ (``np.linalg.pinv(J, rcond=1e-12)``).
+    the dominant eigenvector of M^-1 (Lanczos with a small subspace on
+    the same factorization, from a fixed start so reruns are
+    bit-identical).  ``'auto'`` takes ``kkt`` for identity and
+    ``nullspace`` for adaptive weights.  Either way the correction is
+    finally projected onto null(J), through ``J_pinv`` if the caller
+    passes J^+ (``np.linalg.pinv(J, rcond=1e-12)``).
     """
     if solver == "auto":
         solver = "kkt" if w is None else "nullspace"
     if solver not in ("kkt", "nullspace"):
         raise RomresError(f"unknown null-space solver {solver!r}")
-    n, k, e = r_gn.size, J.shape[0], Dt.shape[0]
-    w_inv = np.ones(e) if w is None else 1.0 / w
-    Js = sp.csr_matrix(J)
-    K = sp.bmat([[-sp.diags(w_inv), Dt, None],
-                 [Dt.T, None, Js.T],
-                 [None, Js, None]], format="csc")
-    try:
-        lu = spla.splu(K)
-    except RuntimeError as exc:
-        raise RegularizationError(f"saddle-system factorization failed: {exc}") from exc
-
-    def solve(b):
-        return lu.solve(np.concatenate([np.zeros(e), b]))[e:]
-
+    n, k = r_gn.size, J.shape[0]
+    solve = _grounded_saddle_solver(J, Dt) if w is None else \
+        _augmented_saddle_solver(J, Dt, w)
     rhs = np.concatenate([np.zeros(n), J @ r_gn])
     if solver == "nullspace":
         x = solve(rhs)
@@ -269,7 +340,8 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
         M_inv = spla.LinearOperator((n + k, n + k), matvec=solve, dtype=float)
         v0 = np.random.default_rng(0).standard_normal(n + k)
         try:
-            _, V = spla.eigsh(M_inv, k=1, which="LM", v0=v0)
+            _, V = spla.eigsh(M_inv, k=1, which="LM", v0=v0,
+                              ncv=min(_LANCZOS_NCV, n + k))
         except spla.ArpackNoConvergence as exc:
             raise RegularizationError(f"smallest saddle eigenpair not found: {exc}") from exc
         v = V[:, 0]

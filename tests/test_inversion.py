@@ -1,8 +1,10 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import romres.inversion as inversion
 from romres.errors import (DataUnusableError, RegularizationError, RomresError,
@@ -158,12 +160,76 @@ def test_nullspace_correction_large_grid(rng):
         assert rel < 1e-10, (w is None, rel)
 
 
-def test_singular_saddle_system_raises(small_system):
+def test_singular_saddle_system_raises(small_system, rng):
     grid, field, op, b = small_system
+    Dt = regularization_gradient(grid)
     J = np.zeros((2, grid.n_points))
     J[0, 0] = 1.0  # the zero row leaves the saddle system singular
-    with pytest.raises(RegularizationError):
-        regularize_nullspace(field.values, J, regularization_gradient(grid))
+    w = adaptive_weights(Dt, field.values, 1e-3)
+    with warnings.catch_warnings():
+        # no LinAlgWarning (or any other) may escape in place of the error
+        warnings.simplefilter("error")
+        with pytest.raises(RegularizationError, match="capacitance"):
+            regularize_nullspace(field.values, J, Dt, w=None)
+        with pytest.raises(RegularizationError, match="saddle-system"):
+            regularize_nullspace(field.values, J, Dt, w=w)
+        # without the last edge the last cell is cut off from the grounded one
+        J = rng.standard_normal((2, grid.n_points))
+        with pytest.raises(RegularizationError, match="grounded Laplacian"):
+            regularize_nullspace(field.values, J, Dt[:-1], w=None)
+
+
+def _augmented_identity_solver(J, Dt):
+    """M^-1 for W = I through one sparse LU of [[-I, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]."""
+    e = Dt.shape[0]
+    Js = sp.csr_matrix(J)
+    K = sp.bmat([[-sp.identity(e), Dt, None], [Dt.T, None, Js.T], [None, Js, None]],
+                format="csc")
+    lu = spla.splu(K)
+    return lambda b: lu.solve(np.concatenate([np.zeros(e), b]))[e:]
+
+
+def test_identity_correction_matches_augmented_lu(small_system, rng, monkeypatch):
+    # the grounded-Laplacian solver against the augmented LU it replaced for
+    # identity weights, on a 1D N = 40 zolotarev m = 3 context and a 2D 30x10
+    # two-source one; measured at most 2.9e-14 (1D) and 2.6e-12 (2D)
+    grid, field, op, b = small_system
+    _, ctx = preconditioner_R(field, node_family("zolotarev", 3), return_context=True)
+    r_2d, J_2d, Dt_2d = _jacobian_2d(30, 10)
+    cases = ((field.values, assemble_jacobian(ctx), regularization_gradient(grid), 1e-12),
+             (r_2d, J_2d, Dt_2d, 1e-10))
+    for r, J, Dt, tol in cases:
+        r_gn = r * (1.0 + 0.1 * rng.random(r.size))
+        for solver in ("kkt", "nullspace"):
+            r_next = regularize_nullspace(r_gn, J, Dt, solver=solver)
+            with monkeypatch.context() as m:
+                m.setattr(inversion, "_grounded_saddle_solver", _augmented_identity_solver)
+                r_ref = regularize_nullspace(r_gn, J, Dt, solver=solver)
+            rel = np.linalg.norm(r_next - r_ref) / np.linalg.norm(r_ref)
+            assert rel < tol, (r.size, solver, rel)
+
+
+def test_saddle_factorization_structure(rng, monkeypatch):
+    # identity weights factor only the n x n grounded Laplacian, J entering
+    # through the dense capacitance system; other weights factor the
+    # (e + n + k) augmented system
+    r, J, Dt = _jacobian_2d(30, 10)
+    r_gn = r * (1.0 + 0.1 * rng.random(r.size))
+    (e, n), k = Dt.shape, J.shape[0]
+    shapes = []
+    reference_splu = spla.splu
+
+    def capturing_splu(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return reference_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", capturing_splu)
+    for solver in ("kkt", "nullspace"):
+        regularize_nullspace(r_gn, J, Dt, solver=solver)
+        assert shapes == [(n, n)], solver
+        shapes.clear()
+    regularize_nullspace(r_gn, J, Dt, w=adaptive_weights(Dt, r_gn, 1e-3))
+    assert shapes == [(e + n + k, e + n + k)]
 
 
 def test_failed_correction_keeps_plain_update(monkeypatch):
