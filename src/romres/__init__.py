@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 
 from .grids import (Grid1D, Grid2D, BoundarySegment, ResistivityField,
                     SystemOperator, build_difference_1d, build_difference_2d,
-                    assemble_operator, assemble_operator_2d,
-                    operator_derivative, source_vector, uniform_segments)
+                    assemble_operator, assemble_operator_2d, source_vector,
+                    uniform_segments)
 from .forward import (TimeSeries, NoiseModel, simulate_response, add_noise,
                       transfer_eval, transfer_moments, shifted_solver)
 from .laplace import laplace_transform, laplace_derivative, laplace_moments
@@ -15,8 +15,7 @@ from .ratfit import (NodeFamily, RationalModel, PoleResidue, nodes_geometric,
                      node_family, fit_multipoint, fit_pade_toeplitz,
                      to_pole_residue)
 from .cfrac import (Tridiagonal, ContinuedFraction, lanczos_tridiag,
-                    pole_residue_to_cfrac, reduced_model_to_cfrac, eval_cfrac,
-                    solve_fd_scheme)
+                    pole_residue_to_cfrac, eval_cfrac, solve_fd_scheme)
 from .krylov import (KrylovBasis, ReducedModel, ChainContext, build_krylov,
                      project, reduced_spectral, preconditioner_chain,
                      preconditioner_R)

@@ -27,7 +27,6 @@ __all__ = [
     "lanczos_tridiag",
     "cfrac_from_tridiagonal",
     "pole_residue_to_cfrac",
-    "reduced_model_to_cfrac",
     "eval_cfrac",
     "solve_fd_scheme",
 ]
@@ -60,13 +59,6 @@ class Tridiagonal:
     def m(self) -> int:
         return self.alpha.size
 
-    def dense(self) -> np.ndarray:
-        T = np.diag(self.alpha)
-        m = self.m
-        T[np.arange(m - 1), np.arange(1, m)] = self.beta
-        T[np.arange(1, m), np.arange(m - 1)] = self.beta
-        return T
-
 
 @dataclass(frozen=True)
 class ContinuedFraction:
@@ -86,12 +78,6 @@ class ContinuedFraction:
     @property
     def m(self) -> int:
         return self.kappa.size
-
-    def is_admissible(self) -> bool:
-        for arr in (self.kappa, self.kappa_hat):
-            if not np.all(arr > _POSITIVITY_FLOOR * np.max(np.abs(arr))):
-                return False
-        return True
 
     def require_admissible(self):
         for name, arr in (("kappa", self.kappa), ("kappa_hat", self.kappa_hat)):
@@ -177,12 +163,13 @@ def cfrac_from_tridiagonal(tri: Tridiagonal, total_weight: float) -> ContinuedFr
     return ContinuedFraction(kappa=k, kappa_hat=kh)
 
 
-def pole_residue_to_cfrac(pr: PoleResidue, check: bool = True):
+def pole_residue_to_cfrac(pr: PoleResidue):
     """Continued fraction of a pole/residue model (spectral Lanczos path).
 
     Runs the Lanczos iteration on E = -diag(theta) with start vector
     eta_i = sqrt(c_i / sum c).  Returns (cfrac, tridiagonal, X) so that the
-    derivative chain can reuse the Lanczos vectors.
+    derivative chain can reuse the Lanczos vectors; coefficients that are
+    not all positive raise AdmissibilityError.
     """
     theta, c = pr.theta, pr.c
     if np.any(c <= 0):
@@ -192,21 +179,8 @@ def pole_residue_to_cfrac(pr: PoleResidue, check: bool = True):
     E = -np.diag(theta)
     tri, X = lanczos_tridiag(E, eta)
     cf = cfrac_from_tridiagonal(tri, total)
-    if check:
-        cf.require_admissible()
+    cf.require_admissible()
     return cf, tri, X
-
-
-def reduced_model_to_cfrac(A_m: np.ndarray, b_m: np.ndarray) -> ContinuedFraction:
-    """Direct path: Lanczos on the reduced operator itself.
-
-    Cross-validation route; the spectral path is the one the derivative
-    formulas differentiate.
-    """
-    b_m = np.asarray(b_m, dtype=float)
-    nb = np.linalg.norm(b_m)
-    tri, _ = lanczos_tridiag(np.asarray(A_m, dtype=float), b_m / nb)
-    return cfrac_from_tridiagonal(tri, float(nb ** 2))
 
 
 def eval_cfrac(cf: ContinuedFraction, s) -> np.ndarray | float:

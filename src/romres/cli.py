@@ -38,7 +38,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--m0", type=int)
     p.add_argument("--family")
     p.add_argument("--s-hat", type=float)
-    p.add_argument("--ratio", type=float, help="alias for --s-hat on 1D families")
     p.add_argument("--n-gn", type=int)
     p.add_argument("--n-sources", type=int)
     p.add_argument("--weights", choices=["identity", "adaptive"])
@@ -64,8 +63,6 @@ def _build_config(scenario: str, args: argparse.Namespace) -> ExperimentConfig:
         v = getattr(args, attr, None)
         if v is not None and v is not False:
             values[key] = tuple(v) if isinstance(v, list) else v
-    if getattr(args, "ratio", None) is not None:
-        values["s_hat"] = args.ratio
     if getattr(args, "no_nullspace", False):
         values["nullspace_correction"] = False
     if getattr(args, "config", None):

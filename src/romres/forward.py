@@ -39,8 +39,8 @@ class TimeSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.step <= 0:
-            raise RomresError("time step must be positive")
+        if not 0 < self.step < np.inf:
+            raise RomresError(f"time step must be positive and finite, got {self.step!r}")
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise RomresError("time series must be a nonempty vector")
         if not np.all(np.isfinite(self.samples)):
@@ -57,13 +57,6 @@ class TimeSeries:
     def times(self) -> np.ndarray:
         return self.step * np.arange(1, self.n_samples + 1)
 
-    def to_csv(self) -> str:
-        lines = ["t,value"]
-        t = self.times()
-        for tk, yk in zip(t, self.samples):
-            lines.append(f"{tk!r},{yk!r}")
-        return "\n".join(lines) + "\n"
-
     def metadata_json(self, epsilon: float = 0.0, seed: int | None = None) -> str:
         d = {"T": self.horizon, "h_T": self.step, "epsilon": epsilon, "seed": seed}
         return json.dumps(d, indent=2, sort_keys=True)
@@ -77,8 +70,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.level < 0:
-            raise RomresError("noise level must be nonnegative")
+        if not 0 <= self.level < np.inf:
+            raise RomresError(f"noise level must be nonnegative and finite, got {self.level!r}")
 
 
 def _as_dense(A):
@@ -214,24 +207,14 @@ class shifted_solver:
         return solve(rhs)
 
 
-def transfer_eval(A, b_left, b_right=None, s: float = 1.0, solver: shifted_solver | None = None):
-    """Value and s-derivative of b_left^T (sI - A)^{-1} b_right.
+def transfer_eval(A, b, s: float):
+    """Value and s-derivative of the transfer function b^T (sI - A)^{-1} b.
 
-    The derivative is -b_left^T (sI - A)^{-2} b_right, computed from two
-    resolvent solves (one when the two vectors coincide, using symmetry).
+    One resolvent solve x = (sI - A)^{-1} b serves both: A is symmetric, so
+    the derivative -b^T (sI - A)^{-2} b equals -x^T x.
     """
-    if b_right is None:
-        b_right = b_left
-    solver = solver or shifted_solver(A)
-    x = solver.solve(s, np.asarray(b_right, dtype=float))
-    same = b_left is b_right or np.array_equal(b_left, b_right)
-    value = float(np.dot(b_left, x))
-    if same:
-        deriv = -float(np.dot(x, x))
-    else:
-        y = solver.solve(s, np.asarray(b_left, dtype=float))
-        deriv = -float(np.dot(y, x))
-    return value, deriv
+    x = shifted_solver(A).solve(s, np.asarray(b, dtype=float))
+    return float(np.dot(b, x)), -float(np.dot(x, x))
 
 
 def transfer_moments(A, b, s_hat: float, K: int, solver: shifted_solver | None = None) -> np.ndarray:

@@ -33,10 +33,12 @@ __all__ = [
     "build_difference_2d",
     "assemble_operator",
     "assemble_operator_2d",
-    "operator_derivative",
     "source_vector",
     "uniform_segments",
 ]
+
+# fraction of its slot that each uniform source/receiver segment covers
+_SEGMENT_FILL = 0.8
 
 
 @dataclass(frozen=True)
@@ -248,17 +250,6 @@ def assemble_operator(field: ResistivityField, D: sp.csr_matrix) -> SystemOperat
     return SystemOperator(A=A, D=D, averaging=eye)
 
 
-def operator_derivative(D: sp.csr_matrix, k: int) -> np.ndarray:
-    """Rank-one derivative factor d_k = (row k of D)^T.
-
-    The operator derivative with respect to the k-th edge resistivity is
-    -d_k d_k^T.
-    """
-    if not 0 <= k < D.shape[0]:
-        raise IndexError(f"edge index {k} out of range")
-    return np.asarray(D.getrow(k).todense()).ravel()
-
-
 def build_difference_2d(grid: Grid2D) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Difference factor D and edge-from-cell averaging map M for a 2D grid.
 
@@ -311,16 +302,16 @@ def assemble_operator_2d(field: ResistivityField, grid: Grid2D | None = None) ->
     return SystemOperator(A=A, D=D, averaging=M)
 
 
-def uniform_segments(grid: Grid2D, n_segments: int, fill: float = 0.8) -> tuple[BoundarySegment, ...]:
+def uniform_segments(grid: Grid2D, n_segments: int) -> tuple[BoundarySegment, ...]:
     """Equispaced disjoint source/receiver segments on the accessible boundary.
 
     The accessible interval is split into ``n_segments`` slots; each segment
-    is centered in its slot and covers ``fill`` of the slot width, leaving
-    gaps that keep the supports disjoint on any raster.
+    is centered in its slot and covers ``_SEGMENT_FILL`` of the slot width,
+    leaving gaps that keep the supports disjoint on any raster.
     """
     a0, a1 = grid.accessible
     pitch = (a1 - a0) / n_segments
-    half = 0.5 * fill * pitch
+    half = 0.5 * _SEGMENT_FILL * pitch
     segs = []
     for j in range(n_segments):
         c = a0 + (j + 0.5) * pitch

@@ -31,9 +31,9 @@ from .grids import (Grid1D, Grid2D, ResistivityField, SystemOperator,
 from .jacobian import assemble_jacobian
 from .krylov import preconditioner_chain
 from .laplace import laplace_derivative, laplace_moments, laplace_transform
-from .ratfit import (NodeFamily, PoleResidue, fit_multipoint, fit_pade_toeplitz,
-                     node_family, to_pole_residue)
-from .cfrac import ContinuedFraction, pole_residue_to_cfrac
+from .ratfit import (NodeFamily, fit_multipoint, fit_pade_toeplitz, node_family,
+                     to_pole_residue)
+from .cfrac import pole_residue_to_cfrac
 
 __all__ = [
     "InversionConfig",
@@ -77,6 +77,10 @@ class InversionConfig:
     n_sources: int = 8
     keep_iterates: bool = False
 
+    def __post_init__(self):
+        if self.m0 < 1:
+            raise RomresError(f"m0 must be at least 1, got {self.m0}")
+
     def family(self, m: int) -> NodeFamily:
         return node_family(self.family_kind, m, s_hat=self.s_hat)
 
@@ -102,6 +106,10 @@ class FitTarget:
 # bad input or a defect and propagates
 _FIT_ERRORS = (SpectralValidityError, AdmissibilityError, DegeneracyError)
 
+# relative singular-value cutoff of J^+, shared by the step and the null(J)
+# projection
+_PINV_RCOND = 1e-12
+
 # the Gauss-Newton loop stops once the residual norm changes by less than
 # this fraction between iterations
 _STAGNATION_RTOL = 1e-8
@@ -120,39 +128,46 @@ _LANCZOS_NCV = 6
 _SOLVE_COLUMNS = 8
 
 
-def _target_from_model(model) -> tuple[PoleResidue, ContinuedFraction]:
-    pr = to_pole_residue(model)
-    cf, _, _ = pole_residue_to_cfrac(pr)
-    return pr, cf
+def _reduce_m(fit_at, m: int) -> FitTarget:
+    """The m-reduction rule shared by both data routes.
 
-
-def data_fitting_Q(series: TimeSeries, config: InversionConfig | None = None,
-                   m0: int | None = None) -> FitTarget:
-    """Fit a rational model to measured 1D data, shrinking m as needed.
-
-    At each trial m the transfer function and its derivative are read off
-    the data at the m geometric nodes and fitted by the osculatory
-    interpolation; invalid poles/residues or nonpositive coefficients
-    trigger a retry at m - 1.  Reaching m = 0 means the data support no
-    admissible model at all.
+    ``fit_at(m)`` returns the rational model fitted at trial size m.  A
+    fit whose poles/residues are invalid or whose continued-fraction
+    coefficients are not all positive triggers a retry at m - 1; reaching
+    m = 0 means the data support no admissible model at all.
     """
-    config = config or InversionConfig()
-    m = m0 or config.m0
+    if m < 1:
+        raise RomresError(f"m0 must be at least 1, got {m}")
     attempts = []
     while m >= 1:
         attempts.append(m)
-        fam = config.family(m)
         try:
-            values = np.array([laplace_transform(series, s) for s in fam.nodes])
-            derivs = np.array([laplace_derivative(series, s) for s in fam.nodes])
-            model = fit_multipoint(values, derivs, fam)
-            pr, cf = _target_from_model(model)
-            return FitTarget(m=m, log_cfrac=cf.log_vector(),
+            pr = to_pole_residue(fit_at(m))
+            cf, _, _ = pole_residue_to_cfrac(pr)
+            return FitTarget(m=pr.m, log_cfrac=cf.log_vector(),
                              spectral=np.concatenate([pr.theta, pr.c]),
                              attempts=tuple(attempts))
         except _FIT_ERRORS:
             m -= 1
     raise DataUnusableError("no admissible reduced model at any m >= 1")
+
+
+def data_fitting_Q(series: TimeSeries, config: InversionConfig | None = None) -> FitTarget:
+    """Fit a rational model to measured 1D data, shrinking m as needed.
+
+    At each trial m, starting from ``config.m0``, the transfer function
+    and its derivative are read off the data at the m nodes of the
+    configured family and fitted by the osculatory interpolation.
+    """
+    config = config or InversionConfig()
+
+    def fit_at(m):
+        fam = config.family(m)
+        values = np.array([laplace_transform(series, s) for s in fam.nodes])
+        derivs = np.array([laplace_derivative(series, s) for s in fam.nodes])
+        return fit_multipoint(values, derivs, fam)
+
+    return _reduce_m(fit_at, config.m0)
 
 
 def _toeplitz_scale(tau: np.ndarray) -> float:
@@ -169,40 +184,34 @@ def data_fitting_moments(moments: np.ndarray, s_hat: float,
     """Moment-based fitting at one expansion node (the 2D data route).
 
     ``moments`` holds tau_0..tau_{2 m0 - 1} of the transfer function at
-    s_hat; trial m uses the leading 2m of them.
+    s_hat (``m0`` defaults to ``config.m0``); trial m uses the leading 2m
+    of them.  The fitted size is the Toeplitz fit's degree, which may fall
+    below the trial m when the moments have lower rank.
     """
     config = config or InversionConfig()
-    m = m0 or config.m0
+    m = config.m0 if m0 is None else m0
     tau_all = np.asarray(moments, dtype=float)
     if tau_all.size < 2 * m:
         raise RomresError("not enough moments for the requested m")
-    attempts = []
-    while m >= 1:
-        attempts.append(m)
+
+    def fit_at(m):
         tau = tau_all[: 2 * m]
-        try:
-            model = fit_pade_toeplitz(tau, shift=s_hat,
-                                      scale=_toeplitz_scale(tau))
-            pr, cf = _target_from_model(model)
-            return FitTarget(m=pr.m, log_cfrac=cf.log_vector(),
-                             spectral=np.concatenate([pr.theta, pr.c]),
-                             attempts=tuple(attempts))
-        except _FIT_ERRORS:
-            m -= 1
-    raise DataUnusableError("no admissible reduced model at any m >= 1")
+        return fit_pade_toeplitz(tau, shift=s_hat, scale=_toeplitz_scale(tau))
+
+    return _reduce_m(fit_at, m)
 
 
 def gauss_newton_step(r: np.ndarray, J: np.ndarray, residual: np.ndarray,
-                      alpha: float = 1.0, rcond: float = 1e-12,
-                      max_halvings: int = 20, J_pinv: np.ndarray | None = None):
+                      alpha: float = 1.0, max_halvings: int = 20,
+                      J_pinv: np.ndarray | None = None):
     """Pseudoinverse step with a positivity guard on the step length.
 
     rho = -J^+ residual; alpha is halved (at most ``max_halvings`` times)
     until r + alpha*rho stays strictly positive.  ``J_pinv`` is J^+ if the
-    caller already has it (``rcond`` is then not used).
+    caller already has it.
     """
     if J_pinv is None:
-        J_pinv = np.linalg.pinv(J, rcond=rcond)
+        J_pinv = np.linalg.pinv(J, rcond=_PINV_RCOND)
     rho = -J_pinv @ residual
     a = alpha
     for _ in range(max_halvings + 1):
@@ -324,7 +333,7 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
     bit-identical).  ``'auto'`` takes ``kkt`` for identity and
     ``nullspace`` for adaptive weights.  Either way the correction is
     finally projected onto null(J), through ``J_pinv`` if the caller
-    passes J^+ (``np.linalg.pinv(J, rcond=1e-12)``).
+    passes J^+ (``np.linalg.pinv`` with relative cutoff ``_PINV_RCOND``).
     """
     if solver == "auto":
         solver = "kkt" if w is None else "nullspace"
@@ -352,7 +361,7 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
     # exact constraint enforcement: project the correction onto null(J)
     corr = x[:n] - r_gn
     if J_pinv is None:
-        J_pinv = np.linalg.pinv(J, rcond=1e-12)
+        J_pinv = np.linalg.pinv(J, rcond=_PINV_RCOND)
     corr -= J_pinv @ (J @ corr)
     return r_gn + corr
 
@@ -374,7 +383,10 @@ def relative_error(r_star: np.ndarray, r_true: np.ndarray) -> float:
     r_true = np.asarray(r_true, dtype=float)
     if r_star.shape != r_true.shape:
         raise RomresError("fields must have matching shape")
-    return float(np.linalg.norm(r_star - r_true) / np.linalg.norm(r_true))
+    norm_true = np.linalg.norm(r_true)
+    if norm_true == 0:
+        raise RomresError("relative error against a zero reference field")
+    return float(np.linalg.norm(r_star - r_true) / norm_true)
 
 
 @dataclass
@@ -397,19 +409,39 @@ class InversionHistory:
         return "\n".join(lines) + "\n"
 
 
-def _gn_loop(eval_chain, jac, n_param, l_star, config: InversionConfig, Dt,
-             r_true=None):
-    """Shared Gauss-Newton driver over an abstract chain evaluator.
+def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionConfig,
+             Dt, r_true=None):
+    """Gauss-Newton driver shared by 1D (one source) and 2D (several).
 
-    ``eval_chain(r) -> (l_vec, payload)`` and ``jac(payload) -> J`` supply
-    the residual and its Jacobian; everything else (step, weights,
-    null-space correction, bookkeeping) is common to 1D and 2D.
+    ``assemble(r)`` returns the SystemOperator at resistivity r.  Each
+    evaluation runs the stable chain of ``family`` once per source vector
+    in ``sources``, all on one shifted solver of that operator, and stacks
+    the per-source coefficient vectors and Jacobians in source order; the
+    iteration matches the stack to ``l_star``.  Step, weights, null-space
+    correction and bookkeeping follow ``config``; the unknowns are the
+    columns of the seminorm difference operator ``Dt``.
     """
-    r = np.ones(n_param)
+
+    def eval_chain(r):
+        op = assemble(r)
+        solver = shifted_solver(op.A)
+        ctxs = [preconditioner_chain(op, b, family, source_index=j, solver=solver)
+                for j, b in enumerate(sources)]
+        if config.parametrization == "cfrac":
+            vecs = [c.log_vector() for c in ctxs]
+        else:
+            vecs = [np.concatenate([c.pr.theta, c.pr.c]) for c in ctxs]
+        return np.concatenate(vecs), ctxs
+
+    def jac(ctxs):
+        return np.vstack([assemble_jacobian(c, target=config.parametrization)
+                          for c in ctxs])
+
+    r = np.ones(Dt.shape[1])
     hist = InversionHistory()
     prev_res = None
     for p in range(1, config.n_gn + 1):
-        l_vec, payload = eval_chain(r)
+        l_vec, ctxs = eval_chain(r)
         residual = l_vec - l_star
         res_norm = float(np.linalg.norm(residual))
         hist.iterations.append(p)
@@ -423,9 +455,9 @@ def _gn_loop(eval_chain, jac, n_param, l_star, config: InversionConfig, Dt,
             hist.notes.append(f"stagnated at iteration {p}")
             break
         prev_res = res_norm
-        J = jac(payload)
+        J = jac(ctxs)
         # one SVD per iteration serves the step and the null(J) projection
-        J_pinv = np.linalg.pinv(J, rcond=1e-12)
+        J_pinv = np.linalg.pinv(J, rcond=_PINV_RCOND)
         r_gn, _, a_used = gauss_newton_step(r, J, residual, J_pinv=J_pinv)
         hist.step_length.append(a_used)
         if not config.nullspace_correction:
@@ -471,26 +503,12 @@ def invert_1d(data: TimeSeries | FitTarget, grid: Grid1D,
     """
     config = config or InversionConfig()
     target = data if isinstance(data, FitTarget) else data_fitting_Q(data, config)
-    m = target.m
-    fam = config.family(m)
-    l_star = target.vector(config.parametrization)
     D = build_difference_1d(grid)
-    b = source_vector(grid).b
-    Dt = regularization_gradient(grid)
-
-    def eval_chain(r):
-        op = assemble_operator(ResistivityField(r, grid), D)
-        ctx = preconditioner_chain(op, b, fam)
-        if config.parametrization == "cfrac":
-            return ctx.log_vector(), ctx
-        return np.concatenate([ctx.pr.theta, ctx.pr.c]), ctx
-
-    def jac(ctx):
-        return assemble_jacobian(ctx, target=config.parametrization)
-
-    r, hist = _gn_loop(eval_chain, jac, grid.n_points, l_star, config, Dt,
-                       r_true=r_true)
-    hist.m = m
+    r, hist = _gn_loop(lambda r: assemble_operator(ResistivityField(r, grid), D),
+                       [source_vector(grid).b], config.family(target.m),
+                       target.vector(config.parametrization), config,
+                       regularization_gradient(grid), r_true=r_true)
+    hist.m = target.m
     return ResistivityField(r, grid), hist
 
 
@@ -546,25 +564,8 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
     fam = config.family(m) if config.family_kind == "single-node" else \
         node_family("single-node", m, s_hat=config.s_hat)
     l_star = np.concatenate([t.vector(config.parametrization) for t in targets])
-
-    Dt = regularization_gradient(grid)
-
-    def eval_chain(r):
-        op = assemble_operator_2d(ResistivityField(r, grid), grid)
-        solver = shifted_solver(op.A)
-        ctxs = [preconditioner_chain(op, b, fam, source_index=j, solver=solver)
-                for j, b in enumerate(sources)]
-        if config.parametrization == "cfrac":
-            vecs = [c.log_vector() for c in ctxs]
-        else:
-            vecs = [np.concatenate([c.pr.theta, c.pr.c]) for c in ctxs]
-        return np.concatenate(vecs), ctxs
-
-    def jac(ctxs):
-        return np.vstack([assemble_jacobian(c, target=config.parametrization)
-                          for c in ctxs])
-
-    r, hist = _gn_loop(eval_chain, jac, grid.n_cells, l_star, config, Dt,
+    r, hist = _gn_loop(lambda r: assemble_operator_2d(ResistivityField(r, grid), grid),
+                       sources, fam, l_star, config, regularization_gradient(grid),
                        r_true=r_true)
     hist.m = m
     return ResistivityField(r, grid), hist

@@ -77,17 +77,6 @@ class ReducedModel:
     def m(self) -> int:
         return self.b_m.size
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps({
-            "A_m": [list(map(float, row)) for row in self.A_m],
-            "b_m": list(map(float, self.b_m)),
-            "node_family": {"label": self.family.label,
-                            "nodes": list(map(float, self.family.nodes)),
-                            "multiplicities": list(map(int, self.family.multiplicities))},
-        }, indent=2, sort_keys=True)
-
 
 def snapshot_columns(solver: shifted_solver, b: np.ndarray, family: NodeFamily) -> np.ndarray:
     """Snapshot matrix with columns (s_j I - A)^{-k} b, k = 1..M_j."""
@@ -114,8 +103,12 @@ def _gram_schmidt_step(V: np.ndarray, j: int, u: np.ndarray):
     return coeffs
 
 
-def _orthonormalize_mgs(K: np.ndarray, floor: float = 1e-13):
-    """Gram-Schmidt with one re-pass; returns (V, U) with positive diag(U)."""
+def _orthonormalize_mgs(K: np.ndarray):
+    """Gram-Schmidt with one re-pass; returns (V, U) with positive diag(U).
+
+    A column left with less than 1e-13 of its norm after orthogonalization
+    lies in the span of the previous ones and raises BasisCollapseError.
+    """
     n, m = K.shape
     V = np.zeros((n, m))
     U = np.zeros((m, m))
@@ -124,7 +117,7 @@ def _orthonormalize_mgs(K: np.ndarray, floor: float = 1e-13):
         nrm0 = np.linalg.norm(u)
         U[:j, j] = _gram_schmidt_step(V, j, u)
         nb = np.linalg.norm(u)
-        if nb <= floor * nrm0:
+        if nb <= 1e-13 * nrm0:
             raise BasisCollapseError(
                 f"snapshot column {j + 1} lies in the span of the previous ones; "
                 "reduce the model size m")

@@ -10,10 +10,7 @@ the identity.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +27,6 @@ __all__ = [
     "check_interlacing",
     "ratio_reconstruction",
 ]
-
-_memo: dict[str, "OptimalGrid"] = {}
 
 
 @dataclass(frozen=True)
@@ -79,54 +74,24 @@ class RatioReconstruction:
         return "\n".join(lines) + "\n"
 
 
-def _cache_key(family: NodeFamily, n_fine: int) -> str:
-    payload = json.dumps({
-        "label": family.label,
-        "nodes": [round(float(s), 12) for s in family.nodes],
-        "mult": [int(q) for q in family.multiplicities],
-        "N": n_fine,
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-
-def reference_grid(m: int, family: NodeFamily | str = "zolotarev", n_fine: int = 1999,
-                   cache_dir: str | Path | None = None) -> OptimalGrid:
+def reference_grid(m: int, family: NodeFamily | str = "zolotarev",
+                   n_fine: int = 1999) -> OptimalGrid:
     """Staggered grid from the constant unit medium.
 
-    Results are memoized per (family, N); with ``cache_dir`` they are also
-    persisted as JSON keyed by a content hash of the configuration.
+    Runs the stable chain of ``family`` (a NodeFamily of size m, or a
+    preset name) once on the unit field of ``n_fine`` points and takes the
+    primary/dual nodes as the partial sums of its kappa/kappahat.  Nothing
+    is cached: one call costs a few milliseconds at N = 1999.
     """
     if isinstance(family, str):
         family = node_family(family, m)
     if family.m != m:
         raise AdmissibilityError(f"family size {family.m} != m = {m}")
-    key = _cache_key(family, n_fine)
-    if key in _memo:
-        return _memo[key]
-    path = Path(cache_dir) / f"refgrid_{key}.json" if cache_dir else None
-    if path is not None and path.exists():
-        d = json.loads(path.read_text())
-        grid = OptimalGrid(x=np.array(d["x"]), x_hat=np.array(d["x_hat"]),
-                           kappa0=np.array(d["kappa0"]),
-                           kappa_hat0=np.array(d["kappa_hat0"]),
-                           family_label=family.label, n_fine=n_fine)
-        _memo[key] = grid
-        return grid
-
     field = ResistivityField(np.ones(n_fine), Grid1D(n_fine))
-    vec, ctx = preconditioner_R(field, family, return_context=True)
-    k0 = ctx.cf.kappa
-    kh0 = ctx.cf.kappa_hat
-    grid = OptimalGrid(x=np.cumsum(k0), x_hat=np.cumsum(kh0), kappa0=k0,
+    _, ctx = preconditioner_R(field, family, return_context=True)
+    k0, kh0 = ctx.cf.kappa, ctx.cf.kappa_hat
+    return OptimalGrid(x=np.cumsum(k0), x_hat=np.cumsum(kh0), kappa0=k0,
                        kappa_hat0=kh0, family_label=family.label, n_fine=n_fine)
-    _memo[key] = grid
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({
-            "x": list(map(float, grid.x)), "x_hat": list(map(float, grid.x_hat)),
-            "kappa0": list(map(float, k0)), "kappa_hat0": list(map(float, kh0)),
-        }, indent=2, sort_keys=True))
-    return grid
 
 
 def check_interlacing(grid: OptimalGrid) -> tuple[bool, int]:

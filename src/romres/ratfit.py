@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,14 +83,16 @@ def nodes_geometric(m: int, s1: float, ratio: float, label: str = "geometric") -
     return NodeFamily(nodes, np.ones(m, dtype=int), label)
 
 
-def node_family(kind: str, m: int, s_hat: float = 60.0, fast_power: int = 3) -> NodeFamily:
-    """Preset families.
+def node_family(kind: str, m: int, s_hat: float = 60.0) -> NodeFamily:
+    """Preset families of size m.
 
     zolotarev   geometric ladder s1=2, ratio 1+12/m, a near-optimal spread
                 for rational approximation on a positive real interval
-    fast        same ladder with the ratio raised to ``fast_power``
+    fast        same ladder with the ratio cubed: nodes that grow too fast
+                and cluster the staggered grid at the measurement point
     pade0       single node at s = 0 with multiplicity m
-    single-node single node at ``s_hat`` with multiplicity m
+    single-node single node at ``s_hat`` with multiplicity m (the 2D
+                inversion's family; the other kinds ignore ``s_hat``)
     """
     if m < 1:
         raise RomresError("m must be at least 1")
@@ -101,7 +103,7 @@ def node_family(kind: str, m: int, s_hat: float = 60.0, fast_power: int = 3) -> 
     if kind == "fast":
         if m == 1:
             return NodeFamily(np.array([2.0]), np.array([1]), "fast")
-        return nodes_geometric(m, 2.0, (1.0 + 12.0 / m) ** fast_power, "fast")
+        return nodes_geometric(m, 2.0, (1.0 + 12.0 / m) ** 3, "fast")
     if kind == "pade0":
         return NodeFamily(np.array([0.0]), np.array([m]), "pade0")
     if kind == "single-node":
@@ -145,13 +147,6 @@ class RationalModel:
         num = np.polyval(self.numerator[::-1], sig)
         den = np.polyval(self.denominator[::-1], sig)
         return num / den
-
-    def coefficients_unscaled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients in the raw variable s (only valid when shift = 0)."""
-        if self.shift != 0.0:
-            raise RomresError("unscaled coefficients undefined for shifted fits")
-        powers = self.scale ** -np.arange(self.denominator.size)
-        return self.numerator * powers[:-1], self.denominator * powers
 
     def to_json(self) -> str:
         f, g = (self.numerator, self.denominator)

@@ -55,6 +55,18 @@ def test_response_positive_decreasing(small_system):
     assert np.all(np.diff(y.samples) < 0)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+def test_time_series_rejects_bad_step(step):
+    with pytest.raises(RomresError, match="time step"):
+        forward.TimeSeries(np.ones(4), step)
+
+
+@pytest.mark.parametrize("level", [-1e-3, np.nan, np.inf])
+def test_noise_model_rejects_bad_level(level):
+    with pytest.raises(RomresError, match="noise level"):
+        NoiseModel(level)
+
+
 def test_noise_zero_level_bitwise(small_system):
     grid, field, op, b = small_system
     y = simulate_response(op.A, b, T=1.0, h_T=1e-2)

@@ -39,6 +39,10 @@ def test_relative_error_basics():
     assert relative_error(2 * r, r) == pytest.approx(1.0)
     with pytest.raises(RomresError):
         relative_error(np.ones(3), np.ones(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RomresError, match="zero reference"):
+            relative_error(r, np.zeros(2))
 
 
 def test_gauss_newton_fixed_point(small_system):
@@ -326,13 +330,27 @@ def test_data_fitting_reduces_m_after_fit_failure(monkeypatch):
     assert np.array_equal(derivs, [laplace_derivative(y, s) for s in nodes])
 
 
+@pytest.mark.parametrize("m0", [0, -1])
+def test_model_size_must_be_positive(m0):
+    # an input error, not a verdict on the data
+    with pytest.raises(RomresError, match="m0 must be at least 1") as err:
+        InversionConfig(m0=m0)
+    assert not isinstance(err.value, DataUnusableError)
+    tau = np.array([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0, -1.0 / 81.0])
+    with pytest.raises(RomresError, match="m0 must be at least 1") as err:
+        data_fitting_moments(tau, 2.0, InversionConfig(m0=2), m0=m0)
+    assert not isinstance(err.value, DataUnusableError)
+
+
 def test_data_fitting_moments_reduction():
     # moments of an m=1 function at a shifted node: requested m=2 collapses
     tau = np.array([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0, -1.0 / 81.0])  # 1/(s+1) at s=2
     cfg = InversionConfig(m0=2)
     target = data_fitting_moments(tau, 2.0, cfg)
-    assert target.m == 1
+    assert target.m == 1 and target.attempts == (2,)
     assert target.spectral[0] == pytest.approx(1.0, rel=1e-8)
+    # an explicit m0 overrides config.m0
+    assert data_fitting_moments(tau, 2.0, cfg, m0=1).attempts == (1,)
 
 
 def test_invert_1d_noiseless_quick():

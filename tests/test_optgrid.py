@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from romres.cfrac import ContinuedFraction
 from romres.grids import Grid1D, ResistivityField
 from romres.krylov import preconditioner_R
 from romres.optgrid import (OptimalGrid, check_interlacing, ratio_reconstruction,
@@ -69,19 +67,6 @@ def test_ratio_tracks_smooth_phantom():
 
     truth = phantom_function_1d("rQ")(ref.x_hat)
     assert np.max(np.abs(rec.zeta_tilde - truth) / truth) < 0.1
-
-
-def test_cache_memo_and_disk(tmp_path):
-    g1 = reference_grid(3, "zolotarev", n_fine=199, cache_dir=tmp_path)
-    files = list(tmp_path.glob("refgrid_*.json"))
-    assert len(files) == 1
-    # force a fresh read through the disk cache
-    import romres.optgrid as og
-
-    og._memo.clear()
-    g2 = reference_grid(3, "zolotarev", n_fine=199, cache_dir=tmp_path)
-    assert np.array_equal(g1.x, g2.x)
-    assert np.array_equal(g1.kappa_hat0, g2.kappa_hat0)
 
 
 def test_csv_exports():
