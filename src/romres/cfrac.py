@@ -13,7 +13,6 @@ iteration followed by a short recursion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,11 +89,6 @@ class ContinuedFraction:
         """Fixed wire ordering: (log kappa_1..m, log kappahat_1..m)."""
         self.require_admissible()
         return np.concatenate([np.log(self.kappa), np.log(self.kappa_hat)])
-
-    def to_json(self) -> str:
-        return json.dumps({"kappa": list(map(float, self.kappa)),
-                           "kappa_hat": list(map(float, self.kappa_hat))},
-                          indent=2, sort_keys=True)
 
 
 def lanczos_tridiag(E: np.ndarray, eta: np.ndarray) -> tuple[Tridiagonal, np.ndarray]:

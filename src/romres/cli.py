@@ -49,23 +49,16 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def _build_config(scenario: str, args: argparse.Namespace) -> ExperimentConfig:
+    # each flag's dest is the ExperimentConfig field of the same name;
+    # --no-nullspace is the one inverted flag
     values = {"scenario": scenario}
-    mapping = {
-        "phantom": "phantom", "n_fine": "n_fine", "n_coarse": "n_coarse",
-        "fine_shape": "fine_shape", "coarse_shape": "coarse_shape",
-        "T": "T", "h_T": "h_T", "epsilon": "epsilon", "seed": "seed",
-        "m0": "m0", "family": "family", "s_hat": "s_hat", "n_gn": "n_gn",
-        "n_sources": "n_sources", "weights": "weights",
-        "parametrization": "parametrization", "save_models": "save_models",
-        "outdir": "outdir",
-    }
-    for attr, key in mapping.items():
-        v = getattr(args, attr, None)
+    for f in fields(ExperimentConfig):
+        v = getattr(args, f.name, None)
         if v is not None and v is not False:
-            values[key] = tuple(v) if isinstance(v, list) else v
-    if getattr(args, "no_nullspace", False):
+            values[f.name] = tuple(v) if isinstance(v, list) else v
+    if args.no_nullspace:
         values["nullspace_correction"] = False
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             file_conf = json.load(fh)
         known = {f.name for f in fields(ExperimentConfig)}

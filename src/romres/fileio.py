@@ -1,7 +1,8 @@
-"""Deterministic file output: CSV tables, PGM heatmaps, JSON manifests.
+"""Deterministic file output: CSV tables, PGM heatmaps, JSON files.
 
-All writers use repr() for floats (shortest round-trip form), '.' decimals
-and '\\n' line endings so that reruns with identical inputs produce
+The only module that turns values into artifact text.  All writers use
+repr() of Python floats (shortest round-trip form), '.' decimals and
+'\\n' line endings so that reruns with identical inputs produce
 bit-identical files.
 """
 
@@ -17,8 +18,8 @@ import numpy as np
 from .errors import RomresError
 from .grids import Grid2D
 
-__all__ = ["write_csv", "render_heatmap", "write_pgm", "write_manifest",
-           "config_hash"]
+__all__ = ["write_csv", "render_heatmap", "write_pgm", "write_json",
+           "write_manifest", "config_hash"]
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> Path:
@@ -67,6 +68,14 @@ def write_pgm(path: str | Path, values: np.ndarray, grid: Grid2D) -> Path:
     return path
 
 
+def write_json(path: str | Path, payload: dict) -> Path:
+    """Write ``payload`` as JSON: indent 2, sorted keys, trailing newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -75,15 +84,11 @@ def write_manifest(path: str | Path, config: dict, outputs: list[str],
                    wall_time: float) -> Path:
     from . import __version__
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
+    return write_json(path, {
         "config": config,
         "config_hash": config_hash(config),
         "outputs": sorted(outputs),
         "version": __version__,
         "wall_time_s": wall_time,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    })

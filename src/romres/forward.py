@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +55,6 @@ class TimeSeries:
 
     def times(self) -> np.ndarray:
         return self.step * np.arange(1, self.n_samples + 1)
-
-    def metadata_json(self, epsilon: float = 0.0, seed: int | None = None) -> str:
-        d = {"T": self.horizon, "h_T": self.step, "epsilon": epsilon, "seed": seed}
-        return json.dumps(d, indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)

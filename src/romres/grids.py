@@ -14,7 +14,6 @@ chains stay short sums of rank-one terms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,29 +137,6 @@ class Grid2D:
         xc, yc = np.meshgrid(xs, ys)
         return xc.ravel(), yc.ravel()
 
-    def to_json(self) -> str:
-        d = {
-            "nx": self.nx,
-            "ny": self.ny,
-            "Lx": self.Lx,
-            "Ly": self.Ly,
-            "accessible": list(self.accessible),
-            "segments": [[s.lo, s.hi] for s in self.segments],
-        }
-        return json.dumps(d, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Grid2D":
-        d = json.loads(text)
-        return Grid2D(
-            nx=int(d["nx"]),
-            ny=int(d["ny"]),
-            Lx=float(d["Lx"]),
-            Ly=float(d["Ly"]),
-            accessible=tuple(d.get("accessible", (1.0, 2.0))),
-            segments=tuple(BoundarySegment(*p) for p in d.get("segments", [])),
-        )
-
 
 @dataclass(frozen=True)
 class ResistivityField:
@@ -178,14 +154,6 @@ class ResistivityField:
         if not np.all(v > 0):
             raise PositivityError("resistivity must be strictly positive")
 
-    def to_csv(self) -> str:
-        return "\n".join(repr(float(x)) for x in self.values) + "\n"
-
-    @staticmethod
-    def from_csv(text: str, grid) -> "ResistivityField":
-        vals = np.array([float(line) for line in text.split() if line.strip()])
-        return ResistivityField(vals, grid)
-
 
 @dataclass(frozen=True)
 class SystemOperator:
@@ -198,14 +166,6 @@ class SystemOperator:
     A: sp.csr_matrix
     D: sp.csr_matrix
     averaging: sp.csr_matrix
-
-    @property
-    def n_state(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_edges(self) -> int:
-        return self.D.shape[0]
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,8 @@ def data_fitting_moments(moments: np.ndarray, s_hat: float,
     tau_all = np.asarray(moments, dtype=float)
     if tau_all.size < 2 * m:
         raise RomresError("not enough moments for the requested m")
+    if not np.all(np.isfinite(tau_all)):
+        raise RomresError("moments must be finite")
 
     def fit_at(m):
         tau = tau_all[: 2 * m]
@@ -401,13 +403,6 @@ class InversionHistory:
     notes: list[str] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
 
-    def to_csv(self) -> str:
-        lines = ["iteration,residual,error"]
-        for i, p in enumerate(self.iterations):
-            err = self.error[i] if i < len(self.error) else float("nan")
-            lines.append(f"{p},{self.residual[i]!r},{err!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionConfig,
              Dt, r_true=None):
@@ -542,8 +537,8 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
 
     if isinstance(data, np.ndarray):
         tau = np.asarray(data, dtype=float)
-        if tau.ndim != 2 or tau.shape[0] != n_d:
-            raise RomresError("moment array must be (n_sources, 2*m0)")
+        if tau.ndim != 2 or tau.shape[0] != n_d or tau.shape[1] < 2:
+            raise RomresError("moment array must be (n_sources, 2*m0), m0 >= 1")
     else:
         if len(data) != n_d:
             raise RomresError(f"{len(data)} time series for {n_d} boundary segments; "

@@ -44,13 +44,6 @@ class OptimalGrid:
     def m(self) -> int:
         return self.x.size
 
-    def to_csv(self) -> str:
-        lines = ["node_primary,node_dual,kappa0,kappa_hat0"]
-        for j in range(self.m):
-            lines.append(f"{self.x[j]!r},{self.x_hat[j]!r},"
-                         f"{self.kappa0[j]!r},{self.kappa_hat0[j]!r}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class RatioReconstruction:
@@ -65,13 +58,6 @@ class RatioReconstruction:
     zeta_hat: np.ndarray
     zeta_tilde: np.ndarray
     grid: OptimalGrid
-
-    def to_csv(self) -> str:
-        lines = ["node_primary,node_dual,zeta,zeta_hat,zeta_tilde"]
-        for j in range(self.grid.m):
-            lines.append(f"{self.grid.x[j]!r},{self.grid.x_hat[j]!r},"
-                         f"{self.zeta[j]!r},{self.zeta_hat[j]!r},{self.zeta_tilde[j]!r}")
-        return "\n".join(lines) + "\n"
 
 
 def reference_grid(m: int, family: NodeFamily | str = "zolotarev",

@@ -9,7 +9,6 @@ residues, the partial-fraction form of the reduced transfer function.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -63,10 +62,6 @@ class NodeFamily:
     @property
     def m(self) -> int:
         return int(self.multiplicities.sum())
-
-    @property
-    def single_node(self) -> bool:
-        return self.nodes.size == 1
 
     @property
     def confluent(self) -> bool:
@@ -148,13 +143,6 @@ class RationalModel:
         den = np.polyval(self.denominator[::-1], sig)
         return num / den
 
-    def to_json(self) -> str:
-        f, g = (self.numerator, self.denominator)
-        return json.dumps(
-            {"f": list(map(float, f)), "g": list(map(float, g)),
-             "scale": self.scale, "shift": self.shift},
-            indent=2, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class PoleResidue:
@@ -182,10 +170,6 @@ class PoleResidue:
     def derivative(self, s):
         s = np.asarray(s, dtype=float)
         return -(self.c / (s[..., None] + self.theta) ** 2).sum(axis=-1)
-
-    def to_json(self) -> str:
-        return json.dumps({"theta": list(map(float, self.theta)),
-                           "c": list(map(float, self.c))}, indent=2, sort_keys=True)
 
 
 def fit_multipoint(values, derivatives, family: NodeFamily) -> RationalModel:

@@ -8,7 +8,6 @@ bit-stable across reruns with the same configuration.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import RomresError
-from .fileio import write_csv, write_manifest, write_pgm
+from .fileio import write_csv, write_json, write_manifest, write_pgm
 from .forward import NoiseModel, add_noise, simulate_response
 from .grids import (Grid1D, Grid2D, ResistivityField, assemble_operator,
                     assemble_operator_2d, build_difference_1d, source_vector,
@@ -63,6 +62,7 @@ class ExperimentConfig:
             raise RomresError("fine and coarse grids must differ (inverse crime)")
         if tuple(self.fine_shape) == tuple(self.coarse_shape):
             raise RomresError("fine and coarse grids must differ (inverse crime)")
+        NoiseModel(self.epsilon)  # rejects a nonfinite or negative level
 
     def inversion_config(self) -> InversionConfig:
         return InversionConfig(m0=self.m0, family_kind=self.family,
@@ -92,11 +92,11 @@ def _scenario_synthesize(cfg: ExperimentConfig, outdir: Path):
     # pathway always consumes the full-resolution samples in memory
     stride = max(1, d.n_samples // 100000)
     t = d.step * np.arange(1, d.n_samples + 1, stride)
-    path = write_csv(outdir / "timeseries.csv", ["t", "value"],
-                     zip(t, d.samples[::stride]))
-    meta = outdir / "timeseries.json"
-    meta.write_text(d.metadata_json(epsilon=cfg.epsilon, seed=cfg.seed) + "\n")
-    return [path, meta]
+    return [write_csv(outdir / "timeseries.csv", ["t", "value"],
+                      zip(t, d.samples[::stride])),
+            write_json(outdir / "timeseries.json",
+                       {"T": d.horizon, "h_T": d.step, "epsilon": cfg.epsilon,
+                        "seed": cfg.seed})]
 
 
 def _scenario_table_ratcond(cfg: ExperimentConfig, outdir: Path):
@@ -122,10 +122,9 @@ def _scenario_fig_grids(cfg: ExperimentConfig, outdir: Path):
     for label in ("pade0", "zolotarev", "fast"):
         for m in (5, 10):
             g = reference_grid(m, label, n_fine=1999)
-            path = outdir / f"grid_{label}_m{m}.csv"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(g.to_csv())
-            out.append(path)
+            out.append(write_csv(outdir / f"grid_{label}_m{m}.csv",
+                                 ["node_primary", "node_dual", "kappa0", "kappa_hat0"],
+                                 zip(g.x, g.x_hat, g.kappa0, g.kappa_hat0)))
     return out
 
 
@@ -153,10 +152,24 @@ def _scenario_precond_action(cfg: ExperimentConfig, outdir: Path):
         vec, ctx = preconditioner_R(f, node_family("zolotarev", m),
                                     return_context=True)
         rec = ratio_reconstruction(ctx.cf, ref)
-        path = outdir / f"ratios_{name}.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(rec.to_csv())
-        out.append(path)
+        out.append(write_csv(outdir / f"ratios_{name}.csv",
+                             ["node_primary", "node_dual", "zeta", "zeta_hat",
+                              "zeta_tilde"],
+                             zip(ref.x, ref.x_hat, rec.zeta, rec.zeta_hat,
+                                 rec.zeta_tilde)))
+    return out
+
+
+def _write_inversion(cfg: ExperimentConfig, outdir: Path, hist, header, columns):
+    """history.csv, reconstruction.csv (``columns`` under ``header``) and,
+    with ``save_models``, one iterate_XX.json per history entry."""
+    out = [write_csv(outdir / "history.csv", ["iteration", "residual", "error"],
+                     zip(hist.iterations, hist.residual, hist.error)),
+           write_csv(outdir / "reconstruction.csv", header, zip(*columns))]
+    if cfg.save_models:
+        out += [write_json(outdir / f"iterate_{i:02d}.json",
+                           {"iteration": i, "r": r.tolist()})
+                for i, r in enumerate(hist.iterates)]
     return out
 
 
@@ -166,20 +179,8 @@ def _run_invert1d(cfg: ExperimentConfig, outdir: Path):
     grid = Grid1D(cfg.n_coarse)
     truth = phantom(cfg.phantom, grid)
     rec, hist = invert_1d(d, grid, icfg, r_true=truth.values)
-    out = []
-    hpath = outdir / "history.csv"
-    hpath.parent.mkdir(parents=True, exist_ok=True)
-    hpath.write_text(hist.to_csv())
-    out.append(hpath)
-    out.append(write_csv(outdir / "reconstruction.csv", ["x", "r_true", "r"],
-                         zip(grid.edge_midpoints, truth.values, rec.values)))
-    if cfg.save_models:
-        for i, it in enumerate(hist.iterates):
-            p = outdir / f"iterate_{i:02d}.json"
-            p.write_text(json.dumps({"iteration": i,
-                                     "r": list(map(float, it))}, indent=2) + "\n")
-            out.append(p)
-    return out
+    return _write_inversion(cfg, outdir, hist, ["x", "r_true", "r"],
+                            (grid.edge_midpoints, truth.values, rec.values))
 
 
 def _scenario_noise_ladder(cfg: ExperimentConfig, outdir: Path):
@@ -217,15 +218,8 @@ def _run_invert2d(cfg: ExperimentConfig, outdir: Path):
     tau = moments_from_operator(op_f, sources, cfg.s_hat, 2 * cfg.m0)
     truth_c = phantom(cfg.phantom, gc)
     rec, hist = invert_2d(tau, gc, icfg, r_true=truth_c.values)
-    out = []
-    hpath = outdir / "history.csv"
-    hpath.parent.mkdir(parents=True, exist_ok=True)
-    hpath.write_text(hist.to_csv())
-    out.append(hpath)
-    xc, yc = gc.cell_centers()
-    out.append(write_csv(outdir / "reconstruction.csv",
-                         ["x", "y", "r_true", "r"],
-                         zip(xc, yc, truth_c.values, rec.values)))
+    out = _write_inversion(cfg, outdir, hist, ["x", "y", "r_true", "r"],
+                           (*gc.cell_centers(), truth_c.values, rec.values))
     out.append(write_pgm(outdir / "reconstruction.pgm", rec.values, gc))
     out.append(write_pgm(outdir / "truth.pgm", truth_c.values, gc))
     return out

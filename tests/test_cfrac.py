@@ -124,12 +124,3 @@ def test_log_vector_ordering(rng):
     assert np.allclose(v[:3], np.log(cf.kappa))
     assert np.allclose(v[3:], np.log(cf.kappa_hat))
 
-
-def test_json_roundtrip(rng):
-    pr = random_admissible(rng, 3)
-    cf, _, _ = pole_residue_to_cfrac(pr)
-    import json
-
-    d = json.loads(cf.to_json())
-    assert np.allclose(d["kappa"], cf.kappa)
-    assert np.allclose(d["kappa_hat"], cf.kappa_hat)

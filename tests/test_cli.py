@@ -71,3 +71,38 @@ def test_rerun_bitwise_identical(tmp_path):
     first = (tmp_path / "synthesize" / "timeseries.csv").read_bytes()
     run_scenario(cfg)
     assert (tmp_path / "synthesize" / "timeseries.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1e-3"])
+def test_bad_epsilon_rejected(tmp_path, eps):
+    # a nonfinite level used to skip the noise and write noiseless data
+    assert main(["synthesize", f"--epsilon={eps}", "--outdir", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_scenario_artifacts(tmp_path):
+    small = dict(n_fine=149, n_coarse=99, T=50.0, h_T=1e-4, m0=3, n_gn=1,
+                 fine_shape=(24, 8), coarse_shape=(18, 6), n_sources=2,
+                 save_models=True, outdir=str(tmp_path))
+    headers = {
+        "fig-grids/grid_zolotarev_m5.csv": "node_primary,node_dual,kappa0,kappa_hat0",
+        "precond-action/ratios_rQ.csv": "node_primary,node_dual,zeta,zeta_hat,zeta_tilde",
+        "invert1d/history.csv": "iteration,residual,error",
+        "2d-tilted/history.csv": "iteration,residual,error",
+    }
+    outputs = []
+    for name in ("fig-grids", "precond-action", "invert1d", "2d-tilted"):
+        outputs += run_scenario(ExperimentConfig(scenario=name, **small))
+    for rel, header in headers.items():
+        assert (tmp_path / rel).read_text().splitlines()[0] == header
+    csvs = [p for p in outputs if p.suffix == ".csv"]
+    assert len(csvs) == 6 + 4 + 2 + 2
+    for p in csvs:
+        for line in p.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                float(cell)  # a bare number, never np.float64(...)
+    for scenario in ("invert1d", "2d-tilted"):
+        n_hist = len((tmp_path / scenario / "history.csv").read_text().splitlines()) - 1
+        iterates = sorted((tmp_path / scenario).glob("iterate_*.json"))
+        assert [p.name for p in iterates] == [f"iterate_{i:02d}.json" for i in range(n_hist)]
+        assert json.loads(iterates[-1].read_text())["iteration"] == n_hist - 1

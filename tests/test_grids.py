@@ -267,15 +267,3 @@ def test_2d_source_normalization_cross_grid():
         vals.append(transfer_eval(op.A, b, s=40.0)[0])
     assert vals[0] == pytest.approx(vals[1], rel=0.1)
 
-
-def test_field_csv_roundtrip(rng):
-    g = Grid1D(7)
-    f = ResistivityField(1.0 + rng.random(7), g)
-    f2 = ResistivityField.from_csv(f.to_csv(), g)
-    assert np.array_equal(f.values, f2.values)
-
-
-def test_grid2d_json_roundtrip():
-    g = Grid2D(nx=12, ny=4, segments=(BoundarySegment(1.1, 1.2),))
-    g2 = Grid2D.from_json(g.to_json())
-    assert g2 == g

@@ -37,13 +37,13 @@ def _forward_mode_reference(ctx, lo=0, hi=None):
     dV has shape (m, n_state, hi - lo).  Reference for the adjoint sweep."""
     op = ctx.operator
     K, V, U = ctx.basis.K, ctx.basis.V, ctx.basis.U
-    hi = op.n_edges if hi is None else hi
+    hi = op.D.shape[0] if hi is None else hi
     sequential = ctx.basis.generation == "sequential"
     AV = op.A @ V
     DV = np.asarray(op.D @ V)[lo:hi]
     DK = np.asarray(op.D @ K)[lo:hi]
     Dt = op.D.T.tocsc()[:, lo:hi].toarray()
-    dV = np.zeros((ctx.m, op.n_state, hi - lo))
+    dV = np.zeros((ctx.m, op.A.shape[0], hi - lo))
     col = 0
     for s, mult in zip(ctx.family.nodes, ctx.family.multiplicities):
         gd = ctx.solver.solve(s, Dt)
@@ -279,7 +279,7 @@ def test_jacobian_cost_structure(monkeypatch, rng):
     for ctx in contexts:
         calls.clear()
         assemble_jacobian(ctx)
-        assert calls == [(ctx.operator.n_state, 2 * ctx.m)] * ctx.m
+        assert calls == [(ctx.operator.A.shape[0], 2 * ctx.m)] * ctx.m
 
 
 def test_auto_fallback_to_sequential_fd(rng):

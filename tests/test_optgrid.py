@@ -68,14 +68,3 @@ def test_ratio_tracks_smooth_phantom():
     truth = phantom_function_1d("rQ")(ref.x_hat)
     assert np.max(np.abs(rec.zeta_tilde - truth) / truth) < 0.1
 
-
-def test_csv_exports():
-    g = reference_grid(3, "zolotarev", n_fine=199)
-    txt = g.to_csv()
-    assert txt.splitlines()[0] == "node_primary,node_dual,kappa0,kappa_hat0"
-    f = ResistivityField(np.ones(199), Grid1D(199))
-    vec, ctx = preconditioner_R(f, node_family("zolotarev", 3),
-                                return_context=True)
-    rec = ratio_reconstruction(ctx.cf, g)
-    assert rec.to_csv().splitlines()[0] == \
-        "node_primary,node_dual,zeta,zeta_hat,zeta_tilde"

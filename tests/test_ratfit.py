@@ -27,7 +27,7 @@ def test_fast_dominates_zolotarev():
 
 def test_pade0_family():
     fam = node_family("pade0", 4)
-    assert fam.single_node and fam.confluent
+    assert fam.nodes.size == 1 and fam.confluent
     assert fam.m == 4
     assert fam.nodes[0] == 0.0
 
@@ -155,11 +155,3 @@ def test_noisy_fit_raises_validity_error():
             raised += 1
     assert raised >= 3
 
-
-def test_serialization():
-    pr = PoleResidue(np.array([1.0, 2.0]), np.array([0.5, 0.25]))
-    assert '"theta"' in pr.to_json()
-    fam = node_family("zolotarev", 2)
-    model = fit_multipoint(pr(fam.nodes), pr.derivative(fam.nodes), fam)
-    txt = model.to_json()
-    assert '"f"' in txt and '"g"' in txt and '"scale"' in txt
