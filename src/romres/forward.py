@@ -74,8 +74,14 @@ def _as_dense(A):
 
 
 def spectral_weights(A, b) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of A and weights (b^T q_i)^2 for the symmetrized response."""
+    """Eigenvalues of A and weights (b^T q_i)^2 for the symmetrized response.
+
+    A must be exactly symmetric, as every assembled operator is: ``eigh``
+    would otherwise read only its lower triangle.
+    """
     Ad = _as_dense(A)
+    if not np.array_equal(Ad, Ad.T):
+        raise RomresError("A must be a symmetric matrix")
     lam, Q = sla.eigh(Ad)
     w = (Q.T @ b) ** 2
     return lam, w

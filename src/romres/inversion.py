@@ -34,6 +34,7 @@ from .laplace import laplace_derivative, laplace_moments, laplace_transform
 from .ratfit import (NodeFamily, fit_multipoint, fit_pade_toeplitz, node_family,
                      to_pole_residue)
 from .cfrac import pole_residue_to_cfrac
+from ._blas import single_thread
 
 __all__ = [
     "InversionConfig",
@@ -120,11 +121,10 @@ _STAGNATION_RTOL = 1e-8
 # 20) to a vector within 2.1e-17 of the default's
 _LANCZOS_NCV = 6
 
-# right-hand sides per SuperLU solve of the capacitance columns: SuperLU
-# hands each supernode's block of right-hand sides to BLAS, which threads
-# wide blocks.  Blocks of 8 stay on one thread; on a 2-core machine
-# invert2d's 80 columns took a steady 7-11 ms that way, against 10-120 ms
-# in one threaded solve.
+# right-hand sides per SuperLU solve of the capacitance columns G = L_g^-1 J^T.
+# On one BLAS thread, invert2d's 80 columns took a median 10.7 ms in blocks of
+# 8 against 11.6 ms in one solve on the grounded Laplacian, and 46 against
+# 49 ms on the grounded edge system (2-core machine, 45 interleaved runs)
 _SOLVE_COLUMNS = 8
 
 
@@ -210,8 +210,11 @@ def gauss_newton_step(r: np.ndarray, J: np.ndarray, residual: np.ndarray,
 
     rho = -J^+ residual; alpha is halved (at most ``max_halvings`` times)
     until r + alpha*rho stays strictly positive.  ``J_pinv`` is J^+ if the
-    caller already has it.
+    caller already has it.  A non-finite residual or J raises
+    ``RomresError``.
     """
+    if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(J))):
+        raise RomresError("residual and Jacobian must be finite")
     if J_pinv is None:
         J_pinv = np.linalg.pinv(J, rcond=_PINV_RCOND)
     rho = -J_pinv @ residual
@@ -230,15 +233,29 @@ def adaptive_weights(Dt: sp.spmatrix, r: np.ndarray, phi: float) -> np.ndarray:
     return 1.0 / (g ** 2 + phi ** 2)
 
 
-def _grounded_saddle_solver(J: np.ndarray, Dt: sp.spmatrix):
-    """M^-1 for identity weights: a grounded Laplacian factor plus a capacitance system."""
-    n, k = Dt.shape[1], J.shape[0]
-    L_g = (Dt.T @ Dt + sp.csc_matrix(([1.0], ([0], [0])), shape=(n, n))).tocsc()
+def _grounded_solver(Dt: sp.spmatrix, w: np.ndarray | None):
+    """L_g^-1 for the grounded seminorm operator L_g = Dt^T W Dt + e_0 e_0^T.
+
+    W = I (``w`` is None) factors L_g itself; other weights factor the
+    grounded edge system K_g = [[-W^-1, Dt], [Dt^T, e_0 e_0^T]], whose
+    trailing block of K_g^-1 [0; b] is L_g^-1 b.
+    """
+    e, n = Dt.shape
+    ground = sp.csc_matrix(([1.0], ([0], [0])), shape=(n, n))
     try:
-        lu = spla.splu(L_g, permc_spec="MMD_AT_PLUS_A")
+        if w is None:
+            return spla.splu((Dt.T @ Dt + ground).tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+        lu = spla.splu(sp.bmat([[-sp.diags(1.0 / w), Dt], [Dt.T, ground]], format="csc"))
     except RuntimeError as exc:
         raise RegularizationError(f"grounded Laplacian factorization failed: {exc}") from exc
-    G = np.hstack([lu.solve(J[i:i + _SOLVE_COLUMNS].T) for i in range(0, k, _SOLVE_COLUMNS)])
+    return lambda b: lu.solve(np.concatenate([np.zeros((e,) + b.shape[1:]), b]))[e:]
+
+
+def _saddle_solver(J: np.ndarray, Dt: sp.spmatrix, w: np.ndarray | None):
+    """M^-1: a grounded seminorm factor plus a dense capacitance system."""
+    n, k = Dt.shape[1], J.shape[0]
+    solve_g = _grounded_solver(Dt, w)
+    G = np.hstack([solve_g(J[i:i + _SOLVE_COLUMNS].T) for i in range(0, k, _SOLVE_COLUMNS)])
     J1 = J.sum(axis=1)
     C = np.zeros((k + 1, k + 1))
     C[:k, :k] = J @ G
@@ -250,25 +267,11 @@ def _grounded_saddle_solver(J: np.ndarray, Dt: sp.spmatrix):
 
     def solve(b):
         b1, b2 = b[:n], b[n:]
-        g1 = lu.solve(b1)
+        g1 = solve_g(b1)
         y = sla.lapack.dgetrs(lu_c, piv, np.append(J @ g1 - b2, b1.sum()))[0]
         return np.concatenate([g1 - G @ y[:k] - y[k], y[:k]])
 
     return solve
-
-
-def _augmented_saddle_solver(J: np.ndarray, Dt: sp.spmatrix, w: np.ndarray):
-    """M^-1 for general weights: one sparse LU of the augmented system K."""
-    e = Dt.shape[0]
-    Js = sp.csr_matrix(J)
-    K = sp.bmat([[-sp.diags(1.0 / w), Dt, None],
-                 [Dt.T, None, Js.T],
-                 [None, Js, None]], format="csc")
-    try:
-        lu = spla.splu(K)
-    except RuntimeError as exc:
-        raise RegularizationError(f"saddle-system factorization failed: {exc}") from exc
-    return lambda b: lu.solve(np.concatenate([np.zeros(e), b]))[e:]
 
 
 def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
@@ -286,43 +289,50 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
 
         M [rho; lam] = [0; J r_gn],   M = [[Dt^T W Dt, J^T], [J, 0]].
 
-    M is never formed.  Two solvers apply M^-1, each for a different
-    problem:
+    M is never formed, and J never enters a sparse factor.  M^-1 comes from
+    one factor of the grounded seminorm operator plus a dense capacitance
+    system.  Dt^T W Dt is singular only along the constants, because Dt's
+    edge graph is connected and 1^T Dt^T = 0; grounding one cell,
+    L_g = Dt^T W Dt + e_0 e_0^T, makes it nonsingular.  J's k rows enter
+    through the (k+1) x (k+1) matrix
 
-    - identity weights (``w`` is None): Dt^T Dt is the grid Laplacian,
-      singular only along the constants because Dt's edge graph is
-      connected.  Grounding one cell, L_g = Dt^T Dt + e_0 e_0^T, makes it
-      symmetric positive definite; it is factored once by SuperLU with a
-      symmetric minimum-degree ordering (``MMD_AT_PLUS_A``).  J's k dense
-      rows never enter a sparse factor, which keeps it small (90 x 30
-      cells, k = 80: 73.5k entries, against 1.36M for K below).  J enters
-      through the dense (k+1) x (k+1) capacitance matrix
+        C = [[J G, J 1], [(J 1)^T, 0]],   G = L_g^-1 J^T
 
-          C = [[J G, J 1], [(J 1)^T, 0]],   G = L_g^-1 J^T
+    (k right-hand sides on the one factor), and M^-1 [b1; b2] = [rho; lam]
+    with
 
-      (k right-hand sides on the one factor), and M^-1 [b1; b2] =
-      [rho; lam] with
+        g1 = L_g^-1 b1,   [lam; a] = C^-1 [J g1 - b2; 1^T b1],
+        rho = g1 - G lam - a 1.
 
-          g1 = L_g^-1 b1,   [lam; a] = C^-1 [J g1 - b2; 1^T b1],
-          rho = g1 - G lam - a 1.
+    The last row of C is 1^T of M's first block row, and it makes
+    a = -rho_0, which undoes the grounding.  L_g^-1 has one of two inner
+    factors, picked by whether weights are given:
 
-      The last row of C is 1^T of M's first block row (1^T Dt^T Dt = 0),
-      and it makes a = -rho_0, which undoes the grounding.
-    - general weights: one sparse LU factors the augmented system
+    - identity weights (``w`` is None): L_g = Dt^T Dt + e_0 e_0^T is the
+      symmetric positive definite grounded grid Laplacian, factored by
+      SuperLU with the symmetric minimum-degree ordering
+      (``MMD_AT_PLUS_A``); on 90 x 30 cells it holds 73.5k entries.
+    - given weights: SuperLU factors the grounded edge system
 
-          K = [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]
+          K_g = [[-W^-1, Dt], [Dt^T, e_0 e_0^T]]
 
-      (one leading row per seminorm edge), whose first block eliminates
-      to M, so K^-1 [0; b] restricted to the trailing blocks is M^-1 b.
-      The weights enter as -W^-1 on a diagonal of their own, not inside
-      Dt^T W Dt: adaptive weights span 10+ decades, and forming that
-      product adds entries so far apart that its LU loses the
-      small-weight edges to rounding, while the augmented form keeps
-      every edge on its own row (Bjorck 1996, section 2.5).
+      (e + n unknowns, one leading row per seminorm edge), whose first
+      block eliminates to L_g, so the trailing block of K_g^-1 [0; b] is
+      L_g^-1 b.  The weights enter as -W^-1 on a diagonal of their own,
+      not inside Dt^T W Dt: adaptive weights span 10+ decades, and forming
+      that product adds entries so far apart that its LU loses the
+      small-weight edges to rounding, while K_g keeps every edge on its
+      own row (Bjorck 1996, section 2.5).  K_g is indefinite, so its LU
+      pivots, and it keeps SuperLU's default column ordering (COLAMD):
+      pivoting undoes a symmetric ordering, and on invert2d's 90 x 30
+      cells ``MMD_AT_PLUS_A`` filled 5.5M entries in 3.8 s against 285k in
+      23 ms under COLAMD.  Putting J into the factor as well (the
+      augmented [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]) took 1.33M
+      entries.
 
-    A system with an exactly zero pivot (in L_g, C or K: for example a
-    zero row of J, or an edge graph that leaves a cell unconnected)
-    raises ``RegularizationError``.
+    A system with an exactly zero pivot (in L_g, K_g or C: for example an
+    edge graph that leaves a cell unconnected, or a zero row of J) raises
+    ``RegularizationError``.
 
     ``solver='nullspace'`` returns the exact constrained minimizer
     M^-1 [0; J r_gn].  ``solver='kkt'`` discards the eigenvector v of the
@@ -342,8 +352,7 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
     if solver not in ("kkt", "nullspace"):
         raise RomresError(f"unknown null-space solver {solver!r}")
     n, k = r_gn.size, J.shape[0]
-    solve = _grounded_saddle_solver(J, Dt) if w is None else \
-        _augmented_saddle_solver(J, Dt, w)
+    solve = _saddle_solver(J, Dt, w)
     rhs = np.concatenate([np.zeros(n), J @ r_gn])
     if solver == "nullspace":
         x = solve(rhs)
@@ -432,59 +441,64 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
         return np.vstack([assemble_jacobian(c, target=config.parametrization)
                           for c in ctxs])
 
-    r = np.ones(Dt.shape[1])
-    hist = InversionHistory()
-    prev_res = None
-    for p in range(1, config.n_gn + 1):
-        l_vec, ctxs = eval_chain(r)
-        residual = l_vec - l_star
-        res_norm = float(np.linalg.norm(residual))
-        hist.iterations.append(p)
-        hist.residual.append(res_norm)
+    # the loop's mid-size BLAS kernels (the SVD of J, SuperLU's supernodal
+    # solves, the Jacobian's products) ran slower on two OpenBLAS threads than
+    # on one on a 2-core machine, and one thread makes the loop's results
+    # independent of the thread setting
+    with single_thread():
+        r = np.ones(Dt.shape[1])
+        hist = InversionHistory()
+        prev_res = None
+        for p in range(1, config.n_gn + 1):
+            l_vec, ctxs = eval_chain(r)
+            residual = l_vec - l_star
+            res_norm = float(np.linalg.norm(residual))
+            hist.iterations.append(p)
+            hist.residual.append(res_norm)
+            if r_true is not None:
+                hist.error.append(relative_error(r, r_true))
+            if config.keep_iterates:
+                hist.iterates.append(r.copy())
+            if prev_res is not None and abs(prev_res - res_norm) <= \
+                    _STAGNATION_RTOL * max(prev_res, 1e-300):
+                hist.notes.append(f"stagnated at iteration {p}")
+                break
+            prev_res = res_norm
+            J = jac(ctxs)
+            # one SVD per iteration serves the step and the null(J) projection
+            J_pinv = np.linalg.pinv(J, rcond=_PINV_RCOND)
+            r_gn, _, a_used = gauss_newton_step(r, J, residual, J_pinv=J_pinv)
+            hist.step_length.append(a_used)
+            if not config.nullspace_correction:
+                r_next = r_gn
+            else:
+                if config.weights == "adaptive":
+                    m_eff = J.shape[0] // 2
+                    phi = 1.0 / (2.0 * m_eff ** 2) * res_norm
+                    w = adaptive_weights(Dt, r_gn, phi)
+                elif config.weights == "identity":
+                    w = None
+                else:
+                    raise RomresError(f"unknown weight mode {config.weights!r}")
+                try:
+                    r_next = regularize_nullspace(r_gn, J, Dt, w=w, J_pinv=J_pinv)
+                except RegularizationError as exc:
+                    hist.notes.append(f"null-space correction failed at iteration {p} "
+                                      f"({exc}); kept the plain update")
+                    r_next = r_gn
+                if not np.all(r_next > 0):
+                    hist.notes.append(f"null-space correction left positivity at "
+                                      f"iteration {p}; kept the plain update")
+                    r_next = r_gn
+            r = r_next
+        l_vec, _ = eval_chain(r)
+        hist.iterations.append(config.n_gn + 1)
+        hist.residual.append(float(np.linalg.norm(l_vec - l_star)))
         if r_true is not None:
             hist.error.append(relative_error(r, r_true))
         if config.keep_iterates:
             hist.iterates.append(r.copy())
-        if prev_res is not None and abs(prev_res - res_norm) <= \
-                _STAGNATION_RTOL * max(prev_res, 1e-300):
-            hist.notes.append(f"stagnated at iteration {p}")
-            break
-        prev_res = res_norm
-        J = jac(ctxs)
-        # one SVD per iteration serves the step and the null(J) projection
-        J_pinv = np.linalg.pinv(J, rcond=_PINV_RCOND)
-        r_gn, _, a_used = gauss_newton_step(r, J, residual, J_pinv=J_pinv)
-        hist.step_length.append(a_used)
-        if not config.nullspace_correction:
-            r_next = r_gn
-        else:
-            if config.weights == "adaptive":
-                m_eff = J.shape[0] // 2
-                phi = 1.0 / (2.0 * m_eff ** 2) * res_norm
-                w = adaptive_weights(Dt, r_gn, phi)
-            elif config.weights == "identity":
-                w = None
-            else:
-                raise RomresError(f"unknown weight mode {config.weights!r}")
-            try:
-                r_next = regularize_nullspace(r_gn, J, Dt, w=w, J_pinv=J_pinv)
-            except RegularizationError as exc:
-                hist.notes.append(f"null-space correction failed at iteration {p} "
-                                  f"({exc}); kept the plain update")
-                r_next = r_gn
-            if not np.all(r_next > 0):
-                hist.notes.append(f"null-space correction left positivity at "
-                                  f"iteration {p}; kept the plain update")
-                r_next = r_gn
-        r = r_next
-    l_vec, _ = eval_chain(r)
-    hist.iterations.append(config.n_gn + 1)
-    hist.residual.append(float(np.linalg.norm(l_vec - l_star)))
-    if r_true is not None:
-        hist.error.append(relative_error(r, r_true))
-    if config.keep_iterates:
-        hist.iterates.append(r.copy())
-    return r, hist
+        return r, hist
 
 
 def invert_1d(data: TimeSeries | FitTarget, grid: Grid1D,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RomresError
+from .errors import DataUnusableError, RomresError
 from .fileio import write_csv, write_json, write_manifest, write_pgm
 from .forward import NoiseModel, add_noise, simulate_response
 from .grids import (Grid1D, Grid2D, ResistivityField, assemble_operator,
@@ -185,15 +185,15 @@ def _run_invert1d(cfg: ExperimentConfig, outdir: Path):
 
 def _scenario_noise_ladder(cfg: ExperimentConfig, outdir: Path):
     rows = []
+    # every level perturbs the same noiseless series
+    y = synthesize_1d(replace(cfg, epsilon=0.0))
     for eps in (5e-2, 5e-3, 1e-4, 0.0):
-        base = replace(cfg, epsilon=eps)
-        y = synthesize_1d(replace(base, epsilon=0.0))
         for seed in range(10):
             d = add_noise(y, NoiseModel(eps, seed)) if eps > 0 else y
             try:
                 target = data_fitting_Q(d, cfg.inversion_config())
                 rows.append((eps, seed, target.m))
-            except RomresError:
+            except DataUnusableError:
                 rows.append((eps, seed, 0))
             if eps == 0.0:
                 break

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import romres.scenarios as scenarios
 from romres.cli import main
-from romres.errors import RomresError
+from romres.errors import DataUnusableError, RomresError
+from romres.forward import simulate_response
 from romres.scenarios import ExperimentConfig, run_scenario
 
 
@@ -106,3 +108,38 @@ def test_scenario_artifacts(tmp_path):
         iterates = sorted((tmp_path / scenario).glob("iterate_*.json"))
         assert [p.name for p in iterates] == [f"iterate_{i:02d}.json" for i in range(n_hist)]
         assert json.loads(iterates[-1].read_text())["iteration"] == n_hist - 1
+
+
+def _small_ladder(tmp_path):
+    return ExperimentConfig(scenario="noise-ladder", n_fine=99, n_coarse=79, T=10.0,
+                            h_T=1e-3, m0=3, outdir=str(tmp_path))
+
+
+def test_noise_ladder_synthesizes_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simulate_response(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "simulate_response", counting)
+    run_scenario(_small_ladder(tmp_path))
+    assert len(calls) == 1
+    rows = (tmp_path / "noise-ladder" / "noise_ladder.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3 * 10 + 1
+
+
+@pytest.mark.parametrize("error, terminal_m", [(DataUnusableError, "0"), (RomresError, None)])
+def test_noise_ladder_maps_only_unusable_data(tmp_path, monkeypatch, error, terminal_m):
+    # no admissible model is a ladder outcome (m = 0); any other error propagates
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(scenarios, "data_fitting_Q", failing)
+    if terminal_m is None:
+        with pytest.raises(RomresError, match="injected"):
+            run_scenario(_small_ladder(tmp_path))
+        return
+    run_scenario(_small_ladder(tmp_path))
+    rows = (tmp_path / "noise-ladder" / "noise_ladder.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[-1] for row in rows} == {terminal_m}

@@ -48,6 +48,16 @@ def test_sample_count():
     assert y.times()[0] == pytest.approx(1e-4)
 
 
+def test_simulate_response_rejects_nonsymmetric(small_system):
+    # eigh would read only the lower triangle and answer for another matrix
+    grid, field, op, b = small_system
+    A = op.A.tolil()
+    A[0, 1] *= 2.0
+    for bad in (A.tocsr(), A.toarray()):
+        with pytest.raises(RomresError, match="symmetric"):
+            simulate_response(bad, b, T=1.0, h_T=1e-2)
+
+
 def test_response_positive_decreasing(small_system):
     grid, field, op, b = small_system
     y = simulate_response(op.A, b, T=5.0, h_T=1e-3)

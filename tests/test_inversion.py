@@ -66,6 +66,19 @@ def test_gauss_newton_positivity_guard():
         gauss_newton_step(r, J, residual, max_halvings=2)
 
 
+@pytest.mark.parametrize("bad", ["residual", "J"])
+def test_gauss_newton_rejects_nonfinite(bad):
+    # a NaN used to pass through J^+ and exhaust the positivity halvings
+    J, residual = np.eye(2), np.array([0.1, 0.0])
+    if bad == "residual":
+        residual[1] = np.nan
+    else:
+        J[1, 0] = np.inf
+    with pytest.raises(RomresError, match="finite") as info:
+        gauss_newton_step(np.ones(2), J, residual)
+    assert not isinstance(info.value, StepFailureError)
+
+
 def test_nullspace_correction_preserves_residual(small_system, rng):
     grid, field, op, b = small_system
     fam = node_family("zolotarev", 3)
@@ -173,30 +186,33 @@ def test_singular_saddle_system_raises(small_system, rng):
     with warnings.catch_warnings():
         # no LinAlgWarning (or any other) may escape in place of the error
         warnings.simplefilter("error")
-        with pytest.raises(RegularizationError, match="capacitance"):
-            regularize_nullspace(field.values, J, Dt, w=None)
-        with pytest.raises(RegularizationError, match="saddle-system"):
-            regularize_nullspace(field.values, J, Dt, w=w)
+        for weights in (None, w):
+            with pytest.raises(RegularizationError, match="capacitance"):
+                regularize_nullspace(field.values, J, Dt, w=weights)
         # without the last edge the last cell is cut off from the grounded one
         J = rng.standard_normal((2, grid.n_points))
-        with pytest.raises(RegularizationError, match="grounded Laplacian"):
-            regularize_nullspace(field.values, J, Dt[:-1], w=None)
+        for weights in (None, w[:-1]):
+            with pytest.raises(RegularizationError, match="grounded Laplacian"):
+                regularize_nullspace(field.values, J, Dt[:-1], w=weights)
 
 
-def _augmented_identity_solver(J, Dt):
-    """M^-1 for W = I through one sparse LU of [[-I, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]."""
+def _augmented_saddle_solver(J, Dt, w):
+    """M^-1 through one sparse LU of [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]."""
     e = Dt.shape[0]
+    W_inv = sp.identity(e) if w is None else sp.diags(1.0 / w)
     Js = sp.csr_matrix(J)
-    K = sp.bmat([[-sp.identity(e), Dt, None], [Dt.T, None, Js.T], [None, Js, None]],
-                format="csc")
+    K = sp.bmat([[-W_inv, Dt, None], [Dt.T, None, Js.T], [None, Js, None]], format="csc")
     lu = spla.splu(K)
     return lambda b: lu.solve(np.concatenate([np.zeros(e), b]))[e:]
 
 
 def test_identity_correction_matches_augmented_lu(small_system, rng, monkeypatch):
-    # the grounded-Laplacian solver against the augmented LU it replaced for
-    # identity weights, on a 1D N = 40 zolotarev m = 3 context and a 2D 30x10
-    # two-source one; measured at most 2.9e-14 (1D) and 2.6e-12 (2D)
+    # the capacitance solver against the augmented LU that held J in its
+    # sparse factor, on a 1D N = 40 zolotarev m = 3 context and a 2D 30x10
+    # two-source one.  Identity weights: measured at most 2.9e-14 (1D) and
+    # 2.6e-12 (2D).  Adaptive weights (phi = 1e-3, 1e-1): measured at most
+    # 2.6e-15 (1D) and 1.3e-11 (2D), so their bound of 1e-9 leaves a margin
+    # of 77x
     grid, field, op, b = small_system
     _, ctx = preconditioner_R(field, node_family("zolotarev", 3), return_context=True)
     r_2d, J_2d, Dt_2d = _jacobian_2d(30, 10)
@@ -204,19 +220,21 @@ def test_identity_correction_matches_augmented_lu(small_system, rng, monkeypatch
              (r_2d, J_2d, Dt_2d, 1e-10))
     for r, J, Dt, tol in cases:
         r_gn = r * (1.0 + 0.1 * rng.random(r.size))
-        for solver in ("kkt", "nullspace"):
-            r_next = regularize_nullspace(r_gn, J, Dt, solver=solver)
-            with monkeypatch.context() as m:
-                m.setattr(inversion, "_grounded_saddle_solver", _augmented_identity_solver)
-                r_ref = regularize_nullspace(r_gn, J, Dt, solver=solver)
-            rel = np.linalg.norm(r_next - r_ref) / np.linalg.norm(r_ref)
-            assert rel < tol, (r.size, solver, rel)
+        modes = [(None, tol)] + [(adaptive_weights(Dt, r_gn, phi), 1e-9) for phi in (1e-3, 1e-1)]
+        for w, bound in modes:
+            for solver in ("kkt", "nullspace"):
+                r_next = regularize_nullspace(r_gn, J, Dt, w=w, solver=solver)
+                with monkeypatch.context() as m:
+                    m.setattr(inversion, "_saddle_solver", _augmented_saddle_solver)
+                    r_ref = regularize_nullspace(r_gn, J, Dt, w=w, solver=solver)
+                rel = np.linalg.norm(r_next - r_ref) / np.linalg.norm(r_ref)
+                assert rel < bound, (r.size, w is None, solver, rel)
 
 
 def test_saddle_factorization_structure(rng, monkeypatch):
-    # identity weights factor only the n x n grounded Laplacian, J entering
-    # through the dense capacitance system; other weights factor the
-    # (e + n + k) augmented system
+    # J never enters a sparse factor: identity weights factor only the n x n
+    # grounded Laplacian, other weights only the (e + n) grounded edge
+    # system; J enters through the dense capacitance system
     r, J, Dt = _jacobian_2d(30, 10)
     r_gn = r * (1.0 + 0.1 * rng.random(r.size))
     (e, n), k = Dt.shape, J.shape[0]
@@ -228,12 +246,12 @@ def test_saddle_factorization_structure(rng, monkeypatch):
         return reference_splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", capturing_splu)
-    for solver in ("kkt", "nullspace"):
-        regularize_nullspace(r_gn, J, Dt, solver=solver)
-        assert shapes == [(n, n)], solver
-        shapes.clear()
-    regularize_nullspace(r_gn, J, Dt, w=adaptive_weights(Dt, r_gn, 1e-3))
-    assert shapes == [(e + n + k, e + n + k)]
+    w = adaptive_weights(Dt, r_gn, 1e-3)
+    for weights, size in ((None, n), (w, e + n)):
+        for solver in ("kkt", "nullspace"):
+            regularize_nullspace(r_gn, J, Dt, w=weights, solver=solver)
+            assert shapes == [(size, size)], (weights is None, solver)
+            shapes.clear()
 
 
 def test_failed_correction_keeps_plain_update(monkeypatch):
