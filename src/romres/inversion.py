@@ -30,7 +30,7 @@ from .grids import (Grid1D, Grid2D, ResistivityField, SystemOperator,
                     uniform_segments)
 from .jacobian import assemble_jacobian
 from .krylov import preconditioner_chain
-from .laplace import laplace_derivative, laplace_moments, laplace_transform
+from .laplace import laplace_moments
 from .ratfit import (NodeFamily, fit_multipoint, fit_pade_toeplitz, node_family,
                      to_pole_residue)
 from .cfrac import pole_residue_to_cfrac
@@ -157,14 +157,14 @@ def data_fitting_Q(series: TimeSeries, config: InversionConfig | None = None) ->
 
     At each trial m, starting from ``config.m0``, the transfer function
     and its derivative are read off the data at the m nodes of the
-    configured family and fitted by the osculatory interpolation.
+    configured family, in one quadrature pass per node (the leading two
+    Taylor moments), and fitted by the osculatory interpolation.
     """
     config = config or InversionConfig()
 
     def fit_at(m):
         fam = config.family(m)
-        values = np.array([laplace_transform(series, s) for s in fam.nodes])
-        derivs = np.array([laplace_derivative(series, s) for s in fam.nodes])
+        values, derivs = np.array([laplace_moments(series, s, 2) for s in fam.nodes]).T
         return fit_multipoint(values, derivs, fam)
 
     return _reduce_m(fit_at, config.m0)
@@ -346,7 +346,17 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
     ``nullspace`` for adaptive weights.  Either way the correction is
     finally projected onto null(J), through ``J_pinv`` if the caller
     passes J^+ (``np.linalg.pinv`` with relative cutoff ``_PINV_RCOND``).
+
+    Weights of the wrong shape, NaN or nonpositive weights raise
+    ``RomresError`` before anything is factored.
     """
+    if w is not None:
+        w = np.asarray(w, dtype=float)
+        if w.shape != (Dt.shape[0],):
+            raise RomresError(f"weights must have shape ({Dt.shape[0]},), got {w.shape}")
+        # also rejects NaN, which compares false
+        if not np.all(w > 0):
+            raise RomresError("weights must be positive")
     if solver == "auto":
         solver = "kkt" if w is None else "nullspace"
     if solver not in ("kkt", "nullspace"):

@@ -2,36 +2,48 @@
 
 All three quadratures are plain rectangle rules on the stored samples,
 matching the data pathway used to synthesize the experiments: values,
-s-derivatives and shifted Taylor moments of the transfer function.
+s-derivatives and shifted Taylor moments of the transfer function.  They
+share one kernel, which returns the K sums
 
-The value and the s-derivative are evaluated without one ``exp`` per
-sample.  The active samples (those whose kernel has not underflowed) are
-cut into chunks of L = ``_CHUNK`` samples; sample i of chunk c sits at
-t = t0_c + tau_i with t0_c = c L h and tau_i = (i + 1) h, so
+    S_k = h sum_i d_i t_i^k / k! exp(-s t_i),   k = 0..K-1,
 
-    exp(-s t) = exp(-s t0_c) * p_i,        p_i = exp(-s tau_i).
+without one ``exp`` per sample.  The value is S_0, the s-derivative -S_1
+and the Taylor moments (-1)^k S_k.
 
-One length-L kernel p and one scale per chunk are exponentiated, and the
-sum becomes the BLAS product of the (n_chunks x L) sample matrix with p,
-scaled per chunk.  The t-weighted sum of the derivative splits the same
-way, t = t0_c + tau_i, so one product with the two columns [p, tau p]
-serves it.  Fewer than L trailing samples are summed directly.
+The active samples (those whose kernel has not underflowed) are cut into
+chunks of L = ``_CHUNK`` samples; sample i of chunk c sits at
+t = t0_c + tau_i with t0_c = c L h and tau_i = (i + 1) h.  The binomial
+split
 
-This is at least as accurate as the per-sample kernel.  Both kernels carry
-the rounding of the argument s t, about s t eps, in the scale exp(-s t0_c)
-here and in exp(-s t) there, and that term is largest where the kernel
-is smallest.  The sum is where they differ: one dot product over n samples
-accumulates rounding that grows with n, while the chunked form adds L
-terms per chunk and then n / L chunk sums.  On a noisy 1e7-sample series
-at s = 2 the relative error against an extended-precision evaluation of
-the same rule falls from about 1e-13 to below 1e-15
-(``tests/test_laplace.py::test_long_noisy_series_accuracy``).
+    t^k / k! = sum_{j<=k} t0_c^(k-j) / (k-j)! * tau_i^j / j!,
+    exp(-s t) = exp(-s t0_c) * exp(-s tau_i),
 
-The Taylor moments keep one weight per sample: t^k does not factor over
-a chunk.
+keeps every term of a positive series positive, so S_k is a sum over
+chunks and powers j <= k of the per-chunk weight
+t0_c^(k-j) / (k-j)! exp(-s t0_c) times the chunk's product with the kernel
+column tau^j / j! exp(-s tau).  Those products are one BLAS matrix-vector
+product (GEMV) per power j < K on the (n_chunks x L) sample view.  One
+product with all K columns would be a GEMM that packs the whole view: on
+1e7 samples (2 cores, OpenBLAS 0.3.31, 2 threads) the value alone took
+1.9 ms, the derivative through the two-column GEMM 6.3 ms, and both
+through two GEMVs 3.7 ms.  Kernel columns and chunk weights are
+exponentiated in log space, so large k and long horizons cannot overflow
+t^k; the fewer than L trailing samples are summed directly.
+
+This is more accurate than one weight per sample.  A single dot product
+over n samples accumulates rounding that grows with n, while here each
+chunk adds L terms and the chunk sums are then combined.  Against an
+extended-precision evaluation of the same rule (``tests/test_laplace.py``)
+on a 1e7-sample diffusion response (N = 299, T = 100, h = 1e-5), the
+largest relative error of a moment is 8.8e-16 at s = 0 with K = 12, where
+one weight per sample gave 6e-14 to 1e-13; 6.7e-16 at s = 60 with K = 10,
+against up to 4.7e-15; and 1e-16 at s = 2 with K = 2, against 3e-14 to
+4.4e-14.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 from scipy.special import gammaln
@@ -48,8 +60,9 @@ _CHUNK = 4096
 def _check(series: TimeSeries, s: float):
     if series.n_samples == 0:
         raise RomresError("empty time series")
-    if s < 0:
-        raise RomresError("Laplace variable must be nonnegative")
+    # also rejects NaN, which compares false
+    if not s >= 0:
+        raise RomresError(f"Laplace variable must be nonnegative, got {s}")
 
 
 def _active_slice(series: TimeSeries, s: float) -> int:
@@ -60,54 +73,60 @@ def _active_slice(series: TimeSeries, s: float) -> int:
     return min(series.n_samples, max(k, 1))
 
 
-def _rectangle_rule(series: TimeSeries, s: float, t_weighted: bool) -> float:
-    """h sum_k d_k w_k exp(-s t_k) over the active samples, w = t or 1."""
+def _log_weights(x: np.ndarray, s: float, K: int) -> np.ndarray:
+    """Rows x^k / k! exp(-s x), k < K, with x^k formed through log x."""
+    w = np.empty((K, x.size))
+    w[0] = np.exp(-s * x)
+    if K > 1:
+        k = np.arange(1, K)[:, None]
+        # x = 0 (the first chunk's offset) gives log 0 = -inf and weight 0
+        with np.errstate(divide="ignore"):
+            w[1:] = np.exp(k * np.log(x) - s * x - gammaln(k + 1))
+    return w
+
+
+def _chunked_moments(series: TimeSeries, s: float, K: int) -> np.ndarray:
+    """S_k = h sum_i d_i t_i^k / k! exp(-s t_i), k < K, over the active samples."""
     h, d = series.step, series.samples
     n = _active_slice(series, s)
     nc = n // _CHUNK
-    tau = h * np.arange(1, _CHUNK + 1)
-    p = np.exp(-s * tau)
-    t0 = h * (_CHUNK * np.arange(nc))
     blocks = d[: nc * _CHUNK].reshape(nc, _CHUNK)
-    t = h * np.arange(nc * _CHUNK + 1, n + 1)
-    tail = d[nc * _CHUNK : n] * np.exp(-s * t)
-    if t_weighted:
-        q = blocks @ np.column_stack([p, tau * p])
-        total = np.exp(-s * t0) @ (t0 * q[:, 0] + q[:, 1]) + tail @ t
-    else:
-        total = np.exp(-s * t0) @ (blocks @ p) + tail.sum()
-    return h * float(total)
+    q = [blocks @ col for col in _log_weights(h * np.arange(1, _CHUNK + 1), s, K)]
+    w = _log_weights(h * (_CHUNK * np.arange(nc)), s, K)
+    tail = d[nc * _CHUNK : n]
+    w_tail = _log_weights(h * np.arange(nc * _CHUNK + 1, n + 1), s, K)
+    S = np.empty(K)
+    for k in range(K):
+        # chunk weights of power k - j against the chunks' kernel-j sums
+        S[k] = sum(w[k - j] @ q[j] for j in range(k + 1)) + (tail * w_tail[k]).sum()
+    return h * S
 
 
 def laplace_transform(series: TimeSeries, s: float) -> float:
     """Rectangle-rule value of int_0^inf d(t) exp(-s t) dt."""
     _check(series, s)
-    return _rectangle_rule(series, s, t_weighted=False)
+    return float(_chunked_moments(series, s, 1)[0])
 
 
 def laplace_derivative(series: TimeSeries, s: float) -> float:
     """Rectangle-rule value of -int_0^inf d(t) t exp(-s t) dt."""
     _check(series, s)
-    return -_rectangle_rule(series, s, t_weighted=True)
+    return -float(_chunked_moments(series, s, 2)[1])
 
 
 def laplace_moments(series: TimeSeries, s_hat: float, K: int) -> np.ndarray:
     """Taylor coefficients tau_0..tau_{K-1} of the transform at s_hat.
 
-    tau_k = ((-1)^k / k!) * h_T * sum_j d_j t_j^k exp(-s_hat t_j).  The
-    weights are accumulated as exp(k log t - s_hat t - log k!) so that large
-    k and long horizons cannot overflow t^k.
+    tau_k = ((-1)^k / k!) * h_T * sum_j d_j t_j^k exp(-s_hat t_j), so
+    tau_0 and tau_1 are the value and the s-derivative.
     """
     _check(series, s_hat)
+    try:
+        K = operator.index(K)
+    except TypeError:
+        raise RomresError(f"K must be an integer, got {K!r}") from None
     if K < 1:
         raise RomresError("need at least one moment")
-    n = _active_slice(series, s_hat)
-    t = series.step * np.arange(1, n + 1)
-    log_t = np.log(t)
-    tau = np.empty(K)
-    sign = 1.0
-    for k in range(K):
-        w = np.exp(k * log_t - s_hat * t - gammaln(k + 1))
-        tau[k] = sign * series.step * float(np.dot(series.samples[:n], w))
-        sign = -sign
+    tau = _chunked_moments(series, s_hat, K)
+    tau[1::2] *= -1.0
     return tau

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import romres.inversion as inversion
+import romres.laplace as laplace
 from romres.errors import (DataUnusableError, RegularizationError, RomresError,
                            SpectralValidityError, StepFailureError)
 from romres.forward import TimeSeries, simulate_response
@@ -196,6 +197,28 @@ def test_singular_saddle_system_raises(small_system, rng):
                 regularize_nullspace(field.values, J, Dt[:-1], w=weights)
 
 
+@pytest.mark.parametrize("bad", ["short", "negative", "nan"])
+def test_nullspace_rejects_bad_weights(bad, rng, monkeypatch):
+    # each used to reach the factorization: a short vector failed in
+    # scipy's bmat, all -1 returned a correction and NaN became a
+    # RegularizationError, which the Gauss-Newton loop turns into a note
+    grid = Grid1D(20)
+    _, ctx = preconditioner_R(ResistivityField(np.ones(20), grid),
+                              node_family("zolotarev", 3), return_context=True)
+    J, Dt = assemble_jacobian(ctx), regularization_gradient(grid)
+    w = {"short": np.ones(Dt.shape[0] - 1), "negative": -np.ones(Dt.shape[0]),
+         "nan": np.where(np.arange(Dt.shape[0]) == 3, np.nan, 1.0)}[bad]
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("factored before the weights were checked")
+
+    monkeypatch.setattr(spla, "splu", no_factorization)
+    for solver in ("kkt", "nullspace"):
+        with pytest.raises(RomresError, match="weights") as info:
+            regularize_nullspace(1.0 + rng.random(20), J, Dt, w=w, solver=solver)
+        assert not isinstance(info.value, RegularizationError)
+
+
 def _augmented_saddle_solver(J, Dt, w):
     """M^-1 through one sparse LU of [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]."""
     e = Dt.shape[0]
@@ -346,6 +369,33 @@ def test_data_fitting_reduces_m_after_fit_failure(monkeypatch):
     _, values, derivs = seen[1]
     assert np.array_equal(values, [laplace_transform(y, s) for s in nodes])
     assert np.array_equal(derivs, [laplace_derivative(y, s) for s in nodes])
+
+
+def test_data_fitting_reads_each_node_once(monkeypatch):
+    # one laplace_moments(series, s, 2) call per node and attempt, and no
+    # scalar quadrature, across an m-reduction from 6 to 5
+    y = synthesize("rQ", n_fine=99, T=100.0, h_T=1e-4)
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append((name,) + args[1:])
+            return original(*args)
+        return wrapper
+
+    def failing_at_6(values, derivs, fam):
+        if fam.m == 6:
+            raise SpectralValidityError("injected at m = 6")
+        return fit_multipoint(values, derivs, fam)
+
+    for name in ("laplace_transform", "laplace_derivative", "laplace_moments"):
+        wrapper = counting(name, getattr(laplace, name))
+        for module in (laplace, inversion):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    monkeypatch.setattr(inversion, "fit_multipoint", failing_at_6)
+    assert data_fitting_Q(y, InversionConfig(m0=6)).attempts == (6, 5)
+    nodes = np.concatenate([node_family("zolotarev", m).nodes for m in (6, 5)])
+    assert calls == [("laplace_moments", s, 2) for s in nodes]
 
 
 @pytest.mark.parametrize("m0", [0, -1])

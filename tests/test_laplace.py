@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,24 +94,27 @@ def test_moment_overflow_guard():
     assert np.all(np.isfinite(tau))
 
 
-def _longdouble_rule(series, s):
-    """The rectangle rule's value and s-derivative in extended precision."""
+def _longdouble_moments(series, s, K):
+    """The rectangle rule's Taylor moments tau_0..tau_{K-1} in extended precision."""
     n = _active_slice(series, s)
     h, s = np.longdouble(series.step), np.longdouble(s)
-    value = deriv = np.longdouble(0)
+    sums = np.zeros(K, dtype=np.longdouble)
     for a in range(0, n, 1 << 20):
         b = min(n, a + (1 << 20))
         t = h * np.arange(a + 1, b + 1, dtype=np.longdouble)
         w = series.samples[a:b].astype(np.longdouble) * np.exp(-s * t)
-        value += np.sum(w)
-        deriv -= np.sum(w * t)
-    return h * value, h * deriv
+        for k in range(K):
+            sums[k] += np.sum(w)
+            w *= t / (k + 1)
+    return h * sums * (-1) ** np.arange(K)
 
 
-def _assert_matches_longdouble(series, s, rel):
-    value, deriv = _longdouble_rule(series, s)
-    assert abs(laplace_transform(series, s) - value) <= rel * abs(value)
-    assert abs(laplace_derivative(series, s) - deriv) <= rel * abs(deriv)
+def _assert_matches_longdouble(series, s, rel, K=2):
+    tau = _longdouble_moments(series, s, K)
+    assert abs(laplace_transform(series, s) - tau[0]) <= rel * abs(tau[0])
+    assert abs(laplace_derivative(series, s) - tau[1]) <= rel * abs(tau[1])
+    err = np.abs(laplace_moments(series, s, K) - tau) / np.abs(tau)
+    assert np.all(err <= rel), err
 
 
 def _noisy_series(n, h, seed=7):
@@ -132,14 +137,14 @@ def test_chunk_boundaries(active):
     d = _noisy_series(3 * _CHUNK, h)
     s = -_EXP_UNDERFLOW / (h * (active - 0.5))
     assert _active_slice(d, s) == active
-    _assert_matches_longdouble(d, s, 1e-14)
+    _assert_matches_longdouble(d, s, 1e-14, K=6)
 
 
 @_extended
 def test_no_cutoff_at_zero_s():
     d = _noisy_series(3 * _CHUNK + 17, 1e-3)
     assert _active_slice(d, 0.0) == d.n_samples
-    _assert_matches_longdouble(d, 0.0, 1e-14)
+    _assert_matches_longdouble(d, 0.0, 1e-14, K=6)
 
 
 def test_single_active_sample():
@@ -158,3 +163,41 @@ def test_single_active_sample():
 def test_long_noisy_series_accuracy():
     # 1e7 samples at s = 2: a single per-sample dot product is off by ~1e-13
     _assert_matches_longdouble(_noisy_series(10**7, 1e-5), 2.0, 1e-14)
+
+
+@_extended
+@pytest.mark.parametrize("s, K", [(0.0, 12), (60.0, 10)])
+def test_diffusion_response_moments_accuracy(s, K):
+    # criterion 1's series; one weight per sample was off by 6e-14 to 1e-13
+    # per moment at s = 0 and up to 5e-15 at s = 60
+    g = Grid1D(299)
+    op = assemble_operator(ResistivityField(np.ones(299), g),
+                           build_difference_1d(g))
+    y = simulate_response(op.A, source_vector(g).b, T=100.0, h_T=1e-5)
+    _assert_matches_longdouble(y, s, 1e-14, K=K)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.7, 60.0])
+def test_moments_carry_value_and_derivative(s):
+    d = _noisy_series(5 * _CHUNK + 123, 1e-3)
+    assert np.array_equal(laplace_moments(d, s, 2),
+                          [laplace_transform(d, s), laplace_derivative(d, s)])
+
+
+def test_input_contract():
+    d = _noisy_series(3 * _CHUNK, 1e-3)
+    with warnings.catch_warnings():
+        # no bare ValueError or TypeError, and no warning in their place
+        warnings.simplefilter("error")
+        for bad in (np.nan, -1.0):
+            for read in (laplace_transform, laplace_derivative,
+                         lambda d, s: laplace_moments(d, s, 2)):
+                with pytest.raises(RomresError, match="nonnegative"):
+                    read(d, bad)
+        for K in (0, 2.5, "2", None):
+            with pytest.raises(RomresError):
+                laplace_moments(d, 1.0, K)
+        # past every sample the kernel is exactly zero
+        assert laplace_transform(d, np.inf) == 0.0
+        assert laplace_derivative(d, np.inf) == 0.0
+        assert np.array_equal(laplace_moments(d, np.inf, 3), np.zeros(3))
