@@ -23,6 +23,11 @@ _VERBS = {
     "sensmap": "sensmap",
 }
 
+# the float-valued flags and their ExperimentConfig fields.  argparse takes
+# a value such as "-1e-3" for an option string (it knows only plain negative
+# decimals), so main glues the token after one of these flags to it.
+_FLOAT_FLAGS = {"--T": "T", "--h-T": "h_T", "--epsilon": "epsilon", "--s-hat": "s_hat"}
+
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file; overrides flags")
@@ -31,13 +36,11 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--n-coarse", type=int)
     p.add_argument("--fine-shape", type=int, nargs=2, metavar=("NX", "NY"))
     p.add_argument("--coarse-shape", type=int, nargs=2, metavar=("NX", "NY"))
-    p.add_argument("--T", type=float, dest="T")
-    p.add_argument("--h-T", type=float, dest="h_T")
-    p.add_argument("--epsilon", type=float)
+    for flag, dest in _FLOAT_FLAGS.items():
+        p.add_argument(flag, type=float, dest=dest)
     p.add_argument("--seed", type=int)
     p.add_argument("--m0", type=int)
     p.add_argument("--family")
-    p.add_argument("--s-hat", type=float)
     p.add_argument("--n-gn", type=int)
     p.add_argument("--n-sources", type=int)
     p.add_argument("--weights", choices=["identity", "adaptive"])
@@ -69,6 +72,17 @@ def _build_config(scenario: str, args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def _glue_float_values(argv):
+    """argv with every float flag and the token after it joined by '='."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _FLOAT_FLAGS:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="romres",
@@ -81,7 +95,7 @@ def main(argv=None) -> int:
     p.add_argument("name", choices=sorted(SCENARIOS))
     _add_config_flags(p)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_float_values(sys.argv[1:] if argv is None else argv))
     scenario = args.name if args.verb == "scenario" else _VERBS[args.verb]
     try:
         cfg = _build_config(scenario, args)

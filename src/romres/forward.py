@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,11 +173,13 @@ class shifted_solver:
       fewer entries than under SuperLU's default column ordering.
 
     Either way, a singular shift (an exactly zero pivot) raises
-    ``RomresError``.
+    ``RomresError``, and so does a matrix that is not square.
     """
 
     def __init__(self, A):
         A = sp.csr_matrix(A)
+        if A.shape[0] != A.shape[1]:
+            raise RomresError(f"shifted_solver needs a square matrix, got shape {A.shape}")
         self._n = A.shape[0]
         self._factors = {}
         rows = np.repeat(np.arange(self._n), np.diff(A.indptr))
@@ -226,6 +229,10 @@ def transfer_moments(A, b, s_hat: float, K: int, solver: shifted_solver | None =
     """
     import warnings
 
+    try:
+        K = operator.index(K)
+    except TypeError:
+        raise RomresError(f"K must be an integer, got {K!r}") from None
     if K < 1:
         raise RomresError("need at least one moment")
     if K > A.shape[0]:

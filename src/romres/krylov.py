@@ -49,8 +49,9 @@ class KrylovBasis:
     plain powers go numerically collinear.  In the sequential case column j
     of K is that re-applied resolvent (before orthogonalization) and U holds
     its Gram-Schmidt coefficients, so K = V U still holds.  The Jacobian's
-    adjoint sweep reads K and U for both and needs the generation only to
-    know what each solve was applied to.
+    adjoint sweep reads K and U for both, in the coordinates of the
+    ``doubled_basis`` that extends V, and needs the generation only to know
+    what each solve was applied to.
     """
 
     K: np.ndarray
@@ -154,6 +155,50 @@ def sequential_basis(solver: shifted_solver, b: np.ndarray, family: NodeFamily) 
             V[:, col] = x
             col += 1
     return KrylovBasis(K=K, V=V, U=U, family=family, generation="sequential")
+
+
+# an extension direction left with at most this share of its norm after
+# Gram-Schmidt already lies in the span built so far
+_EXTENSION_FLOOR = 1e-13
+
+
+def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> np.ndarray:
+    """Orthonormal Q of the space every adjoint-sweep input lies in.
+
+    That space is span{b, (s_j I - A)^{-k} b : k <= 2 mult_j - 1}, of
+    dimension d = 2m + 1 - (number of nodes).  Q starts as [V, b] and each
+    node's chain is extended from its last column of V by mult_j - 1 more
+    solves, each on the newest column, with a two-pass Gram-Schmidt step.
+    A direction left with at most 1e-13 of its norm is skipped with the rest
+    of its node's chain: the space is then invariant under that node's
+    resolvent (as when n < d), so the skip is exact and Q has fewer than d
+    columns.
+    """
+    V, fam = basis.V, basis.family
+    n, m = V.shape
+    Q = np.zeros((n, 2 * m + 1 - len(fam.nodes)))
+    Q[:, :m] = V
+    k = m
+
+    def append(x):
+        nonlocal k
+        nrm0 = np.linalg.norm(x)
+        _gram_schmidt_step(Q, k, x)
+        nrm = np.linalg.norm(x)
+        if nrm <= _EXTENSION_FLOOR * nrm0:
+            return False
+        Q[:, k] = x / nrm
+        k += 1
+        return True
+
+    append(np.array(b, dtype=float))
+    for s, mult, last in zip(fam.nodes, fam.multiplicities, np.cumsum(fam.multiplicities) - 1):
+        x = V[:, last]
+        for _ in range(int(mult) - 1):
+            if not append(solver.solve(s, x)):
+                break
+            x = Q[:, k - 1]
+    return Q[:, :k]
 
 
 # below this relative residual the raw snapshot columns are too collinear

@@ -24,7 +24,7 @@ from .inversion import (InversionConfig, data_fitting_Q, invert_1d, invert_2d,
                         moments_from_operator)
 from .jacobian import assemble_jacobian
 from .krylov import preconditioner_chain, preconditioner_R
-from .laplace import laplace_derivative, laplace_moments, laplace_transform
+from .laplace import laplace_moments
 from .optgrid import ratio_reconstruction, reference_grid
 from .phantoms import phantom
 from .ratfit import fit_multipoint, fit_pade_toeplitz, node_family
@@ -108,9 +108,9 @@ def _scenario_table_ratcond(cfg: ExperimentConfig, outdir: Path):
     rows = []
     for m in range(2, 7):
         fam = node_family("zolotarev", m)
-        vals = np.array([laplace_transform(y, s) for s in fam.nodes])
-        ders = np.array([laplace_derivative(y, s) for s in fam.nodes])
-        mod_p = fit_multipoint(vals, ders, fam)
+        # value and s-derivative at each node
+        tau = np.array([laplace_moments(y, s, 2) for s in fam.nodes])
+        mod_p = fit_multipoint(tau[:, 0], tau[:, 1], fam)
         mod_t = fit_pade_toeplitz(laplace_moments(y, 0.0, 2 * m))
         rows.append((m, mod_p.cond, mod_t.cond))
     return [write_csv(outdir / "conditioning.csv",

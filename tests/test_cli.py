@@ -82,6 +82,16 @@ def test_bad_epsilon_rejected(tmp_path, eps):
     assert not any(tmp_path.iterdir())
 
 
+def test_negative_epsilon_as_separate_token(tmp_path, capsys):
+    # argparse alone reads "-1e-3" as an option and exits with a usage error
+    assert main(["synthesize", "--epsilon=-1e-3", "--outdir", str(tmp_path)]) == 2
+    joined = capsys.readouterr().err
+    assert "nonnegative" in joined
+    assert main(["synthesize", "--epsilon", "-1e-3", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == joined
+    assert not any(tmp_path.iterdir())
+
+
 def test_scenario_artifacts(tmp_path):
     small = dict(n_fine=149, n_coarse=99, T=50.0, h_T=1e-4, m0=3, n_gn=1,
                  fine_shape=(24, 8), coarse_shape=(18, 6), n_sources=2,

@@ -234,6 +234,14 @@ def test_transfer_moments_rank_warning():
         transfer_moments(A, np.array([1.0]), 0.0, 3)
 
 
+def test_transfer_moments_needs_integer_count():
+    A = np.array([[-1.0]])
+    for K in (2.5, "2", None):
+        with pytest.raises(RomresError, match="integer"):
+            transfer_moments(A, np.array([1.0]), 0.0, K)
+    assert transfer_moments(A, np.array([1.0]), 0.0, np.int64(1)).shape == (1,)
+
+
 @pytest.mark.parametrize("N", [2, 199, 1999])
 def test_shifted_solver_matches_superlu(N, rng, splu_calls):
     # 1D operators take the tridiagonal LU; n = 2 stays on SuperLU.  Shift 0
@@ -271,6 +279,13 @@ def test_singular_shift_raises(splu_calls):
             solver.solve(0.0, np.ones(n))
         assert solver.solve(1.0, np.ones(n)).shape == (n,)
     assert splu_calls == [n, n]
+
+
+def test_shifted_solver_rejects_nonsquare():
+    # a banded 4 x 5 matrix would reach the tridiagonal LU, a full 2 x 3 one SuperLU
+    for A in (sp.eye(4, 5, format="csr") - 2.0 * sp.eye(4, 5, 1), np.ones((2, 3))):
+        with pytest.raises(RomresError, match="square"):
+            shifted_solver(A)
 
 
 def test_chain_factorizations_by_dimension(rng, splu_calls):

@@ -213,20 +213,39 @@ def _two_source_2d_contexts(rng, m=3):
             for seg in uniform_segments(g, 2)]
 
 
+def _saturated_contexts(rng):
+    # grids with fewer unknowns than the 2m + 1 - (number of nodes)
+    # dimensions of the doubled space: the rational Krylov space is
+    # invariant and the doubled basis stops short
+    contexts = []
+    for N, name, m, gen in ((4, "pade0", 3, "raw"), (6, "pade0", 4, "sequential"),
+                            (5, "single-node", 4, "raw")):
+        grid = Grid1D(N)
+        field = ResistivityField(1.0 + 0.5 * rng.random(N), grid)
+        vec, ctx = preconditioner_R(field, node_family(name, m), generation=gen,
+                                    return_context=True)
+        assert N < 2 * m + 1 - len(ctx.family.nodes)
+        contexts.append(ctx)
+    return contexts
+
+
 def test_adjoint_matches_forward_mode_reference(rng):
-    # sequential pade0: one node with multiplicity; zolotarev: the
+    # sequential pade0: one node with multiplicity; zolotarev and fast: the
     # recurrence restarts from b at every node; raw pade0 and the 2D
-    # single-node family: raw solves on the previous raw snapshot
+    # single-node family: raw solves on the previous raw snapshot; raw
+    # zolotarev is the default basis of the 1D inversions
     grid = Grid1D(199)
     field = ResistivityField(1.0 + 0.5 * rng.random(199), grid)
     contexts = []
     for name, m, gen in (("pade0", 6, "sequential"), ("pade0", 8, "sequential"),
-                         ("zolotarev", 5, "sequential"), ("pade0", 3, "raw")):
+                         ("zolotarev", 5, "sequential"), ("pade0", 3, "raw"),
+                         ("zolotarev", 5, "raw"), ("fast", 5, "raw")):
         vec, ctx = preconditioner_R(field, node_family(name, m), generation=gen,
                                     return_context=True)
         contexts.append(ctx)
     contexts += _two_source_2d_contexts(rng)
-    assert [c.basis.generation for c in contexts[-3:]] == ["raw"] * 3
+    assert [c.basis.generation for c in contexts[3:]] == ["raw"] * 5
+    contexts += _saturated_contexts(rng)
     for ctx in contexts:
         _, dA_ref, db_ref = _forward_mode_reference(ctx)
         for target in ("cfrac", "spectral"):
@@ -257,8 +276,10 @@ def test_raw_pade0_m5_jacobian_fd(rng):
 
 
 def test_jacobian_cost_structure(monkeypatch, rng):
-    # one solve per basis column, each with one right-hand side per output
-    # row, however many edges the grid has
+    # sum_j (mult_j - 1) single-vector solves extend the basis to the
+    # doubled space of dimension d = 2m + 1 - (number of nodes), then one
+    # solve with d right-hand sides per node, however many edges the grid
+    # has and however many outputs there are
     grid = Grid1D(199)
     field = ResistivityField(1.0 + 0.5 * rng.random(199), grid)
     contexts = []
@@ -272,14 +293,19 @@ def test_jacobian_cost_structure(monkeypatch, rng):
     solve = shifted_solver.solve
 
     def counting_solve(self, s, rhs):
-        calls.append(np.shape(rhs))
+        calls.append((s, np.shape(rhs)))
         return solve(self, s, rhs)
 
     monkeypatch.setattr(shifted_solver, "solve", counting_solve)
     for ctx in contexts:
+        n, fam = ctx.operator.A.shape[0], ctx.family
+        d = 2 * ctx.m + 1 - len(fam.nodes)
+        expected = [(s, (n,)) for s, mult in zip(fam.nodes, fam.multiplicities)
+                    for _ in range(int(mult) - 1)]
+        expected += [(s, (n, d)) for s in fam.nodes]
         calls.clear()
         assemble_jacobian(ctx)
-        assert calls == [(ctx.operator.A.shape[0], 2 * ctx.m)] * ctx.m
+        assert calls == expected
 
 
 def test_auto_fallback_to_sequential_fd(rng):

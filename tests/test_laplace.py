@@ -10,6 +10,7 @@ from romres.grids import (Grid1D, ResistivityField, assemble_operator,
                           build_difference_1d, source_vector)
 from romres.laplace import (_CHUNK, _active_slice, laplace_derivative,
                             laplace_moments, laplace_transform)
+from romres.ratfit import node_family
 
 
 def _exp_series(h=1e-4, T=40.0):
@@ -182,6 +183,18 @@ def test_moments_carry_value_and_derivative(s):
     d = _noisy_series(5 * _CHUNK + 123, 1e-3)
     assert np.array_equal(laplace_moments(d, s, 2),
                           [laplace_transform(d, s), laplace_derivative(d, s)])
+
+
+def test_one_moments_call_per_node_is_bitwise():
+    # the conditioning table reads each node's value and derivative with one
+    # laplace_moments call; it must give the bits of the two scalar reads
+    g = Grid1D(49)
+    op = assemble_operator(ResistivityField(np.ones(49), g), build_difference_1d(g))
+    y = simulate_response(op.A, source_vector(g).b, T=20.0, h_T=1e-4)
+    for m in range(2, 7):
+        for s in node_family("zolotarev", m).nodes:
+            assert np.array_equal(laplace_moments(y, s, 2),
+                                  [laplace_transform(y, s), laplace_derivative(y, s)])
 
 
 def test_input_contract():
