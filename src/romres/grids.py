@@ -52,8 +52,9 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 2:
-            raise InvalidGridError("1D grid needs at least 2 points")
+        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 2:
+            raise InvalidGridError(f"1D grid needs an integer n_points >= 2, "
+                                   f"got {self.n_points!r}")
 
     @property
     def spacing(self) -> float:
@@ -269,6 +270,8 @@ def uniform_segments(grid: Grid2D, n_segments: int) -> tuple[BoundarySegment, ..
     is centered in its slot and covers ``_SEGMENT_FILL`` of the slot width,
     leaving gaps that keep the supports disjoint on any raster.
     """
+    if not isinstance(n_segments, (int, np.integer)) or n_segments < 1:
+        raise InvalidGridError(f"n_segments must be an integer >= 1, got {n_segments!r}")
     a0, a1 = grid.accessible
     pitch = (a1 - a0) / n_segments
     half = 0.5 * _SEGMENT_FILL * pitch

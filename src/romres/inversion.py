@@ -81,6 +81,14 @@ class InversionConfig:
     def __post_init__(self):
         if self.m0 < 1:
             raise RomresError(f"m0 must be at least 1, got {self.m0}")
+        if self.n_gn < 0:
+            raise RomresError(f"n_gn must be nonnegative, got {self.n_gn}")
+        if self.n_sources < 1:
+            raise RomresError(f"n_sources must be at least 1, got {self.n_sources}")
+        if self.weights not in ("identity", "adaptive"):
+            raise RomresError(f"unknown weight mode {self.weights!r}")
+        if self.parametrization not in ("cfrac", "spectral"):
+            raise RomresError(f"unknown parametrization {self.parametrization!r}")
 
     def family(self, m: int) -> NodeFamily:
         return node_family(self.family_kind, m, s_hat=self.s_hat)
@@ -439,8 +447,7 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
     def eval_chain(r):
         op = assemble(r)
         solver = shifted_solver(op.A)
-        ctxs = [preconditioner_chain(op, b, family, source_index=j, solver=solver)
-                for j, b in enumerate(sources)]
+        ctxs = [preconditioner_chain(op, b, family, solver=solver) for b in sources]
         if config.parametrization == "cfrac":
             vecs = [c.log_vector() for c in ctxs]
         else:
@@ -482,14 +489,11 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
             if not config.nullspace_correction:
                 r_next = r_gn
             else:
+                w = None
                 if config.weights == "adaptive":
                     m_eff = J.shape[0] // 2
                     phi = 1.0 / (2.0 * m_eff ** 2) * res_norm
                     w = adaptive_weights(Dt, r_gn, phi)
-                elif config.weights == "identity":
-                    w = None
-                else:
-                    raise RomresError(f"unknown weight mode {config.weights!r}")
                 try:
                     r_next = regularize_nullspace(r_gn, J, Dt, w=w, J_pinv=J_pinv)
                 except RegularizationError as exc:
@@ -531,11 +535,6 @@ def invert_1d(data: TimeSeries | FitTarget, grid: Grid1D,
     return ResistivityField(r, grid), hist
 
 
-def moments_from_series(series_list, s_hat: float, K: int) -> np.ndarray:
-    """Stack per-source Taylor moments extracted from time data."""
-    return np.vstack([laplace_moments(s, s_hat, K) for s in series_list])
-
-
 def moments_from_operator(op: SystemOperator, sources, s_hat: float, K: int) -> np.ndarray:
     """Per-source transfer moments of a semi-discrete model (data synthesis)."""
     solver = shifted_solver(op.A)
@@ -547,9 +546,11 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
               r_true: np.ndarray | None = None):
     """Multi-source 2D driver with single-node moment matching.
 
-    ``data`` is either a list of per-source TimeSeries or an array of
-    per-source transfer moments, shape (N_d, 2 m0), taken at the common
-    node ``config.s_hat``.  Per-source residuals and Jacobians are stacked
+    ``data`` is the array of per-source transfer moments, shape (N_d, 2 m0),
+    taken at the common node ``config.s_hat`` (``moments_from_operator``
+    synthesizes it; ``laplace_moments`` reads one row from a measured
+    series).  The family is the single node ``s_hat`` whatever
+    ``config.family_kind``.  Per-source residuals and Jacobians are stacked
     into one coupled least-squares update; the shared model size m is the
     largest at which every source admits a positive-coefficient fit.
     """
@@ -559,15 +560,10 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
     sources = [source_vector(grid, seg).b for seg in grid.segments]
     n_d = len(sources)
 
-    if isinstance(data, np.ndarray):
-        tau = np.asarray(data, dtype=float)
-        if tau.ndim != 2 or tau.shape[0] != n_d or tau.shape[1] < 2:
-            raise RomresError("moment array must be (n_sources, 2*m0), m0 >= 1")
-    else:
-        if len(data) != n_d:
-            raise RomresError(f"{len(data)} time series for {n_d} boundary segments; "
-                              "need one per segment")
-        tau = moments_from_series(data, config.s_hat, 2 * config.m0)
+    if not isinstance(data, np.ndarray) or data.ndim != 2 or data.shape[0] != n_d \
+            or data.shape[1] < 2:
+        raise RomresError("moment array must be (n_sources, 2*m0), m0 >= 1")
+    tau = np.asarray(data, dtype=float)
 
     m = min(config.m0, tau.shape[1] // 2)
     targets = None
@@ -580,8 +576,7 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
         m = min(f.m for f in fits)
     if targets is None:
         raise DataUnusableError("sources do not admit a common model size")
-    fam = config.family(m) if config.family_kind == "single-node" else \
-        node_family("single-node", m, s_hat=config.s_hat)
+    fam = node_family("single-node", m, s_hat=config.s_hat)
     l_star = np.concatenate([t.vector(config.parametrization) for t in targets])
     r, hist = _gn_loop(lambda r: assemble_operator_2d(ResistivityField(r, grid), grid),
                        sources, fam, l_star, config, regularization_gradient(grid),

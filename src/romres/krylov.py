@@ -21,10 +21,9 @@ import scipy.linalg as sla
 from .cfrac import ContinuedFraction, Tridiagonal, pole_residue_to_cfrac
 from .errors import BasisCollapseError, DegeneracyError, RomresError
 from .forward import shifted_solver
-from .grids import (Grid1D, Grid2D, ResistivityField, SystemOperator,
-                    assemble_operator, assemble_operator_2d,
+from .grids import (Grid1D, ResistivityField, SystemOperator, assemble_operator,
                     build_difference_1d, source_vector)
-from .ratfit import NodeFamily, PoleResidue, node_family
+from .ratfit import NodeFamily, PoleResidue
 
 __all__ = [
     "KrylovBasis",
@@ -42,16 +41,15 @@ __all__ = [
 class KrylovBasis:
     """Snapshots K, orthonormal V and triangular U with K = V U, diag(U) > 0.
 
-    ``generation`` records how the snapshots were produced: ``raw`` stores
-    the literal resolvent powers, each solved on the previous power;
-    ``sequential`` re-applies the resolvent to the newest orthonormal
-    vector, which spans the same subspace but stays well conditioned when
-    plain powers go numerically collinear.  In the sequential case column j
-    of K is that re-applied resolvent (before orthogonalization) and U holds
-    its Gram-Schmidt coefficients, so K = V U still holds.  The Jacobian's
-    adjoint sweep reads K and U for both, in the coordinates of the
-    ``doubled_basis`` that extends V, and needs the generation only to know
-    what each solve was applied to.
+    Column j of K is the solve that produced V[:, j], and column j of U
+    holds its Gram-Schmidt coefficients and remaining norm, whichever the
+    ``generation``.  That records what each solve was applied to: ``raw``
+    solves on the previous solve, so K holds the literal resolvent powers;
+    ``sequential`` solves on the newest orthonormal column, which spans the
+    same subspace but stays well conditioned when plain powers go
+    numerically collinear.  The Jacobian's adjoint sweep reads K and U for
+    both, in the coordinates of the ``doubled_basis`` that extends V, and
+    needs the generation only to know what each solve was applied to.
     """
 
     K: np.ndarray
@@ -72,22 +70,10 @@ class ReducedModel:
     A_m: np.ndarray
     b_m: np.ndarray
     family: NodeFamily
-    source_index: int = 0
 
     @property
     def m(self) -> int:
         return self.b_m.size
-
-
-def snapshot_columns(solver: shifted_solver, b: np.ndarray, family: NodeFamily) -> np.ndarray:
-    """Snapshot matrix with columns (s_j I - A)^{-k} b, k = 1..M_j."""
-    cols = []
-    for s, mult in zip(family.nodes, family.multiplicities):
-        x = np.asarray(b, dtype=float)
-        for _ in range(int(mult)):
-            x = solver.solve(s, x)
-            cols.append(x)
-    return np.column_stack(cols)
 
 
 def _gram_schmidt_step(V: np.ndarray, j: int, u: np.ndarray):
@@ -104,62 +90,47 @@ def _gram_schmidt_step(V: np.ndarray, j: int, u: np.ndarray):
     return coeffs
 
 
-def _orthonormalize_mgs(K: np.ndarray):
-    """Gram-Schmidt with one re-pass; returns (V, U) with positive diag(U).
+# a column left with at most this share of its norm after Gram-Schmidt
+# already lies in the span built so far
+_SPAN_FLOOR = 1e-13
 
-    A column left with less than 1e-13 of its norm after orthogonalization
-    lies in the span of the previous ones and raises BasisCollapseError.
+
+def _krylov_basis(solver: shifted_solver, b: np.ndarray, family: NodeFamily,
+                  floor: float, sequential: bool) -> KrylovBasis:
+    """Solve, orthogonalize and normalize the basis one column at a time.
+
+    Each node's chain starts from b.  Its next solve is applied to the
+    previous raw solve, or with ``sequential`` to the newest orthonormal
+    column.  A column left with at most ``floor`` of its norm after the
+    Gram-Schmidt step raises BasisCollapseError.
     """
-    n, m = K.shape
-    V = np.zeros((n, m))
-    U = np.zeros((m, m))
-    for j in range(m):
-        u = K[:, j].copy()
-        nrm0 = np.linalg.norm(u)
-        U[:j, j] = _gram_schmidt_step(V, j, u)
-        nb = np.linalg.norm(u)
-        if nb <= 1e-13 * nrm0:
-            raise BasisCollapseError(
-                f"snapshot column {j + 1} lies in the span of the previous ones; "
-                "reduce the model size m")
-        U[j, j] = nb
-        V[:, j] = u / nb
-    return V, U
-
-
-def sequential_basis(solver: shifted_solver, b: np.ndarray, family: NodeFamily) -> KrylovBasis:
-    """Orthonormal basis built by re-solving on the newest basis vector.
-
-    Spans the same rational Krylov subspace as the raw powers but never
-    forms them, so confluent families stay numerically sound at depths
-    where the raw snapshot matrix loses rank to roundoff.  Column j of K
-    is the solve that produced V[:, j], and column j of U holds its
-    Gram-Schmidt coefficients and norm, so K = V U as for raw bases.
-    """
+    b = np.asarray(b, dtype=float)
     n, m = b.size, family.m
     K = np.zeros((n, m))
     V = np.zeros((n, m))
     U = np.zeros((m, m))
     col = 0
     for s, mult in zip(family.nodes, family.multiplicities):
-        x = np.asarray(b, dtype=float)
+        x = b
         for _ in range(int(mult)):
             x = solver.solve(s, x)
             K[:, col] = x
-            U[:col, col] = _gram_schmidt_step(V, col, x)
-            nrm = np.linalg.norm(x)
-            if nrm == 0.0:
-                raise BasisCollapseError("sequential snapshot vanished; reduce m")
+            u = x.copy()
+            nrm0 = np.linalg.norm(u)
+            U[:col, col] = _gram_schmidt_step(V, col, u)
+            nrm = np.linalg.norm(u)
+            if nrm <= floor * nrm0:
+                raise BasisCollapseError(
+                    f"snapshot column {col + 1} lies in the span of the previous ones; "
+                    "reduce the model size m")
             U[col, col] = nrm
-            x = x / nrm
-            V[:, col] = x
+            u = u / nrm
+            V[:, col] = u
+            if sequential:
+                x = u
             col += 1
-    return KrylovBasis(K=K, V=V, U=U, family=family, generation="sequential")
-
-
-# an extension direction left with at most this share of its norm after
-# Gram-Schmidt already lies in the span built so far
-_EXTENSION_FLOOR = 1e-13
+    return KrylovBasis(K=K, V=V, U=U, family=family,
+                       generation="sequential" if sequential else "raw")
 
 
 def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> np.ndarray:
@@ -185,7 +156,7 @@ def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> 
         nrm0 = np.linalg.norm(x)
         _gram_schmidt_step(Q, k, x)
         nrm = np.linalg.norm(x)
-        if nrm <= _EXTENSION_FLOOR * nrm0:
+        if nrm <= _SPAN_FLOOR * nrm0:
             return False
         Q[:, k] = x / nrm
         k += 1
@@ -201,8 +172,9 @@ def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> 
     return Q[:, :k]
 
 
-# below this relative residual the raw snapshot columns are too collinear
-# to orthonormalize reliably; switch to sequential generation
+# a raw column that keeps at most this share of its norm after Gram-Schmidt
+# is too collinear with the earlier ones to trust; 'auto' then builds the
+# sequential basis
 _RAW_RESIDUAL_FLOOR = 1e-8
 
 
@@ -210,30 +182,26 @@ def build_krylov(A, b, family: NodeFamily, solver: shifted_solver | None = None,
                  generation: str = "auto") -> KrylovBasis:
     """Orthonormal basis of the rational Krylov subspace of ``family``.
 
-    ``generation='raw'`` orthonormalizes the literal snapshot columns by
-    Gram-Schmidt.  ``'sequential'`` re-solves on the newest orthonormal
-    vector instead, which is the only sound choice once confluent powers go
-    collinear.  ``'auto'`` tries raw and falls back when the smallest
-    orthogonalization residual drops below the trust floor.
+    ``generation`` is ``'raw'``, ``'sequential'`` (see KrylovBasis) or
+    ``'auto'``, which builds the raw basis and switches to sequential at the
+    first column that keeps at most 1e-8 of its norm after Gram-Schmidt.  A
+    raw column left with at most 1e-13 of its norm, or a sequential one that
+    vanishes, raises BasisCollapseError.
     """
     solver = solver or shifted_solver(A)
     if generation not in ("auto", "raw", "sequential"):
         raise RomresError(f"unknown snapshot generation {generation!r}")
-    if generation != "sequential":
-        K = snapshot_columns(solver, b, family)
+    if generation == "auto":
         try:
-            V, U = _orthonormalize_mgs(K)
+            return _krylov_basis(solver, b, family, _RAW_RESIDUAL_FLOOR, sequential=False)
         except BasisCollapseError:
-            if generation == "raw":
-                raise
-        else:
-            trust = np.min(np.diag(U) / np.linalg.norm(K, axis=0))
-            if generation == "raw" or trust > _RAW_RESIDUAL_FLOOR:
-                return KrylovBasis(K=K, V=V, U=U, family=family, generation="raw")
-    return sequential_basis(solver, b, family)
+            generation = "sequential"
+    if generation == "raw":
+        return _krylov_basis(solver, b, family, _SPAN_FLOOR, sequential=False)
+    return _krylov_basis(solver, b, family, 0.0, sequential=True)
 
 
-def project(A, b, basis: KrylovBasis, source_index: int = 0) -> ReducedModel:
+def project(A, b, basis: KrylovBasis) -> ReducedModel:
     """Galerkin projection A_m = V^T A V, b_m = V^T b."""
     V = basis.V
     AV = A @ V
@@ -243,7 +211,7 @@ def project(A, b, basis: KrylovBasis, source_index: int = 0) -> ReducedModel:
     lam_max = sla.eigvalsh(A_m)[-1]
     if lam_max >= 0:
         raise RomresError(f"projected operator not negative definite (max eig {lam_max:g})")
-    return ReducedModel(A_m=A_m, b_m=b_m, family=basis.family, source_index=source_index)
+    return ReducedModel(A_m=A_m, b_m=b_m, family=basis.family)
 
 
 def reduced_spectral(model: ReducedModel):
@@ -285,12 +253,12 @@ class ChainContext:
 
 
 def preconditioner_chain(op: SystemOperator, b: np.ndarray, family: NodeFamily,
-                         source_index: int = 0, generation: str = "auto",
+                         generation: str = "auto",
                          solver: shifted_solver | None = None) -> ChainContext:
     """Run the full stable chain at one operator/source pair."""
     solver = solver or shifted_solver(op.A)
     basis = build_krylov(op.A, b, family, solver=solver, generation=generation)
-    model = project(op.A, b, basis, source_index=source_index)
+    model = project(op.A, b, basis)
     pr, Z = reduced_spectral(model)
     gaps = np.diff(pr.theta)
     if gaps.size and np.min(gaps) < 1e-10 * abs(pr.theta[-1]):
@@ -301,36 +269,20 @@ def preconditioner_chain(op: SystemOperator, b: np.ndarray, family: NodeFamily,
                         tri=tri, X=X, cf=cf)
 
 
-def preconditioner_R(field: ResistivityField, family: NodeFamily | str | None = None,
-                     segment=None, generation: str = "auto",
+def preconditioner_R(field: ResistivityField, family: NodeFamily, generation: str = "auto",
                      return_context: bool = False):
-    """Log continued-fraction coefficients of a resistivity field.
+    """Log continued-fraction coefficients of a 1D resistivity field.
 
-    Output ordering is fixed: (log kappa_1..m, log kappahat_1..m).  For 1D
-    fields the source is the boundary excitation at x = 0; 2D fields need a
-    boundary ``segment``.  ``family`` may be a NodeFamily or a preset name
-    (default: the geometric ladder with m = 5 in 1D, the single-node family
-    in 2D).
+    Output ordering is fixed: (log kappa_1..m, log kappahat_1..m).  The
+    source is the boundary excitation at x = 0.  A 2D field has one source
+    per boundary segment; run ``preconditioner_chain`` on its operator and
+    each segment's source vector.
     """
     grid = field.grid
-    if isinstance(grid, Grid1D):
-        if family is None:
-            family = node_family("zolotarev", 5)
-        elif isinstance(family, str):
-            family = node_family(family, 5)
-        op = assemble_operator(field, build_difference_1d(grid))
-        b = source_vector(grid).b
-    elif isinstance(grid, Grid2D):
-        if family is None:
-            family = node_family("single-node", 5)
-        elif isinstance(family, str):
-            family = node_family(family, 5)
-        op = assemble_operator_2d(field, grid)
-        if segment is None:
-            raise RomresError("2D preconditioner needs a boundary segment")
-        b = source_vector(grid, segment).b
-    else:
-        raise RomresError("unsupported grid type")
-    ctx = preconditioner_chain(op, b, family, generation=generation)
+    if not isinstance(grid, Grid1D):
+        raise RomresError("preconditioner_R takes a 1D field; "
+                          "use preconditioner_chain for a 2D source")
+    op = assemble_operator(field, build_difference_1d(grid))
+    ctx = preconditioner_chain(op, source_vector(grid).b, family, generation=generation)
     vec = ctx.log_vector()
     return (vec, ctx) if return_context else vec

@@ -49,8 +49,8 @@ class NodeFamily:
         object.__setattr__(self, "multiplicities", mult)
         if nodes.shape != mult.shape or nodes.ndim != 1 or nodes.size == 0:
             raise RomresError("nodes and multiplicities must be matching vectors")
-        if np.any(nodes < 0):
-            raise RomresError("nodes must be nonnegative")
+        if not np.all(np.isfinite(nodes) & (nodes >= 0)):
+            raise RomresError("nodes must be finite and nonnegative")
         if np.any(mult < 1):
             raise RomresError("multiplicities must be positive")
         if nodes.size > 1:

@@ -21,6 +21,12 @@ def test_grid1d_too_small():
         Grid1D(1)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "5", None])
+def test_grid1d_needs_integer_size(n):
+    with pytest.raises(InvalidGridError):
+        Grid1D(n)
+
+
 def test_difference_constant_vector():
     g = Grid1D(2)
     D = build_difference_1d(g)
@@ -238,6 +244,12 @@ def test_source_segments_disjoint():
     # floor(cells-per-unit / n) cells when the raster aligns
     sv = source_vector(g, segs[0])
     assert len(sv.support) >= 1
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.5])
+def test_uniform_segments_needs_one_segment(n):
+    with pytest.raises(InvalidGridError):
+        uniform_segments(Grid2D(nx=40, ny=10), n)
 
 
 def test_overlapping_segments_rejected():

@@ -22,7 +22,7 @@ from romres.inversion import (FitTarget, InversionConfig, adaptive_weights,
                               relative_error)
 from romres.jacobian import assemble_jacobian
 from romres.krylov import preconditioner_R, preconditioner_chain
-from romres.laplace import laplace_derivative, laplace_transform
+from romres.laplace import laplace_derivative, laplace_moments, laplace_transform
 from romres.phantoms import phantom
 from romres.ratfit import fit_multipoint, node_family
 
@@ -113,9 +113,8 @@ def _jacobian_2d(nx, ny, n_sources=2, m=3):
     field = phantom("two-rect-side", g)
     op = assemble_operator_2d(field, g)
     fam = node_family("single-node", m, s_hat=30.0)
-    J = np.vstack([assemble_jacobian(preconditioner_chain(op, source_vector(g, s).b, fam,
-                                                          source_index=j))
-                   for j, s in enumerate(g.segments)])
+    J = np.vstack([assemble_jacobian(preconditioner_chain(op, source_vector(g, s).b, fam))
+                   for s in g.segments])
     return field.values, J, regularization_gradient(g)
 
 
@@ -410,6 +409,14 @@ def test_model_size_must_be_positive(m0):
     assert not isinstance(err.value, DataUnusableError)
 
 
+@pytest.mark.parametrize("setting", [{"n_gn": -1}, {"n_sources": 0},
+                                     {"weights": "bogus"}, {"parametrization": "bogus"}])
+def test_config_rejects_invalid_setting(setting):
+    # checked at construction, before any data are read
+    with pytest.raises(RomresError):
+        InversionConfig(**setting)
+
+
 def test_data_fitting_moments_reduction():
     # moments of an m=1 function at a shifted node: requested m=2 collapses
     tau = np.array([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0, -1.0 / 81.0])  # 1/(s+1) at s=2
@@ -508,20 +515,12 @@ def test_one_pseudoinverse_per_gn_iteration(weights, pinv_calls):
     assert pinv_calls == [(12, gc.n_cells)] * len(hist.step_length) == [(12, gc.n_cells)]
 
 
-def test_invert_2d_needs_one_series_per_segment():
-    g = Grid2D(nx=12, ny=4)
-    cfg = InversionConfig(m0=2, family_kind="single-node", n_gn=1, n_sources=3)
-    y = TimeSeries(np.exp(-1e-2 * np.arange(1, 201)), 1e-2)
-    for n_series in (2, 4):
-        with pytest.raises(RomresError, match="one per segment"):
-            invert_2d([y] * n_series, g, cfg)
-
-
 @pytest.mark.parametrize("tau", [np.ones((2, 1)), np.ones((2, 0)),
-                                 np.array([[1.0, np.nan], [1.0, 0.5]])])
+                                 np.array([[1.0, np.nan], [1.0, 0.5]]),
+                                 [[1.0, 0.5], [1.0, 0.5]]])
 def test_invert_2d_rejects_bad_moment_array(tau):
-    # fewer than two moments per source or a nonfinite moment is an input
-    # error, not a verdict on the data
+    # fewer than two moments per source, a nonfinite moment or data that are
+    # not a moment array is an input error, not a verdict on the data
     g = Grid2D(nx=12, ny=4)
     cfg = InversionConfig(m0=2, family_kind="single-node", n_gn=1, n_sources=2)
     with pytest.raises(RomresError, match="moment") as err:
@@ -539,12 +538,10 @@ def test_regularization_gradient_interior_edges():
         assert np.allclose(Dt @ np.ones(n), 0.0)
 
 
-def test_moments_from_series_match_operator(small_system):
+def test_quadrature_moments_match_operator_moments(small_system):
     grid, field, op, b = small_system
     y = simulate_response(op.A, b, T=40.0, h_T=5e-5)
     s_hat = 8.0
-    tau_q = np.asarray(
-        __import__("romres.laplace", fromlist=["laplace_moments"])
-        .laplace_moments(y, s_hat, 4))
+    tau_q = laplace_moments(y, s_hat, 4)
     tau_m = moments_from_operator(op, [b], s_hat, 4)[0]
     assert np.allclose(tau_q, tau_m, rtol=5e-3)

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from romres.errors import RomresError
 from romres.forward import transfer_eval, transfer_moments
-from romres.grids import Grid1D, ResistivityField, assemble_operator, \
+from romres.grids import Grid1D, Grid2D, ResistivityField, assemble_operator, \
     build_difference_1d, source_vector
 from romres.krylov import (build_krylov, preconditioner_R, preconditioner_chain,
                            project, reduced_spectral)
@@ -113,6 +113,11 @@ def test_preconditioner_output_contract(small_system):
     assert vec.shape == (10,)
     assert np.allclose(vec[:5], np.log(ctx.cf.kappa))
     assert np.allclose(vec[5:], np.log(ctx.cf.kappa_hat))
+    # a 2D field has one source per boundary segment; preconditioner_chain
+    # takes the operator and that source
+    g2 = Grid2D(nx=6, ny=3)
+    with pytest.raises(RomresError, match="1D field"):
+        preconditioner_R(ResistivityField(np.ones(g2.n_cells), g2), node_family("single-node", 2))
 
 
 def test_constant_field_node_rescaling_exact():

@@ -32,6 +32,14 @@ def test_pade0_family():
     assert fam.nodes[0] == 0.0
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf, -1.0])
+def test_nodes_must_be_finite_and_nonnegative(s):
+    with pytest.raises(RomresError, match="finite and nonnegative"):
+        node_family("single-node", 3, s_hat=s)
+    with pytest.raises(RomresError, match="finite and nonnegative"):
+        NodeFamily(np.array([2.0, s]), np.array([1, 1]))
+
+
 def test_multipoint_exact_recovery_m1():
     fam = NodeFamily(np.array([1.0]), np.array([1]))
     model = fit_multipoint([1.0], [-0.5], fam)  # data of 2/(s+1)
