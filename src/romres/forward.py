@@ -131,12 +131,15 @@ def simulate_response(A, b, T: float, h_T: float) -> TimeSeries:
     the rest is a few block-sized buffers, so the peak stays within 1.5x
     the output's bytes for long series.
     """
-    if h_T <= 0 or T <= 0:
-        raise RomresError("T and h_T must be positive")
+    if not (0 < h_T < np.inf and 0 < T < np.inf):
+        raise RomresError(f"T and h_T must be positive and finite, got {T!r}, {h_T!r}")
     n_t = int(round(T / h_T))
     if n_t < 1:
         raise RomresError("empty time interval")
-    lam, w = spectral_weights(A, np.asarray(b, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if b.shape != np.shape(A)[:1]:
+        raise RomresError(f"source of shape {b.shape} does not match A of shape {np.shape(A)}")
+    lam, w = spectral_weights(A, b)
     return TimeSeries(_spectral_series(lam, w, n_t, h_T), h_T)
 
 

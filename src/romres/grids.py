@@ -105,8 +105,10 @@ class Grid2D:
     segments: tuple[BoundarySegment, ...] = field(default=())
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise InvalidGridError("2D grid needs at least 2x2 cells")
+        for n in (self.nx, self.ny):
+            if not isinstance(n, (int, np.integer)) or n < 2:
+                raise InvalidGridError(f"2D grid needs integer nx, ny >= 2, "
+                                       f"got {self.nx!r} x {self.ny!r}")
         if self.Lx <= 0 or self.Ly <= 0:
             raise InvalidGridError("domain extents must be positive")
         a0, a1 = self.accessible

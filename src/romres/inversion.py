@@ -199,10 +199,14 @@ def data_fitting_moments(moments: np.ndarray, s_hat: float,
     config = config or InversionConfig()
     m = config.m0 if m0 is None else m0
     tau_all = np.asarray(moments, dtype=float)
+    if tau_all.ndim != 1:
+        raise RomresError(f"moments must be a vector, got shape {tau_all.shape}")
     if tau_all.size < 2 * m:
         raise RomresError("not enough moments for the requested m")
     if not np.all(np.isfinite(tau_all)):
         raise RomresError("moments must be finite")
+    if not np.isfinite(s_hat):
+        raise RomresError(f"expansion node s_hat must be finite, got {s_hat!r}")
 
     def fit_at(m):
         tau = tau_all[: 2 * m]
@@ -565,17 +569,15 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
         raise RomresError("moment array must be (n_sources, 2*m0), m0 >= 1")
     tau = np.asarray(data, dtype=float)
 
+    # each fit's size lies in 1..m (or the fit raises DataUnusableError),
+    # so m strictly decreases until every source fits at the same size
     m = min(config.m0, tau.shape[1] // 2)
-    targets = None
-    while m >= 1:
-        fits = [data_fitting_moments(tau[j], config.s_hat, config, m0=m)
-                for j in range(n_d)]
-        if all(f.m == m for f in fits):
-            targets = fits
+    while True:
+        targets = [data_fitting_moments(tau[j], config.s_hat, config, m0=m)
+                   for j in range(n_d)]
+        if all(t.m == m for t in targets):
             break
-        m = min(f.m for f in fits)
-    if targets is None:
-        raise DataUnusableError("sources do not admit a common model size")
+        m = min(t.m for t in targets)
     fam = node_family("single-node", m, s_hat=config.s_hat)
     l_star = np.concatenate([t.vector(config.parametrization) for t in targets])
     r, hist = _gn_loop(lambda r: assemble_operator_2d(ResistivityField(r, grid), grid),

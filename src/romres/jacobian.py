@@ -21,8 +21,7 @@ d = 2m + 1 - (number of distinct nodes), where every one of them lies.
 Each Jacobian costs sum_j (mult_j - 1) single-vector solves to build that
 basis and one solve with d right-hand sides per distinct node, however many
 edges the grid has; the rest is d-dimensional algebra and the per-edge
-accumulation.  Raw and sequential bases share the sweep; they differ only
-in what the next column's solve was applied to.
+accumulation.
 """
 
 from __future__ import annotations
@@ -186,12 +185,9 @@ def _adjoint_sweep(ctx: ChainContext, T_A: np.ndarray, T_b: np.ndarray) -> np.nd
     two-pass Gram-Schmidt step and the solve.  The solve of column c
     depends on edge k through -(sI - A)^{-1} d_k (d_k^T K_c), which adds
     -(D G u_c-bar)_k (D K_c)_k; when column c is not the first of its node,
-    G u_c-bar is also the cotangent of the solve's input.  That input is
-    V_{c-1} in a sequential basis and the raw snapshot K_{c-1} in a raw
-    one, so the raw case adds it to column c-1's cotangent after that
-    column's normalization and Gram-Schmidt pull-back instead of before.
-    The basis supplies each column's solve (K), Gram-Schmidt coefficients
-    and norm (U).
+    the solve was applied to V_{c-1}, and G u_c-bar is added to that
+    column's cotangent.  The basis supplies each column's solve (K),
+    Gram-Schmidt coefficients and norm (U).
 
     Every cotangent the sweep solves on lies in the span of the
     ``doubled_basis`` Q: the seeds lie in span{V, b}, and each solve at node
@@ -211,7 +207,6 @@ def _adjoint_sweep(ctx: ChainContext, T_A: np.ndarray, T_b: np.ndarray) -> np.nd
     D = op.D
     K, V, U = ctx.basis.K, ctx.basis.V, ctx.basis.U
     m = ctx.m
-    sequential = ctx.basis.generation == "sequential"
     Q = doubled_basis(ctx.solver, ctx.basis, ctx.b)
     DK = np.asarray(D @ K)
     DV = np.asarray(D @ V)
@@ -228,7 +223,6 @@ def _adjoint_sweep(ctx: ChainContext, T_A: np.ndarray, T_b: np.ndarray) -> np.nd
     Vbar = Wq @ C.transpose(1, 2, 0)  # [a, :, o] is V_a-bar for output o, in Q
     J = -np.einsum("okb,kb->ko", DV @ T_A, DV)
     DGu = np.empty_like(J)  # D G u_c-bar, filled in place
-    Kbar = 0.0  # raw bases: cotangent of K_c handed down by column c+1
     for c in range(m - 1, -1, -1):
         x = Vq[:, c]
         ubar = Vbar[c]
@@ -238,18 +232,12 @@ def _adjoint_sweep(ctx: ChainContext, T_A: np.ndarray, T_b: np.ndarray) -> np.nd
             Vbar[:c] -= (U[:c, c, None, None] * ubar[None]
                          + Kq[None, :, c, None] * proj[:, None, :])
             ubar = ubar - Vq[:, :c] @ proj
-        ubar = ubar + Kbar
         j, q = layout[c]
         np.matmul(DY[j], ubar, out=DGu)
         DGu *= DK[:, c, None]
         J -= DGu
-        Kbar = 0.0
-        if q > 1:  # column c was solved on column c-1, not on b
-            y = QY[j] @ ubar
-            if sequential:
-                Vbar[c - 1] += y
-            else:
-                Kbar = y
+        if q > 1:  # column c was solved on V_{c-1}, not on b
+            Vbar[c - 1] += QY[j] @ ubar
     return J
 
 

@@ -7,7 +7,9 @@ The nonlinear map evaluated here takes a resistivity vector to the
     r -> A(r) -> snapshot basis V -> (A_m, b_m) -> (theta, c)
       -> (kappa, kappahat) -> logs.
 
-All intermediates are kept in a ChainContext so the analytic Jacobian can
+The basis is generated one way: each node's chain starts from b, and each
+further solve is applied to the newest orthonormal column.  All
+intermediates are kept in a ChainContext so the analytic Jacobian can
 reuse them.
 """
 
@@ -42,25 +44,33 @@ class KrylovBasis:
     """Snapshots K, orthonormal V and triangular U with K = V U, diag(U) > 0.
 
     Column j of K is the solve that produced V[:, j], and column j of U
-    holds its Gram-Schmidt coefficients and remaining norm, whichever the
-    ``generation``.  That records what each solve was applied to: ``raw``
-    solves on the previous solve, so K holds the literal resolvent powers;
-    ``sequential`` solves on the newest orthonormal column, which spans the
-    same subspace but stays well conditioned when plain powers go
-    numerically collinear.  The Jacobian's adjoint sweep reads K and U for
-    both, in the coordinates of the ``doubled_basis`` that extends V, and
-    needs the generation only to know what each solve was applied to.
+    holds its Gram-Schmidt coefficients and remaining norm.  Each node's
+    chain starts from b, and each further solve of a repeated node is
+    applied to the newest orthonormal column: that spans the same subspace
+    as the plain resolvent powers but stays well conditioned where they go
+    numerically collinear.  The Jacobian's adjoint sweep reads K and U in
+    the coordinates of the ``doubled_basis`` that extends V.
     """
 
     K: np.ndarray
     V: np.ndarray
     U: np.ndarray
     family: NodeFamily
-    generation: str = "raw"
 
     @property
     def m(self) -> int:
         return self.K.shape[1]
+
+    @property
+    def generation(self) -> str:
+        """``'sequential'`` if the family repeats a node, else ``'raw'``.
+
+        A label only: with simple nodes every solve is applied to b, so the
+        plain powers and the sequential chain are the same computation.  It
+        is kept because the benchmark harness reads it, and goes with the
+        harness's next change (ROADMAP item 0).
+        """
+        return "sequential" if np.any(self.family.multiplicities > 1) else "raw"
 
 
 @dataclass(frozen=True)
@@ -90,20 +100,15 @@ def _gram_schmidt_step(V: np.ndarray, j: int, u: np.ndarray):
     return coeffs
 
 
-# a column left with at most this share of its norm after Gram-Schmidt
-# already lies in the span built so far
-_SPAN_FLOOR = 1e-13
+def build_krylov(A, b, family: NodeFamily,
+                 solver: shifted_solver | None = None) -> KrylovBasis:
+    """Orthonormal basis of the rational Krylov subspace of ``family``.
 
-
-def _krylov_basis(solver: shifted_solver, b: np.ndarray, family: NodeFamily,
-                  floor: float, sequential: bool) -> KrylovBasis:
-    """Solve, orthogonalize and normalize the basis one column at a time.
-
-    Each node's chain starts from b.  Its next solve is applied to the
-    previous raw solve, or with ``sequential`` to the newest orthonormal
-    column.  A column left with at most ``floor`` of its norm after the
-    Gram-Schmidt step raises BasisCollapseError.
+    Solves, orthogonalizes and normalizes one column at a time (see
+    KrylovBasis).  A column that vanishes after the Gram-Schmidt step
+    raises BasisCollapseError.
     """
+    solver = solver or shifted_solver(A)
     b = np.asarray(b, dtype=float)
     n, m = b.size, family.m
     K = np.zeros((n, m))
@@ -113,24 +118,24 @@ def _krylov_basis(solver: shifted_solver, b: np.ndarray, family: NodeFamily,
     for s, mult in zip(family.nodes, family.multiplicities):
         x = b
         for _ in range(int(mult)):
-            x = solver.solve(s, x)
-            K[:, col] = x
-            u = x.copy()
-            nrm0 = np.linalg.norm(u)
+            u = solver.solve(s, x)
+            K[:, col] = u
             U[:col, col] = _gram_schmidt_step(V, col, u)
             nrm = np.linalg.norm(u)
-            if nrm <= floor * nrm0:
+            if nrm == 0.0:
                 raise BasisCollapseError(
                     f"snapshot column {col + 1} lies in the span of the previous ones; "
                     "reduce the model size m")
             U[col, col] = nrm
-            u = u / nrm
-            V[:, col] = u
-            if sequential:
-                x = u
+            x = u / nrm
+            V[:, col] = x
             col += 1
-    return KrylovBasis(K=K, V=V, U=U, family=family,
-                       generation="sequential" if sequential else "raw")
+    return KrylovBasis(K=K, V=V, U=U, family=family)
+
+
+# a column left with at most this share of its norm after Gram-Schmidt
+# already lies in the span built so far
+_SPAN_FLOOR = 1e-13
 
 
 def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> np.ndarray:
@@ -170,35 +175,6 @@ def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> 
                 break
             x = Q[:, k - 1]
     return Q[:, :k]
-
-
-# a raw column that keeps at most this share of its norm after Gram-Schmidt
-# is too collinear with the earlier ones to trust; 'auto' then builds the
-# sequential basis
-_RAW_RESIDUAL_FLOOR = 1e-8
-
-
-def build_krylov(A, b, family: NodeFamily, solver: shifted_solver | None = None,
-                 generation: str = "auto") -> KrylovBasis:
-    """Orthonormal basis of the rational Krylov subspace of ``family``.
-
-    ``generation`` is ``'raw'``, ``'sequential'`` (see KrylovBasis) or
-    ``'auto'``, which builds the raw basis and switches to sequential at the
-    first column that keeps at most 1e-8 of its norm after Gram-Schmidt.  A
-    raw column left with at most 1e-13 of its norm, or a sequential one that
-    vanishes, raises BasisCollapseError.
-    """
-    solver = solver or shifted_solver(A)
-    if generation not in ("auto", "raw", "sequential"):
-        raise RomresError(f"unknown snapshot generation {generation!r}")
-    if generation == "auto":
-        try:
-            return _krylov_basis(solver, b, family, _RAW_RESIDUAL_FLOOR, sequential=False)
-        except BasisCollapseError:
-            generation = "sequential"
-    if generation == "raw":
-        return _krylov_basis(solver, b, family, _SPAN_FLOOR, sequential=False)
-    return _krylov_basis(solver, b, family, 0.0, sequential=True)
 
 
 def project(A, b, basis: KrylovBasis) -> ReducedModel:
@@ -255,9 +231,18 @@ class ChainContext:
 def preconditioner_chain(op: SystemOperator, b: np.ndarray, family: NodeFamily,
                          generation: str = "auto",
                          solver: shifted_solver | None = None) -> ChainContext:
-    """Run the full stable chain at one operator/source pair."""
+    """Run the full stable chain at one operator/source pair.
+
+    ``generation`` selects nothing: it accepts ``'auto'`` or the family's
+    own ``KrylovBasis.generation`` label and raises RomresError otherwise.
+    It stays only because the benchmark harness passes it, and goes with
+    the harness's next change (ROADMAP item 0).
+    """
     solver = solver or shifted_solver(op.A)
-    basis = build_krylov(op.A, b, family, solver=solver, generation=generation)
+    basis = build_krylov(op.A, b, family, solver=solver)
+    if generation not in ("auto", basis.generation):
+        raise RomresError(f"generation {generation!r} is neither 'auto' nor "
+                          f"{basis.generation!r}, the label of this family's basis")
     model = project(op.A, b, basis)
     pr, Z = reduced_spectral(model)
     gaps = np.diff(pr.theta)
@@ -276,7 +261,8 @@ def preconditioner_R(field: ResistivityField, family: NodeFamily, generation: st
     Output ordering is fixed: (log kappa_1..m, log kappahat_1..m).  The
     source is the boundary excitation at x = 0.  A 2D field has one source
     per boundary segment; run ``preconditioner_chain`` on its operator and
-    each segment's source vector.
+    each segment's source vector.  ``generation`` is checked as there, and
+    selects nothing.
     """
     grid = field.grid
     if not isinstance(grid, Grid1D):

@@ -92,12 +92,8 @@ def node_family(kind: str, m: int, s_hat: float = 60.0) -> NodeFamily:
     if m < 1:
         raise RomresError("m must be at least 1")
     if kind == "zolotarev":
-        if m == 1:
-            return NodeFamily(np.array([2.0]), np.array([1]), "zolotarev")
         return nodes_geometric(m, 2.0, 1.0 + 12.0 / m, "zolotarev")
     if kind == "fast":
-        if m == 1:
-            return NodeFamily(np.array([2.0]), np.array([1]), "fast")
         return nodes_geometric(m, 2.0, (1.0 + 12.0 / m) ** 3, "fast")
     if kind == "pade0":
         return NodeFamily(np.array([0.0]), np.array([m]), "pade0")

@@ -214,10 +214,9 @@ def _run_invert2d(cfg: ExperimentConfig, outdir: Path):
     truth_f = phantom(cfg.phantom, gf)
     op_f = assemble_operator_2d(truth_f, gf)
     sources = [source_vector(gf, s).b for s in gf.segments]
-    icfg = replace(cfg.inversion_config(), family_kind="single-node")
     tau = moments_from_operator(op_f, sources, cfg.s_hat, 2 * cfg.m0)
     truth_c = phantom(cfg.phantom, gc)
-    rec, hist = invert_2d(tau, gc, icfg, r_true=truth_c.values)
+    rec, hist = invert_2d(tau, gc, cfg.inversion_config(), r_true=truth_c.values)
     out = _write_inversion(cfg, outdir, hist, ["x", "y", "r_true", "r"],
                            (*gc.cell_centers(), truth_c.values, rec.values))
     out.append(write_pgm(outdir / "reconstruction.pgm", rec.values, gc))

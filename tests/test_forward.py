@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def test_simulate_response_rejects_nonsymmetric(small_system):
     for bad in (A.tocsr(), A.toarray()):
         with pytest.raises(RomresError, match="symmetric"):
             simulate_response(bad, b, T=1.0, h_T=1e-2)
+    with warnings.catch_warnings():
+        # no bare ValueError, and no warning in its place
+        warnings.simplefilter("error")
+        for T, h_T in ((1.0, np.nan), (np.nan, 1e-2), (np.inf, 1e-2), (1.0, 0.0)):
+            with pytest.raises(RomresError, match="positive and finite"):
+                simulate_response(op.A, b, T=T, h_T=h_T)
+        for short in (b[:-1], b[:, None]):
+            with pytest.raises(RomresError, match="does not match"):
+                simulate_response(op.A, short, T=1.0, h_T=1e-2)
 
 
 def test_response_positive_decreasing(small_system):

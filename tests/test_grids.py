@@ -27,6 +27,12 @@ def test_grid1d_needs_integer_size(n):
         Grid1D(n)
 
 
+@pytest.mark.parametrize("nx, ny", [(2.5, 3), (3, 2.5), (3.0, 3), (3, "4"), (None, 3), (1, 3)])
+def test_grid2d_needs_integer_size(nx, ny):
+    with pytest.raises(InvalidGridError):
+        Grid2D(nx=nx, ny=ny)
+
+
 def test_difference_constant_vector():
     g = Grid1D(2)
     D = build_difference_1d(g)

@@ -432,9 +432,15 @@ def test_data_fitting_moments_reduction():
 def test_data_fitting_moments_rejects_nonfinite(bad):
     # an input error: the Toeplitz SVD must not see it
     tau = np.array([1.0 / 3.0, bad, 1.0 / 27.0, -1.0 / 81.0])
-    with pytest.raises(RomresError, match="finite") as err:
-        data_fitting_moments(tau, 2.0, InversionConfig(m0=2))
-    assert not isinstance(err.value, DataUnusableError)
+    good = np.array([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0, -1.0 / 81.0])
+    with warnings.catch_warnings():
+        # no bare LinAlgError or ValueError, and no warning in their place
+        warnings.simplefilter("error")
+        for moments, s_hat, match in ((tau, 2.0, "finite"), (good, bad, "finite"),
+                                      (np.vstack([good, good]), 2.0, "vector")):
+            with pytest.raises(RomresError, match=match) as err:
+                data_fitting_moments(moments, s_hat, InversionConfig(m0=2))
+            assert not isinstance(err.value, DataUnusableError)
 
 
 def test_invert_1d_noiseless_quick():

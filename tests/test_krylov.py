@@ -2,21 +2,21 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from romres.cfrac import pole_residue_to_cfrac
 from romres.errors import RomresError
 from romres.forward import transfer_eval, transfer_moments
 from romres.grids import Grid1D, Grid2D, ResistivityField, assemble_operator, \
     build_difference_1d, source_vector
-from romres.krylov import (build_krylov, preconditioner_R, preconditioner_chain,
-                           project, reduced_spectral)
+from romres.krylov import (KrylovBasis, build_krylov, preconditioner_R,
+                           preconditioner_chain, project, reduced_spectral)
 from romres.ratfit import NodeFamily, fit_multipoint, node_family, to_pole_residue
 
 
 def test_basis_orthonormal(small_system):
     grid, field, op, b = small_system
-    for generation in ("raw", "sequential"):
-        basis = build_krylov(op.A, b, node_family("zolotarev", 5),
-                             generation=generation)
-        assert basis.generation == generation
+    for name, label in (("zolotarev", "raw"), ("pade0", "sequential")):
+        basis = build_krylov(op.A, b, node_family(name, 5))
+        assert basis.generation == label
         V, K, U = basis.V, basis.K, basis.U
         assert np.max(np.abs(V.T @ V - np.eye(5))) < 1e-12
         assert np.max(np.abs(K - V @ U)) / np.max(np.abs(K)) < 1e-10
@@ -33,14 +33,17 @@ def test_basis_m1(small_system):
 
 
 def test_pade0_snapshots_are_inverse_powers(small_system):
+    # the leading k columns of V span the first k inverse powers (-A)^-j b
     grid, field, op, b = small_system
-    fam = node_family("pade0", 3)
-    basis = build_krylov(op.A, b, fam, generation="raw")
-    A = op.A.toarray()
+    basis = build_krylov(op.A, b, node_family("pade0", 3))
+    P = np.empty((b.size, 3))
     x = b.copy()
     for j in range(3):
-        x = np.linalg.solve(-A, x)
-        assert np.allclose(basis.K[:, j], x, rtol=1e-10)
+        x = P[:, j] = np.linalg.solve(-op.A.toarray(), x)
+    assert np.allclose(basis.K[:, 0], P[:, 0], rtol=1e-10)
+    for k in range(1, 4):
+        Vk, Pk = basis.V[:, :k], P[:, :k]
+        assert np.linalg.norm(Pk - Vk @ (Vk.T @ Pk)) <= 1e-10 * np.linalg.norm(Pk)
 
 
 def test_projection_moment_matching(small_system):
@@ -163,14 +166,35 @@ def test_high_contrast_field_finite():
 
 
 def test_unknown_generation_rejected(small_system):
+    # generation= selects nothing: it takes 'auto' or the family's own label
     grid, field, op, b = small_system
-    with pytest.raises(RomresError):
-        build_krylov(op.A, b, node_family("zolotarev", 3), generation="bogus")
+    for name, label, other in (("zolotarev", "raw", "sequential"),
+                               ("pade0", "sequential", "raw")):
+        fam = node_family(name, 3)
+        ref = preconditioner_chain(op, b, fam)
+        assert ref.basis.generation == label
+        assert np.array_equal(preconditioner_chain(op, b, fam, generation=label).log_vector(),
+                              ref.log_vector())
+        for bad in (other, "bogus"):
+            with pytest.raises(RomresError, match="generation"):
+                preconditioner_chain(op, b, fam, generation=bad)
+            with pytest.raises(RomresError, match="generation"):
+                preconditioner_R(field, fam, generation=bad)
 
 
 def test_sequential_matches_raw_values(small_system):
+    # the reduced model depends only on the span: projecting onto the
+    # orthonormalized literal resolvent powers gives the same log vector
     grid, field, op, b = small_system
-    fam = node_family("single-node", 4, s_hat=10.0)
-    c1 = preconditioner_chain(op, b, fam, generation="raw")
-    c2 = preconditioner_chain(op, b, fam, generation="sequential")
-    assert np.allclose(c1.log_vector(), c2.log_vector(), atol=1e-9)
+    s_hat = 10.0
+    fam = node_family("single-node", 4, s_hat=s_hat)
+    resolvent = s_hat * np.eye(b.size) - op.A.toarray()
+    P = np.empty((b.size, 4))
+    x = b.copy()
+    for j in range(4):
+        x = P[:, j] = np.linalg.solve(resolvent, x)
+    Q, R = np.linalg.qr(P)
+    poles, _ = reduced_spectral(project(op.A, b, KrylovBasis(K=P, V=Q, U=R, family=fam)))
+    cf, _, _ = pole_residue_to_cfrac(poles)
+    ctx = preconditioner_chain(op, b, fam)
+    assert np.allclose(ctx.log_vector(), cf.log_vector(), atol=1e-9)
