@@ -89,6 +89,9 @@ class InversionConfig:
             raise RomresError(f"unknown weight mode {self.weights!r}")
         if self.parametrization not in ("cfrac", "spectral"):
             raise RomresError(f"unknown parametrization {self.parametrization!r}")
+        # node_family's own checks: the kind's name, and s_hat as the 2D node
+        node_family(self.family_kind, 1)
+        node_family("single-node", 1, s_hat=self.s_hat)
 
     def family(self, m: int) -> NodeFamily:
         return node_family(self.family_kind, m, s_hat=self.s_hat)
@@ -123,6 +126,9 @@ _PINV_RCOND = 1e-12
 # this fraction between iterations
 _STAGNATION_RTOL = 1e-8
 
+# a step is halved at most this often to keep the update positive
+_MAX_HALVINGS = 20
+
 # Lanczos subspace for the saddle matrix's smallest eigenpair.  Each basis
 # vector costs one M^-1 solve; the pair is dominant in M^-1 by decades, so
 # invert2d's correction converges in 7 solves (21 at ARPACK's default of
@@ -144,8 +150,6 @@ def _reduce_m(fit_at, m: int) -> FitTarget:
     coefficients are not all positive triggers a retry at m - 1; reaching
     m = 0 means the data support no admissible model at all.
     """
-    if m < 1:
-        raise RomresError(f"m0 must be at least 1, got {m}")
     attempts = []
     while m >= 1:
         attempts.append(m)
@@ -186,22 +190,20 @@ def _toeplitz_scale(tau: np.ndarray) -> float:
     return (lo / hi) ** (1.0 / (tau.size - 1))
 
 
-def data_fitting_moments(moments: np.ndarray, s_hat: float,
-                         config: InversionConfig | None = None,
-                         m0: int | None = None) -> FitTarget:
+def data_fitting_moments(moments: np.ndarray, s_hat: float, m0: int) -> FitTarget:
     """Moment-based fitting at one expansion node (the 2D data route).
 
     ``moments`` holds tau_0..tau_{2 m0 - 1} of the transfer function at
-    s_hat (``m0`` defaults to ``config.m0``); trial m uses the leading 2m
-    of them.  The fitted size is the Toeplitz fit's degree, which may fall
-    below the trial m when the moments have lower rank.
+    s_hat; trial m uses the leading 2m of them.  The fitted size is the
+    Toeplitz fit's degree, which may fall below the trial m when the
+    moments have lower rank.
     """
-    config = config or InversionConfig()
-    m = config.m0 if m0 is None else m0
+    if m0 < 1:
+        raise RomresError(f"m0 must be at least 1, got {m0}")
     tau_all = np.asarray(moments, dtype=float)
     if tau_all.ndim != 1:
         raise RomresError(f"moments must be a vector, got shape {tau_all.shape}")
-    if tau_all.size < 2 * m:
+    if tau_all.size < 2 * m0:
         raise RomresError("not enough moments for the requested m")
     if not np.all(np.isfinite(tau_all)):
         raise RomresError("moments must be finite")
@@ -212,26 +214,28 @@ def data_fitting_moments(moments: np.ndarray, s_hat: float,
         tau = tau_all[: 2 * m]
         return fit_pade_toeplitz(tau, shift=s_hat, scale=_toeplitz_scale(tau))
 
-    return _reduce_m(fit_at, m)
+    return _reduce_m(fit_at, m0)
 
 
 def gauss_newton_step(r: np.ndarray, J: np.ndarray, residual: np.ndarray,
-                      alpha: float = 1.0, max_halvings: int = 20,
-                      J_pinv: np.ndarray | None = None):
+                      alpha: float = 1.0, J_pinv: np.ndarray | None = None):
     """Pseudoinverse step with a positivity guard on the step length.
 
-    rho = -J^+ residual; alpha is halved (at most ``max_halvings`` times)
+    rho = -J^+ residual; alpha is halved (at most ``_MAX_HALVINGS`` times)
     until r + alpha*rho stays strictly positive.  ``J_pinv`` is J^+ if the
-    caller already has it.  A non-finite residual or J raises
-    ``RomresError``.
+    caller already has it.  A non-finite residual or J, or a J whose shape
+    is not (residual size, r size), raises ``RomresError``.
     """
     if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(J))):
         raise RomresError("residual and Jacobian must be finite")
+    if np.shape(J) != (np.size(residual), np.size(r)):
+        raise RomresError(f"Jacobian of shape {np.shape(J)} does not map {np.size(r)} "
+                          f"cells to {np.size(residual)} residuals")
     if J_pinv is None:
         J_pinv = np.linalg.pinv(J, rcond=_PINV_RCOND)
     rho = -J_pinv @ residual
     a = alpha
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         r_gn = r + a * rho
         if np.all(r_gn > 0):
             return r_gn, rho, a
@@ -346,21 +350,25 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
     edge graph that leaves a cell unconnected, or a zero row of J) raises
     ``RegularizationError``.
 
-    ``solver='nullspace'`` returns the exact constrained minimizer
-    M^-1 [0; J r_gn].  ``solver='kkt'`` discards the eigenvector v of the
-    symmetric M whose eigenvalue is smallest in modulus, i.e. applies
-    P M^-1 P with P = I - v v^T.  That equals the truncated-SVD solve
-    which drops M's smallest singular pair: for identity weights M is
-    nonsingular, but that pair is a poorly determined component.  v is
-    the dominant eigenvector of M^-1 (Lanczos with a small subspace on
-    the same factorization, from a fixed start so reruns are
-    bit-identical).  ``'auto'`` takes ``kkt`` for identity and
-    ``nullspace`` for adaptive weights.  Either way the correction is
-    finally projected onto null(J), through ``J_pinv`` if the caller
-    passes J^+ (``np.linalg.pinv`` with relative cutoff ``_PINV_RCOND``).
+    The weights pick the solve.  Given weights get the exact constrained
+    minimizer M^-1 [0; J r_gn].  Identity weights get the deflated solve:
+    it discards the eigenvector v of the symmetric M whose eigenvalue is
+    smallest in modulus, i.e. applies P M^-1 P with P = I - v v^T.  That
+    equals the truncated-SVD solve which drops M's smallest singular pair:
+    for identity weights M is nonsingular, but that pair is a poorly
+    determined component.  v is the dominant eigenvector of M^-1 (Lanczos
+    with a small subspace on the same factorization, from a fixed start so
+    reruns are bit-identical).  Either way the correction is finally
+    projected onto null(J), through ``J_pinv`` if the caller passes J^+
+    (``np.linalg.pinv`` with relative cutoff ``_PINV_RCOND``).
 
-    Weights of the wrong shape, NaN or nonpositive weights raise
-    ``RomresError`` before anything is factored.
+    ``solver`` is a label that selects nothing: ``'auto'`` or the weights'
+    own mode (``'kkt'`` or ``'nullspace'``); anything else raises
+    RomresError.  ROADMAP item 0 deletes it with the harness that reads it.
+
+    Weights of the wrong shape, NaN or nonpositive weights, an r_gn whose
+    size is not Dt's column count, a J of the wrong width and a non-finite
+    r_gn or J raise ``RomresError`` before anything is factored.
     """
     if w is not None:
         w = np.asarray(w, dtype=float)
@@ -369,21 +377,26 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
         # also rejects NaN, which compares false
         if not np.all(w > 0):
             raise RomresError("weights must be positive")
-    if solver == "auto":
-        solver = "kkt" if w is None else "nullspace"
-    if solver not in ("kkt", "nullspace"):
-        raise RomresError(f"unknown null-space solver {solver!r}")
-    n, k = r_gn.size, J.shape[0]
+    n = Dt.shape[1]
+    if np.shape(r_gn) != (n,) or np.ndim(J) != 2 or np.shape(J)[1] != n:
+        raise RomresError(f"r_gn of shape {np.shape(r_gn)} and J of shape {np.shape(J)} "
+                          f"do not both have Dt's {n} columns")
+    if not (np.all(np.isfinite(r_gn)) and np.all(np.isfinite(J))):
+        raise RomresError("r_gn and Jacobian must be finite")
+    mode = "kkt" if w is None else "nullspace"
+    if solver not in ("auto", mode):
+        raise RomresError(f"solver {solver!r} is neither 'auto' nor {mode!r}, "
+                          "the solve these weights take")
     solve = _saddle_solver(J, Dt, w)
     rhs = np.concatenate([np.zeros(n), J @ r_gn])
-    if solver == "nullspace":
+    if w is not None:
         x = solve(rhs)
     else:
-        M_inv = spla.LinearOperator((n + k, n + k), matvec=solve, dtype=float)
-        v0 = np.random.default_rng(0).standard_normal(n + k)
+        M_inv = spla.LinearOperator((rhs.size, rhs.size), matvec=solve, dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(rhs.size)
         try:
             _, V = spla.eigsh(M_inv, k=1, which="LM", v0=v0,
-                              ncv=min(_LANCZOS_NCV, n + k))
+                              ncv=min(_LANCZOS_NCV, rhs.size))
         except spla.ArpackNoConvergence as exc:
             raise RegularizationError(f"smallest saddle eigenpair not found: {exc}") from exc
         v = V[:, 0]
@@ -416,6 +429,8 @@ def relative_error(r_star: np.ndarray, r_true: np.ndarray) -> float:
     r_true = np.asarray(r_true, dtype=float)
     if r_star.shape != r_true.shape:
         raise RomresError("fields must have matching shape")
+    if not (np.all(np.isfinite(r_star)) and np.all(np.isfinite(r_true))):
+        raise RomresError("fields must be finite")
     norm_true = np.linalg.norm(r_true)
     if norm_true == 0:
         raise RomresError("relative error against a zero reference field")
@@ -573,7 +588,7 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
     # so m strictly decreases until every source fits at the same size
     m = min(config.m0, tau.shape[1] // 2)
     while True:
-        targets = [data_fitting_moments(tau[j], config.s_hat, config, m0=m)
+        targets = [data_fitting_moments(tau[j], config.s_hat, m)
                    for j in range(n_d)]
         if all(t.m == m for t in targets):
             break

@@ -213,11 +213,11 @@ def _adjoint_sweep(ctx: ChainContext, T_A: np.ndarray, T_b: np.ndarray) -> np.nd
     Vq, Kq = Q.T @ V, Q.T @ K
     Wq = Q.T @ np.column_stack([op.A @ V, ctx.b])
     DY, QY = [], []
-    for s in ctx.family.nodes:
+    for s in ctx.basis.family.nodes:
         Y = ctx.solver.solve(s, Q)
         DY.append(np.asarray(D @ Y))
         QY.append(Q.T @ Y)
-    layout = _column_layout(ctx.family)
+    layout = _column_layout(ctx.basis.family)
 
     C = np.concatenate([T_A + T_A.transpose(0, 2, 1), T_b[:, :, None]], axis=2)
     Vbar = Wq @ C.transpose(1, 2, 0)  # [a, :, o] is V_a-bar for output o, in Q

@@ -79,11 +79,6 @@ class ReducedModel:
 
     A_m: np.ndarray
     b_m: np.ndarray
-    family: NodeFamily
-
-    @property
-    def m(self) -> int:
-        return self.b_m.size
 
 
 def _gram_schmidt_step(V: np.ndarray, j: int, u: np.ndarray):
@@ -187,7 +182,7 @@ def project(A, b, basis: KrylovBasis) -> ReducedModel:
     lam_max = sla.eigvalsh(A_m)[-1]
     if lam_max >= 0:
         raise RomresError(f"projected operator not negative definite (max eig {lam_max:g})")
-    return ReducedModel(A_m=A_m, b_m=b_m, family=basis.family)
+    return ReducedModel(A_m=A_m, b_m=b_m)
 
 
 def reduced_spectral(model: ReducedModel):
@@ -210,7 +205,6 @@ class ChainContext:
 
     operator: SystemOperator
     b: np.ndarray
-    family: NodeFamily
     solver: shifted_solver
     basis: KrylovBasis
     model: ReducedModel
@@ -222,7 +216,7 @@ class ChainContext:
 
     @property
     def m(self) -> int:
-        return self.family.m
+        return self.basis.m
 
     def log_vector(self) -> np.ndarray:
         return self.cf.log_vector()
@@ -249,7 +243,7 @@ def preconditioner_chain(op: SystemOperator, b: np.ndarray, family: NodeFamily,
     if gaps.size and np.min(gaps) < 1e-10 * abs(pr.theta[-1]):
         raise DegeneracyError("nearly coinciding reduced eigenvalues")
     cf, tri, X = pole_residue_to_cfrac(pr)
-    return ChainContext(operator=op, b=b, family=family, solver=solver,
+    return ChainContext(operator=op, b=b, solver=solver,
                         basis=basis, model=model, pr=pr, Z=Z,
                         tri=tri, X=X, cf=cf)
 

@@ -18,7 +18,7 @@ from .cfrac import ContinuedFraction
 from .errors import AdmissibilityError
 from .grids import Grid1D, ResistivityField
 from .krylov import preconditioner_R
-from .ratfit import NodeFamily, node_family
+from .ratfit import node_family
 
 __all__ = [
     "OptimalGrid",
@@ -37,8 +37,6 @@ class OptimalGrid:
     x_hat: np.ndarray
     kappa0: np.ndarray
     kappa_hat0: np.ndarray
-    family_label: str
-    n_fine: int
 
     @property
     def m(self) -> int:
@@ -57,27 +55,20 @@ class RatioReconstruction:
     zeta: np.ndarray
     zeta_hat: np.ndarray
     zeta_tilde: np.ndarray
-    grid: OptimalGrid
 
 
-def reference_grid(m: int, family: NodeFamily | str = "zolotarev",
-                   n_fine: int = 1999) -> OptimalGrid:
+def reference_grid(m: int, family: str = "zolotarev", n_fine: int = 1999) -> OptimalGrid:
     """Staggered grid from the constant unit medium.
 
-    Runs the stable chain of ``family`` (a NodeFamily of size m, or a
-    preset name) once on the unit field of ``n_fine`` points and takes the
-    primary/dual nodes as the partial sums of its kappa/kappahat.  Nothing
-    is cached: one call costs a few milliseconds at N = 1999.
+    Runs the stable chain of the preset ``family`` of size m once on the
+    unit field of ``n_fine`` points and takes the primary/dual nodes as the
+    partial sums of its kappa/kappahat.  Nothing is cached: one call costs a
+    few milliseconds at N = 1999.
     """
-    if isinstance(family, str):
-        family = node_family(family, m)
-    if family.m != m:
-        raise AdmissibilityError(f"family size {family.m} != m = {m}")
     field = ResistivityField(np.ones(n_fine), Grid1D(n_fine))
-    _, ctx = preconditioner_R(field, family, return_context=True)
+    _, ctx = preconditioner_R(field, node_family(family, m), return_context=True)
     k0, kh0 = ctx.cf.kappa, ctx.cf.kappa_hat
-    return OptimalGrid(x=np.cumsum(k0), x_hat=np.cumsum(kh0), kappa0=k0,
-                       kappa_hat0=kh0, family_label=family.label, n_fine=n_fine)
+    return OptimalGrid(x=np.cumsum(k0), x_hat=np.cumsum(kh0), kappa0=k0, kappa_hat0=kh0)
 
 
 def check_interlacing(grid: OptimalGrid) -> tuple[bool, int]:
@@ -110,5 +101,4 @@ def ratio_reconstruction(cf: ContinuedFraction, grid: OptimalGrid) -> RatioRecon
         raise AdmissibilityError("model size does not match the reference grid")
     zeta = (grid.kappa0 / cf.kappa) ** 2
     zeta_hat = (cf.kappa_hat / grid.kappa_hat0) ** 2
-    return RatioReconstruction(zeta=zeta, zeta_hat=zeta_hat,
-                               zeta_tilde=np.sqrt(zeta * zeta_hat), grid=grid)
+    return RatioReconstruction(zeta=zeta, zeta_hat=zeta_hat, zeta_tilde=np.sqrt(zeta * zeta_hat))

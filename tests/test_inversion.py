@@ -63,8 +63,9 @@ def test_gauss_newton_positivity_guard():
     r_gn, rho, a = gauss_newton_step(r, J, residual)
     assert np.all(r_gn > 0)
     assert a < 1.0
+    # rho = (-1e8, 0) needs 27 halvings, past the fixed budget of 20
     with pytest.raises(StepFailureError):
-        gauss_newton_step(r, J, residual, max_halvings=2)
+        gauss_newton_step(r, J, np.array([1e8, 0.0]))
 
 
 @pytest.mark.parametrize("bad", ["residual", "J"])
@@ -88,10 +89,9 @@ def test_nullspace_correction_preserves_residual(small_system, rng):
     Dt = regularization_gradient(grid)
     r_gn = field.values * (1.0 + 0.1 * rng.random(grid.n_points))
     for w in (None, adaptive_weights(Dt, r_gn, 1e-3)):
-        for solver in ("kkt", "nullspace"):
-            r_next = regularize_nullspace(r_gn, J, Dt, w=w, solver=solver)
-            rel = np.linalg.norm(J @ (r_next - r_gn)) / np.linalg.norm(J @ r_gn)
-            assert rel < 1e-8, (solver, w is None)
+        r_next = regularize_nullspace(r_gn, J, Dt, w=w)
+        rel = np.linalg.norm(J @ (r_next - r_gn)) / np.linalg.norm(J @ r_gn)
+        assert rel < 1e-8, w is None
 
 
 def test_nullspace_correction_keeps_constant(small_system):
@@ -145,16 +145,15 @@ def test_nullspace_correction_matches_dense_formulas(rng):
     r, J, Dt = _jacobian_2d(12, 6)
     r_gn = r * (1.0 + 0.1 * rng.random(r.size))
     ones, w = np.ones(Dt.shape[0]), adaptive_weights(Dt, r_gn, 1e-3)
-    # with adaptive weights the smallest saddle eigenvalue lies below the
-    # dense SVD's rounding floor eps*||M||, so its truncated solve is no
-    # reference there ('auto' never pairs kkt with adaptive weights)
-    for solver, w, ref, w_ref, tol in (("kkt", None, _dense_kkt, ones, 1e-8),
-                                       ("nullspace", None, _dense_nullspace, ones, 1e-10),
-                                       ("nullspace", w, _dense_nullspace, w, 1e-10)):
-        r_next = regularize_nullspace(r_gn, J, Dt, w=w, solver=solver)
+    # identity weights take the deflated solve; given weights, unit ones
+    # included, take the exact minimizer
+    for w, ref, w_ref, tol in ((None, _dense_kkt, ones, 1e-8),
+                               (ones, _dense_nullspace, ones, 1e-10),
+                               (w, _dense_nullspace, w, 1e-10)):
+        r_next = regularize_nullspace(r_gn, J, Dt, w=w)
         r_ref = ref(r_gn, J, Dt, w_ref)
         rel = np.linalg.norm(r_next - r_ref) / np.linalg.norm(r_ref)
-        assert rel < tol, (solver, w is None, rel)
+        assert rel < tol, (ref.__name__, w is None, rel)
 
 
 def test_nullspace_correction_rerun_identical(rng):
@@ -212,10 +211,56 @@ def test_nullspace_rejects_bad_weights(bad, rng, monkeypatch):
         raise AssertionError("factored before the weights were checked")
 
     monkeypatch.setattr(spla, "splu", no_factorization)
-    for solver in ("kkt", "nullspace"):
-        with pytest.raises(RomresError, match="weights") as info:
-            regularize_nullspace(1.0 + rng.random(20), J, Dt, w=w, solver=solver)
-        assert not isinstance(info.value, RegularizationError)
+    with pytest.raises(RomresError, match="weights") as info:
+        regularize_nullspace(1.0 + rng.random(20), J, Dt, w=w)
+    assert not isinstance(info.value, RegularizationError)
+
+
+def test_unknown_solver_label_rejected(rng):
+    # solver= selects nothing: it takes 'auto' or the weights' own mode
+    grid = Grid1D(20)
+    _, ctx = preconditioner_R(ResistivityField(np.ones(20), grid),
+                              node_family("zolotarev", 3), return_context=True)
+    J, Dt = assemble_jacobian(ctx), regularization_gradient(grid)
+    r_gn = 1.0 + rng.random(20)
+    for w, label, other in ((None, "kkt", "nullspace"),
+                            (adaptive_weights(Dt, r_gn, 1e-3), "nullspace", "kkt")):
+        ref = regularize_nullspace(r_gn, J, Dt, w=w)
+        assert np.array_equal(regularize_nullspace(r_gn, J, Dt, w=w, solver=label), ref)
+        for bad in (other, "bogus"):
+            with pytest.raises(RomresError, match="solver"):
+                regularize_nullspace(r_gn, J, Dt, w=w, solver=bad)
+
+
+# calls that each must raise RomresError on entry, given a 1D N = 20 zolotarev
+# m = 3 Jacobian J (6 x 20), its seminorm operator Dt and a field r
+_BAD_INPUTS = {
+    "step J width": lambda J, Dt, r: gauss_newton_step(r, J[:, :-1], np.zeros(6)),
+    "step J height": lambda J, Dt, r: gauss_newton_step(r, J, np.zeros(5)),
+    "correction J width": lambda J, Dt, r: regularize_nullspace(r, J[:, :-1], Dt),
+    "correction r_gn length": lambda J, Dt, r: regularize_nullspace(r[:-1], J[:, :-1], Dt),
+    "correction J nan": lambda J, Dt, r: regularize_nullspace(
+        r, np.where(np.indices(J.shape)[1] == 5, np.nan, J), Dt),
+    "correction r_gn nan": lambda J, Dt, r: regularize_nullspace(np.full(20, np.nan), J, Dt),
+    "relative error nan": lambda J, Dt, r: relative_error(np.full(20, np.nan), r),
+    "relative error nan reference": lambda J, Dt, r: relative_error(r, np.full(20, np.nan)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_input_errors_raise_on_entry(case, capfd):
+    # each used to raise ValueError or ArpackError (with LAPACK's DLASCL
+    # lines on stderr) or to return nan
+    grid = Grid1D(20)
+    _, ctx = preconditioner_R(ResistivityField(np.ones(20), grid),
+                              node_family("zolotarev", 3), return_context=True)
+    J, Dt = assemble_jacobian(ctx), regularization_gradient(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RomresError) as info:
+            _BAD_INPUTS[case](J, Dt, np.ones(20))
+    assert not isinstance(info.value, (RegularizationError, StepFailureError))
+    assert capfd.readouterr().err == ""
 
 
 def _augmented_saddle_solver(J, Dt, w):
@@ -244,13 +289,12 @@ def test_identity_correction_matches_augmented_lu(small_system, rng, monkeypatch
         r_gn = r * (1.0 + 0.1 * rng.random(r.size))
         modes = [(None, tol)] + [(adaptive_weights(Dt, r_gn, phi), 1e-9) for phi in (1e-3, 1e-1)]
         for w, bound in modes:
-            for solver in ("kkt", "nullspace"):
-                r_next = regularize_nullspace(r_gn, J, Dt, w=w, solver=solver)
-                with monkeypatch.context() as m:
-                    m.setattr(inversion, "_saddle_solver", _augmented_saddle_solver)
-                    r_ref = regularize_nullspace(r_gn, J, Dt, w=w, solver=solver)
-                rel = np.linalg.norm(r_next - r_ref) / np.linalg.norm(r_ref)
-                assert rel < bound, (r.size, w is None, solver, rel)
+            r_next = regularize_nullspace(r_gn, J, Dt, w=w)
+            with monkeypatch.context() as m:
+                m.setattr(inversion, "_saddle_solver", _augmented_saddle_solver)
+                r_ref = regularize_nullspace(r_gn, J, Dt, w=w)
+            rel = np.linalg.norm(r_next - r_ref) / np.linalg.norm(r_ref)
+            assert rel < bound, (r.size, w is None, rel)
 
 
 def test_saddle_factorization_structure(rng, monkeypatch):
@@ -270,10 +314,9 @@ def test_saddle_factorization_structure(rng, monkeypatch):
     monkeypatch.setattr(spla, "splu", capturing_splu)
     w = adaptive_weights(Dt, r_gn, 1e-3)
     for weights, size in ((None, n), (w, e + n)):
-        for solver in ("kkt", "nullspace"):
-            regularize_nullspace(r_gn, J, Dt, w=weights, solver=solver)
-            assert shapes == [(size, size)], (weights is None, solver)
-            shapes.clear()
+        regularize_nullspace(r_gn, J, Dt, w=weights)
+        assert shapes == [(size, size)], weights is None
+        shapes.clear()
 
 
 def test_failed_correction_keeps_plain_update(monkeypatch):
@@ -405,12 +448,14 @@ def test_model_size_must_be_positive(m0):
     assert not isinstance(err.value, DataUnusableError)
     tau = np.array([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0, -1.0 / 81.0])
     with pytest.raises(RomresError, match="m0 must be at least 1") as err:
-        data_fitting_moments(tau, 2.0, InversionConfig(m0=2), m0=m0)
+        data_fitting_moments(tau, 2.0, m0)
     assert not isinstance(err.value, DataUnusableError)
 
 
 @pytest.mark.parametrize("setting", [{"n_gn": -1}, {"n_sources": 0},
-                                     {"weights": "bogus"}, {"parametrization": "bogus"}])
+                                     {"weights": "bogus"}, {"parametrization": "bogus"},
+                                     {"family_kind": "bogus"}, {"s_hat": np.nan},
+                                     {"s_hat": np.inf}])
 def test_config_rejects_invalid_setting(setting):
     # checked at construction, before any data are read
     with pytest.raises(RomresError):
@@ -420,12 +465,10 @@ def test_config_rejects_invalid_setting(setting):
 def test_data_fitting_moments_reduction():
     # moments of an m=1 function at a shifted node: requested m=2 collapses
     tau = np.array([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0, -1.0 / 81.0])  # 1/(s+1) at s=2
-    cfg = InversionConfig(m0=2)
-    target = data_fitting_moments(tau, 2.0, cfg)
+    target = data_fitting_moments(tau, 2.0, 2)
     assert target.m == 1 and target.attempts == (2,)
     assert target.spectral[0] == pytest.approx(1.0, rel=1e-8)
-    # an explicit m0 overrides config.m0
-    assert data_fitting_moments(tau, 2.0, cfg, m0=1).attempts == (1,)
+    assert data_fitting_moments(tau, 2.0, 1).attempts == (1,)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -439,7 +482,7 @@ def test_data_fitting_moments_rejects_nonfinite(bad):
         for moments, s_hat, match in ((tau, 2.0, "finite"), (good, bad, "finite"),
                                       (np.vstack([good, good]), 2.0, "vector")):
             with pytest.raises(RomresError, match=match) as err:
-                data_fitting_moments(moments, s_hat, InversionConfig(m0=2))
+                data_fitting_moments(moments, s_hat, 2)
             assert not isinstance(err.value, DataUnusableError)
 
 

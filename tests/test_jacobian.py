@@ -44,7 +44,7 @@ def _forward_mode_reference(ctx, lo=0, hi=None):
     Dt = op.D.T.tocsc()[:, lo:hi].toarray()
     dV = np.zeros((ctx.m, op.A.shape[0], hi - lo))
     col = 0
-    for s, mult in zip(ctx.family.nodes, ctx.family.multiplicities):
+    for s, mult in zip(ctx.basis.family.nodes, ctx.basis.family.multiplicities):
         gd = ctx.solver.solve(s, Dt)
         d_in = np.zeros_like(gd)  # the chain input b is fixed
         for _ in range(int(mult)):
@@ -219,7 +219,7 @@ def _saturated_contexts(rng):
         grid = Grid1D(N)
         field = ResistivityField(1.0 + 0.5 * rng.random(N), grid)
         vec, ctx = preconditioner_R(field, node_family(name, m), return_context=True)
-        assert N < 2 * m + 1 - len(ctx.family.nodes)
+        assert N < 2 * m + 1 - len(ctx.basis.family.nodes)
         contexts.append(ctx)
     return contexts
 
@@ -289,7 +289,7 @@ def test_jacobian_cost_structure(monkeypatch, rng):
 
     monkeypatch.setattr(shifted_solver, "solve", counting_solve)
     for ctx in contexts:
-        n, fam = ctx.operator.A.shape[0], ctx.family
+        n, fam = ctx.operator.A.shape[0], ctx.basis.family
         d = 2 * ctx.m + 1 - len(fam.nodes)
         expected = [(s, (n,)) for s, mult in zip(fam.nodes, fam.multiplicities)
                     for _ in range(int(mult) - 1)]

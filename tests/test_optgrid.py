@@ -18,16 +18,14 @@ def test_reference_grid_interlaced():
 
 def test_interlacing_violation_reported():
     g = OptimalGrid(x=np.array([0.1, 0.3]), x_hat=np.array([0.2, 0.25]),
-                    kappa0=np.array([0.1, 0.2]), kappa_hat0=np.array([0.2, 0.05]),
-                    family_label="t", n_fine=0)
+                    kappa0=np.array([0.1, 0.2]), kappa_hat0=np.array([0.2, 0.05]))
     ok, idx = check_interlacing(g)
     assert not ok and idx == 1
 
 
 def test_interlacing_m1():
     g = OptimalGrid(x=np.array([0.5]), x_hat=np.array([0.2]),
-                    kappa0=np.array([0.5]), kappa_hat0=np.array([0.2]),
-                    family_label="t", n_fine=0)
+                    kappa0=np.array([0.5]), kappa_hat0=np.array([0.2]))
     ok, idx = check_interlacing(g)
     assert ok and idx == -1
 
