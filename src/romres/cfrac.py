@@ -6,9 +6,10 @@ continued-fraction expansion
     Y_m(s) = 1/(kh_1 s + 1/(k_1 + 1/(kh_2 s + ... + 1/(kh_m s + 1/k_m))))
 
 with positive coefficients (kappa_j, kappahat_j).  The coefficients are the
-entries of an equivalent three-point finite-difference scheme, and they are
-computed from the pole/residue form through a tridiagonalizing Lanczos
-iteration followed by a short recursion.
+entries of an equivalent three-point finite-difference scheme, whose
+symmetric form (``three_point_scheme``) has the poles and residues as its
+eigenpairs.  They are computed from the pole/residue form through a
+tridiagonalizing Lanczos iteration followed by a short recursion.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "lanczos_tridiag",
     "cfrac_from_tridiagonal",
     "pole_residue_to_cfrac",
+    "three_point_scheme",
     "eval_cfrac",
     "solve_fd_scheme",
 ]
@@ -157,13 +159,12 @@ def cfrac_from_tridiagonal(tri: Tridiagonal, total_weight: float) -> ContinuedFr
     return ContinuedFraction(kappa=k, kappa_hat=kh)
 
 
-def pole_residue_to_cfrac(pr: PoleResidue):
+def pole_residue_to_cfrac(pr: PoleResidue) -> ContinuedFraction:
     """Continued fraction of a pole/residue model (spectral Lanczos path).
 
     Runs the Lanczos iteration on E = -diag(theta) with start vector
-    eta_i = sqrt(c_i / sum c).  Returns (cfrac, tridiagonal, X) so that the
-    derivative chain can reuse the Lanczos vectors; coefficients that are
-    not all positive raise AdmissibilityError.
+    eta_i = sqrt(c_i / sum c); coefficients that are not all positive raise
+    AdmissibilityError.
     """
     theta, c = pr.theta, pr.c
     if np.any(c <= 0):
@@ -171,10 +172,28 @@ def pole_residue_to_cfrac(pr: PoleResidue):
     total = float(np.sum(c))
     eta = np.sqrt(c / total)
     E = -np.diag(theta)
-    tri, X = lanczos_tridiag(E, eta)
+    tri, _ = lanczos_tridiag(E, eta)
     cf = cfrac_from_tridiagonal(tri, total)
     cf.require_admissible()
-    return cf, tri, X
+    return cf
+
+
+def three_point_scheme(cf: ContinuedFraction) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric form (A, b) of the three-point scheme, Y_m(s) = b^T (sI - A)^-1 b.
+
+    With g = 1/kappa and q = kappahat^(-1/2), A = diag(q) L diag(q), where
+    L_jj = -(g_j + g_{j-1}) with g_0 = 0 and L_{j,j+1} = L_{j+1,j} = g_j;
+    b = q_1 e_1.  So the eigenvalues of A are -theta and the residues are
+    c_j = (b^T z_j)^2.
+    """
+    g = 1.0 / cf.kappa
+    q = cf.kappa_hat ** -0.5
+    A = np.diag(-q ** 2 * (g + np.concatenate([[0.0], g[:-1]])))
+    k = np.arange(cf.m - 1)
+    A[k, k + 1] = A[k + 1, k] = q[:-1] * q[1:] * g[:-1]
+    b = np.zeros(cf.m)
+    b[0] = q[0]
+    return A, b
 
 
 def eval_cfrac(cf: ContinuedFraction, s) -> np.ndarray | float:
@@ -193,29 +212,13 @@ def solve_fd_scheme(cf: ContinuedFraction, s: float) -> np.ndarray:
 
     Interior rows j = 2..m:
         (1/kh_j) [ (w_{j+1}-w_j)/k_j - (w_j-w_{j-1})/k_{j-1} ] - s w_j = 0
-    with the excitation folded into row 1 and w_{m+1} = 0.
+    with the excitation folded into row 1 and w_{m+1} = 0.  In the
+    symmetric form (A, b) of ``three_point_scheme``,
+    w = diag(kh^(-1/2)) (sI - A)^-1 b.
     """
-    k, kh = cf.kappa, cf.kappa_hat
-    m = cf.m
-    diag = np.empty(m)
-    lower = np.empty(m - 1)
-    upper = np.empty(m - 1)
-    rhs = np.zeros(m)
-    rhs[0] = -1.0 / kh[0]
-    diag[0] = -1.0 / (kh[0] * k[0]) - s
-    if m > 1:
-        upper[0] = 1.0 / (kh[0] * k[0])
-    for j in range(1, m):
-        diag[j] = -(1.0 / k[j] + 1.0 / k[j - 1]) / kh[j] - s
-        lower[j - 1] = 1.0 / (kh[j] * k[j - 1])
-        if j < m - 1:
-            upper[j] = 1.0 / (kh[j] * k[j])
-    mat = np.diag(diag)
-    if m > 1:
-        mat[np.arange(m - 1), np.arange(1, m)] = upper
-        mat[np.arange(1, m), np.arange(m - 1)] = lower
+    A, b = three_point_scheme(cf)
     try:
-        w = np.linalg.solve(mat, rhs)
+        u = np.linalg.solve(s * np.eye(cf.m) - A, b)
     except np.linalg.LinAlgError as exc:
         raise RomresError(f"singular reduced scheme at s={s!r}") from exc
-    return w
+    return cf.kappa_hat ** -0.5 * u

@@ -13,6 +13,7 @@ residual.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +51,13 @@ __all__ = [
 ]
 
 
+def _require_integer(name: str, value):
+    try:
+        operator.index(value)
+    except TypeError:
+        raise RomresError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class InversionConfig:
     """Settings of the Gauss-Newton drivers; defaults follow the experiments.
@@ -64,8 +72,7 @@ class InversionConfig:
     at jumps.  ``nullspace_correction=False`` keeps the plain step.
     ``parametrization='spectral'`` switches the residual to the log
     pole/residue coordinates (baseline for comparison).  ``n_sources`` is
-    the number of boundary segments a 2D grid without segments gets, and
-    ``keep_iterates`` stores every iterate in the history.
+    the number of boundary segments a 2D grid without segments gets.
     """
 
     m0: int = 6
@@ -76,9 +83,10 @@ class InversionConfig:
     parametrization: str = "cfrac"
     nullspace_correction: bool = True
     n_sources: int = 8
-    keep_iterates: bool = False
 
     def __post_init__(self):
+        for name in ("m0", "n_gn", "n_sources"):
+            _require_integer(name, getattr(self, name))
         if self.m0 < 1:
             raise RomresError(f"m0 must be at least 1, got {self.m0}")
         if self.n_gn < 0:
@@ -155,8 +163,7 @@ def _reduce_m(fit_at, m: int) -> FitTarget:
         attempts.append(m)
         try:
             pr = to_pole_residue(fit_at(m))
-            cf, _, _ = pole_residue_to_cfrac(pr)
-            return FitTarget(m=pr.m, log_cfrac=cf.log_vector(),
+            return FitTarget(m=pr.m, log_cfrac=pole_residue_to_cfrac(pr).log_vector(),
                              spectral=np.concatenate([pr.theta, pr.c]),
                              attempts=tuple(attempts))
         except _FIT_ERRORS:
@@ -198,6 +205,7 @@ def data_fitting_moments(moments: np.ndarray, s_hat: float, m0: int) -> FitTarge
     Toeplitz fit's degree, which may fall below the trial m when the
     moments have lower rank.
     """
+    _require_integer("m0", m0)
     if m0 < 1:
         raise RomresError(f"m0 must be at least 1, got {m0}")
     tau_all = np.asarray(moments, dtype=float)
@@ -493,8 +501,7 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
             hist.residual.append(res_norm)
             if r_true is not None:
                 hist.error.append(relative_error(r, r_true))
-            if config.keep_iterates:
-                hist.iterates.append(r.copy())
+            hist.iterates.append(r.copy())
             if prev_res is not None and abs(prev_res - res_norm) <= \
                     _STAGNATION_RTOL * max(prev_res, 1e-300):
                 hist.notes.append(f"stagnated at iteration {p}")
@@ -529,8 +536,7 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
         hist.residual.append(float(np.linalg.norm(l_vec - l_star)))
         if r_true is not None:
             hist.error.append(relative_error(r, r_true))
-        if config.keep_iterates:
-            hist.iterates.append(r.copy())
+        hist.iterates.append(r.copy())
         return r, hist
 
 

@@ -3,18 +3,22 @@
 The Jacobian rows are d log kappa_j / d r_k (rows 1..m) and
 d log kappahat_j / d r_k (rows m+1..2m) of the chain
 
-    r -> Krylov basis V -> (A_m, b_m) -> (theta, c) -> Lanczos -> cfrac.
+    r -> Krylov basis V -> (A_m, b_m) -> (theta, c) -> cfrac.
 
 Every stage after the projected system (A_m, b_m) is m x m algebra and
 linear in its input derivative (dA_m, db_m), so the whole tail is one
-2m x (m^2 + m) matrix, built once per evaluation by passing the unit
-directions through the batched stages below (spectral, eta, Lanczos,
-coefficient recursion).  The basis stage is differentiated in reverse mode
-(Giles, "Collected matrix derivative results for forward and reverse mode
-algorithmic differentiation", 2008): one adjoint sweep of the basis
-recurrence, seeded with the 2m rows of the tail matrix, pulls the output
-cotangents back through normalization, Gram-Schmidt and the solve of every
-column, from the last to the first, and accumulates the per-edge Jacobian
+2m x (m^2 + m) matrix, built once per evaluation.  ``diff_spectral``
+gives the spectral derivatives S of the unit directions.  The coefficients
+are the entries of the three-point scheme whose eigenpairs are (theta, c),
+so the same ``diff_spectral`` on that scheme gives the 2m x 2m derivative
+F of (theta, c) in the log coefficients, and the tail is F^-1 S.
+
+The basis stage is differentiated in reverse mode (Giles, "Collected
+matrix derivative results for forward and reverse mode algorithmic
+differentiation", 2008): one adjoint sweep of the basis recurrence,
+seeded with the 2m rows of the tail matrix, pulls the output cotangents
+back through normalization, Gram-Schmidt and the solve of every column,
+from the last to the first, and accumulates the per-edge Jacobian
 directly.  The sweep keeps its cotangents in the coordinates of an
 orthonormal basis of the doubled rational Krylov space, of dimension
 d = 2m + 1 - (number of distinct nodes), where every one of them lies.
@@ -28,16 +32,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cfrac import ContinuedFraction, Tridiagonal
+from .cfrac import ContinuedFraction, three_point_scheme
 from .errors import DegeneracyError, RomresError
 from .krylov import ChainContext, doubled_basis
 from .ratfit import NodeFamily
 
 __all__ = [
     "diff_spectral",
-    "diff_eta",
-    "diff_lanczos",
-    "diff_cfrac_recursion",
     "assemble_jacobian",
 ]
 
@@ -72,104 +73,48 @@ def diff_spectral(dA_m: np.ndarray, b_m: np.ndarray, db_m: np.ndarray,
     return dtheta, dc
 
 
-def diff_eta(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    """Derivative of the normalized weights eta_i = sqrt(c_i / sum c).
+def _scheme_derivative(cf: ContinuedFraction) -> np.ndarray:
+    """F = d(theta, c) / d(log kappa, log kappahat), shape (2m, 2m).
 
-    ``dc`` carries a batch axis, shape (n, m), and so does the result.
+    The poles and residues are the eigenpairs of the symmetric three-point
+    scheme (A, b), so F is ``diff_spectral`` on the 2m log-coefficient
+    directions of (A, b), with theta ascending as in ``ChainContext.pr``.
     """
-    S = float(np.sum(c))
-    dS = dc.sum(axis=1)
-    eta = np.sqrt(c / S)
-    return (dc - eta ** 2 * dS[:, None]) / (2.0 * eta * S)
-
-
-def diff_lanczos(theta: np.ndarray, tri: Tridiagonal, X: np.ndarray,
-                 dtheta: np.ndarray, deta: np.ndarray):
-    """Perturbations of the tridiagonal entries under (dtheta, deta).
-
-    Forward-mode differentiation of the Lanczos recurrence on
-    E = -diag(theta) with start vector eta: the perturbations of alpha_j,
-    beta_j and of the Lanczos vectors are propagated step by step, exactly
-    mirroring the iteration that produced (tri, X).  ``deta`` must be
-    tangent to the unit sphere (eta^T deta = 0), which holds automatically
-    for perturbations coming from the residue weights.
-
-    dtheta and deta carry a batch axis, shape (n, m); dalpha comes back
-    with shape (n, m) and dbeta with shape (n, m-1).
-    """
-    if tri.beta.size and np.any(tri.beta <= 0):
-        raise DegeneracyError("vanishing Lanczos coupling")
-    n, m = dtheta.shape
-    lam = -theta
-    dlam = -dtheta
-    al, be = tri.alpha, tri.beta
-
-    dX = np.zeros((n, m, m))
-    dX[:, :, 0] = deta
-    dalpha = np.zeros((n, m))
-    dbeta = np.zeros((n, max(m - 1, 0)))
-    for j in range(m - 1):
-        x = X[:, j]
-        dx = dX[:, :, j]
-        Ex = lam * x
-        dEx = dlam * x[None, :] + lam[None, :] * dx
-        dalpha[:, j] = dx @ Ex + dEx @ x
-        du = dEx - dalpha[:, j, None] * x[None, :] - al[j] * dx
-        if j > 0:
-            du -= dbeta[:, j - 1, None] * X[None, :, j - 1] + be[j - 1] * dX[:, :, j - 1]
-        xn = X[:, j + 1]
-        dbeta[:, j] = du @ xn
-        dX[:, :, j + 1] = (du - dbeta[:, j, None] * xn[None, :]) / be[j]
-    x = X[:, m - 1]
-    dx = dX[:, :, m - 1]
-    Ex = lam * x
-    dEx = dlam * x[None, :] + lam[None, :] * dx
-    dalpha[:, m - 1] = dx @ Ex + dEx @ x
-    return dalpha, dbeta
-
-
-def diff_cfrac_recursion(tri: Tridiagonal, cf: ContinuedFraction,
-                         dalpha: np.ndarray, dbeta: np.ndarray,
-                         c: np.ndarray, dc: np.ndarray):
-    """Differentiate the coefficient recursion that produced ``cf`` from
-    ``tri`` and the total weight sum(c).
-
-    dalpha, dbeta and dc carry a batch axis, shape (n, .); returns
-    (dkappa, dkappahat), each of shape (n, m).
-    """
-    a, bt = tri.alpha, tri.beta
-    kh, kp = cf.kappa_hat, cf.kappa
-    n, m = dc.shape
-    S = float(np.sum(c))
-    dkh = np.empty((n, m))
-    dkp = np.empty((n, m))
-    dkh[:, 0] = -dc.sum(axis=1) / S ** 2
-    x = kh[0] * a[0]
-    dkp[:, 0] = (dkh[:, 0] * a[0] + kh[0] * dalpha[:, 0]) / x ** 2
-    for j in range(1, m):
-        x = kp[j - 1] ** 2 * bt[j - 1] ** 2 * kh[j - 1]
-        dx = (2.0 * kp[j - 1] * dkp[:, j - 1] * bt[j - 1] ** 2 * kh[j - 1]
-              + kp[j - 1] ** 2 * 2.0 * bt[j - 1] * dbeta[:, j - 1] * kh[j - 1]
-              + kp[j - 1] ** 2 * bt[j - 1] ** 2 * dkh[:, j - 1])
-        dkh[:, j] = -dx / x ** 2
-        y = a[j] * kh[j] + 1.0 / kp[j - 1]
-        dy = dalpha[:, j] * kh[j] + a[j] * dkh[:, j] - dkp[:, j - 1] / kp[j - 1] ** 2
-        dkp[:, j] = dy / y ** 2
-    return dkp, dkh
+    m = cf.m
+    A, b = three_point_scheme(cf)
+    g, q = 1.0 / cf.kappa, cf.kappa_hat ** -0.5
+    i, k = np.arange(m), np.arange(m - 1)
+    dA = np.zeros((2 * m, m, m))
+    # log kappa_j flips the sign of g_j's terms: A_jj, A_{j+1,j+1}, A_{j,j+1}
+    dA[i, i, i] = g * q ** 2
+    dA[k, k + 1, k + 1] = g[:-1] * q[1:] ** 2
+    dA[k, k, k + 1] = dA[k, k + 1, k] = -g[:-1] * q[:-1] * q[1:]
+    # log kappahat_j scales row and column j of A, and b for j = 1, by -1/2
+    dA[m + i, i, :] -= 0.5 * A
+    dA[m + i, :, i] -= 0.5 * A
+    db = np.zeros((2 * m, m))
+    db[m] = -0.5 * b
+    lam, Z = np.linalg.eigh(A)
+    dtheta, dc = diff_spectral(dA, b, db, -lam[::-1], Z[:, ::-1])
+    return np.vstack([dtheta.T, dc.T])
 
 
 def _chain_tail(ctx: ChainContext, dA_m: np.ndarray, db_m: np.ndarray,
                 target: str) -> np.ndarray:
     """Output derivatives (2m, n) for a batch of (dA_m, db_m), shapes
-    (n, m, m) and (n, m), through the stages after the projection."""
-    theta, c = ctx.pr.theta, ctx.pr.c
-    dtheta, dc = diff_spectral(dA_m, ctx.model.b_m, db_m, theta, ctx.Z)
+    (n, m, m) and (n, m), through the stages after the projection.
+
+    For ``target='cfrac'`` the spectral derivatives S are mapped to the
+    log coefficients as F^-1 S, with F from ``_scheme_derivative``.
+    """
+    dtheta, dc = diff_spectral(dA_m, ctx.model.b_m, db_m, ctx.pr.theta, ctx.Z)
+    S = np.vstack([dtheta.T, dc.T])
     if target == "spectral":
-        return np.vstack([dtheta.T, dc.T])
-    deta = diff_eta(c, dc)
-    dalpha, dbeta = diff_lanczos(theta, ctx.tri, ctx.X, dtheta, deta)
-    dkp, dkh = diff_cfrac_recursion(ctx.tri, ctx.cf, dalpha, dbeta, c, dc)
-    return np.vstack([(dkp / ctx.cf.kappa).T, (dkh / ctx.cf.kappa_hat).T])
+        return S
+    try:
+        return np.linalg.solve(_scheme_derivative(ctx.cf), S)
+    except np.linalg.LinAlgError as exc:
+        raise DegeneracyError("singular coefficient-to-spectral derivative") from exc
 
 
 def _adjoint_sweep(ctx: ChainContext, T_A: np.ndarray, T_b: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .cfrac import ContinuedFraction, Tridiagonal, pole_residue_to_cfrac
+from .cfrac import ContinuedFraction, pole_residue_to_cfrac
 from .errors import BasisCollapseError, DegeneracyError, RomresError
 from .forward import shifted_solver
 from .grids import (Grid1D, ResistivityField, SystemOperator, assemble_operator,
@@ -210,8 +210,6 @@ class ChainContext:
     model: ReducedModel
     pr: PoleResidue
     Z: np.ndarray
-    tri: Tridiagonal
-    X: np.ndarray
     cf: ContinuedFraction
 
     @property
@@ -242,10 +240,8 @@ def preconditioner_chain(op: SystemOperator, b: np.ndarray, family: NodeFamily,
     gaps = np.diff(pr.theta)
     if gaps.size and np.min(gaps) < 1e-10 * abs(pr.theta[-1]):
         raise DegeneracyError("nearly coinciding reduced eigenvalues")
-    cf, tri, X = pole_residue_to_cfrac(pr)
-    return ChainContext(operator=op, b=b, solver=solver,
-                        basis=basis, model=model, pr=pr, Z=Z,
-                        tri=tri, X=X, cf=cf)
+    return ChainContext(operator=op, b=b, solver=solver, basis=basis, model=model,
+                        pr=pr, Z=Z, cf=pole_residue_to_cfrac(pr))
 
 
 def preconditioner_R(field: ResistivityField, family: NodeFamily, generation: str = "auto",

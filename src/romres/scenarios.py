@@ -70,8 +70,7 @@ class ExperimentConfig:
                                weights=self.weights,
                                parametrization=self.parametrization,
                                nullspace_correction=self.nullspace_correction,
-                               n_sources=self.n_sources,
-                               keep_iterates=self.save_models)
+                               n_sources=self.n_sources)
 
 
 def synthesize_1d(cfg: ExperimentConfig):

@@ -175,7 +175,7 @@ def test_criterion_4_cfrac_equivalence():
         if m > 1 and np.min(theta[1:] / theta[:-1]) < 1.2:
             continue
         pr = PoleResidue(theta, rng.uniform(0.05, 3.0, m))
-        cf, _, _ = pole_residue_to_cfrac(pr)
+        cf = pole_residue_to_cfrac(pr)
         ref = pr(ss)
         worst = max(worst, np.max(np.abs(eval_cfrac(cf, ss) - ref) / np.abs(ref)))
         for s in ss[::6]:

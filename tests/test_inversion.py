@@ -452,10 +452,18 @@ def test_model_size_must_be_positive(m0):
     assert not isinstance(err.value, DataUnusableError)
 
 
+def test_moment_fit_size_must_be_integer():
+    # a RomresError on entry, not a TypeError from slicing the moments
+    tau = np.array([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0, -1.0 / 81.0])
+    with pytest.raises(RomresError, match="m0 must be an integer"):
+        data_fitting_moments(tau, 2.0, 1.5)
+
+
 @pytest.mark.parametrize("setting", [{"n_gn": -1}, {"n_sources": 0},
                                      {"weights": "bogus"}, {"parametrization": "bogus"},
                                      {"family_kind": "bogus"}, {"s_hat": np.nan},
-                                     {"s_hat": np.inf}])
+                                     {"s_hat": np.inf}, {"m0": 2.5}, {"n_gn": 2.5},
+                                     {"n_sources": 2.5}])
 def test_config_rejects_invalid_setting(setting):
     # checked at construction, before any data are read
     with pytest.raises(RomresError):
@@ -501,7 +509,7 @@ def test_invert_1d_noiseless_quick():
 def test_invert_1d_history_csv():
     y = synthesize("rQ")
     g = Grid1D(99)
-    cfg = InversionConfig(m0=3, n_gn=2, keep_iterates=True)
+    cfg = InversionConfig(m0=3, n_gn=2)
     rec, hist = invert_1d(y, g, cfg, r_true=phantom("rQ", g).values)
     assert len(hist.iterates) == len(hist.iterations)
 

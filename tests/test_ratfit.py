@@ -157,7 +157,7 @@ def test_noisy_fit_raises_validity_error():
         ders = np.array([laplace_derivative(d, s) for s in fam.nodes])
         try:
             pr = to_pole_residue(fit_multipoint(vals, ders, fam))
-            cf, _, _ = pole_residue_to_cfrac(pr)
+            cf = pole_residue_to_cfrac(pr)
             cf.require_admissible()
         except Exception:
             raised += 1
