@@ -14,8 +14,8 @@ from .laplace import laplace_transform, laplace_derivative, laplace_moments
 from .ratfit import (NodeFamily, RationalModel, PoleResidue, nodes_geometric,
                      node_family, fit_multipoint, fit_pade_toeplitz,
                      to_pole_residue)
-from .cfrac import (Tridiagonal, ContinuedFraction, lanczos_tridiag,
-                    pole_residue_to_cfrac, eval_cfrac, solve_fd_scheme)
+from .cfrac import (ContinuedFraction, pole_residue_to_cfrac, eval_cfrac,
+                    solve_fd_scheme)
 from .krylov import (KrylovBasis, ReducedModel, ChainContext, build_krylov,
                      project, reduced_spectral, preconditioner_chain,
                      preconditioner_R)

@@ -1,4 +1,4 @@
-"""Stieltjes continued fractions and their Lanczos construction.
+"""Stieltjes continued fractions: Lanczos to the three-point scheme and its inverse.
 
 A rational function with negative poles and positive residues has a
 continued-fraction expansion
@@ -8,8 +8,9 @@ continued-fraction expansion
 with positive coefficients (kappa_j, kappahat_j).  The coefficients are the
 entries of an equivalent three-point finite-difference scheme, whose
 symmetric form (``three_point_scheme``) has the poles and residues as its
-eigenpairs.  They are computed from the pole/residue form through a
-tridiagonalizing Lanczos iteration followed by a short recursion.
+eigenpairs.  A Lanczos iteration on the poles, started from the normalized
+residues, builds that scheme's tridiagonal matrix, and the scheme's
+inverse reads the coefficients off its entries.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from .errors import AdmissibilityError, DegeneracyError, RomresError
 from .ratfit import PoleResidue
 
 __all__ = [
-    "Tridiagonal",
     "ContinuedFraction",
-    "lanczos_tridiag",
-    "cfrac_from_tridiagonal",
     "pole_residue_to_cfrac",
     "three_point_scheme",
     "eval_cfrac",
@@ -35,30 +33,6 @@ __all__ = [
 # relative floor under which a formally positive coefficient is treated as
 # degenerate (sign-correct but meaningless fits)
 _POSITIVITY_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class Tridiagonal:
-    """Symmetric tridiagonal matrix: diagonal alpha, couplings beta.
-
-    ``beta[j]`` couples positions j and j+1 (0-based), so beta has length
-    m - 1 and is positive by the Lanczos sign convention.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        b = np.asarray(self.beta, dtype=float)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        if b.shape != (max(a.size - 1, 0),):
-            raise RomresError("off-diagonal length must be m - 1")
-
-    @property
-    def m(self) -> int:
-        return self.alpha.size
 
 
 @dataclass(frozen=True)
@@ -93,87 +67,74 @@ class ContinuedFraction:
         return np.concatenate([np.log(self.kappa), np.log(self.kappa_hat)])
 
 
-def lanczos_tridiag(E: np.ndarray, eta: np.ndarray) -> tuple[Tridiagonal, np.ndarray]:
-    """Tridiagonalize a small symmetric matrix, T = X^T E X, X[:, 0] = eta.
+def _lanczos(theta: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and couplings of the Lanczos tridiagonal of (-diag theta, eta).
 
     Full reorthogonalization (applied twice) at every step; couplings are
-    normalized positive, which makes the output unique.  A vanishing
-    coupling signals an invariant subspace (e.g. coinciding poles) and
-    raises DegeneracyError.
+    positive.  A vanishing coupling signals an invariant subspace
+    (coinciding poles) and raises DegeneracyError.
     """
-    E = np.asarray(E, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    m = E.shape[0]
-    if E.shape != (m, m) or eta.shape != (m,):
-        raise RomresError("dimension mismatch in Lanczos input")
-    if abs(np.linalg.norm(eta) - 1.0) > 1e-8:
-        raise RomresError("Lanczos start vector must have unit norm")
-    norm_E = np.linalg.norm(E, 2) if m > 1 else abs(float(E[0, 0]))
-
+    m = theta.size
     X = np.zeros((m, m))
     X[:, 0] = eta / np.linalg.norm(eta)
-    alpha = np.zeros(m)
-    beta = np.zeros(max(m - 1, 0))
-    for j in range(m - 1):
+    alpha, beta = np.zeros(m), np.zeros(m - 1)
+    floor = 1e-14 * np.max(np.abs(theta))
+    for j in range(m):
         x = X[:, j]
-        alpha[j] = x @ E @ x
-        u = E @ x - alpha[j] * x - (beta[j - 1] * X[:, j - 1] if j > 0 else 0.0)
+        Ex = -theta * x
+        alpha[j] = Ex @ x
+        if j == m - 1:
+            break
+        u = Ex - alpha[j] * x - (beta[j - 1] * X[:, j - 1] if j > 0 else 0.0)
         for _ in range(2):
             u -= X[:, : j + 1] @ (X[:, : j + 1].T @ u)
         nb = np.linalg.norm(u)
-        if nb <= 1e-14 * max(norm_E, 1e-300):
+        if nb <= floor:
             raise DegeneracyError(f"Lanczos breakdown at step {j + 1}: "
                                   "invariant subspace (coinciding poles?)")
         beta[j] = nb
         X[:, j + 1] = u / nb
-    alpha[m - 1] = X[:, m - 1] @ E @ X[:, m - 1]
-    return Tridiagonal(alpha=alpha, beta=beta), X
+    return alpha, beta
 
 
-def cfrac_from_tridiagonal(tri: Tridiagonal, total_weight: float) -> ContinuedFraction:
-    """Coefficient recursion from the tridiagonal entries.
+def _reciprocal(x: float, j: int) -> float:
+    if x == 0:
+        raise DegeneracyError(f"vanishing denominator at coefficient {j + 1}")
+    return 1.0 / x
 
-    ``total_weight`` is sum(c_j) = 1/kappahat_1.  The recursion divides by
-    intermediate coefficients, so any nonpositive or vanishing value along
-    the way is reported as inadmissible/degenerate.
+
+def _scheme_inverse(diag: np.ndarray, off: np.ndarray, total: float) -> ContinuedFraction:
+    """Inverse of ``three_point_scheme``: the coefficients of the scheme
+    with diagonal ``diag``, couplings ``off`` and b_1^2 = ``total``.
+
+    Row by row, with kappahat_1 = 1/total,
+        A_{j,j+1}^2 = 1/(kappa_j^2 kappahat_j kappahat_{j+1}),
+        A_jj = -(1/kappa_j + 1/kappa_{j-1}) / kappahat_j   (1/kappa_0 = 0),
+    so the couplings' signs drop out.
     """
-    a, b = tri.alpha, tri.beta
-    m = tri.m
-    if total_weight <= 0:
-        raise AdmissibilityError("total spectral weight not positive", index=0)
-    kh = np.empty(m)
-    k = np.empty(m)
-    kh[0] = 1.0 / total_weight
-    if a[0] == 0:
-        raise DegeneracyError("alpha_1 vanishes in coefficient recursion")
-    k[0] = -1.0 / (kh[0] * a[0])
-    for j in range(1, m):
-        denom = k[j - 1] ** 2 * b[j - 1] ** 2 * kh[j - 1]
-        if denom == 0:
-            raise DegeneracyError(f"vanishing denominator at coefficient {j + 1}")
-        kh[j] = 1.0 / denom
-        denom = a[j] * kh[j] + 1.0 / k[j - 1]
-        if denom == 0:
-            raise DegeneracyError(f"vanishing denominator at coefficient {j + 1}")
-        k[j] = -1.0 / denom
+    m = diag.size
+    k, kh = np.empty(m), np.empty(m)
+    kh[0] = 1.0 / total
+    for j in range(m):
+        if j:
+            kh[j] = _reciprocal(k[j - 1] ** 2 * off[j - 1] ** 2 * kh[j - 1], j)
+        k[j] = -_reciprocal(diag[j] * kh[j] + (1.0 / k[j - 1] if j else 0.0), j)
     return ContinuedFraction(kappa=k, kappa_hat=kh)
 
 
 def pole_residue_to_cfrac(pr: PoleResidue) -> ContinuedFraction:
-    """Continued fraction of a pole/residue model (spectral Lanczos path).
+    """Continued fraction of a pole/residue model.
 
-    Runs the Lanczos iteration on E = -diag(theta) with start vector
-    eta_i = sqrt(c_i / sum c); coefficients that are not all positive raise
-    AdmissibilityError.
+    The Lanczos iteration on the poles with start vector
+    eta_i = sqrt(c_i / sum c) builds the three-point scheme, and its
+    inverse gives the coefficients; coefficients that are not all positive
+    raise AdmissibilityError.
     """
     theta, c = pr.theta, pr.c
     if np.any(c <= 0):
         raise AdmissibilityError("residues must be positive", index=int(np.argmin(c)))
     total = float(np.sum(c))
-    eta = np.sqrt(c / total)
-    E = -np.diag(theta)
-    tri, _ = lanczos_tridiag(E, eta)
-    cf = cfrac_from_tridiagonal(tri, total)
+    cf = _scheme_inverse(*_lanczos(theta, np.sqrt(c / total)), total)
     cf.require_admissible()
     return cf
 

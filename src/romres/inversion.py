@@ -114,6 +114,16 @@ class FitTarget:
     spectral: np.ndarray
     attempts: tuple[int, ...] = field(default=())
 
+    def __post_init__(self):
+        _require_integer("m", self.m)
+        if self.m < 1:
+            raise RomresError(f"m must be at least 1, got {self.m}")
+        for name in ("log_cfrac", "spectral"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != (2 * self.m,) or not np.all(np.isfinite(v)):
+                raise RomresError(f"{name} must be a finite vector of length 2m = {2 * self.m}")
+            object.__setattr__(self, name, v)
+
     def vector(self, parametrization: str) -> np.ndarray:
         if parametrization == "cfrac":
             return self.log_cfrac

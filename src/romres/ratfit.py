@@ -152,8 +152,9 @@ class PoleResidue:
         c = np.asarray(self.c, dtype=float)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "c", c)
-        if theta.shape != c.shape or theta.ndim != 1:
-            raise RomresError("theta and c must be matching vectors")
+        if theta.shape != c.shape or theta.ndim != 1 or theta.size == 0 \
+                or not np.all(np.isfinite(theta) & np.isfinite(c)):
+            raise RomresError("theta and c must be matching finite vectors")
 
     @property
     def m(self) -> int:
@@ -184,6 +185,8 @@ def fit_multipoint(values, derivatives, family: NodeFamily) -> RationalModel:
     Yp = np.asarray(derivatives, dtype=float)
     if Y.shape != (m,) or Yp.shape != (m,):
         raise RomresError("need one value and one derivative per node")
+    if not np.all(np.isfinite(Y) & np.isfinite(Yp)):
+        raise RomresError("values and derivatives must be finite")
 
     s_max = s_nodes[-1]
     s = s_nodes / s_max

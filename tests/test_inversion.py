@@ -346,6 +346,39 @@ def test_adaptive_weights_formula(rng):
     assert np.allclose(w, 1.0 / (grad ** 2 + phi ** 2))
 
 
+def test_adaptive_weight_scale(monkeypatch):
+    # phi = ||residual|| / (2 m^2) at each step, with m the model size in 1D
+    g = Grid1D(60)
+    fam = node_family("zolotarev", 3)
+    target = FitTarget(m=3, log_cfrac=preconditioner_R(phantom("rQ", g), fam),
+                       spectral=np.zeros(6))
+    phis = []
+
+    def recording(Dt, r, phi):
+        phis.append(phi)
+        return adaptive_weights(Dt, r, phi)
+
+    monkeypatch.setattr(inversion, "adaptive_weights", recording)
+    _, hist = invert_1d(target, g, InversionConfig(m0=3, n_gn=2, weights="adaptive"))
+    m = hist.m
+    assert len(phis) == 2
+    for p, phi in enumerate(phis, start=1):
+        assert phi == 1.0 / (2.0 * m ** 2) * hist.residual[p - 1]
+
+
+@pytest.mark.parametrize("fields", [{"m": 0}, {"m": 2.5},
+                                    {"log_cfrac": np.zeros(4)},
+                                    {"spectral": np.zeros((2, 3))},
+                                    {"log_cfrac": np.full(6, np.nan)},
+                                    {"spectral": np.array([1.0, 2.0, np.inf, 1.0, 1.0, 1.0])}])
+def test_fit_target_checks_itself(fields):
+    # an m = 3 target with the wrong m or vector used to reach invert_1d and
+    # fail there with numpy's broadcast ValueError
+    args = dict(m=3, log_cfrac=np.zeros(6), spectral=np.ones(6)) | fields
+    with pytest.raises(RomresError):
+        FitTarget(**args)
+
+
 def test_data_fitting_noiseless_consistency():
     # the fitted coefficients of same-grid noiseless data match the stable
     # map up to the quadrature error amplified by the fit conditioning

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from romres.cfrac import pole_residue_to_cfrac
-from romres.errors import RomresError
+from romres.errors import BasisCollapseError, RomresError
 from romres.forward import transfer_eval, transfer_moments
 from romres.grids import Grid1D, Grid2D, ResistivityField, assemble_operator, \
     build_difference_1d, source_vector
@@ -30,6 +30,12 @@ def test_basis_m1(small_system):
     basis = build_krylov(op.A, b, fam)
     k = basis.K[:, 0]
     assert np.allclose(basis.V[:, 0], k / np.linalg.norm(k))
+
+
+def test_zero_source_collapses_basis(small_system):
+    grid, field, op, b = small_system
+    with pytest.raises(BasisCollapseError, match="snapshot column 1 "):
+        build_krylov(op.A, np.zeros_like(b), node_family("zolotarev", 3))
 
 
 def test_pade0_snapshots_are_inverse_powers(small_system):

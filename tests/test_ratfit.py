@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,30 @@ def test_multipoint_exact_recovery_m1():
     pr = to_pole_residue(model)
     assert pr.theta[0] == pytest.approx(1.0, rel=1e-12)
     assert pr.c[0] == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_multipoint_rejects_nonfinite(bad):
+    # an input error raised before the SVD, not LinAlgError, and not a fit
+    # failure that the m-reduction would answer with a smaller m
+    fam = node_family("zolotarev", 3)
+    pr = PoleResidue(np.array([1.0, 5.0, 30.0]), np.array([0.5, 1.0, 0.2]))
+    values, derivs = pr(fam.nodes), pr.derivative(fam.nodes)
+    bad_values = values.copy()
+    bad_values[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y, yp in ((bad_values, derivs), (values, np.full(3, bad))):
+            with pytest.raises(RomresError, match="finite") as err:
+                fit_multipoint(y, yp, fam)
+            assert not isinstance(err.value, SpectralValidityError)
+
+
+@pytest.mark.parametrize("theta, c", [([], []), ([1.0, np.nan], [1.0, 1.0]),
+                                      ([1.0, 2.0], [np.inf, 1.0])])
+def test_pole_residue_rejects_empty_or_nonfinite(theta, c):
+    with pytest.raises(RomresError, match="finite vectors"):
+        PoleResidue(np.array(theta), np.array(c))
 
 
 def test_multipoint_roundtrip_identity(rng):
