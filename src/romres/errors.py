@@ -41,6 +41,10 @@ class BasisCollapseError(RomresError):
     """Snapshot matrix is numerically rank deficient; reduce m."""
 
 
+class ProjectionError(RomresError):
+    """Galerkin projection of the operator is not negative definite."""
+
+
 class StepFailureError(RomresError):
     """Positivity guard exhausted while shortening a Gauss-Newton step."""
 

@@ -163,20 +163,23 @@ class shifted_solver:
     The factorization is chosen from the structure of A, because the two
     kinds of operator are different problems:
 
-    - every stored entry within one diagonal of the main diagonal and
-      n >= 3 (the 1D operators): LAPACK's tridiagonal LU with partial
-      pivoting, ``gttrf``/``gttrs``.  It costs O(n) per shift with no
-      ordering step, and assumes neither symmetry nor definiteness.
+    - symmetric tridiagonal and n >= 3 (the 1D operators): LAPACK's LDL^T
+      of a symmetric positive definite tridiagonal matrix,
+      ``pttrf``/``pttrs``.  It costs O(n) per shift with no ordering step
+      and no pivoting.  sI - A is positive definite for every shift s >= 0
+      when A = -D^T diag(r) D with r > 0, so a pivot that is not positive
+      means the shift is singular (or, for other matrices, that sI - A is
+      indefinite) and raises.
     - everything else (the 2D five-point operators, full reduced models,
-      and n <= 2, which the LAPACK wrapper rejects): SuperLU, whose
-      fill-reducing ordering a banded tridiagonal matrix does not need but
-      a 2D operator does.  sI - A is symmetric, so the ordering is the
-      symmetric minimum degree on A^T + A (``MMD_AT_PLUS_A``), with
-      partial pivoting kept: on a 90 x 30 grid the factor holds a third
-      fewer entries than under SuperLU's default column ordering.
+      tridiagonal matrices that are not symmetric, and n <= 2): SuperLU,
+      whose fill-reducing ordering a tridiagonal matrix does not need but a
+      2D operator does.  sI - A is symmetric, so the ordering is the
+      symmetric minimum degree on A^T + A (``MMD_AT_PLUS_A``), with partial
+      pivoting kept: on a 90 x 30 grid the factor holds a third fewer
+      entries than under SuperLU's default column ordering.
 
-    Either way, a singular shift (an exactly zero pivot) raises
-    ``RomresError``, and so does a matrix that is not square.
+    A singular shift raises ``RomresError`` ("singular shift"), and so does
+    a matrix that is not square.
     """
 
     def __init__(self, A):
@@ -185,21 +188,27 @@ class shifted_solver:
             raise RomresError(f"shifted_solver needs a square matrix, got shape {A.shape}")
         self._n = A.shape[0]
         self._factors = {}
-        rows = np.repeat(np.arange(self._n), np.diff(A.indptr))
-        if self._n >= 3 and np.all(np.abs(rows - A.indices) <= 1):
-            self._bands = (A.diagonal(-1), A.diagonal(), A.diagonal(1))
-        else:
-            self._bands = None
+        self._bands = None
+        if self._n >= 3:
+            lower, main, upper = A.diagonal(-1), A.diagonal(), A.diagonal(1)
+            # every stored nonzero lies on the three diagonals exactly when
+            # they hold as many nonzeros as the matrix (duplicates only add
+            # to the matrix's count)
+            banded = (np.count_nonzero(lower) + np.count_nonzero(main)
+                      + np.count_nonzero(upper) == np.count_nonzero(A.data))
+            if banded and np.array_equal(lower, upper):
+                self._bands = (main, upper)
+        if self._bands is None:
             self._A = A.tocsc()
 
     def _factor(self, s: float):
         if self._bands is not None:
-            lower, main, upper = self._bands
-            *lu, info = sla.lapack.dgttrf(-lower, s - main, -upper,
-                                          overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            main, off = self._bands
+            d, e, info = sla.lapack.dpttrf(s - main, -off, overwrite_d=1, overwrite_e=1)
             if info > 0:
-                raise RomresError(f"singular shift s={s!r}: zero pivot {info}")
-            return lambda rhs: sla.lapack.dgttrs(*lu, rhs)[0]
+                raise RomresError(f"singular shift s={s!r}: pivot {info} of sI - A is not "
+                                  "positive (sI - A is singular or indefinite)")
+            return lambda rhs: sla.lapack.dpttrs(d, e, rhs)[0]
         mat = (s * sp.identity(self._n, format="csc") - self._A).tocsc()
         try:
             return spla.splu(mat, permc_spec="MMD_AT_PLUS_A").solve

@@ -188,9 +188,15 @@ def build_difference_1d(grid: Grid1D) -> sp.csr_matrix:
     """
     n = grid.n_points
     h = grid.spacing
-    main = np.full(n, -1.0 / h)
-    upper = np.full(n - 1, 1.0 / h)
-    return sp.diags([main, upper], [0, 1], shape=(n, n), format="csr")
+    # rows hold (main, upper) in column order; the last row only main
+    data = np.empty(2 * n - 1)
+    data[0::2] = -1.0 / h
+    data[1::2] = 1.0 / h
+    indices = np.empty(2 * n - 1, dtype=np.int32)
+    indices[0::2] = np.arange(n)
+    indices[1::2] = np.arange(1, n)
+    indptr = np.minimum(2 * np.arange(n + 1, dtype=np.int32), 2 * n - 1)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _weighted_gram(D: sp.csr_matrix, rho: np.ndarray) -> sp.csr_matrix:
@@ -202,15 +208,39 @@ def _weighted_gram(D: sp.csr_matrix, rho: np.ndarray) -> sp.csr_matrix:
 
 
 def assemble_operator(field: ResistivityField, D: sp.csr_matrix) -> SystemOperator:
-    """Assemble A(r) = -D^T diag(r) D for edge-valued resistivity."""
+    """Assemble the tridiagonal A(r) = -D^T diag(r) D for edge-valued resistivity.
+
+    D is the square upper-bidiagonal factor of ``build_difference_1d``:
+    nonzero main diagonal d and upper diagonal u, nothing else.  A's three
+    diagonals are formed directly, with the products and summation order
+    of the sparse product ``_weighted_gram`` forms (so A is bitwise equal
+    to it); with the scaled rows (d r, u r),
+
+        A_ii = -((u_{i-1} r_{i-1}) u_{i-1} + (d_i r_i) d_i),
+        A_{i,i+1} = -(u_i r_i) d_i,   A_{i+1,i} = -(d_i r_i) u_i.
+
+    On the 1D factor |u_i| = |d_i|, so the two off-diagonals hold the same
+    numbers and A is exactly symmetric.
+    """
     r = field.values
-    if D.shape[0] != r.shape[0]:
+    n = r.shape[0]
+    if D.shape != (n, n):
         raise InvalidGridError("resistivity length does not match edge count")
     if not np.all(r > 0):
         raise PositivityError("resistivity must be strictly positive")
-    A = _weighted_gram(D, r)
-    eye = sp.identity(r.shape[0], format="csr")
-    return SystemOperator(A=A, D=D, averaging=eye)
+    d, u = D.diagonal(0), D.diagonal(1)
+    if not np.count_nonzero(d) + np.count_nonzero(u) == D.count_nonzero() == 2 * n - 1:
+        raise InvalidGridError("the 1D difference factor must be upper bidiagonal "
+                               "with nonzero diagonals")
+    dr, ur = d * r, u * r[:-1]
+    bands = np.empty((n, 3))
+    bands[1:, 0] = -(dr[:-1] * u)
+    bands[:, 1] = -(np.concatenate(([0.0], ur * u)) + dr * d)
+    bands[:-1, 2] = -(ur * d[:-1])
+    cols = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
+    indptr = np.clip(3 * np.arange(n + 1, dtype=np.int32) - 1, 0, 3 * n - 2)
+    A = sp.csr_matrix((bands.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
+    return SystemOperator(A=A, D=D, averaging=sp.identity(n, format="csr"))
 
 
 def build_difference_2d(grid: Grid2D) -> tuple[sp.csr_matrix, sp.csr_matrix]:

@@ -144,6 +144,15 @@ _PINV_RCOND = 1e-12
 # this fraction between iterations
 _STAGNATION_RTOL = 1e-8
 
+# ... or once the residual norm is at most this many times eps * ||l*||, the
+# rounding of the chain itself: on N = 60 (m = 3..6; rQ, rL, rJ) an
+# eps-relative perturbation of r moves the log vector by 56-760 eps ||l||,
+# and a converged iterate's residual wanders between 28 and 135 eps ||l*||,
+# which the relative test never catches.  N = 199 targets (m = 3, 5, 6)
+# also stop at the floor; on N = 1999 (m = 3) the converged residual
+# wanders at 7e3-2e4 eps ||l*||, above it, and n_gn ends the loop.
+_ROUNDING_FLOOR = 1e3
+
 # a step is halved at most this often to keep the update positive
 _MAX_HALVINGS = 20
 
@@ -499,6 +508,7 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
     # solves, the Jacobian's products) ran slower on two OpenBLAS threads than
     # on one on a 2-core machine, and one thread makes the loop's results
     # independent of the thread setting
+    floor = _ROUNDING_FLOOR * np.finfo(float).eps * float(np.linalg.norm(l_star))
     with single_thread():
         r = np.ones(Dt.shape[1])
         hist = InversionHistory()
@@ -512,6 +522,9 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
             if r_true is not None:
                 hist.error.append(relative_error(r, r_true))
             hist.iterates.append(r.copy())
+            if res_norm <= floor:
+                hist.notes.append(f"residual at rounding level at iteration {p}")
+                break
             if prev_res is not None and abs(prev_res - res_norm) <= \
                     _STAGNATION_RTOL * max(prev_res, 1e-300):
                 hist.notes.append(f"stagnated at iteration {p}")

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cfrac import ContinuedFraction, pole_residue_to_cfrac
-from .errors import BasisCollapseError, DegeneracyError, RomresError
+from .errors import BasisCollapseError, DegeneracyError, ProjectionError, RomresError
 from .forward import shifted_solver
 from .grids import (Grid1D, ResistivityField, SystemOperator, assemble_operator,
                     build_difference_1d, source_vector)
@@ -101,11 +101,15 @@ def build_krylov(A, b, family: NodeFamily,
 
     Solves, orthogonalizes and normalizes one column at a time (see
     KrylovBasis).  A column that vanishes after the Gram-Schmidt step
-    raises BasisCollapseError.
+    raises BasisCollapseError, and so does a family with more nodes (with
+    multiplicity) than the system has dimensions, before any solve.
     """
-    solver = solver or shifted_solver(A)
     b = np.asarray(b, dtype=float)
     n, m = b.size, family.m
+    if m > n:
+        raise BasisCollapseError(f"model size m={m} exceeds the system dimension {n}; "
+                                 "reduce the model size m")
+    solver = solver or shifted_solver(A)
     K = np.zeros((n, m))
     V = np.zeros((n, m))
     U = np.zeros((m, m))
@@ -173,7 +177,10 @@ def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> 
 
 
 def project(A, b, basis: KrylovBasis) -> ReducedModel:
-    """Galerkin projection A_m = V^T A V, b_m = V^T b."""
+    """Galerkin projection A_m = V^T A V, b_m = V^T b.
+
+    Raises ProjectionError if A_m is not negative definite.
+    """
     V = basis.V
     AV = A @ V
     A_m = V.T @ AV
@@ -181,7 +188,7 @@ def project(A, b, basis: KrylovBasis) -> ReducedModel:
     b_m = V.T @ np.asarray(b, dtype=float)
     lam_max = sla.eigvalsh(A_m)[-1]
     if lam_max >= 0:
-        raise RomresError(f"projected operator not negative definite (max eig {lam_max:g})")
+        raise ProjectionError(f"projected operator not negative definite (max eig {lam_max:g})")
     return ReducedModel(A_m=A_m, b_m=b_m)
 
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -32,6 +33,19 @@ def splu_calls(monkeypatch):
         return reference_splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Names of the LAPACK tridiagonal factorizations made while the test runs."""
+    calls = []
+    for name in ("dpttrf", "dgttrf"):
+        def counting(*args, _name=name, _ref=getattr(sla.lapack, name), **kwargs):
+            calls.append(_name)
+            return _ref(*args, **kwargs)
+
+        monkeypatch.setattr(sla.lapack, name, counting)
     return calls
 
 
@@ -225,7 +239,8 @@ def test_laplace_of_spectral_response_analytic(small_system):
 def test_transfer_moments_geometric():
     A = np.array([[-1.0]])
     b = np.array([1.0])
-    tau = transfer_moments(A, b, 0.0, 4)
+    with pytest.warns(UserWarning, match="more moments than system dimension"):
+        tau = transfer_moments(A, b, 0.0, 4)
     assert np.allclose(tau, [1.0, -1.0, 1.0, -1.0])
 
 
@@ -240,7 +255,7 @@ def test_transfer_moment_zero_equals_value(small_system):
 
 def test_transfer_moments_rank_warning():
     A = np.array([[-1.0]])
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="more moments than system dimension"):
         transfer_moments(A, np.array([1.0]), 0.0, 3)
 
 
@@ -254,9 +269,10 @@ def test_transfer_moments_needs_integer_count():
 
 @pytest.mark.parametrize("N", [2, 199, 1999])
 def test_shifted_solver_matches_superlu(N, rng, splu_calls):
-    # 1D operators take the tridiagonal LU; n = 2 stays on SuperLU.  Shift 0
-    # is the pade0 node and 2 the one nearest the spectrum.  Bound 1e-10 on
-    # the relative error; measured at most 3.5e-12 (N = 1999, s = 2).
+    # 1D operators take the symmetric tridiagonal LDL^T; n = 2 stays on
+    # SuperLU.  Shift 0 is the pade0 node and 2 the one nearest the spectrum.
+    # Bound 1e-10 on the relative error; measured at most 3.3e-12 (N = 1999,
+    # s = 2).
     if N == 2:
         A = sp.csr_matrix([[-2.0, 1.0], [1.0, -3.0]])
     else:
@@ -274,9 +290,10 @@ def test_shifted_solver_matches_superlu(N, rng, splu_calls):
     assert splu_calls == ([2] * 3 if N == 2 else [])
 
 
-def test_singular_shift_raises(splu_calls):
-    # the Neumann Laplacian is tridiagonal; its periodic wrap adds corner
-    # entries and takes SuperLU.  Both are singular at s = 0.
+def test_singular_shift_raises(splu_calls, lapack_calls):
+    # the Neumann Laplacian is symmetric tridiagonal and takes the LDL^T; its
+    # periodic wrap adds corner entries and takes SuperLU.  Both are singular
+    # at s = 0.
     n = 6
     main = np.r_[-1.0, np.full(n - 2, -2.0), -1.0]
     neumann = sp.diags([np.ones(n - 1), main, np.ones(n - 1)], [-1, 0, 1], format="lil")
@@ -288,26 +305,52 @@ def test_singular_shift_raises(splu_calls):
         with pytest.raises(RomresError, match="singular shift"):
             solver.solve(0.0, np.ones(n))
         assert solver.solve(1.0, np.ones(n)).shape == (n,)
-    assert splu_calls == [n, n]
+    assert splu_calls == [n, n] and lapack_calls == ["dpttrf", "dpttrf"]
 
 
 def test_shifted_solver_rejects_nonsquare():
-    # a banded 4 x 5 matrix would reach the tridiagonal LU, a full 2 x 3 one SuperLU
+    # a banded 4 x 5 matrix and a full 2 x 3 one
     for A in (sp.eye(4, 5, format="csr") - 2.0 * sp.eye(4, 5, 1), np.ones((2, 3))):
         with pytest.raises(RomresError, match="square"):
             shifted_solver(A)
 
 
-def test_chain_factorizations_by_dimension(rng, splu_calls):
-    # 1D chains and Jacobians factor every shift without SuperLU; a 2D chain
-    # makes one SuperLU factorization for its single node
+def test_nonsymmetric_tridiagonal_takes_superlu(rng, splu_calls, lapack_calls):
+    # the LDL^T reads one off-diagonal, so a tridiagonal matrix whose two
+    # off-diagonals differ in one entry is factored by SuperLU
+    grid = Grid1D(40)
+    A = assemble_operator(phantom("rQ", grid), build_difference_1d(grid)).A.tolil()
+    A[20, 19] *= 1.5
+    A = A.tocsr()
+    rhs = rng.standard_normal(40)
+    x = shifted_solver(A).solve(2.0, rhs)
+    assert splu_calls == [40] and lapack_calls == []
+    assert np.linalg.norm((2.0 * sp.identity(40) - A) @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_indefinite_shift_raises(lapack_calls):
+    # A's eigenvalues are -2 + cos(k pi/6), k = 1..5, so at s = -1.8 the
+    # matrix sI - A is nonsingular with eigenvalues of both signs, which the
+    # LDL^T of a positive definite matrix does not factor
+    A = sp.diags([np.full(5, -2.0), np.full(4, 0.5), np.full(4, 0.5)], [0, -1, 1], format="csr")
+    solver = shifted_solver(A)
+    with pytest.raises(RomresError, match="singular shift"):
+        solver.solve(-1.8, np.ones(5))
+    assert solver.solve(1.0, np.ones(5)).shape == (5,)
+    assert lapack_calls == ["dpttrf", "dpttrf"]
+
+
+def test_chain_factorizations_by_dimension(rng, splu_calls, lapack_calls):
+    # 1D chains and Jacobians factor every shift by the tridiagonal LDL^T,
+    # without SuperLU or the pivoting LU; a 2D chain makes one SuperLU
+    # factorization for its single node
     grid = Grid1D(199)
     op = assemble_operator(ResistivityField(1.0 + 0.5 * rng.random(199), grid),
                            build_difference_1d(grid))
     for name in ("zolotarev", "fast", "pade0"):
         ctx = preconditioner_chain(op, source_vector(grid).b, node_family(name, 4))
         assemble_jacobian(ctx)
-    assert splu_calls == []
+    assert splu_calls == [] and lapack_calls and set(lapack_calls) == {"dpttrf"}
     g2 = Grid2D(nx=10, ny=5)
     op2 = assemble_operator_2d(ResistivityField(1.0 + 0.5 * rng.random(g2.n_cells), g2))
     b2 = source_vector(g2, uniform_segments(g2, 1)[0]).b

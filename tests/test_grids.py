@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from romres.errors import InvalidGridError, PositivityError
 from romres.grids import (BoundarySegment, Grid1D, Grid2D, ResistivityField,
-                          assemble_operator, assemble_operator_2d,
+                          _weighted_gram, assemble_operator, assemble_operator_2d,
                           build_difference_1d, build_difference_2d,
                           source_vector, uniform_segments)
 
@@ -99,6 +99,31 @@ def test_assembly_matches_two_products_bitwise(rng):
         ref = (-(D.T @ sp.diags(rho) @ D)).tocsr()
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(A, part), getattr(ref, part))
+
+
+@pytest.mark.parametrize("n", [3, 40, 1999])
+def test_direct_1d_assembly_matches_sparse_products_bitwise(n, rng):
+    # D and A, filled in directly, equal the generic sparse constructions bit
+    # for bit, and A is exactly symmetric
+    g = Grid1D(n)
+    D = build_difference_1d(g)
+    D_ref = sp.diags([np.full(n, -1.0 / g.spacing), np.full(n - 1, 1.0 / g.spacing)],
+                     [0, 1], shape=(n, n), format="csr")
+    for r in (0.1 + rng.random(n), np.exp(rng.normal(0.0, 3.0, n))):
+        A = assemble_operator(ResistivityField(r, g), D).A
+        for M, ref in ((D, D_ref), (A, _weighted_gram(D, r))):
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(M, part), getattr(ref, part))
+        assert np.array_equal(A.diagonal(1), A.diagonal(-1))
+
+
+def test_assembly_needs_bidiagonal_factor():
+    g = Grid1D(5)
+    D = build_difference_1d(g)
+    r = ResistivityField(np.ones(5), g)
+    for bad in (D + sp.eye(5, k=-1), D[:4], sp.diags([np.ones(5), np.zeros(4)], [0, 1])):
+        with pytest.raises(InvalidGridError):
+            assemble_operator(r, bad)
 
 
 def test_positivity_required():

@@ -581,6 +581,21 @@ def pinv_calls(monkeypatch):
     return calls
 
 
+def test_gn_stops_at_rounding_level():
+    # a same-grid noiseless target is reached to rounding: the residual falls
+    # to about 3e-14 at step 9 and afterwards only wanders (up to 1.5e-13),
+    # which the relative stagnation test never catches
+    g = Grid1D(60)
+    l_star = preconditioner_R(phantom("rQ", g), node_family("zolotarev", 3))
+    target = FitTarget(m=3, log_cfrac=l_star, spectral=np.zeros(6))
+    _, hist = invert_1d(target, g, InversionConfig(m0=3, n_gn=12))
+    p = len(hist.step_length) + 1
+    assert p < 12
+    assert hist.notes == [f"residual at rounding level at iteration {p}"]
+    floor = inversion._ROUNDING_FLOOR * np.finfo(float).eps * np.linalg.norm(l_star)
+    assert hist.residual[p - 1] <= floor < min(hist.residual[:p - 1])
+
+
 @pytest.mark.parametrize("weights", ["identity", "adaptive"])
 def test_one_pseudoinverse_per_gn_iteration(weights, pinv_calls):
     # the step and the null(J) projection share one SVD of J

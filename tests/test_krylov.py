@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from romres.cfrac import pole_residue_to_cfrac
-from romres.errors import BasisCollapseError, RomresError
+from romres.errors import BasisCollapseError, ProjectionError, RomresError
 from romres.forward import transfer_eval, transfer_moments
 from romres.grids import Grid1D, Grid2D, ResistivityField, assemble_operator, \
     build_difference_1d, source_vector
@@ -36,6 +36,30 @@ def test_zero_source_collapses_basis(small_system):
     grid, field, op, b = small_system
     with pytest.raises(BasisCollapseError, match="snapshot column 1 "):
         build_krylov(op.A, np.zeros_like(b), node_family("zolotarev", 3))
+
+
+def test_model_larger_than_system_rejected_before_solving():
+    # zolotarev m = 6 on four unknowns is refused on entry, before any
+    # resolvent is factored
+    class NoSolver:
+        def solve(self, s, rhs):
+            raise AssertionError("solved before checking the model size")
+
+    grid = Grid1D(4)
+    op = assemble_operator(ResistivityField(np.ones(4), grid), build_difference_1d(grid))
+    with pytest.raises(BasisCollapseError, match="exceeds the system dimension"):
+        build_krylov(op.A, source_vector(grid).b, node_family("zolotarev", 6), solver=NoSolver())
+    with pytest.raises(BasisCollapseError):
+        preconditioner_R(ResistivityField(np.ones(4), grid), node_family("zolotarev", 6))
+
+
+def test_indefinite_projection_raises_its_own_error(small_system):
+    # projecting -A (positive definite) on a valid basis of A
+    grid, field, op, b = small_system
+    basis = build_krylov(op.A, b, node_family("zolotarev", 3))
+    assert np.all(np.linalg.eigvalsh(project(op.A, b, basis).A_m) < 0)
+    with pytest.raises(ProjectionError, match="not negative definite"):
+        project(-op.A, b, basis)
 
 
 def test_pade0_snapshots_are_inverse_powers(small_system):
@@ -71,7 +95,9 @@ def test_single_node_higher_moments(small_system):
     fam = node_family("single-node", 3, s_hat=s_hat)
     model = project(op.A, b, build_krylov(op.A, b, fam))
     tau = transfer_moments(op.A, b, s_hat, 4)
-    tau_m = transfer_moments(model.A_m, model.b_m, s_hat, 4)
+    # four moments of the m = 3 model: the fourth is the deliberate extra one
+    with pytest.warns(UserWarning, match="more moments than system dimension"):
+        tau_m = transfer_moments(model.A_m, model.b_m, s_hat, 4)
     assert np.allclose(tau_m, tau, rtol=1e-6)
 
 

@@ -85,6 +85,10 @@ def test_multipoint_roundtrip_identity(rng):
     assert np.allclose(back.c, c, rtol=1e-6)
 
 
+# whether the five random poles leave two trailing singular values close
+# enough to warn depends on the last bits of the fit's SVD (BLAS, summation
+# order), so this test neither requires nor fails on the warning
+@pytest.mark.filterwarnings("ignore::romres.errors.AmbiguousFitWarning")
 def test_interpolation_property(rng):
     # the fitted rational interpolates its inputs up to conditioning
     theta = np.sort(rng.uniform(0.5, 300.0, 5))
