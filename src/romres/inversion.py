@@ -162,10 +162,12 @@ _MAX_HALVINGS = 20
 # 20) to a vector within 2.1e-17 of the default's
 _LANCZOS_NCV = 6
 
-# right-hand sides per SuperLU solve of the capacitance columns G = L_g^-1 J^T.
-# On one BLAS thread, invert2d's 80 columns took a median 10.7 ms in blocks of
-# 8 against 11.6 ms in one solve on the grounded Laplacian, and 46 against
-# 49 ms on the grounded edge system (2-core machine, 45 interleaved runs)
+# right-hand sides per grounded solve of the capacitance columns
+# G = L_g^-1 J^T.  It matters for the SuperLU factors: on one BLAS thread,
+# invert2d's 80 columns took a median 10.7 ms in blocks of 8 against 11.6 ms
+# in one solve on the grounded Laplacian, and 46 against 49 ms on the grounded
+# edge system (2-core machine, 45 interleaved runs).  The 1D path solve treats
+# each column alone, and 1D has k = 2m <= 12 columns, one or two blocks
 _SOLVE_COLUMNS = 8
 
 
@@ -276,14 +278,52 @@ def adaptive_weights(Dt: sp.spmatrix, r: np.ndarray, phi: float) -> np.ndarray:
     return 1.0 / (g ** 2 + phi ** 2)
 
 
+def _path_couplings(Dt: sp.spmatrix) -> np.ndarray | None:
+    """c if Dt is a path, row i holding -c_i at column i and c_i at i + 1
+    for every i < n - 1 with c_i != 0 (every ``Grid1D``'s seminorm), else None."""
+    e, n = Dt.shape
+    if e != n - 1:
+        return None
+    Dt = Dt.tocsr()
+    c = Dt.data[1::2]
+    if (np.array_equal(Dt.indptr, 2 * np.arange(n))
+            and np.array_equal(Dt.indices, (np.arange(2 * e) + 1) // 2)
+            and np.all(c != 0) and np.array_equal(Dt.data[0::2], -c)):
+        return c
+    return None
+
+
 def _grounded_solver(Dt: sp.spmatrix, w: np.ndarray | None):
     """L_g^-1 for the grounded seminorm operator L_g = Dt^T W Dt + e_0 e_0^T.
 
-    W = I (``w`` is None) factors L_g itself; other weights factor the
-    grounded edge system K_g = [[-W^-1, Dt], [Dt^T, e_0 e_0^T]], whose
-    trailing block of K_g^-1 [0; b] is L_g^-1 b.
+    Three inner solves, picked by the structure of Dt and then by the
+    weights:
+
+    - a path (``_path_couplings``; every 1D grid): L_g^-1 is exact in two
+      prefix sums, and nothing is factored.  Summing the rows of L_g x = b
+      gives x_0 = 1^T b, and cell j's balance fixes the flux through edge j
+      to the sum of b beyond it, g_j = sum_{i>j} b_i, so
+      x_{j+1} = x_j + g_j / (c_j^2 w_j).  A path needs no edge system: in a
+      tree no flux splits between routes, so no weight is ever added to
+      another (``regularize_nullspace`` gives the accuracy).
+    - W = I (``w`` is None) on any other graph factors L_g itself, the SPD
+      grounded Laplacian, under SuperLU's ``MMD_AT_PLUS_A``.
+    - other weights factor the grounded edge system
+      K_g = [[-W^-1, Dt], [Dt^T, e_0 e_0^T]] under SuperLU's default COLAMD;
+      the trailing block of K_g^-1 [0; b] is L_g^-1 b.
     """
     e, n = Dt.shape
+    c = _path_couplings(Dt)
+    if c is not None:
+        stiffness = (c * c if w is None else c * c * w)[:, None]
+
+        def solve_path(b):
+            x = np.empty((n, b.size // n))
+            np.cumsum(b.reshape(x.shape)[::-1], axis=0, out=x[::-1])  # sum_{i>=j} b_i
+            x[1:] /= stiffness  # x_0 = 1^T b, then the steps g_j / (c_j^2 w_j)
+            return np.cumsum(x, axis=0, out=x).reshape(b.shape)
+
+        return solve_path
     ground = sp.csc_matrix(([1.0], ([0], [0])), shape=(n, n))
     try:
         if w is None:
@@ -348,14 +388,26 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
         rho = g1 - G lam - a 1.
 
     The last row of C is 1^T of M's first block row, and it makes
-    a = -rho_0, which undoes the grounding.  L_g^-1 has one of two inner
-    factors, picked by whether weights are given:
+    a = -rho_0, which undoes the grounding.  L_g^-1 is one of three inner
+    solves, picked by the structure of Dt and then by whether weights are
+    given:
 
-    - identity weights (``w`` is None): L_g = Dt^T Dt + e_0 e_0^T is the
-      symmetric positive definite grounded grid Laplacian, factored by
-      SuperLU with the symmetric minimum-degree ordering
-      (``MMD_AT_PLUS_A``); on 90 x 30 cells it holds 73.5k entries.
-    - given weights: SuperLU factors the grounded edge system
+    - a path (every 1D grid: edge i joins cells i and i + 1): two prefix
+      sums give L_g^-1 exactly, for identity and given weights alike, and
+      nothing is factored.  The flux through each edge of a tree is fixed
+      by the right-hand side alone, so each weight enters through one
+      division of its own and is never added to another: the rounding loss
+      that sends the other graphs' weights to the edge system cannot occur.
+      On N = 60 to 1999 with weights spanning up to 14 decades it stays
+      within 4.4e-15 of the edge system's LU, and both within 2e-14 of the
+      same prefix sums in long double; the SPD LU of the formed operator
+      is 5e-8 off at unit weights and O(1) off at 14 decades (N = 1999).
+    - identity weights (``w`` is None) on any other graph: L_g =
+      Dt^T Dt + e_0 e_0^T is the symmetric positive definite grounded grid
+      Laplacian, factored by SuperLU with the symmetric minimum-degree
+      ordering (``MMD_AT_PLUS_A``); on 90 x 30 cells it holds 73.5k entries.
+    - given weights on any other graph: SuperLU factors the grounded edge
+      system
 
           K_g = [[-W^-1, Dt], [Dt^T, e_0 e_0^T]]
 
@@ -374,7 +426,8 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
       entries.
 
     A system with an exactly zero pivot (in L_g, K_g or C: for example an
-    edge graph that leaves a cell unconnected, or a zero row of J) raises
+    edge graph that leaves a cell unconnected, which is never a path, or a
+    zero row of J) raises
     ``RegularizationError``.
 
     The weights pick the solve.  Given weights get the exact constrained
@@ -513,7 +566,9 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
         r = np.ones(Dt.shape[1])
         hist = InversionHistory()
         prev_res = None
-        for p in range(1, config.n_gn + 1):
+        # evaluation n_gn + 1 only records the last iterate; an early stop
+        # records the iterate it has just evaluated and ends the history there
+        for p in range(1, config.n_gn + 2):
             l_vec, ctxs = eval_chain(r)
             residual = l_vec - l_star
             res_norm = float(np.linalg.norm(residual))
@@ -522,6 +577,8 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
             if r_true is not None:
                 hist.error.append(relative_error(r, r_true))
             hist.iterates.append(r.copy())
+            if p > config.n_gn:
+                break
             if res_norm <= floor:
                 hist.notes.append(f"residual at rounding level at iteration {p}")
                 break
@@ -554,12 +611,6 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
                                       f"iteration {p}; kept the plain update")
                     r_next = r_gn
             r = r_next
-        l_vec, _ = eval_chain(r)
-        hist.iterations.append(config.n_gn + 1)
-        hist.residual.append(float(np.linalg.norm(l_vec - l_star)))
-        if r_true is not None:
-            hist.error.append(relative_error(r, r_true))
-        hist.iterates.append(r.copy())
         return r, hist
 
 

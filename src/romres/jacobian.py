@@ -65,7 +65,7 @@ def diff_spectral(dA_m: np.ndarray, b_m: np.ndarray, db_m: np.ndarray,
     np.fill_diagonal(gap, np.inf)
     if np.min(np.abs(gap)) < 1e-10 * max(np.max(np.abs(theta)), 1e-300):
         raise DegeneracyError("eigenvalue gap below resolution in diff_spectral")
-    W = np.einsum("nab,ai,bj->nij", dA_m, Z, Z, optimize=True)
+    W = Z.T @ dA_m @ Z
     dtheta = -np.einsum("njj->nj", W)
     phi = b_m @ Z
     cross = -np.einsum("i,nij,ij->nj", phi, W, 1.0 / gap)

@@ -1,3 +1,4 @@
+import sys
 import warnings
 from dataclasses import replace
 
@@ -319,6 +320,104 @@ def test_saddle_factorization_structure(rng, monkeypatch):
         shapes.clear()
 
 
+@pytest.fixture
+def splu_callers(monkeypatch):
+    """(calling function, size) of the SuperLU factorizations made while the
+    test runs."""
+    calls = []
+    reference_splu = spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, A.shape[0]))
+        return reference_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+def _grounded_reference(Dt, w):
+    """L_g^-1 through SuperLU: the edge system and the SPD grounded operator."""
+    e, n = Dt.shape
+    ground = sp.csc_matrix(([1.0], ([0], [0])), shape=(n, n))
+    edge = spla.splu(sp.bmat([[-sp.diags(1.0 / w), Dt], [Dt.T, ground]], format="csc"))
+    spd = spla.splu((Dt.T @ sp.diags(w) @ Dt + ground).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return (lambda b: edge.solve(np.concatenate([np.zeros((e,) + b.shape[1:]), b]))[e:],
+            spd.solve)
+
+
+@pytest.mark.parametrize("N", [199, 1999])
+def test_path_solve_matches_sparse_factors(N, rng, splu_callers):
+    # the prefix-sum solve of a 1D seminorm against the SuperLU solves it
+    # replaced, for weights spanning 0 to 14 decades and one or eight
+    # right-hand sides.  Over 20 draws each on N = 60, 199 and 1999 it was at
+    # most 4.4e-15 off the edge system's LU (the bound 1e-13 leaves a margin
+    # of 23), and both were within 2e-14 of the same formula in long double.
+    # The SPD LU of the formed Dt^T W Dt + e_0 e_0^T loses accuracy as the
+    # weights spread (5e-6, 1e-3 and O(1) at 5, 10 and 14 decades on
+    # N = 1999, and exactly singular twice at 14), so it is compared only at
+    # unit weights, which the identity correction used: at most 5.1e-11
+    # (N = 199) and 5.0e-8 (N = 1999) off, bounds 1e-9 and 1e-6
+    Dt = regularization_gradient(Grid1D(N))
+    e = Dt.shape[0]
+    spd_bound = {199: 1e-9, 1999: 1e-6}[N]
+    for span in (0, 5, 10, 14):
+        w = 10.0 ** (span * (rng.random(e) - 0.5))
+        solve_edge, solve_spd = _grounded_reference(Dt, w)
+        splu_callers.clear()
+        solve_path = inversion._grounded_solver(Dt, w if span else None)
+        assert splu_callers == []
+        for b in (rng.standard_normal(N), rng.standard_normal((N, 8))):
+            x = solve_path(b)
+            assert x.shape == b.shape
+            x_edge = solve_edge(b)
+            rel = np.linalg.norm(x - x_edge) / np.linalg.norm(x_edge)
+            assert rel < 1e-13, (span, b.ndim, rel)
+            if span == 0:
+                x_spd = solve_spd(b)
+                rel = np.linalg.norm(x - x_spd) / np.linalg.norm(x_spd)
+                assert rel < spd_bound, (b.ndim, rel)
+
+
+def test_non_path_takes_sparse_factor(rng, splu_callers):
+    # the path solve needs row i to join columns i and i + 1 with a nonzero
+    # coupling; any other Dt is factored by SuperLU
+    g = Grid1D(40)
+    Dt = regularization_gradient(g)
+    e, n = Dt.shape
+    w = adaptive_weights(Dt, 1.0 + rng.random(n), 1e-3)
+    b = rng.standard_normal((n, 3))
+    assert inversion._path_couplings(Dt) is not None
+    # a 2D grid's edges form cycles
+    Dt_2d = regularization_gradient(Grid2D(nx=7, ny=5))
+    assert inversion._path_couplings(Dt_2d) is None
+    inversion._grounded_solver(Dt_2d, None)
+    assert splu_callers == [("_grounded_solver", Dt_2d.shape[1])]
+    # reordering the rows keeps L_g but not the layout the check reads
+    perm = rng.permutation(e)
+    for weights in (None, w):
+        splu_callers.clear()
+        w_perm = None if weights is None else weights[perm]
+        x = inversion._grounded_solver(Dt[perm], w_perm)(b)
+        assert splu_callers == [("_grounded_solver", n if weights is None else e + n)]
+        x_path = inversion._grounded_solver(Dt, weights)(b)
+        assert np.linalg.norm(x - x_path) < 1e-12 * np.linalg.norm(x_path)
+    # a row whose two entries do not cancel is no difference
+    skew = Dt.copy()
+    skew.data[1::2] *= 2.0
+    assert inversion._path_couplings(skew) is None
+    splu_callers.clear()
+    inversion._grounded_solver(skew, w)
+    assert splu_callers == [("_grounded_solver", e + n)]
+    # a zero coupling cuts the path in two, and SuperLU reports the singular
+    # grounded operator
+    cut = Dt.copy()
+    cut.data[10:12] = 0.0
+    assert cut.nnz == Dt.nnz and inversion._path_couplings(cut) is None
+    for weights in (None, w):
+        with pytest.raises(RegularizationError, match="grounded Laplacian"):
+            inversion._grounded_solver(cut, weights)
+
+
 def test_failed_correction_keeps_plain_update(monkeypatch):
     g = Grid1D(60)
     fam = node_family("zolotarev", 3)
@@ -581,24 +680,39 @@ def pinv_calls(monkeypatch):
     return calls
 
 
-def test_gn_stops_at_rounding_level():
+def test_gn_stops_at_rounding_level(monkeypatch):
     # a same-grid noiseless target is reached to rounding: the residual falls
     # to about 3e-14 at step 9 and afterwards only wanders (up to 1.5e-13),
     # which the relative stagnation test never catches
     g = Grid1D(60)
     l_star = preconditioner_R(phantom("rQ", g), node_family("zolotarev", 3))
     target = FitTarget(m=3, log_cfrac=l_star, spectral=np.zeros(6))
+    chains = []
+
+    def counting_chain(*args, **kwargs):
+        chains.append(1)
+        return preconditioner_chain(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "preconditioner_chain", counting_chain)
     _, hist = invert_1d(target, g, InversionConfig(m0=3, n_gn=12))
     p = len(hist.step_length) + 1
     assert p < 12
     assert hist.notes == [f"residual at rounding level at iteration {p}"]
     floor = inversion._ROUNDING_FLOOR * np.finfo(float).eps * np.linalg.norm(l_star)
     assert hist.residual[p - 1] <= floor < min(hist.residual[:p - 1])
+    # the stopping evaluation is the last one: the history ends at iteration
+    # p, and no chain is evaluated again at the iterate it has just evaluated
+    assert hist.iterations == list(range(1, p + 1))
+    assert len(hist.residual) == len(hist.iterates) == len(chains) == p
 
 
 @pytest.mark.parametrize("weights", ["identity", "adaptive"])
-def test_one_pseudoinverse_per_gn_iteration(weights, pinv_calls):
-    # the step and the null(J) projection share one SVD of J
+def test_one_pseudoinverse_per_gn_iteration(weights, pinv_calls, splu_callers):
+    # the step and the null(J) projection share one SVD of J.  1D seminorms
+    # are paths, solved by prefix sums, and 1D chains take the tridiagonal
+    # LDL^T, so a 1D inversion makes no SuperLU factorization; 2D factors the
+    # grounded Laplacian (identity) or edge system (adaptive) once per
+    # correction
     g = Grid1D(60)
     fam = node_family("zolotarev", 3)
     target = FitTarget(m=3, log_cfrac=preconditioner_R(phantom("rQ", g), fam),
@@ -606,6 +720,7 @@ def test_one_pseudoinverse_per_gn_iteration(weights, pinv_calls):
     _, hist = invert_1d(target, g, InversionConfig(m0=3, n_gn=2, weights=weights))
     assert not hist.notes
     assert pinv_calls == [(6, 60)] * len(hist.step_length) == [(6, 60)] * 2
+    assert splu_callers == []
     pinv_calls.clear()
     gf, gc = Grid2D(nx=24, ny=8), Grid2D(nx=18, ny=6)
     gf = replace(gf, segments=uniform_segments(gf, 2))
@@ -615,9 +730,14 @@ def test_one_pseudoinverse_per_gn_iteration(weights, pinv_calls):
                           n_sources=2, weights=weights)
     tau = moments_from_operator(op, [source_vector(gf, s).b for s in gf.segments],
                                 cfg.s_hat, 2 * cfg.m0)
+    splu_callers.clear()
     _, hist = invert_2d(tau, gc, cfg)
     assert not hist.notes
     assert pinv_calls == [(12, gc.n_cells)] * len(hist.step_length) == [(12, gc.n_cells)]
+    e, n = regularization_gradient(gc).shape
+    size = n if weights == "identity" else e + n
+    corrections = [c for c in splu_callers if c[0] == "_grounded_solver"]
+    assert corrections == [("_grounded_solver", size)] * len(hist.step_length)
 
 
 @pytest.mark.parametrize("tau", [np.ones((2, 1)), np.ones((2, 0)),
