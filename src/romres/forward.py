@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import RomresError
+from .grids import SystemOperator
 
 __all__ = [
     "TimeSeries",
@@ -178,28 +179,38 @@ class shifted_solver:
       pivoting kept: on a 90 x 30 grid the factor holds a third fewer
       entries than under SuperLU's default column ordering.
 
+    ``A`` is a matrix or a ``SystemOperator``.  A 1D operator is read from
+    its bands (``SystemOperator.bands``) as they are: no sparse matrix is
+    built or inspected, and only the exact symmetry of the off-diagonals
+    is checked, so the 1D chain factors the same numbers through the same
+    ``pttrf`` with no CSR A.  A 2D operator's CSR A, and any other matrix,
+    has its structure read from its diagonals.
+
     A singular shift raises ``RomresError`` ("singular shift"), and so does
     a matrix that is not square.
     """
 
     def __init__(self, A):
-        A = sp.csr_matrix(A)
-        if A.shape[0] != A.shape[1]:
-            raise RomresError(f"shifted_solver needs a square matrix, got shape {A.shape}")
-        self._n = A.shape[0]
         self._factors = {}
-        self._bands = None
-        if self._n >= 3:
-            lower, main, upper = A.diagonal(-1), A.diagonal(), A.diagonal(1)
+        if isinstance(A, SystemOperator) and A.bands is not None:
+            # an assembled 1D operator is tridiagonal by construction
+            bands = A.bands
+        else:
+            A = sp.csr_matrix(A.A if isinstance(A, SystemOperator) else A)
+            if A.shape[0] != A.shape[1]:
+                raise RomresError(f"shifted_solver needs a square matrix, got shape {A.shape}")
+            bands = A.diagonal(-1), A.diagonal(), A.diagonal(1)
             # every stored nonzero lies on the three diagonals exactly when
             # they hold as many nonzeros as the matrix (duplicates only add
             # to the matrix's count)
-            banded = (np.count_nonzero(lower) + np.count_nonzero(main)
-                      + np.count_nonzero(upper) == np.count_nonzero(A.data))
-            if banded and np.array_equal(lower, upper):
-                self._bands = (main, upper)
-        if self._bands is None:
-            self._A = A.tocsc()
+            if sum(map(np.count_nonzero, bands)) != np.count_nonzero(A.data):
+                bands = None
+        self._n = A.shape[0]
+        if bands is not None and self._n >= 3 and np.array_equal(bands[0], bands[2]):
+            self._bands = bands[1:]
+        else:
+            self._bands = None
+            self._A = (A.A if isinstance(A, SystemOperator) else A).tocsc()
 
     def _factor(self, s: float):
         if self._bands is not None:

@@ -158,17 +158,71 @@ class ResistivityField:
             raise PositivityError("resistivity must be strictly positive")
 
 
-@dataclass(frozen=True)
 class SystemOperator:
     """Assembled operator A = -D^T diag(rho) D with its factors.
 
-    ``averaging`` is the sparse edge-from-cell map M (identity in 1D, where
-    the parameter vector is the edge vector itself).
+    ``D`` is the sparse difference factor and ``averaging`` the sparse
+    edge-from-cell map M (the identity in 1D, where the parameter vector is
+    the edge vector itself).  ``op @ X`` is A X.
+
+    A 2D operator holds A, D and M as CSR matrices.  A 1D operator holds
+    A's three diagonals, ``bands = (lower, main, upper)``, and D; the 1D
+    chain works on the bands alone: ``shifted_solver(op)`` factors them and
+    ``op @ X`` sums their products in A's CSR row order, so it equals
+    ``op.A @ X`` bit for bit.  A 1D operator's CSR ``A`` and ``averaging``
+    are built on first read and kept, bitwise equal to an eager build;
+    the chain and its Jacobian never read them.
     """
 
-    A: sp.csr_matrix
-    D: sp.csr_matrix
-    averaging: sp.csr_matrix
+    def __init__(self, A=None, D=None, averaging=None, *, bands=None):
+        given = (A is not None, averaging is not None, bands is not None)
+        if D is None or given not in ((True, True, False), (False, False, True)):
+            raise InvalidGridError("an operator needs D and either A and averaging "
+                                   "or the bands of a tridiagonal A")
+        self.D = D
+        self.bands = bands
+        self._A, self._averaging = A, averaging
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.D.shape[1]
+        return n, n
+
+    @property
+    def A(self) -> sp.csr_matrix:
+        if self._A is None:
+            lower, main, upper = self.bands
+            n = main.size
+            # rows hold (lower, main, upper) in column order; the first row
+            # has no lower entry and the last no upper one
+            rows = np.empty((n, 3))
+            rows[1:, 0], rows[:, 1], rows[:-1, 2] = lower, main, upper
+            cols = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
+            indptr = np.clip(3 * np.arange(n + 1, dtype=np.int32) - 1, 0, 3 * n - 2)
+            self._A = sp.csr_matrix((rows.ravel()[1:-1], cols.ravel()[1:-1], indptr),
+                                    shape=(n, n))
+        return self._A
+
+    @property
+    def averaging(self) -> sp.csr_matrix:
+        if self._averaging is None:
+            self._averaging = sp.identity(self.shape[0], format="csr")
+        return self._averaging
+
+    def __matmul__(self, X):
+        if self.bands is None:
+            return self.A @ X
+        # on X's rows flattened in C order, each band repeated across the k
+        # columns; each row is summed from 0.0 in column order, as the CSR
+        # product does
+        k = np.size(X) // self.shape[0]
+        lower, main, upper = (np.repeat(band, k) for band in self.bands)
+        x = np.ravel(X)
+        y = np.zeros(x.size)
+        y[k:] += lower * x[:-k]
+        y += main * x
+        y[:-k] += upper * x[k:]
+        return y.reshape(np.shape(X))
 
 
 @dataclass(frozen=True)
@@ -213,14 +267,16 @@ def assemble_operator(field: ResistivityField, D: sp.csr_matrix) -> SystemOperat
     D is the square upper-bidiagonal factor of ``build_difference_1d``:
     nonzero main diagonal d and upper diagonal u, nothing else.  A's three
     diagonals are formed directly, with the products and summation order
-    of the sparse product ``_weighted_gram`` forms (so A is bitwise equal
-    to it); with the scaled rows (d r, u r),
+    of the sparse product ``_weighted_gram`` forms (so the CSR A built from
+    them is bitwise equal to it); with the scaled rows (d r, u r),
 
         A_ii = -((u_{i-1} r_{i-1}) u_{i-1} + (d_i r_i) d_i),
         A_{i,i+1} = -(u_i r_i) d_i,   A_{i+1,i} = -(d_i r_i) u_i.
 
     On the 1D factor |u_i| = |d_i|, so the two off-diagonals hold the same
-    numbers and A is exactly symmetric.
+    numbers and A is exactly symmetric.  The operator keeps the diagonals
+    as its ``bands`` and builds no sparse matrix: its CSR A and identity
+    averaging map are formed only when read (see ``SystemOperator``).
     """
     r = field.values
     n = r.shape[0]
@@ -233,14 +289,8 @@ def assemble_operator(field: ResistivityField, D: sp.csr_matrix) -> SystemOperat
         raise InvalidGridError("the 1D difference factor must be upper bidiagonal "
                                "with nonzero diagonals")
     dr, ur = d * r, u * r[:-1]
-    bands = np.empty((n, 3))
-    bands[1:, 0] = -(dr[:-1] * u)
-    bands[:, 1] = -(np.concatenate(([0.0], ur * u)) + dr * d)
-    bands[:-1, 2] = -(ur * d[:-1])
-    cols = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
-    indptr = np.clip(3 * np.arange(n + 1, dtype=np.int32) - 1, 0, 3 * n - 2)
-    A = sp.csr_matrix((bands.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
-    return SystemOperator(A=A, D=D, averaging=sp.identity(n, format="csr"))
+    bands = (-(dr[:-1] * u), -(np.concatenate(([0.0], ur * u)) + dr * d), -(ur * d[:-1]))
+    return SystemOperator(D=D, bands=bands)
 
 
 def build_difference_2d(grid: Grid2D) -> tuple[sp.csr_matrix, sp.csr_matrix]:

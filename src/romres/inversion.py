@@ -199,8 +199,16 @@ def data_fitting_Q(series: TimeSeries, config: InversionConfig | None = None) ->
     and its derivative are read off the data at the m nodes of the
     configured family, in one quadrature pass per node (the leading two
     Taylor moments), and fitted by the osculatory interpolation.
+
+    A trial reads 2m quadrature values, which n samples determine only if
+    n >= 2m: a series shorter than 2 ``config.m0`` samples raises
+    ``RomresError`` before any quadrature, and is not taken as a reason to
+    reduce m.
     """
     config = config or InversionConfig()
+    if series.n_samples < 2 * config.m0:
+        raise RomresError(f"{series.n_samples} samples cannot determine the {2 * config.m0} "
+                          f"quadrature values of a fit at m0 = {config.m0}")
 
     def fit_at(m):
         fam = config.family(m)
@@ -545,7 +553,7 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
 
     def eval_chain(r):
         op = assemble(r)
-        solver = shifted_solver(op.A)
+        solver = shifted_solver(op)
         ctxs = [preconditioner_chain(op, b, family, solver=solver) for b in sources]
         if config.parametrization == "cfrac":
             vecs = [c.log_vector() for c in ctxs]
@@ -636,7 +644,7 @@ def invert_1d(data: TimeSeries | FitTarget, grid: Grid1D,
 
 def moments_from_operator(op: SystemOperator, sources, s_hat: float, K: int) -> np.ndarray:
     """Per-source transfer moments of a semi-discrete model (data synthesis)."""
-    solver = shifted_solver(op.A)
+    solver = shifted_solver(op)
     return np.vstack([transfer_moments(op.A, b, s_hat, K, solver=solver)
                       for b in sources])
 

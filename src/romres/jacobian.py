@@ -148,15 +148,14 @@ def _adjoint_sweep(ctx: ChainContext, T_A: np.ndarray, T_b: np.ndarray) -> np.nd
     1.4e-11 off a long-double recomputation of the full-space sweep, whose
     double-precision version is 2.7e-12 off.
     """
-    op = ctx.operator
-    D = op.D
+    D = ctx.operator.D
     K, V, U = ctx.basis.K, ctx.basis.V, ctx.basis.U
     m = ctx.m
     Q = doubled_basis(ctx.solver, ctx.basis, ctx.b)
     DK = np.asarray(D @ K)
     DV = np.asarray(D @ V)
     Vq, Kq = Q.T @ V, Q.T @ K
-    Wq = Q.T @ np.column_stack([op.A @ V, ctx.b])
+    Wq = Q.T @ np.column_stack([ctx.model.AV, ctx.b])
     DY, QY = [], []
     for s in ctx.basis.family.nodes:
         Y = ctx.solver.solve(s, Q)
@@ -195,8 +194,10 @@ def assemble_jacobian(ctx: ChainContext, target: str = "cfrac") -> np.ndarray:
     parameters and returns d theta / dr and d c / dr instead (the
     baseline parametrization used for comparison).  The chain is
     differentiated with respect to the edge resistivities and composed
-    with the (sparse) edge-from-parameter averaging map, which is the
-    identity in 1D.
+    with the (sparse) edge-from-parameter averaging map.  In 1D that map
+    is the identity and no sparse product is formed: adding 0.0 into a
+    column-major array gives the identity product's exact result and
+    layout, and the operator's CSR identity is never built.
     """
     if target not in ("cfrac", "spectral"):
         raise RomresError(f"unknown Jacobian target {target!r}")
@@ -205,4 +206,8 @@ def assemble_jacobian(ctx: ChainContext, target: str = "cfrac") -> np.ndarray:
     T = _chain_tail(ctx, units[:, :m * m].reshape(-1, m, m), units[:, m * m:],
                     target)
     J_edge = _adjoint_sweep(ctx, T[:, :m * m].reshape(-1, m, m), T[:, m * m:])
+    if ctx.operator.bands is not None:
+        # the identity product's result: 0.0 + x (which turns -0.0 into 0.0),
+        # column-major, which the rounding of later products with J reads
+        return np.add(J_edge.T, 0.0, order="F")
     return np.asarray(J_edge.T @ ctx.operator.averaging)

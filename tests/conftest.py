@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from romres.grids import (Grid1D, ResistivityField, assemble_operator,
                           build_difference_1d, source_vector)
@@ -19,3 +20,22 @@ def small_system(rng):
     op = assemble_operator(field, build_difference_1d(grid))
     b = source_vector(grid).b
     return grid, field, op, b
+
+
+@pytest.fixture
+def sparse_constructions(monkeypatch):
+    """Class names of the scipy.sparse matrices and arrays constructed while
+    the test runs, in order (every public format, counted at its __init__)."""
+    made = []
+
+    def counting(init):
+        def __init__(self, *args, **kwargs):
+            made.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return __init__
+
+    for fmt in ("bsr", "coo", "csc", "csr", "dia", "dok", "lil"):
+        for kind in ("matrix", "array"):
+            cls = getattr(sp, f"{fmt}_{kind}")
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    return made

@@ -290,6 +290,31 @@ def test_shifted_solver_matches_superlu(N, rng, splu_calls):
     assert splu_calls == ([2] * 3 if N == 2 else [])
 
 
+@pytest.mark.parametrize("n", [2, 3, 40, 1999])
+def test_band_solver_matches_csr_solver_bitwise(n, rng, lapack_calls, sparse_constructions):
+    # shifted_solver(op) factors a 1D operator's bands as they are, building
+    # no sparse matrix, and its solves equal those of the solver built from
+    # the operator's CSR A bit for bit: the grid's factor gives symmetric
+    # operators (LDL^T for n >= 3, SuperLU for n = 2), and a nonuniform
+    # factor gives off-diagonals that round apart (SuperLU)
+    grid = Grid1D(n)
+    nonuniform = sp.diags([-(1.0 + rng.random(n)), 1.0 + rng.random(n - 1)], [0, 1],
+                          shape=(n, n), format="csr")
+    for D in (build_difference_1d(grid), nonuniform):
+        op = assemble_operator(phantom("rQ", grid), D)
+        sparse_constructions.clear()
+        lapack_calls.clear()
+        band = shifted_solver(op)
+        if n >= 3 and D is not nonuniform:
+            band.solve(2.0, np.ones(n))
+            assert sparse_constructions == [] and lapack_calls == ["dpttrf"]
+        csr = shifted_solver(op.A)
+        for s in (0.0, 2.0, 60.0):
+            for shape in ((n,), (n, 7)):
+                rhs = rng.standard_normal(shape)
+                assert np.array_equal(band.solve(s, rhs), csr.solve(s, rhs))
+
+
 def test_singular_shift_raises(splu_calls, lapack_calls):
     # the Neumann Laplacian is symmetric tridiagonal and takes the LDL^T; its
     # periodic wrap adds corner entries and takes SuperLU.  Both are singular

@@ -8,6 +8,7 @@ from romres.grids import (BoundarySegment, Grid1D, Grid2D, ResistivityField,
                           _weighted_gram, assemble_operator, assemble_operator_2d,
                           build_difference_1d, build_difference_2d,
                           source_vector, uniform_segments)
+from romres.phantoms import phantom
 
 
 def test_grid1d_spacing():
@@ -102,19 +103,43 @@ def test_assembly_matches_two_products_bitwise(rng):
 
 
 @pytest.mark.parametrize("n", [3, 40, 1999])
-def test_direct_1d_assembly_matches_sparse_products_bitwise(n, rng):
-    # D and A, filled in directly, equal the generic sparse constructions bit
-    # for bit, and A is exactly symmetric
+def test_direct_1d_assembly_matches_sparse_products_bitwise(n, rng, sparse_constructions):
+    # D, filled in directly, equals the generic sparse construction bit for
+    # bit.  The operator keeps A's bands and builds no sparse matrix; its CSR
+    # A and identity averaging map, built when first read, equal the sparse
+    # product and sp.identity bit for bit (format, shape, index dtype and
+    # arrays), and so does its band product with the CSR product.  A is
+    # exactly symmetric on the grid's factor; a nonuniform factor, whose rows
+    # hold entries of two magnitudes, gives two off-diagonals that round
+    # apart
     g = Grid1D(n)
     D = build_difference_1d(g)
     D_ref = sp.diags([np.full(n, -1.0 / g.spacing), np.full(n - 1, 1.0 / g.spacing)],
                      [0, 1], shape=(n, n), format="csr")
-    for r in (0.1 + rng.random(n), np.exp(rng.normal(0.0, 3.0, n))):
-        A = assemble_operator(ResistivityField(r, g), D).A
-        for M, ref in ((D, D_ref), (A, _weighted_gram(D, r))):
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(M, part), getattr(ref, part))
-        assert np.array_equal(A.diagonal(1), A.diagonal(-1))
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(D, part), getattr(D_ref, part))
+    nonuniform = sp.diags([-(1.0 + rng.random(n)), 1.0 + rng.random(n - 1)], [0, 1],
+                          shape=(n, n), format="csr")
+    fields = (phantom("rQ", g).values, 0.1 + rng.random(n), np.exp(rng.normal(0.0, 3.0, n)))
+    symmetric = []
+    for factor in (D, nonuniform):
+        for r in fields:
+            sparse_constructions.clear()
+            op = assemble_operator(ResistivityField(r, g), factor)
+            assert sparse_constructions == [] and op.shape == (n, n)
+            X = rng.standard_normal((n, 5))
+            products = [op @ X, op @ X[:, 0]]
+            for M, ref in ((op.A, _weighted_gram(factor, r)),
+                           (op.averaging, sp.identity(n, format="csr"))):
+                assert (M.format, M.shape, M.dtype) == (ref.format, ref.shape, ref.dtype)
+                for part in ("data", "indices", "indptr"):
+                    a, b = getattr(M, part), getattr(ref, part)
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert op.A is op.A and op.averaging is op.averaging
+            for Y, x in zip(products, (X, X[:, 0])):
+                assert np.array_equal(Y, op.A @ x)
+            symmetric.append(np.array_equal(op.A.diagonal(1), op.A.diagonal(-1)))
+    assert all(symmetric[:3]) and (n == 3 or not any(symmetric[3:]))
 
 
 def test_assembly_needs_bidiagonal_factor():

@@ -522,6 +522,24 @@ def test_data_fitting_input_error_not_reduced(monkeypatch):
     assert calls == [4]
 
 
+@pytest.mark.parametrize("n_samples, m0", [(1, 1), (1, 2), (3, 2), (11, 6)])
+def test_data_fitting_rejects_too_short_series(n_samples, m0, monkeypatch):
+    # n samples determine at most n of the 2m quadrature values a trial
+    # reads: a series shorter than 2 m0 is an input error, raised before any
+    # quadrature and not answered by reducing m
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return laplace_moments(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "laplace_moments", counting)
+    y = TimeSeries(np.exp(-0.5 * np.arange(1, n_samples + 1)), 1.0)
+    with pytest.raises(RomresError, match="samples cannot determine") as info:
+        data_fitting_Q(y, InversionConfig(m0=m0))
+    assert type(info.value) is RomresError and calls == []
+
+
 def test_data_fitting_reduces_m_after_fit_failure(monkeypatch):
     # a fit-validity failure at m = 6 retries at m = 5 with that family's
     # quadratures; the data alone admit m = 6
@@ -678,6 +696,23 @@ def pinv_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
     return calls
+
+
+@pytest.mark.parametrize("weights", ["identity", "adaptive"])
+def test_invert_1d_evaluations_build_no_sparse_matrix(weights, sparse_constructions):
+    # invert_1d builds its difference factor and seminorm operator once;
+    # every chain evaluation, Jacobian and null-space correction after that
+    # constructs no sparse matrix, so three steps build as many as none
+    g = Grid1D(60)
+    l_star = preconditioner_R(phantom("rQ", g), node_family("zolotarev", 3))
+    target = FitTarget(m=3, log_cfrac=l_star, spectral=np.zeros(6))
+    built = []
+    for n_gn in (0, 3):
+        sparse_constructions.clear()
+        _, hist = invert_1d(target, g, InversionConfig(m0=3, n_gn=n_gn, weights=weights))
+        assert len(hist.residual) == n_gn + 1
+        built.append(list(sparse_constructions))
+    assert built[0] == built[1]
 
 
 def test_gn_stops_at_rounding_level(monkeypatch):

@@ -7,8 +7,10 @@ from romres.errors import BasisCollapseError, ProjectionError, RomresError
 from romres.forward import transfer_eval, transfer_moments
 from romres.grids import Grid1D, Grid2D, ResistivityField, assemble_operator, \
     build_difference_1d, source_vector
+from romres.jacobian import assemble_jacobian
 from romres.krylov import (KrylovBasis, build_krylov, preconditioner_R,
                            preconditioner_chain, project, reduced_spectral)
+from romres.phantoms import phantom
 from romres.ratfit import NodeFamily, fit_multipoint, node_family, to_pole_residue
 
 
@@ -191,8 +193,6 @@ def test_constant_field_sqrt_law_asymptotic():
 
 def test_high_contrast_field_finite():
     grid = Grid1D(199)
-    from romres.phantoms import phantom
-
     vec = preconditioner_R(phantom("rH", grid), node_family("zolotarev", 5))
     assert np.all(np.isfinite(vec))
 
@@ -230,3 +230,38 @@ def test_sequential_matches_raw_values(small_system):
     cf = pole_residue_to_cfrac(poles)
     ctx = preconditioner_chain(op, b, fam)
     assert np.allclose(ctx.log_vector(), cf.log_vector(), atol=1e-9)
+
+
+def test_1d_chain_builds_no_sparse_matrix(sparse_constructions):
+    # once the grid's difference factor exists, a 1D evaluation and its
+    # Jacobian run on the operator's bands and construct no sparse matrix;
+    # the CSR A is built only when read.  The factor is shared by every
+    # evaluation on the grid, so it is read-only.  The Jacobian keeps the
+    # column-major layout of the identity product it replaces, which J's
+    # later products round by
+    grid = Grid1D(199)
+    r = phantom("rQ", grid).values
+    for label in ("zolotarev", "pade0"):
+        fam = node_family(label, 5)
+        preconditioner_R(ResistivityField(r, grid), fam)
+        sparse_constructions.clear()
+        _, ctx = preconditioner_R(ResistivityField(1.1 * r, grid), fam, return_context=True)
+        J = assemble_jacobian(ctx)
+        assert sparse_constructions == []
+        assert J.shape == (10, 199) and J.flags.f_contiguous
+        assert ctx.operator.A.format == "csr" and sparse_constructions == ["csr_matrix"]
+        with pytest.raises(ValueError, match="read-only"):
+            ctx.operator.D.data[0] = 0.0
+
+
+def test_project_reuses_its_eigendecomposition(small_system):
+    # the definiteness check and reduced_spectral read one eigh of A_m, and
+    # the model keeps the product A V the Jacobian's sweep reads
+    grid, field, op, b = small_system
+    basis = build_krylov(op, b, node_family("zolotarev", 4))
+    model = project(op, b, basis)
+    lam, Z = sla.eigh(model.A_m)
+    assert np.array_equal(model.eigenvalues, lam) and np.array_equal(model.eigenvectors, Z)
+    assert np.array_equal(model.AV, op.A @ basis.V)
+    pr, Zs = reduced_spectral(model)
+    assert np.array_equal(pr.theta, -lam[::-1]) and np.array_equal(Zs, Z[:, ::-1])

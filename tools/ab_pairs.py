@@ -10,10 +10,19 @@ next.  For every metric the runs report (the end-to-end ones, or the
 per-layer ones with ``--trace 1``) it prints each side's median and
 quartiles over all runs and the number of pairs the change won, ties counting
 for neither side, with the direction ("better": lower or higher) taken from
-the change checkout's BENCHMARK.json.  A gain may be claimed only when the
-change wins at least nine tenths of the pairs and the medians differ by more
-than the parent's interquartile distance.  Failed operations and the median
-rel_error line are printed per side as well.  Standard library only.
+the change checkout's BENCHMARK.json.  Two verdicts follow for each metric:
+
+- ``claim``: a gain may be claimed ("met") only when the change wins at least
+  nine tenths of the pairs and its median is better than the parent's by more
+  than the parent's interquartile distance; otherwise "not met";
+- ``bound``, for the metrics that carry a ``bound`` in BENCHMARK.json (a
+  relative worsening): "worse" when the change's median is worse than the
+  parent's by more than the bound, "unresolved" when it is not but the
+  parent's interquartile distance is wider than the bound times its median
+  and the change did not win every pair, and "within" otherwise.
+
+Failed operations and the median rel_error line are printed per side as
+well.  Standard library only.
 """
 
 from __future__ import annotations
@@ -61,9 +70,10 @@ def run_once(root: Path, args) -> dict:
     return result
 
 
-def directions(root: Path) -> dict[str, str]:
+def metric_specs(root: Path) -> dict[str, dict]:
+    """Metric name -> its entry in BENCHMARK.json ("better", and "bound" if gated)."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
+    return {m["name"]: m for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
 
 def quartiles(values):
@@ -73,21 +83,43 @@ def quartiles(values):
     return q1, q3
 
 
-def report(runs, better):
+def verdicts(parent, change, sign: float, bound: float | None) -> tuple[int, str, str]:
+    """Pairs the change won, and the claim and bound verdicts of the rule in
+    the module docstring.
+
+    ``sign`` is -1 when lower is better and +1 when higher is; ``bound`` is
+    the metric's relative bound, or None if it has none.
+    """
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, q3 = quartiles(parent)
+    p_med = statistics.median(parent)
+    gain = sign * (statistics.median(change) - p_med)
+    claim = "met" if won >= 0.9 * len(parent) and gain > q3 - q1 else "not met"
+    if bound is None:
+        return won, claim, "-"
+    if -gain > bound * abs(p_med):
+        return won, claim, "worse"
+    if q3 - q1 > bound * abs(p_med) and won < len(parent):
+        return won, claim, "unresolved"
+    return won, claim, "within"
+
+
+def report(runs, specs):
     names = [k for k in runs[0]["change"]["metrics"] if k in runs[0]["parent"]["metrics"]]
     print(f"{'metric':<42} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} "
-          f"{'won':>7}")
+          f"{'won':>7} {'claim':>8} {'bound':>10}")
     for name in names:
         values = {s: [r[s]["metrics"][name]["value"] for r in runs] for s in SIDES}
         unit = runs[0]["change"]["metrics"][name]["unit"]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
-        won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        spec = specs.get(name, {})
+        sign = -1.0 if spec.get("better", "lower") == "lower" else 1.0
+        won, claim, bound = verdicts(values["parent"], values["change"], sign, spec.get("bound"))
         cells = []
         for s in SIDES:
             q1, q3 = quartiles(values[s])
             cells.append(f"{statistics.median(values[s]):.4g} [{q1:.4g}, {q3:.4g}]")
         print(f"{name + ' (' + unit + ')':<42} {cells[0]:>34} {cells[1]:>34} "
-              f"{won:>3}/{len(runs):<3}")
+              f"{won:>3}/{len(runs):<3} {claim:>8} {bound:>10}")
     for s in SIDES:
         failed = sum(r[s]["failed"] for r in runs)
         attempted = sum(r[s]["attempted"] for r in runs)
@@ -97,7 +129,7 @@ def report(runs, better):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    better = directions(args.change)
+    specs = metric_specs(args.change)
     runs = []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -107,7 +139,7 @@ def main(argv=None) -> int:
             f"{s} " + ", ".join(f"{k} {v['value']:.4g}" for k, v in pair[s]["metrics"].items()
                                 if k in ("op_s", "setup_s"))
             for s in SIDES), flush=True)
-    report(runs, better)
+    report(runs, specs)
     return 0
 
 
