@@ -158,6 +158,14 @@ def add_noise(series: TimeSeries, noise: NoiseModel) -> TimeSeries:
     return TimeSeries(d, series.step)
 
 
+def _pt_bands(lower, main, upper):
+    """(main, upper) of a tridiagonal A that ``pttrf`` can factor, else None.
+
+    That needs n >= 3 and off-diagonals equal bit for bit.
+    """
+    return (main, upper) if main.size >= 3 and np.array_equal(lower, upper) else None
+
+
 class shifted_solver:
     """Cached factorizations of (s I - A) across shifts.
 
@@ -192,25 +200,26 @@ class shifted_solver:
 
     def __init__(self, A):
         self._factors = {}
-        if isinstance(A, SystemOperator) and A.bands is not None:
+        if isinstance(A, SystemOperator) and A.bands is None:
+            A = A.A
+        if isinstance(A, SystemOperator):
             # an assembled 1D operator is tridiagonal by construction
-            bands = A.bands
+            self._bands = _pt_bands(*A.bands)
+            if self._bands is None:  # n < 3, or off-diagonals that round apart
+                A = A.A
         else:
-            A = sp.csr_matrix(A.A if isinstance(A, SystemOperator) else A)
+            A = sp.csr_matrix(A)
             if A.shape[0] != A.shape[1]:
                 raise RomresError(f"shifted_solver needs a square matrix, got shape {A.shape}")
             bands = A.diagonal(-1), A.diagonal(), A.diagonal(1)
             # every stored nonzero lies on the three diagonals exactly when
             # they hold as many nonzeros as the matrix (duplicates only add
             # to the matrix's count)
-            if sum(map(np.count_nonzero, bands)) != np.count_nonzero(A.data):
-                bands = None
+            on_bands = sum(map(np.count_nonzero, bands)) == np.count_nonzero(A.data)
+            self._bands = _pt_bands(*bands) if on_bands else None
         self._n = A.shape[0]
-        if bands is not None and self._n >= 3 and np.array_equal(bands[0], bands[2]):
-            self._bands = bands[1:]
-        else:
-            self._bands = None
-            self._A = (A.A if isinstance(A, SystemOperator) else A).tocsc()
+        if self._bands is None:
+            self._A = A.tocsc()
 
     def _factor(self, s: float):
         if self._bands is not None:

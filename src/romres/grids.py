@@ -212,10 +212,14 @@ class SystemOperator:
     def __matmul__(self, X):
         if self.bands is None:
             return self.A @ X
+        n = self.shape[0]
+        if np.ndim(X) not in (1, 2) or np.shape(X)[0] != n:
+            raise ValueError(f"matmul: dimension mismatch, operator is {n}x{n} "
+                             f"and X has shape {np.shape(X)}")
         # on X's rows flattened in C order, each band repeated across the k
         # columns; each row is summed from 0.0 in column order, as the CSR
         # product does
-        k = np.size(X) // self.shape[0]
+        k = np.size(X) // n
         lower, main, upper = (np.repeat(band, k) for band in self.bands)
         x = np.ravel(X)
         y = np.zeros(x.size)

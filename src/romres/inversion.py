@@ -645,7 +645,7 @@ def invert_1d(data: TimeSeries | FitTarget, grid: Grid1D,
 def moments_from_operator(op: SystemOperator, sources, s_hat: float, K: int) -> np.ndarray:
     """Per-source transfer moments of a semi-discrete model (data synthesis)."""
     solver = shifted_solver(op)
-    return np.vstack([transfer_moments(op.A, b, s_hat, K, solver=solver)
+    return np.vstack([transfer_moments(op, b, s_hat, K, solver=solver)
                       for b in sources])
 
 

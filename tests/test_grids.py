@@ -140,6 +140,12 @@ def test_direct_1d_assembly_matches_sparse_products_bitwise(n, rng, sparse_const
                 assert np.array_equal(Y, op.A @ x)
             symmetric.append(np.array_equal(op.A.diagonal(1), op.A.diagonal(-1)))
     assert all(symmetric[:3]) and (n == 3 or not any(symmetric[3:]))
+    # an X without n rows is refused, as by the CSR product, even when its
+    # size is a multiple of n
+    for bad in (np.ones((5, n)), np.ones(2 * n), np.ones((n, 2, 2))):
+        for M in (op, op.A):
+            with pytest.raises(ValueError):
+                M @ bad
 
 
 def test_assembly_needs_bidiagonal_factor():

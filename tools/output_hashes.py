@@ -6,9 +6,9 @@
 
 Imports romres from ``src/`` and the workloads from ``bench/workloads.py`` of
 ``--root`` (default: the checkout holding this script), generates each
-workload's inputs from ``--seed`` as ``bench/run.py`` does, runs its first
-``--ops`` operations (default: one cycle of inputs, and 2 on jacsweep) and
-prints one hash per output part:
+workload's inputs from ``--seed`` as ``bench/run.py`` does, runs one cycle
+of its inputs (on jacsweep, whose every operation draws a medium and a probe
+direction, the first 2 operations) and prints one hash per output part:
 
 - jacsweep: the rows (family, m, basis label, cond(J), finite-difference
   mismatch) of every operation;
@@ -19,9 +19,8 @@ prints one hash per output part:
 
 Floats are hashed by their bytes, so two checkouts print the same line
 exactly when that part of their outputs is bitwise equal.  The BLAS thread
-count is set before numpy is imported (``--blas-threads``, default nproc, as
-in ``bench/run.py``).  Nothing is written; numpy and the standard library
-only.
+count is set to nproc before numpy is imported, as ``bench/run.py`` does by
+default.  Nothing is written; numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -44,15 +43,11 @@ def parse_args(argv):
                    help="checkout whose src/ and bench/workloads.py are hashed")
     p.add_argument("--workload", choices=NAMES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ops", type=int, help="operations per workload (default: one cycle)")
     p.add_argument("--tiny", action="store_true", help="the benchmark's smoke-test sizes")
-    p.add_argument("--blas-threads", type=int, default=len(os.sched_getaffinity(0)))
     args = p.parse_args(argv)
     args.root = args.root.resolve()
     if not (args.root / "bench" / "workloads.py").is_file():
         p.error(f"{args.root} holds no bench/workloads.py")
-    if args.ops is not None and args.ops < 1:
-        p.error("--ops must be at least 1")
     return args
 
 
@@ -101,7 +96,7 @@ def hash_outputs(name: str, outputs) -> dict[str, str]:
 def run_workload(workloads, name: str, args) -> tuple[int, dict[str, str]]:
     wl = workloads.WORKLOADS[name](tiny=args.tiny)
     wl.generate(args.seed)
-    n_ops = args.ops or (JACSWEEP_OPS if name == "jacsweep" else wl.cycle)
+    n_ops = JACSWEEP_OPS if name == "jacsweep" else wl.cycle
     outputs = [wl.run(wl.prepare(i)) for i in range(n_ops)]
     return n_ops, hash_outputs(name, outputs)
 
@@ -109,7 +104,7 @@ def run_workload(workloads, name: str, args) -> tuple[int, dict[str, str]]:
 def main(argv=None) -> int:
     args = parse_args(argv)
     for var in BLAS_VARS:
-        os.environ[var] = str(args.blas_threads)
+        os.environ[var] = str(len(os.sched_getaffinity(0)))
     sys.path[:0] = [str(args.root / "src"), str(args.root / "bench")]
     import workloads
 
