@@ -29,6 +29,6 @@ print("\ntransfer function: quadrature of the data vs resolvent solves")
 print(f"{'s':>8} {'Y from data':>14} {'Y exact':>14} {'Y'' from data':>14} "
       f"{'Y'' exact':>14}")
 for s in (2.0, 6.8, 23.12):
-    val, der = transfer_eval(op.A, b, s=s)
+    val, der = transfer_eval(op, b, s=s)
     print(f"{s:8.2f} {laplace_transform(d, s):14.6f} {val:14.6f} "
           f"{laplace_derivative(d, s):14.6f} {der:14.6f}")

@@ -6,7 +6,8 @@ class RomresError(Exception):
 
 
 class InvalidGridError(RomresError):
-    """Grid parameters are inconsistent or too small."""
+    """Grid parameters, or a difference factor or source vector on a grid,
+    are inconsistent or too small."""
 
 
 class PositivityError(RomresError):

@@ -158,77 +158,58 @@ def add_noise(series: TimeSeries, noise: NoiseModel) -> TimeSeries:
     return TimeSeries(d, series.step)
 
 
-def _pt_bands(lower, main, upper):
-    """(main, upper) of a tridiagonal A that ``pttrf`` can factor, else None.
-
-    That needs n >= 3 and off-diagonals equal bit for bit.
-    """
-    return (main, upper) if main.size >= 3 and np.array_equal(lower, upper) else None
-
-
 class shifted_solver:
     """Cached factorizations of (s I - A) across shifts.
 
-    The factorization is chosen from the structure of A, because the two
-    kinds of operator are different problems:
+    The factorization is chosen by the kind of operator, because the two
+    kinds are different problems:
 
-    - symmetric tridiagonal and n >= 3 (the 1D operators): LAPACK's LDL^T
-      of a symmetric positive definite tridiagonal matrix,
-      ``pttrf``/``pttrs``.  It costs O(n) per shift with no ordering step
-      and no pivoting.  sI - A is positive definite for every shift s >= 0
-      when A = -D^T diag(r) D with r > 0, so a pivot that is not positive
-      means the shift is singular (or, for other matrices, that sI - A is
-      indefinite) and raises.
-    - everything else (the 2D five-point operators, full reduced models,
-      tridiagonal matrices that are not symmetric, and n <= 2): SuperLU,
-      whose fill-reducing ordering a tridiagonal matrix does not need but a
-      2D operator does.  sI - A is symmetric, so the ordering is the
-      symmetric minimum degree on A^T + A (``MMD_AT_PLUS_A``), with partial
-      pivoting kept: on a 90 x 30 grid the factor holds a third fewer
-      entries than under SuperLU's default column ordering.
+    - a 1D ``SystemOperator`` (symmetric tridiagonal by construction, see
+      ``assemble_operator``): LAPACK's LDL^T of a symmetric positive
+      definite tridiagonal matrix, ``pttrf``/``pttrs``, on the operator's
+      bands (main, off) as they are, with no sparse matrix built.  It costs
+      O(n) per shift with no ordering step and no pivoting.  sI - A is
+      positive definite for every shift s >= 0, since A = -D^T diag(r) D
+      with r > 0, so a pivot that is not positive means the shift is
+      singular (or, below zero, that sI - A is indefinite) and raises.
+    - everything else (a 2D operator's CSR A, full reduced models, any
+      other matrix, tridiagonal or not): SuperLU, whose fill-reducing
+      ordering a 2D operator needs.  sI - A is symmetric, so the ordering
+      is the symmetric minimum degree on A^T + A (``MMD_AT_PLUS_A``), with
+      partial pivoting kept: on a 90 x 30 grid the factor holds a third
+      fewer entries than under SuperLU's default column ordering.
 
-    ``A`` is a matrix or a ``SystemOperator``.  A 1D operator is read from
-    its bands (``SystemOperator.bands``) as they are: no sparse matrix is
-    built or inspected, and only the exact symmetry of the off-diagonals
-    is checked, so the 1D chain factors the same numbers through the same
-    ``pttrf`` with no CSR A.  A 2D operator's CSR A, and any other matrix,
-    has its structure read from its diagonals.
-
-    A singular shift raises ``RomresError`` ("singular shift"), and so does
-    a matrix that is not square.
+    ``RomresError`` is raised for a matrix that is not square, a shift that
+    is not finite or is singular ("singular shift"), and a right-hand side
+    that is not a vector or matrix with n rows.
     """
 
     def __init__(self, A):
         self._factors = {}
-        if isinstance(A, SystemOperator) and A.bands is None:
-            A = A.A
-        if isinstance(A, SystemOperator):
-            # an assembled 1D operator is tridiagonal by construction
-            self._bands = _pt_bands(*A.bands)
-            if self._bands is None:  # n < 3, or off-diagonals that round apart
-                A = A.A
-        else:
-            A = sp.csr_matrix(A)
+        self._bands = A.bands if isinstance(A, SystemOperator) else None
+        if self._bands is None:
+            A = self._A = sp.csc_matrix(A.A if isinstance(A, SystemOperator) else A)
             if A.shape[0] != A.shape[1]:
                 raise RomresError(f"shifted_solver needs a square matrix, got shape {A.shape}")
-            bands = A.diagonal(-1), A.diagonal(), A.diagonal(1)
-            # every stored nonzero lies on the three diagonals exactly when
-            # they hold as many nonzeros as the matrix (duplicates only add
-            # to the matrix's count)
-            on_bands = sum(map(np.count_nonzero, bands)) == np.count_nonzero(A.data)
-            self._bands = _pt_bands(*bands) if on_bands else None
         self._n = A.shape[0]
-        if self._bands is None:
-            self._A = A.tocsc()
 
     def _factor(self, s: float):
+        if not np.isfinite(s):
+            raise RomresError(f"shift must be finite, got s={s!r}")
         if self._bands is not None:
             main, off = self._bands
             d, e, info = sla.lapack.dpttrf(s - main, -off, overwrite_d=1, overwrite_e=1)
             if info > 0:
                 raise RomresError(f"singular shift s={s!r}: pivot {info} of sI - A is not "
                                   "positive (sI - A is singular or indefinite)")
-            return lambda rhs: sla.lapack.dpttrs(d, e, rhs)[0]
+
+            def solve_bands(rhs):
+                x, info = sla.lapack.dpttrs(d, e, rhs)
+                if info:
+                    raise RomresError(f"dpttrs refused argument {-info}")
+                return x
+
+            return solve_bands
         mat = (s * sp.identity(self._n, format="csc") - self._A).tocsc()
         try:
             return spla.splu(mat, permc_spec="MMD_AT_PLUS_A").solve
@@ -236,6 +217,9 @@ class shifted_solver:
             raise RomresError(f"singular shift s={s!r}: {exc}") from exc
 
     def solve(self, s: float, rhs: np.ndarray) -> np.ndarray:
+        if np.ndim(rhs) not in (1, 2) or np.shape(rhs)[0] != self._n:
+            raise RomresError(f"right-hand side of shape {np.shape(rhs)} does not have "
+                              f"the operator's {self._n} rows")
         key = float(s)
         solve = self._factors.get(key)
         if solve is None:

@@ -161,27 +161,29 @@ class ResistivityField:
 class SystemOperator:
     """Assembled operator A = -D^T diag(rho) D with its factors.
 
-    ``D`` is the sparse difference factor and ``averaging`` the sparse
-    edge-from-cell map M (the identity in 1D, where the parameter vector is
-    the edge vector itself).  ``op @ X`` is A X.
+    ``D`` is the sparse difference factor.  ``op @ X`` is A X.
 
-    A 2D operator holds A, D and M as CSR matrices.  A 1D operator holds
-    A's three diagonals, ``bands = (lower, main, upper)``, and D; the 1D
+    A 2D operator holds A, D and the sparse edge-from-cell map M
+    (``averaging``) as CSR matrices.  A 1D operator is symmetric
+    tridiagonal by construction: it holds A's main diagonal and its one
+    off-diagonal, ``bands = (main, off)``, and D, and ``averaging`` is
+    None, since its parameters are the edge values themselves.  The 1D
     chain works on the bands alone: ``shifted_solver(op)`` factors them and
-    ``op @ X`` sums their products in A's CSR row order, so it equals
-    ``op.A @ X`` bit for bit.  A 1D operator's CSR ``A`` and ``averaging``
-    are built on first read and kept, bitwise equal to an eager build;
-    the chain and its Jacobian never read them.
+    ``op @ X`` forms main X plus the shifted off X, which equals
+    ``op.A @ X`` bit for bit (but for the sign of a zero result).  A 1D
+    operator's CSR ``A`` is built from (off, main, off) on first read and
+    kept; the chain and its Jacobian never read it.
     """
 
     def __init__(self, A=None, D=None, averaging=None, *, bands=None):
-        given = (A is not None, averaging is not None, bands is not None)
-        if D is None or given not in ((True, True, False), (False, False, True)):
+        one_d = bands is not None
+        if D is None or (A is None, averaging is None) != (one_d, one_d):
             raise InvalidGridError("an operator needs D and either A and averaging "
-                                   "or the bands of a tridiagonal A")
+                                   "or the bands of a symmetric tridiagonal A")
         self.D = D
+        self.averaging = averaging
         self.bands = bands
-        self._A, self._averaging = A, averaging
+        self._A = A
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -191,23 +193,17 @@ class SystemOperator:
     @property
     def A(self) -> sp.csr_matrix:
         if self._A is None:
-            lower, main, upper = self.bands
+            main, off = self.bands
             n = main.size
-            # rows hold (lower, main, upper) in column order; the first row
-            # has no lower entry and the last no upper one
+            # rows hold (off, main, off) in column order; the first row has
+            # no entry left of the diagonal and the last none right of it
             rows = np.empty((n, 3))
-            rows[1:, 0], rows[:, 1], rows[:-1, 2] = lower, main, upper
+            rows[1:, 0], rows[:, 1], rows[:-1, 2] = off, main, off
             cols = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
             indptr = np.clip(3 * np.arange(n + 1, dtype=np.int32) - 1, 0, 3 * n - 2)
             self._A = sp.csr_matrix((rows.ravel()[1:-1], cols.ravel()[1:-1], indptr),
                                     shape=(n, n))
         return self._A
-
-    @property
-    def averaging(self) -> sp.csr_matrix:
-        if self._averaging is None:
-            self._averaging = sp.identity(self.shape[0], format="csr")
-        return self._averaging
 
     def __matmul__(self, X):
         if self.bands is None:
@@ -216,17 +212,15 @@ class SystemOperator:
         if np.ndim(X) not in (1, 2) or np.shape(X)[0] != n:
             raise ValueError(f"matmul: dimension mismatch, operator is {n}x{n} "
                              f"and X has shape {np.shape(X)}")
-        # on X's rows flattened in C order, each band repeated across the k
-        # columns; each row is summed from 0.0 in column order, as the CSR
-        # product does
-        k = np.size(X) // n
-        lower, main, upper = (np.repeat(band, k) for band in self.bands)
-        x = np.ravel(X)
-        y = np.zeros(x.size)
-        y[k:] += lower * x[:-k]
-        y += main * x
-        y[:-k] += upper * x[k:]
-        return y.reshape(np.shape(X))
+        # row i is (main_i x_i + off_{i-1} x_{i-1}) + off_i x_{i+1}: the CSR
+        # product's sum from 0.0 in column order, reordered only where
+        # a + b = b + a and 0.0 + a = a (which holds but for a = -0.0)
+        X = np.asarray(X)
+        main, off = (band.reshape((-1,) + (1,) * (X.ndim - 1)) for band in self.bands)
+        Y = main * X
+        Y[1:] += off * X[:-1]
+        Y[:-1] += off * X[1:]
+        return Y
 
 
 @dataclass(frozen=True)
@@ -265,36 +259,51 @@ def _weighted_gram(D: sp.csr_matrix, rho: np.ndarray) -> sp.csr_matrix:
     return (-(D.T @ scaled)).tocsr()
 
 
+def _difference_diagonal(D) -> np.ndarray | None:
+    """d if D is the bidiagonal factor of a 1D grid, else None.
+
+    That is a sparse n x n or (n - 1) x n matrix whose row i holds d_i at
+    column i and u_i = -d_i at column i + 1 (the last row of an n x n one
+    holds d only), with no d_i zero and nothing else stored nonzero.
+    ``build_difference_1d`` gives the n x n one, and its interior rows the
+    (n - 1) x n seminorm gradient of a path.
+    """
+    if not sp.issparse(D) or D.shape[1] - D.shape[0] not in (0, 1):
+        return None
+    d, u = D.diagonal(0), D.diagonal(1)  # u has n - 1 entries either way
+    on_bands = D.count_nonzero() == d.size + u.size
+    return d if on_bands and np.all(d != 0) and np.array_equal(u, -d[:u.size]) else None
+
+
 def assemble_operator(field: ResistivityField, D: sp.csr_matrix) -> SystemOperator:
-    """Assemble the tridiagonal A(r) = -D^T diag(r) D for edge-valued resistivity.
+    """Assemble the symmetric tridiagonal A(r) = -D^T diag(r) D on a 1D grid.
 
-    D is the square upper-bidiagonal factor of ``build_difference_1d``:
-    nonzero main diagonal d and upper diagonal u, nothing else.  A's three
-    diagonals are formed directly, with the products and summation order
-    of the sparse product ``_weighted_gram`` forms (so the CSR A built from
-    them is bitwise equal to it); with the scaled rows (d r, u r),
+    D is the square bidiagonal factor of ``build_difference_1d``, or any
+    factor of that shape (``_difference_diagonal``); anything else raises
+    InvalidGridError.  With p = (d r) d, A's diagonals are formed directly,
+    with the products and summation order of the sparse product
+    ``_weighted_gram`` (so the CSR A built from them is bitwise equal to
+    it):
 
-        A_ii = -((u_{i-1} r_{i-1}) u_{i-1} + (d_i r_i) d_i),
-        A_{i,i+1} = -(u_i r_i) d_i,   A_{i+1,i} = -(d_i r_i) u_i.
+        A_ii = -(p_{i-1} + p_i),   A_{i,i+1} = A_{i+1,i} = p_i,
 
-    On the 1D factor |u_i| = |d_i|, so the two off-diagonals hold the same
-    numbers and A is exactly symmetric.  The operator keeps the diagonals
-    as its ``bands`` and builds no sparse matrix: its CSR A and identity
-    averaging map are formed only when read (see ``SystemOperator``).
+    since u = -d makes both off-diagonal products -(u r) d and -(d r) u
+    equal to p.  The operator keeps the main diagonal and the one
+    off-diagonal as its ``bands``, and builds no sparse matrix (see
+    ``SystemOperator``).
     """
     r = field.values
     n = r.shape[0]
-    if D.shape != (n, n):
-        raise InvalidGridError("resistivity length does not match edge count")
+    d = _difference_diagonal(D)
+    if d is None or D.shape != (n, n):
+        raise InvalidGridError(f"the 1D difference factor must be a sparse {n} x {n} "
+                               "bidiagonal with rows (d_i, -d_i) and no d_i zero")
     if not np.all(r > 0):
         raise PositivityError("resistivity must be strictly positive")
-    d, u = D.diagonal(0), D.diagonal(1)
-    if not np.count_nonzero(d) + np.count_nonzero(u) == D.count_nonzero() == 2 * n - 1:
-        raise InvalidGridError("the 1D difference factor must be upper bidiagonal "
-                               "with nonzero diagonals")
-    dr, ur = d * r, u * r[:-1]
-    bands = (-(dr[:-1] * u), -(np.concatenate(([0.0], ur * u)) + dr * d), -(ur * d[:-1]))
-    return SystemOperator(D=D, bands=bands)
+    p = d * r * d
+    main = -p
+    main[1:] -= p[:-1]
+    return SystemOperator(D=D, bands=(main, p[:-1]))
 
 
 def build_difference_2d(grid: Grid2D) -> tuple[sp.csr_matrix, sp.csr_matrix]:

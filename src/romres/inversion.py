@@ -25,7 +25,7 @@ from .errors import (AdmissibilityError, DataUnusableError, DegeneracyError,
                      RegularizationError, RomresError, SpectralValidityError,
                      StepFailureError)
 from .forward import TimeSeries, shifted_solver, transfer_moments
-from .grids import (Grid1D, Grid2D, ResistivityField, SystemOperator,
+from .grids import (Grid1D, Grid2D, ResistivityField, SystemOperator, _difference_diagonal,
                     assemble_operator, assemble_operator_2d,
                     build_difference_1d, build_difference_2d, source_vector,
                     uniform_segments)
@@ -286,34 +286,21 @@ def adaptive_weights(Dt: sp.spmatrix, r: np.ndarray, phi: float) -> np.ndarray:
     return 1.0 / (g ** 2 + phi ** 2)
 
 
-def _path_couplings(Dt: sp.spmatrix) -> np.ndarray | None:
-    """c if Dt is a path, row i holding -c_i at column i and c_i at i + 1
-    for every i < n - 1 with c_i != 0 (every ``Grid1D``'s seminorm), else None."""
-    e, n = Dt.shape
-    if e != n - 1:
-        return None
-    Dt = Dt.tocsr()
-    c = Dt.data[1::2]
-    if (np.array_equal(Dt.indptr, 2 * np.arange(n))
-            and np.array_equal(Dt.indices, (np.arange(2 * e) + 1) // 2)
-            and np.all(c != 0) and np.array_equal(Dt.data[0::2], -c)):
-        return c
-    return None
-
-
 def _grounded_solver(Dt: sp.spmatrix, w: np.ndarray | None):
     """L_g^-1 for the grounded seminorm operator L_g = Dt^T W Dt + e_0 e_0^T.
 
     Three inner solves, picked by the structure of Dt and then by the
     weights:
 
-    - a path (``_path_couplings``; every 1D grid): L_g^-1 is exact in two
-      prefix sums, and nothing is factored.  Summing the rows of L_g x = b
-      gives x_0 = 1^T b, and cell j's balance fixes the flux through edge j
-      to the sum of b beyond it, g_j = sum_{i>j} b_i, so
-      x_{j+1} = x_j + g_j / (c_j^2 w_j).  A path needs no edge system: in a
-      tree no flux splits between routes, so no weight is ever added to
-      another (``regularize_nullspace`` gives the accuracy).
+    - a path (every 1D grid: Dt is (n - 1) x n with rows (d_j, -d_j) at
+      columns j, j + 1, as ``grids._difference_diagonal`` recognises):
+      L_g^-1 is exact in two prefix sums, and nothing is factored.  Summing
+      the rows of L_g x = b gives x_0 = 1^T b, and cell j's balance fixes
+      the flux through edge j to the sum of b beyond it,
+      g_j = sum_{i>j} b_i, so x_{j+1} = x_j + g_j / (d_j^2 w_j).  A path
+      needs no edge system: in a tree no flux splits between routes, so no
+      weight is ever added to another (``regularize_nullspace`` gives the
+      accuracy).
     - W = I (``w`` is None) on any other graph factors L_g itself, the SPD
       grounded Laplacian, under SuperLU's ``MMD_AT_PLUS_A``.
     - other weights factor the grounded edge system
@@ -321,14 +308,14 @@ def _grounded_solver(Dt: sp.spmatrix, w: np.ndarray | None):
       the trailing block of K_g^-1 [0; b] is L_g^-1 b.
     """
     e, n = Dt.shape
-    c = _path_couplings(Dt)
-    if c is not None:
-        stiffness = (c * c if w is None else c * c * w)[:, None]
+    d = _difference_diagonal(Dt) if e == n - 1 else None
+    if d is not None:
+        stiffness = (d * d if w is None else d * d * w)[:, None]
 
         def solve_path(b):
             x = np.empty((n, b.size // n))
             np.cumsum(b.reshape(x.shape)[::-1], axis=0, out=x[::-1])  # sum_{i>=j} b_i
-            x[1:] /= stiffness  # x_0 = 1^T b, then the steps g_j / (c_j^2 w_j)
+            x[1:] /= stiffness  # x_0 = 1^T b, then the steps g_j / (d_j^2 w_j)
             return np.cumsum(x, axis=0, out=x).reshape(b.shape)
 
         return solve_path

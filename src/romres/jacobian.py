@@ -194,10 +194,10 @@ def assemble_jacobian(ctx: ChainContext, target: str = "cfrac") -> np.ndarray:
     parameters and returns d theta / dr and d c / dr instead (the
     baseline parametrization used for comparison).  The chain is
     differentiated with respect to the edge resistivities and composed
-    with the (sparse) edge-from-parameter averaging map.  In 1D that map
-    is the identity and no sparse product is formed: adding 0.0 into a
-    column-major array gives the identity product's exact result and
-    layout, and the operator's CSR identity is never built.
+    with the operator's sparse edge-from-cell ``averaging`` map.  A 1D
+    operator has none (its parameters are its edges), and J is the
+    per-edge Jacobian with 0.0 added into a column-major array: the exact
+    result and layout of a product with the identity map.
     """
     if target not in ("cfrac", "spectral"):
         raise RomresError(f"unknown Jacobian target {target!r}")
@@ -206,7 +206,7 @@ def assemble_jacobian(ctx: ChainContext, target: str = "cfrac") -> np.ndarray:
     T = _chain_tail(ctx, units[:, :m * m].reshape(-1, m, m), units[:, m * m:],
                     target)
     J_edge = _adjoint_sweep(ctx, T[:, :m * m].reshape(-1, m, m), T[:, m * m:])
-    if ctx.operator.bands is not None:
+    if ctx.operator.averaging is None:
         # the identity product's result: 0.0 + x (which turns -0.0 into 0.0),
         # column-major, which the rounding of later products with J reads
         return np.add(J_edge.T, 0.0, order="F")

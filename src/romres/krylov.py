@@ -22,7 +22,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cfrac import ContinuedFraction, pole_residue_to_cfrac
-from .errors import BasisCollapseError, DegeneracyError, ProjectionError, RomresError
+from .errors import (BasisCollapseError, DegeneracyError, InvalidGridError, ProjectionError,
+                     RomresError)
 from .forward import shifted_solver
 from .grids import (Grid1D, ResistivityField, SystemOperator, assemble_operator,
                     build_difference_1d, source_vector)
@@ -110,12 +111,16 @@ def build_krylov(A, b, family: NodeFamily,
     """Orthonormal basis of the rational Krylov subspace of ``family``.
 
     Solves, orthogonalizes and normalizes one column at a time (see
-    KrylovBasis).  A column that vanishes after the Gram-Schmidt step
-    raises BasisCollapseError, and so does a family with more nodes (with
-    multiplicity) than the system has dimensions, before any solve.
+    KrylovBasis).  Before any solve, a source that is not a finite vector
+    with A's n rows raises InvalidGridError, and a family with more nodes
+    (with multiplicity) than n raises BasisCollapseError; so does a column
+    that vanishes after the Gram-Schmidt step.
     """
     b = np.asarray(b, dtype=float)
-    n, m = b.size, family.m
+    n, m = np.shape(A)[0], family.m
+    if b.shape != (n,) or not np.all(np.isfinite(b)):
+        raise InvalidGridError(f"source must be a finite vector of the operator's "
+                               f"length {n}, got shape {b.shape}")
     if m > n:
         raise BasisCollapseError(f"model size m={m} exceeds the system dimension {n}; "
                                  "reduce the model size m")
@@ -189,8 +194,9 @@ def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> 
 def project(A, b, basis: KrylovBasis) -> ReducedModel:
     """Galerkin projection A_m = V^T A V, b_m = V^T b, with A_m's ``eigh``.
 
-    ``A`` is a ``SystemOperator`` (a 1D one multiplies by its bands) or a
-    matrix.  Raises ProjectionError if A_m is not negative definite.
+    ``A`` is a ``SystemOperator`` (a 1D one multiplies by its two bands,
+    bitwise as its CSR A would) or a matrix.  Raises ProjectionError if A_m
+    is not negative definite.
     """
     V = basis.V
     AV = A @ V

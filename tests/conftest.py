@@ -6,6 +6,23 @@ from romres.grids import (Grid1D, ResistivityField, assemble_operator,
                           build_difference_1d, source_vector)
 
 
+# what a LAPACK routine prints (through its XERBLA) when it refuses an
+# argument; it reports the refusal only in its info result, which a caller
+# that does not check it drops, and the message bypasses the warning filters
+LAPACK_ARGUMENT_ERROR = "had an illegal value"
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Fail a passing test phase whose own captured stdout holds a LAPACK
+    argument error."""
+    report = (yield).get_result()
+    stdout = dict(report.sections).get(f"Captured stdout {report.when}", "")
+    if report.passed and LAPACK_ARGUMENT_ERROR in stdout:
+        report.outcome = "failed"
+        report.longrepr = f"LAPACK refused an argument during {report.when} (see its stdout)"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -140,9 +140,9 @@ def test_criterion_3_rom_interpolation():
         b = source_vector(g).b
         for m in (3, 5):
             fam = node_family("zolotarev", m)
-            model = project(op.A, b, build_krylov(op.A, b, fam))
+            model = project(op, b, build_krylov(op, b, fam))
             for s in fam.nodes:
-                v, d = transfer_eval(op.A, b, s=s)
+                v, d = transfer_eval(op, b, s=s)
                 vm, dm = transfer_eval(model.A_m, model.b_m, s=s)
                 worst = max(worst, abs(vm / v - 1), abs(dm / d - 1))
     ok = worst < 1e-8

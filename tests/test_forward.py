@@ -11,7 +11,7 @@ from romres import forward
 from romres.errors import RomresError
 from romres.forward import (NoiseModel, add_noise, shifted_solver, simulate_response,
                             spectral_weights, transfer_eval, transfer_moments)
-from romres.grids import (Grid1D, Grid2D, ResistivityField, assemble_operator,
+from romres.grids import (Grid1D, Grid2D, ResistivityField, SystemOperator, assemble_operator,
                           assemble_operator_2d, build_difference_1d, source_vector,
                           uniform_segments)
 from romres.jacobian import assemble_jacobian
@@ -222,7 +222,7 @@ def test_transfer_eval_scalar():
 def test_transfer_stieltjes_signs(small_system):
     grid, field, op, b = small_system
     for s in (0.5, 2.0, 50.0):
-        val, der = transfer_eval(op.A, b, s=s)
+        val, der = transfer_eval(op, b, s=s)
         assert val > 0
         assert der < 0
 
@@ -232,7 +232,7 @@ def test_laplace_of_spectral_response_analytic(small_system):
     grid, field, op, b = small_system
     lam, w = spectral_weights(op.A, b)
     for s in (1.0, 10.0):
-        val, _ = transfer_eval(op.A, b, s=s)
+        val, _ = transfer_eval(op, b, s=s)
         assert val == pytest.approx(np.sum(w / (s - lam)), rel=1e-12)
 
 
@@ -247,8 +247,8 @@ def test_transfer_moments_geometric():
 def test_transfer_moment_zero_equals_value(small_system):
     grid, field, op, b = small_system
     s = 3.0
-    tau = transfer_moments(op.A, b, s, 2)
-    val, der = transfer_eval(op.A, b, s=s)
+    tau = transfer_moments(op, b, s, 2)
+    val, der = transfer_eval(op, b, s=s)
     assert tau[0] == pytest.approx(val, rel=1e-12)
     assert tau[1] == pytest.approx(der, rel=1e-12)
 
@@ -268,69 +268,73 @@ def test_transfer_moments_needs_integer_count():
 
 
 @pytest.mark.parametrize("N", [2, 199, 1999])
-def test_shifted_solver_matches_superlu(N, rng, splu_calls):
-    # 1D operators take the symmetric tridiagonal LDL^T; n = 2 stays on
-    # SuperLU.  Shift 0 is the pade0 node and 2 the one nearest the spectrum.
-    # Bound 1e-10 on the relative error; measured at most 3.3e-12 (N = 1999,
+def test_shifted_solver_matches_superlu(N, rng, splu_calls, lapack_calls):
+    # a 1D operator of any size takes the symmetric tridiagonal LDL^T.
+    # Shift 0 is the pade0 node and 2 the one nearest the spectrum.  Bound
+    # 1e-10 on the relative error; measured at most 3.3e-12 (N = 1999,
     # s = 2).
-    if N == 2:
-        A = sp.csr_matrix([[-2.0, 1.0], [1.0, -3.0]])
-    else:
-        grid = Grid1D(N)
-        A = assemble_operator(phantom("rJ", grid), build_difference_1d(grid)).A
-    solver = shifted_solver(A)
+    grid = Grid1D(N)
+    op = assemble_operator(phantom("rJ", grid), build_difference_1d(grid))
+    solver = shifted_solver(op)
     for s in (0.0, 2.0, 60.0):
-        ref_lu = reference_splu(sp.csc_matrix(s * sp.identity(N) - A))
+        ref_lu = reference_splu(sp.csc_matrix(s * sp.identity(N) - op.A))
         for shape in ((N,), (N, 10)):
             rhs = rng.standard_normal(shape)
             x = solver.solve(s, rhs)
             ref = ref_lu.solve(rhs)
             assert x.shape == shape
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-    assert splu_calls == ([2] * 3 if N == 2 else [])
+    assert splu_calls == [] and lapack_calls == ["dpttrf"] * 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 40, 1999])
 def test_band_solver_matches_csr_solver_bitwise(n, rng, lapack_calls, sparse_constructions):
     # shifted_solver(op) factors a 1D operator's bands as they are, building
-    # no sparse matrix, and its solves equal those of the solver built from
-    # the operator's CSR A bit for bit: the grid's factor gives symmetric
-    # operators (LDL^T for n >= 3, SuperLU for n = 2), and a nonuniform
-    # factor gives off-diagonals that round apart (SuperLU)
+    # no sparse matrix, and its solves equal bit for bit the LDL^T of the
+    # operator's CSR A read off its diagonals (both off-diagonals are the
+    # one band).  The CSR A itself is a raw matrix and takes SuperLU, which
+    # agrees to rounding: measured at most 2.1e-12 relative (n = 1999),
+    # bound 1e-10 as in test_shifted_solver_matches_superlu
     grid = Grid1D(n)
-    nonuniform = sp.diags([-(1.0 + rng.random(n)), 1.0 + rng.random(n - 1)], [0, 1],
-                          shape=(n, n), format="csr")
-    for D in (build_difference_1d(grid), nonuniform):
-        op = assemble_operator(phantom("rQ", grid), D)
-        sparse_constructions.clear()
-        lapack_calls.clear()
-        band = shifted_solver(op)
-        if n >= 3 and D is not nonuniform:
-            band.solve(2.0, np.ones(n))
-            assert sparse_constructions == [] and lapack_calls == ["dpttrf"]
-        csr = shifted_solver(op.A)
-        for s in (0.0, 2.0, 60.0):
-            for shape in ((n,), (n, 7)):
-                rhs = rng.standard_normal(shape)
-                assert np.array_equal(band.solve(s, rhs), csr.solve(s, rhs))
+    op = assemble_operator(phantom("rQ", grid), build_difference_1d(grid))
+    sparse_constructions.clear()
+    band = shifted_solver(op)
+    band.solve(2.0, np.ones(n))
+    assert sparse_constructions == [] and lapack_calls == ["dpttrf"]
+    A = op.A
+    assert np.array_equal(A.diagonal(1), A.diagonal(-1))
+    csr = shifted_solver(A)
+    for s in (0.0, 2.0, 60.0):
+        d, e, info = sla.lapack.dpttrf(s - A.diagonal(), -A.diagonal(1))
+        assert info == 0
+        for shape in ((n,), (n, 7)):
+            rhs = rng.standard_normal(shape)
+            x = band.solve(s, rhs)
+            assert np.array_equal(x, sla.lapack.dpttrs(d, e, rhs)[0])
+            ref = csr.solve(s, rhs)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_singular_shift_raises(splu_calls, lapack_calls):
-    # the Neumann Laplacian is symmetric tridiagonal and takes the LDL^T; its
-    # periodic wrap adds corner entries and takes SuperLU.  Both are singular
-    # at s = 0.
+    # the Neumann Laplacian -Dt^T Dt of a path is symmetric tridiagonal and
+    # singular at s = 0.  As the bands of an operator it takes the LDL^T,
+    # whose last pivot is exactly 0; as a raw matrix, and with the periodic
+    # wrap's corner entries, it takes SuperLU.
     n = 6
     main = np.r_[-1.0, np.full(n - 2, -2.0), -1.0]
+    Dt = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n), format="csr")
+    bands = SystemOperator(D=Dt, bands=(main, np.ones(n - 1)))
     neumann = sp.diags([np.ones(n - 1), main, np.ones(n - 1)], [-1, 0, 1], format="lil")
+    assert np.array_equal(bands.A.toarray(), neumann.toarray())
     periodic = neumann.copy()
     periodic[0, 0] = periodic[-1, -1] = -2.0
     periodic[0, -1] = periodic[-1, 0] = 1.0
-    for A in (neumann, periodic):
-        solver = shifted_solver(A.tocsr())
+    for A in (bands, neumann.tocsr(), periodic.tocsr()):
+        solver = shifted_solver(A)
         with pytest.raises(RomresError, match="singular shift"):
             solver.solve(0.0, np.ones(n))
         assert solver.solve(1.0, np.ones(n)).shape == (n,)
-    assert splu_calls == [n, n] and lapack_calls == ["dpttrf", "dpttrf"]
+    assert splu_calls == [n] * 4 and lapack_calls == ["dpttrf", "dpttrf"]
 
 
 def test_shifted_solver_rejects_nonsquare():
@@ -341,28 +345,82 @@ def test_shifted_solver_rejects_nonsquare():
 
 
 def test_nonsymmetric_tridiagonal_takes_superlu(rng, splu_calls, lapack_calls):
-    # the LDL^T reads one off-diagonal, so a tridiagonal matrix whose two
-    # off-diagonals differ in one entry is factored by SuperLU
+    # only an operator's bands take the LDL^T: every raw matrix is factored
+    # by SuperLU, a 1D operator's own symmetric CSR A and a tridiagonal
+    # matrix whose two off-diagonals differ in one entry alike
     grid = Grid1D(40)
-    A = assemble_operator(phantom("rQ", grid), build_difference_1d(grid)).A.tolil()
-    A[20, 19] *= 1.5
-    A = A.tocsr()
+    A = assemble_operator(phantom("rQ", grid), build_difference_1d(grid)).A
+    skew = A.tolil()
+    skew[20, 19] *= 1.5
     rhs = rng.standard_normal(40)
-    x = shifted_solver(A).solve(2.0, rhs)
-    assert splu_calls == [40] and lapack_calls == []
-    assert np.linalg.norm((2.0 * sp.identity(40) - A) @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    for M in (A, skew.tocsr()):
+        x = shifted_solver(M).solve(2.0, rhs)
+        assert np.linalg.norm((2.0 * sp.identity(40) - M) @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert splu_calls == [40, 40] and lapack_calls == []
 
 
 def test_indefinite_shift_raises(lapack_calls):
-    # A's eigenvalues are -2 + cos(k pi/6), k = 1..5, so at s = -1.8 the
-    # matrix sI - A is nonsingular with eigenvalues of both signs, which the
-    # LDL^T of a positive definite matrix does not factor
-    A = sp.diags([np.full(5, -2.0), np.full(4, 0.5), np.full(4, 0.5)], [0, -1, 1], format="csr")
-    solver = shifted_solver(A)
+    # a 1D operator is negative definite, so at a negative shift between two
+    # of its eigenvalues sI - A is nonsingular with eigenvalues of both
+    # signs, which the LDL^T of a positive definite matrix does not factor
+    grid = Grid1D(5)
+    op = assemble_operator(ResistivityField(np.ones(5), grid), build_difference_1d(grid))
+    lam = sla.eigvalsh(op.A.toarray())
+    s = 0.5 * (lam[-2] + lam[-1])
+    assert lam[-1] < 0 and np.min(np.abs(lam - s)) > 0.1 * np.abs(lam[-1])
+    solver = shifted_solver(op)
     with pytest.raises(RomresError, match="singular shift"):
-        solver.solve(-1.8, np.ones(5))
+        solver.solve(s, np.ones(5))
     assert solver.solve(1.0, np.ones(5)).shape == (5,)
     assert lapack_calls == ["dpttrf", "dpttrf"]
+
+
+def _three_kinds_of_operator(rng):
+    """A 1D operator, a 2D operator and a raw matrix, each with its source."""
+    g1 = Grid1D(40)
+    op1 = assemble_operator(phantom("rQ", g1), build_difference_1d(g1))
+    g2 = Grid2D(nx=10, ny=5)
+    op2 = assemble_operator_2d(ResistivityField(1.0 + 0.5 * rng.random(g2.n_cells), g2))
+    b2 = source_vector(g2, uniform_segments(g2, 1)[0]).b
+    return ((op1, source_vector(g1).b), (op2, b2), (op1.A, source_vector(g1).b))
+
+
+def test_solve_refuses_wrong_rows(rng, splu_calls, lapack_calls):
+    # a right-hand side without the operator's n rows is refused on every
+    # path; dpttrs would report it only in info and on stdout and return it
+    # unchanged, so transfer_eval would answer for the wrong vector
+    for A, b in _three_kinds_of_operator(rng):
+        n = b.size
+        solver = shifted_solver(A)
+        assert solver.solve(2.0, b).shape == (n,)
+        for bad in (b[:-1], np.ones((n - 1, 3)), np.ones((n, 2, 2)), np.ones(2 * n), 1.0):
+            with pytest.raises(RomresError, match="rows"):
+                solver.solve(2.0, bad)
+        with pytest.raises(RomresError, match="rows"):
+            transfer_eval(A, b[:-1], 2.0)
+    assert lapack_calls == ["dpttrf"] and splu_calls == [50, 40]
+
+
+def test_band_solve_checks_lapack_info(monkeypatch):
+    # an argument error that dpttrs reports in info raises RomresError
+    grid = Grid1D(5)
+    op = assemble_operator(ResistivityField(np.ones(5), grid), build_difference_1d(grid))
+    monkeypatch.setattr(sla.lapack, "dpttrs", lambda d, e, rhs: (rhs, -3))
+    with pytest.raises(RomresError, match="dpttrs refused argument 3"):
+        shifted_solver(op).solve(2.0, np.ones(5))
+
+
+def test_nonfinite_shift_refused(rng, splu_calls, lapack_calls):
+    # a shift that is not finite is refused before anything is factored, on
+    # the band path (where pttrf would return NaNs) as on SuperLU's
+    for A, b in _three_kinds_of_operator(rng):
+        solver = shifted_solver(A)
+        for s in (np.nan, np.inf, -np.inf):
+            with pytest.raises(RomresError, match="finite"):
+                solver.solve(s, b)
+            with pytest.raises(RomresError, match="finite"):
+                transfer_eval(A, b, s)
+    assert splu_calls == [] and lapack_calls == []
 
 
 def test_chain_factorizations_by_dimension(rng, splu_calls, lapack_calls):

@@ -102,44 +102,43 @@ def test_assembly_matches_two_products_bitwise(rng):
             assert np.array_equal(getattr(A, part), getattr(ref, part))
 
 
-@pytest.mark.parametrize("n", [3, 40, 1999])
+@pytest.mark.parametrize("n", [2, 3, 40, 1999])
 def test_direct_1d_assembly_matches_sparse_products_bitwise(n, rng, sparse_constructions):
     # D, filled in directly, equals the generic sparse construction bit for
-    # bit.  The operator keeps A's bands and builds no sparse matrix; its CSR
-    # A and identity averaging map, built when first read, equal the sparse
-    # product and sp.identity bit for bit (format, shape, index dtype and
-    # arrays), and so does its band product with the CSR product.  A is
-    # exactly symmetric on the grid's factor; a nonuniform factor, whose rows
-    # hold entries of two magnitudes, gives two off-diagonals that round
-    # apart
+    # bit.  The operator keeps A's main diagonal and its one off-diagonal,
+    # builds no sparse matrix and has no averaging map.  Its CSR A, built
+    # when first read, equals the sparse product bit for bit (format, shape,
+    # index dtype and arrays), whose two off-diagonals both equal the one
+    # band, and so does its band product with the CSR product.  That holds
+    # on any factor with rows (d_i, -d_i), here also one whose row scales
+    # vary over four decades
     g = Grid1D(n)
     D = build_difference_1d(g)
     D_ref = sp.diags([np.full(n, -1.0 / g.spacing), np.full(n - 1, 1.0 / g.spacing)],
                      [0, 1], shape=(n, n), format="csr")
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(D, part), getattr(D_ref, part))
-    nonuniform = sp.diags([-(1.0 + rng.random(n)), 1.0 + rng.random(n - 1)], [0, 1],
-                          shape=(n, n), format="csr")
+    d = -(10.0 ** rng.uniform(0.0, 4.0, n))
+    scaled = sp.diags([d, -d[:-1]], [0, 1], shape=(n, n), format="csr")
     fields = (phantom("rQ", g).values, 0.1 + rng.random(n), np.exp(rng.normal(0.0, 3.0, n)))
-    symmetric = []
-    for factor in (D, nonuniform):
+    for factor in (D, scaled):
         for r in fields:
             sparse_constructions.clear()
             op = assemble_operator(ResistivityField(r, g), factor)
-            assert sparse_constructions == [] and op.shape == (n, n)
+            assert sparse_constructions == [] and op.shape == (n, n) and op.averaging is None
             X = rng.standard_normal((n, 5))
             products = [op @ X, op @ X[:, 0]]
-            for M, ref in ((op.A, _weighted_gram(factor, r)),
-                           (op.averaging, sp.identity(n, format="csr"))):
-                assert (M.format, M.shape, M.dtype) == (ref.format, ref.shape, ref.dtype)
-                for part in ("data", "indices", "indptr"):
-                    a, b = getattr(M, part), getattr(ref, part)
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert op.A is op.A and op.averaging is op.averaging
+            A, ref = op.A, _weighted_gram(factor, r)
+            assert (A.format, A.shape, A.dtype) == (ref.format, ref.shape, ref.dtype)
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(A, part), getattr(ref, part)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert op.A is A
+            main, off = op.bands
+            for k, band in ((0, main), (1, off), (-1, off)):
+                assert np.array_equal(ref.diagonal(k), band)
             for Y, x in zip(products, (X, X[:, 0])):
-                assert np.array_equal(Y, op.A @ x)
-            symmetric.append(np.array_equal(op.A.diagonal(1), op.A.diagonal(-1)))
-    assert all(symmetric[:3]) and (n == 3 or not any(symmetric[3:]))
+                assert Y.shape == x.shape and np.array_equal(Y, A @ x)
     # an X without n rows is refused, as by the CSR product, even when its
     # size is a multiple of n
     for bad in (np.ones((5, n)), np.ones(2 * n), np.ones((n, 2, 2))):
@@ -148,12 +147,18 @@ def test_direct_1d_assembly_matches_sparse_products_bitwise(n, rng, sparse_const
                 M @ bad
 
 
-def test_assembly_needs_bidiagonal_factor():
+def test_assembly_needs_bidiagonal_factor(rng):
+    # the factor must be a sparse n x n matrix with rows (d_i, -d_i) and no
+    # d_i zero: a lower entry, the (n - 1) x n seminorm gradient, a zero
+    # diagonal entry, rows whose two entries do not cancel, and a dense or
+    # list copy of the grid's own factor are each refused on entry
     g = Grid1D(5)
     D = build_difference_1d(g)
     r = ResistivityField(np.ones(5), g)
-    for bad in (D + sp.eye(5, k=-1), D[:4], sp.diags([np.ones(5), np.zeros(4)], [0, 1])):
-        with pytest.raises(InvalidGridError):
+    nonuniform = sp.diags([-(1.0 + rng.random(5)), 1.0 + rng.random(4)], [0, 1], format="csr")
+    for bad in (D + sp.eye(5, k=-1), D[:4], sp.diags([np.ones(5), np.zeros(4)], [0, 1]),
+                nonuniform, D.toarray(), D.toarray().tolist()):
+        with pytest.raises(InvalidGridError, match="difference factor"):
             assemble_operator(r, bad)
 
 

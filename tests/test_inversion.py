@@ -12,8 +12,8 @@ import romres.laplace as laplace
 from romres.errors import (DataUnusableError, RegularizationError, RomresError,
                            SpectralValidityError, StepFailureError)
 from romres.forward import TimeSeries, simulate_response
-from romres.grids import (Grid1D, Grid2D, ResistivityField, assemble_operator,
-                          assemble_operator_2d, build_difference_1d,
+from romres.grids import (Grid1D, Grid2D, ResistivityField, _difference_diagonal,
+                          assemble_operator, assemble_operator_2d, build_difference_1d,
                           source_vector, uniform_segments)
 from romres.inversion import (FitTarget, InversionConfig, adaptive_weights,
                               data_fitting_Q,
@@ -379,21 +379,30 @@ def test_path_solve_matches_sparse_factors(N, rng, splu_callers):
 
 
 def test_non_path_takes_sparse_factor(rng, splu_callers):
-    # the path solve needs row i to join columns i and i + 1 with a nonzero
-    # coupling; any other Dt is factored by SuperLU
+    # the path solve needs an (n - 1) x n Dt whose row i joins columns i and
+    # i + 1 with entries (d_i, -d_i), d_i != 0 (the grid factor's recogniser
+    # _difference_diagonal); any other Dt is factored by SuperLU
     g = Grid1D(40)
     Dt = regularization_gradient(g)
     e, n = Dt.shape
     w = adaptive_weights(Dt, 1.0 + rng.random(n), 1e-3)
     b = rng.standard_normal((n, 3))
-    assert inversion._path_couplings(Dt) is not None
+    assert _difference_diagonal(Dt) is not None
     # a 2D grid's edges form cycles
     Dt_2d = regularization_gradient(Grid2D(nx=7, ny=5))
-    assert inversion._path_couplings(Dt_2d) is None
+    assert _difference_diagonal(Dt_2d) is None
     inversion._grounded_solver(Dt_2d, None)
     assert splu_callers == [("_grounded_solver", Dt_2d.shape[1])]
-    # reordering the rows keeps L_g but not the layout the check reads
+    # the square grid factor is recognised, but its Dirichlet row makes it
+    # no path
+    D = build_difference_1d(g)
+    assert _difference_diagonal(D) is not None
+    splu_callers.clear()
+    inversion._grounded_solver(D, None)
+    assert splu_callers == [("_grounded_solver", n)]
+    # reordering the rows keeps L_g but not the diagonals the check reads
     perm = rng.permutation(e)
+    assert _difference_diagonal(Dt[perm]) is None
     for weights in (None, w):
         splu_callers.clear()
         w_perm = None if weights is None else weights[perm]
@@ -404,7 +413,7 @@ def test_non_path_takes_sparse_factor(rng, splu_callers):
     # a row whose two entries do not cancel is no difference
     skew = Dt.copy()
     skew.data[1::2] *= 2.0
-    assert inversion._path_couplings(skew) is None
+    assert _difference_diagonal(skew) is None
     splu_callers.clear()
     inversion._grounded_solver(skew, w)
     assert splu_callers == [("_grounded_solver", e + n)]
@@ -412,7 +421,7 @@ def test_non_path_takes_sparse_factor(rng, splu_callers):
     # grounded operator
     cut = Dt.copy()
     cut.data[10:12] = 0.0
-    assert cut.nnz == Dt.nnz and inversion._path_couplings(cut) is None
+    assert cut.nnz == Dt.nnz and _difference_diagonal(cut) is None
     for weights in (None, w):
         with pytest.raises(RegularizationError, match="grounded Laplacian"):
             inversion._grounded_solver(cut, weights)

@@ -3,10 +3,10 @@ import pytest
 import scipy.linalg as sla
 
 from romres.cfrac import pole_residue_to_cfrac
-from romres.errors import BasisCollapseError, ProjectionError, RomresError
+from romres.errors import BasisCollapseError, InvalidGridError, ProjectionError, RomresError
 from romres.forward import transfer_eval, transfer_moments
 from romres.grids import Grid1D, Grid2D, ResistivityField, assemble_operator, \
-    build_difference_1d, source_vector
+    assemble_operator_2d, build_difference_1d, source_vector, uniform_segments
 from romres.jacobian import assemble_jacobian
 from romres.krylov import (KrylovBasis, build_krylov, preconditioner_R,
                            preconditioner_chain, project, reduced_spectral)
@@ -17,7 +17,7 @@ from romres.ratfit import NodeFamily, fit_multipoint, node_family, to_pole_resid
 def test_basis_orthonormal(small_system):
     grid, field, op, b = small_system
     for name, label in (("zolotarev", "raw"), ("pade0", "sequential")):
-        basis = build_krylov(op.A, b, node_family(name, 5))
+        basis = build_krylov(op, b, node_family(name, 5))
         assert basis.generation == label
         V, K, U = basis.V, basis.K, basis.U
         assert np.max(np.abs(V.T @ V - np.eye(5))) < 1e-12
@@ -29,7 +29,7 @@ def test_basis_orthonormal(small_system):
 def test_basis_m1(small_system):
     grid, field, op, b = small_system
     fam = NodeFamily(np.array([3.0]), np.array([1]))
-    basis = build_krylov(op.A, b, fam)
+    basis = build_krylov(op, b, fam)
     k = basis.K[:, 0]
     assert np.allclose(basis.V[:, 0], k / np.linalg.norm(k))
 
@@ -37,7 +37,7 @@ def test_basis_m1(small_system):
 def test_zero_source_collapses_basis(small_system):
     grid, field, op, b = small_system
     with pytest.raises(BasisCollapseError, match="snapshot column 1 "):
-        build_krylov(op.A, np.zeros_like(b), node_family("zolotarev", 3))
+        build_krylov(op, np.zeros_like(b), node_family("zolotarev", 3))
 
 
 def test_model_larger_than_system_rejected_before_solving():
@@ -50,16 +50,41 @@ def test_model_larger_than_system_rejected_before_solving():
     grid = Grid1D(4)
     op = assemble_operator(ResistivityField(np.ones(4), grid), build_difference_1d(grid))
     with pytest.raises(BasisCollapseError, match="exceeds the system dimension"):
-        build_krylov(op.A, source_vector(grid).b, node_family("zolotarev", 6), solver=NoSolver())
+        build_krylov(op, source_vector(grid).b, node_family("zolotarev", 6), solver=NoSolver())
     with pytest.raises(BasisCollapseError):
         preconditioner_R(ResistivityField(np.ones(4), grid), node_family("zolotarev", 6))
+
+
+def test_bad_source_refused_on_entry(small_system):
+    # a source that is not finite, or not of the operator's length, is
+    # refused before any solve, on a 1D and a 2D operator alike, not left to
+    # eigh's ValueError (NaN), a RuntimeWarning (inf), SuperLU's ValueError
+    # (2D length) or a misleading BasisCollapseError (1D length)
+    class NoSolver:
+        def solve(self, s, rhs):
+            raise AssertionError("solved before checking the source")
+
+    grid, field, op, b = small_system
+    g2 = Grid2D(nx=6, ny=3)
+    op2 = assemble_operator_2d(ResistivityField(np.ones(g2.n_cells), g2), g2)
+    b2 = source_vector(g2, uniform_segments(g2, 1)[0]).b
+    nan, inf = b.copy(), b.copy()
+    nan[3], inf[0] = np.nan, np.inf
+    for A, bad, fam in ((op, nan, "zolotarev"), (op, inf, "zolotarev"), (op, b[:-1], "zolotarev"),
+                        (op, b[:, None], "zolotarev"), (op2, b2[:-1], "single-node"),
+                        (op2, np.r_[b2, 0.0], "single-node")):
+        family = node_family(fam, 2, s_hat=30.0) if fam == "single-node" else node_family(fam, 2)
+        with pytest.raises(InvalidGridError, match="source"):
+            build_krylov(A, bad, family, solver=NoSolver())
+        with pytest.raises(InvalidGridError, match="source"):
+            preconditioner_chain(A, bad, family, solver=NoSolver())
 
 
 def test_indefinite_projection_raises_its_own_error(small_system):
     # projecting -A (positive definite) on a valid basis of A
     grid, field, op, b = small_system
-    basis = build_krylov(op.A, b, node_family("zolotarev", 3))
-    assert np.all(np.linalg.eigvalsh(project(op.A, b, basis).A_m) < 0)
+    basis = build_krylov(op, b, node_family("zolotarev", 3))
+    assert np.all(np.linalg.eigvalsh(project(op, b, basis).A_m) < 0)
     with pytest.raises(ProjectionError, match="not negative definite"):
         project(-op.A, b, basis)
 
@@ -67,7 +92,7 @@ def test_indefinite_projection_raises_its_own_error(small_system):
 def test_pade0_snapshots_are_inverse_powers(small_system):
     # the leading k columns of V span the first k inverse powers (-A)^-j b
     grid, field, op, b = small_system
-    basis = build_krylov(op.A, b, node_family("pade0", 3))
+    basis = build_krylov(op, b, node_family("pade0", 3))
     P = np.empty((b.size, 3))
     x = b.copy()
     for j in range(3):
@@ -82,10 +107,10 @@ def test_projection_moment_matching(small_system):
     # reduced transfer function osculates the full one at every node
     grid, field, op, b = small_system
     fam = node_family("zolotarev", 4)
-    basis = build_krylov(op.A, b, fam)
-    model = project(op.A, b, basis)
+    basis = build_krylov(op, b, fam)
+    model = project(op, b, basis)
     for s in fam.nodes:
-        val, der = transfer_eval(op.A, b, s=s)
+        val, der = transfer_eval(op, b, s=s)
         val_m, der_m = transfer_eval(model.A_m, model.b_m, s=s)
         assert val_m == pytest.approx(val, rel=1e-8)
         assert der_m == pytest.approx(der, rel=1e-8)
@@ -95,8 +120,8 @@ def test_single_node_higher_moments(small_system):
     grid, field, op, b = small_system
     s_hat = 20.0
     fam = node_family("single-node", 3, s_hat=s_hat)
-    model = project(op.A, b, build_krylov(op.A, b, fam))
-    tau = transfer_moments(op.A, b, s_hat, 4)
+    model = project(op, b, build_krylov(op, b, fam))
+    tau = transfer_moments(op, b, s_hat, 4)
     # four moments of the m = 3 model: the fourth is the deliberate extra one
     with pytest.warns(UserWarning, match="more moments than system dimension"):
         tau_m = transfer_moments(model.A_m, model.b_m, s_hat, 4)
@@ -110,16 +135,16 @@ def test_full_basis_is_exact(rng):
     b = source_vector(grid).b
     fam = NodeFamily(np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
                      np.ones(8, dtype=int))
-    model = project(op.A, b, build_krylov(op.A, b, fam))
+    model = project(op, b, build_krylov(op, b, fam))
     for s in (0.5, 3.0, 300.0):
         assert transfer_eval(model.A_m, model.b_m, s=s)[0] == pytest.approx(
-            transfer_eval(op.A, b, s=s)[0], rel=1e-9)
+            transfer_eval(op, b, s=s)[0], rel=1e-9)
 
 
 def test_reduced_spectral_basics(small_system):
     grid, field, op, b = small_system
     fam = node_family("zolotarev", 4)
-    model = project(op.A, b, build_krylov(op.A, b, fam))
+    model = project(op, b, build_krylov(op, b, fam))
     pr, Z = reduced_spectral(model)
     assert np.all(np.diff(pr.theta) > 0)
     assert np.all(pr.c >= 0)
@@ -133,11 +158,11 @@ def test_projection_equals_interpolation(small_system):
     # Galerkin ROM and the osculatory fit give the same poles/residues
     grid, field, op, b = small_system
     fam = node_family("zolotarev", 4)
-    pr_proj, _ = reduced_spectral(project(op.A, b, build_krylov(op.A, b, fam)))
+    pr_proj, _ = reduced_spectral(project(op, b, build_krylov(op, b, fam)))
     vals = np.empty(4)
     ders = np.empty(4)
     for j, s in enumerate(fam.nodes):
-        vals[j], ders[j] = transfer_eval(op.A, b, s=s)
+        vals[j], ders[j] = transfer_eval(op, b, s=s)
     pr_fit = to_pole_residue(fit_multipoint(vals, ders, fam))
     assert np.allclose(pr_fit.theta, pr_proj.theta, rtol=1e-6)
     assert np.allclose(pr_fit.c, pr_proj.c, rtol=1e-6)
@@ -226,7 +251,7 @@ def test_sequential_matches_raw_values(small_system):
     for j in range(4):
         x = P[:, j] = np.linalg.solve(resolvent, x)
     Q, R = np.linalg.qr(P)
-    poles, _ = reduced_spectral(project(op.A, b, KrylovBasis(K=P, V=Q, U=R, family=fam)))
+    poles, _ = reduced_spectral(project(op, b, KrylovBasis(K=P, V=Q, U=R, family=fam)))
     cf = pole_residue_to_cfrac(poles)
     ctx = preconditioner_chain(op, b, fam)
     assert np.allclose(ctx.log_vector(), cf.log_vector(), atol=1e-9)

@@ -61,7 +61,7 @@ def test_pipeline_cross_check():
     # the rectangle rule resolves the early-time spike to a few permille;
     # the t-weighted derivative kernel is far more accurate
     for s in (2.0, 6.8):
-        val, der = transfer_eval(op.A, b, s=s)
+        val, der = transfer_eval(op, b, s=s)
         assert laplace_transform(y, s) == pytest.approx(val, rel=5e-3)
         assert laplace_derivative(y, s) == pytest.approx(der, rel=1e-5)
 
