@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -180,8 +181,9 @@ class shifted_solver:
       fewer entries than under SuperLU's default column ordering.
 
     ``RomresError`` is raised for a matrix that is not square, a shift that
-    is not finite or is singular ("singular shift"), and a right-hand side
-    that is not a vector or matrix with n rows.
+    is not a real scalar (a complex shift, numpy's included, a string or an
+    array), is not finite or is singular ("singular shift"), and a
+    right-hand side that is not a vector or matrix with n rows.
     """
 
     def __init__(self, A):
@@ -220,6 +222,8 @@ class shifted_solver:
         if np.ndim(rhs) not in (1, 2) or np.shape(rhs)[0] != self._n:
             raise RomresError(f"right-hand side of shape {np.shape(rhs)} does not have "
                               f"the operator's {self._n} rows")
+        if not isinstance(s, numbers.Real):
+            raise RomresError(f"shift must be a real scalar, got {s!r}")
         key = float(s)
         solve = self._factors.get(key)
         if solve is None:
@@ -233,7 +237,10 @@ def transfer_eval(A, b, s: float):
     One resolvent solve x = (sI - A)^{-1} b serves both: A is symmetric, so
     the derivative -b^T (sI - A)^{-2} b equals -x^T x.
     """
-    x = shifted_solver(A).solve(s, np.asarray(b, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise RomresError("source vector must be finite")
+    x = shifted_solver(A).solve(s, b)
     return float(np.dot(b, x)), -float(np.dot(x, x))
 
 
@@ -253,8 +260,10 @@ def transfer_moments(A, b, s_hat: float, K: int, solver: shifted_solver | None =
         raise RomresError("need at least one moment")
     if K > A.shape[0]:
         warnings.warn("more moments than system dimension; trailing ones are rank deficient")
-    solver = solver or shifted_solver(A)
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise RomresError("source vector must be finite")
+    solver = solver or shifted_solver(A)
     tau = np.empty(K)
     x = b
     sign = 1.0

@@ -156,12 +156,6 @@ _ROUNDING_FLOOR = 1e3
 # a step is halved at most this often to keep the update positive
 _MAX_HALVINGS = 20
 
-# Lanczos subspace for the saddle matrix's smallest eigenpair.  Each basis
-# vector costs one M^-1 solve; the pair is dominant in M^-1 by decades, so
-# invert2d's correction converges in 7 solves (21 at ARPACK's default of
-# 20) to a vector within 2.1e-17 of the default's
-_LANCZOS_NCV = 6
-
 # right-hand sides per grounded solve of the capacitance columns
 # G = L_g^-1 J^T.  It matters for the SuperLU factors: on one BLAS thread,
 # invert2d's 80 columns took a median 10.7 ms in blocks of 8 against 11.6 ms
@@ -297,15 +291,28 @@ def _grounded_solver(Dt: sp.spmatrix, w: np.ndarray | None):
       L_g^-1 is exact in two prefix sums, and nothing is factored.  Summing
       the rows of L_g x = b gives x_0 = 1^T b, and cell j's balance fixes
       the flux through edge j to the sum of b beyond it,
-      g_j = sum_{i>j} b_i, so x_{j+1} = x_j + g_j / (d_j^2 w_j).  A path
-      needs no edge system: in a tree no flux splits between routes, so no
-      weight is ever added to another (``regularize_nullspace`` gives the
-      accuracy).
+      g_j = sum_{i>j} b_i, so x_{j+1} = x_j + g_j / (d_j^2 w_j).  In a
+      tree no flux splits between routes, so no weight is ever added to
+      another: the rounding loss that sends the other graphs' weights to
+      the edge system cannot occur.  On N = 60 to 1999 with weights
+      spanning up to 14 decades it stays within 4.4e-15 of the edge
+      system's LU, and both within 2e-14 of the same prefix sums in long
+      double; the SPD LU of the formed operator is 5e-8 off at unit weights
+      and O(1) off at 14 decades (N = 1999).
     - W = I (``w`` is None) on any other graph factors L_g itself, the SPD
-      grounded Laplacian, under SuperLU's ``MMD_AT_PLUS_A``.
+      grounded Laplacian, under SuperLU's symmetric minimum-degree ordering
+      ``MMD_AT_PLUS_A``; on 90 x 30 cells it holds 73.5k entries.
     - other weights factor the grounded edge system
-      K_g = [[-W^-1, Dt], [Dt^T, e_0 e_0^T]] under SuperLU's default COLAMD;
-      the trailing block of K_g^-1 [0; b] is L_g^-1 b.
+      K_g = [[-W^-1, Dt], [Dt^T, e_0 e_0^T]]; the trailing block of
+      K_g^-1 [0; b] is L_g^-1 b.  The weights enter as -W^-1 on a diagonal
+      of their own, not inside Dt^T W Dt: adaptive weights span 10+
+      decades, and the LU of that product loses the small-weight edges to
+      rounding (Bjorck 1996, section 2.5).  K_g is indefinite, so its LU
+      pivots, which undoes a symmetric ordering: on 90 x 30 cells
+      ``MMD_AT_PLUS_A`` filled 5.5M entries in 3.8 s against 285k in 23 ms
+      under SuperLU's default COLAMD.  Putting J into the factor as well
+      (the augmented [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]) took
+      1.33M entries.
     """
     e, n = Dt.shape
     d = _difference_diagonal(Dt) if e == n - 1 else None
@@ -330,7 +337,8 @@ def _grounded_solver(Dt: sp.spmatrix, w: np.ndarray | None):
 
 
 def _saddle_solver(J: np.ndarray, Dt: sp.spmatrix, w: np.ndarray | None):
-    """M^-1: a grounded seminorm factor plus a dense capacitance system."""
+    """(M^-1, G = L_g^-1 J^T, J 1): a grounded seminorm factor plus a dense
+    capacitance system, and the columns it is built from."""
     n, k = Dt.shape[1], J.shape[0]
     solve_g = _grounded_solver(Dt, w)
     G = np.hstack([solve_g(J[i:i + _SOLVE_COLUMNS].T) for i in range(0, k, _SOLVE_COLUMNS)])
@@ -349,7 +357,19 @@ def _saddle_solver(J: np.ndarray, Dt: sp.spmatrix, w: np.ndarray | None):
         y = sla.lapack.dgetrs(lu_c, piv, np.append(J @ g1 - b2, b1.sum()))[0]
         return np.concatenate([g1 - G @ y[:k] - y[k], y[:k]])
 
-    return solve
+    return solve, G, J1
+
+
+def _smallest_saddle_pair(J: np.ndarray, G: np.ndarray, J1: np.ndarray, solve):
+    """(mu, v): M's unit eigenvector v of smallest modulus, eigenvalue ~ -mu."""
+    # Gc = G - 1 g^T with g = mean(G) is never formed: J Gc = J G - (J 1) g^T
+    g = G.mean(axis=0)
+    # Householder basis of (J 1)^perp; J 1 != 0, or C's getrf would have raised
+    Q = sla.qr(J1[:, None])[0][:, 1:]
+    mu, Y = np.linalg.eigh(Q.T @ (J @ G - np.outer(J1, g)) @ Q)
+    y = Q @ Y[:, 0]
+    v = solve(np.concatenate([g @ y - G @ y, y]))  # one inverse-iteration step
+    return mu[0], v / np.linalg.norm(v)
 
 
 def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
@@ -384,66 +404,40 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
 
     The last row of C is 1^T of M's first block row, and it makes
     a = -rho_0, which undoes the grounding.  L_g^-1 is one of three inner
-    solves, picked by the structure of Dt and then by whether weights are
-    given:
-
-    - a path (every 1D grid: edge i joins cells i and i + 1): two prefix
-      sums give L_g^-1 exactly, for identity and given weights alike, and
-      nothing is factored.  The flux through each edge of a tree is fixed
-      by the right-hand side alone, so each weight enters through one
-      division of its own and is never added to another: the rounding loss
-      that sends the other graphs' weights to the edge system cannot occur.
-      On N = 60 to 1999 with weights spanning up to 14 decades it stays
-      within 4.4e-15 of the edge system's LU, and both within 2e-14 of the
-      same prefix sums in long double; the SPD LU of the formed operator
-      is 5e-8 off at unit weights and O(1) off at 14 decades (N = 1999).
-    - identity weights (``w`` is None) on any other graph: L_g =
-      Dt^T Dt + e_0 e_0^T is the symmetric positive definite grounded grid
-      Laplacian, factored by SuperLU with the symmetric minimum-degree
-      ordering (``MMD_AT_PLUS_A``); on 90 x 30 cells it holds 73.5k entries.
-    - given weights on any other graph: SuperLU factors the grounded edge
-      system
-
-          K_g = [[-W^-1, Dt], [Dt^T, e_0 e_0^T]]
-
-      (e + n unknowns, one leading row per seminorm edge), whose first
-      block eliminates to L_g, so the trailing block of K_g^-1 [0; b] is
-      L_g^-1 b.  The weights enter as -W^-1 on a diagonal of their own,
-      not inside Dt^T W Dt: adaptive weights span 10+ decades, and forming
-      that product adds entries so far apart that its LU loses the
-      small-weight edges to rounding, while K_g keeps every edge on its
-      own row (Bjorck 1996, section 2.5).  K_g is indefinite, so its LU
-      pivots, and it keeps SuperLU's default column ordering (COLAMD):
-      pivoting undoes a symmetric ordering, and on invert2d's 90 x 30
-      cells ``MMD_AT_PLUS_A`` filled 5.5M entries in 3.8 s against 285k in
-      23 ms under COLAMD.  Putting J into the factor as well (the
-      augmented [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]) took 1.33M
-      entries.
-
-    A system with an exactly zero pivot (in L_g, K_g or C: for example an
+    solves (``_grounded_solver``): two prefix sums on a path (every 1D
+    grid), whatever the weights; on other graphs SuperLU's factor of the
+    SPD grounded Laplacian for identity weights, or of the grounded edge
+    system that keeps each weighted edge on its own row for given ones.  A
+    system with an exactly zero pivot (in L_g, K_g or C: for example an
     edge graph that leaves a cell unconnected, which is never a path, or a
-    zero row of J) raises
-    ``RegularizationError``.
+    zero row of J) raises ``RegularizationError``.
 
     The weights pick the solve.  Given weights get the exact constrained
-    minimizer M^-1 [0; J r_gn].  Identity weights get the deflated solve:
-    it discards the eigenvector v of the symmetric M whose eigenvalue is
-    smallest in modulus, i.e. applies P M^-1 P with P = I - v v^T.  That
-    equals the truncated-SVD solve which drops M's smallest singular pair:
-    for identity weights M is nonsingular, but that pair is a poorly
-    determined component.  v is the dominant eigenvector of M^-1 (Lanczos
-    with a small subspace on the same factorization, from a fixed start so
-    reruns are bit-identical).  Either way the correction is finally
-    projected onto null(J), through ``J_pinv`` if the caller passes J^+
-    (``np.linalg.pinv`` with relative cutoff ``_PINV_RCOND``).
+    minimizer M^-1 [0; J r_gn].  Identity weights get the deflated solve
+    P M^-1 P, P = I - v v^T, which drops the eigenpair of the symmetric M
+    of smallest modulus, as a truncated SVD of M would.  That pair is a
+    combination of multipliers, not a component of rho: with L = Dt^T Dt,
+    M's small eigenvalues are to leading order those of -J L^+ J^T on the
+    multipliers orthogonal to J 1, and v is close to [-L^+ J^T y0; y0],
+    where y0 minimizes y^T J L^+ J^T y over unit y with (J 1)^T y = 0.
+    ``_smallest_saddle_pair`` reads y0 off the capacitance columns, since
+    Gc = G - mean(G) is L^+ J^T on such y: it is the bottom eigenvector of
+    Q^T J Gc Q, with Q an orthonormal basis of (J 1)^perp.  One
+    inverse-iteration step on the same factor, v ~ M^-1 [-Gc y0; y0],
+    brings v within 2.1e-8 of a dense ``eigh`` of M (1D N = 40, zolotarev
+    m = 3).  Either way the correction is finally projected onto null(J),
+    through ``J_pinv`` if the caller passes J^+ (``np.linalg.pinv`` with
+    relative cutoff ``_PINV_RCOND``).
 
     ``solver`` is a label that selects nothing: ``'auto'`` or the weights'
     own mode (``'kkt'`` or ``'nullspace'``); anything else raises
     RomresError.  ROADMAP item 0 deletes it with the harness that reads it.
 
     Weights of the wrong shape, NaN or nonpositive weights, an r_gn whose
-    size is not Dt's column count, a J of the wrong width and a non-finite
-    r_gn or J raise ``RomresError`` before anything is factored.
+    size is not Dt's column count, a J of the wrong width, a non-finite
+    r_gn or J, and a one-row J with identity weights (whose (J 1)^perp
+    holds no multiplier combination to deflate) raise ``RomresError``
+    before anything is factored.
     """
     if w is not None:
         w = np.asarray(w, dtype=float)
@@ -458,23 +452,18 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
                           f"do not both have Dt's {n} columns")
     if not (np.all(np.isfinite(r_gn)) and np.all(np.isfinite(J))):
         raise RomresError("r_gn and Jacobian must be finite")
+    if w is None and np.shape(J)[0] < 2:
+        raise RomresError("the deflated correction needs a Jacobian with at least two rows")
     mode = "kkt" if w is None else "nullspace"
     if solver not in ("auto", mode):
         raise RomresError(f"solver {solver!r} is neither 'auto' nor {mode!r}, "
                           "the solve these weights take")
-    solve = _saddle_solver(J, Dt, w)
+    solve, G, J1 = _saddle_solver(J, Dt, w)
     rhs = np.concatenate([np.zeros(n), J @ r_gn])
     if w is not None:
         x = solve(rhs)
     else:
-        M_inv = spla.LinearOperator((rhs.size, rhs.size), matvec=solve, dtype=float)
-        v0 = np.random.default_rng(0).standard_normal(rhs.size)
-        try:
-            _, V = spla.eigsh(M_inv, k=1, which="LM", v0=v0,
-                              ncv=min(_LANCZOS_NCV, rhs.size))
-        except spla.ArpackNoConvergence as exc:
-            raise RegularizationError(f"smallest saddle eigenpair not found: {exc}") from exc
-        v = V[:, 0]
+        _, v = _smallest_saddle_pair(J, G, J1, solve)
         # deflating the right-hand side keeps the 1/lambda-amplified v
         # component out of the solve; deflating x removes what rounding adds
         x = solve(rhs - v * (v @ rhs))

@@ -423,6 +423,32 @@ def test_nonfinite_shift_refused(rng, splu_calls, lapack_calls):
     assert splu_calls == [] and lapack_calls == []
 
 
+def test_non_real_shift_refused(rng, splu_calls, lapack_calls):
+    # float(s) raised a bare TypeError on a Python complex, dropped a numpy
+    # complex's imaginary part with only a ComplexWarning and parsed a string
+    for A, b in _three_kinds_of_operator(rng):
+        solver = shifted_solver(A)
+        for s in (2.0 + 1j, np.complex128(2.0 + 1j), "2.0", np.array([2.0])):
+            with pytest.raises(RomresError, match="real scalar"):
+                solver.solve(s, b)
+            with pytest.raises(RomresError, match="real scalar"):
+                transfer_eval(A, b, s)
+    assert splu_calls == [] and lapack_calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_source_refused(bad, rng, splu_calls, lapack_calls):
+    # each used to return NaN: the solves check a right-hand side's rows only
+    for A, b in _three_kinds_of_operator(rng):
+        b = b.copy()
+        b[1] = bad
+        with pytest.raises(RomresError, match="source"):
+            transfer_eval(A, b, 2.0)
+        with pytest.raises(RomresError, match="source"):
+            transfer_moments(A, b, 2.0, 3)
+    assert splu_calls == [] and lapack_calls == []
+
+
 def test_chain_factorizations_by_dimension(rng, splu_calls, lapack_calls):
     # 1D chains and Jacobians factor every shift by the tridiagonal LDL^T,
     # without SuperLU or the pivoting LU; a 2D chain makes one SuperLU

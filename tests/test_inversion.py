@@ -158,7 +158,8 @@ def test_nullspace_correction_matches_dense_formulas(rng):
 
 
 def test_nullspace_correction_rerun_identical(rng):
-    # the smallest saddle eigenpair comes from Lanczos with a fixed start
+    # the smallest saddle eigenpair comes from dense LAPACK calls on the
+    # capacitance columns and one saddle solve, with no random start
     r, J, Dt = _jacobian_2d(12, 6)
     r_gn = r * (1.0 + 0.1 * rng.random(r.size))
     first = regularize_nullspace(r_gn, J, Dt, w=None)
@@ -243,6 +244,7 @@ _BAD_INPUTS = {
     "correction J nan": lambda J, Dt, r: regularize_nullspace(
         r, np.where(np.indices(J.shape)[1] == 5, np.nan, J), Dt),
     "correction r_gn nan": lambda J, Dt, r: regularize_nullspace(np.full(20, np.nan), J, Dt),
+    "correction J one row": lambda J, Dt, r: regularize_nullspace(r, J[:1], Dt),
     "relative error nan": lambda J, Dt, r: relative_error(np.full(20, np.nan), r),
     "relative error nan reference": lambda J, Dt, r: relative_error(r, np.full(20, np.nan)),
 }
@@ -265,22 +267,30 @@ def test_input_errors_raise_on_entry(case, capfd):
 
 
 def _augmented_saddle_solver(J, Dt, w):
-    """M^-1 through one sparse LU of [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]]."""
+    """M^-1 through one sparse LU of [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]].
+
+    The capacitance columns G = L_g^-1 J^T come from a dense solve of the
+    formed grounded operator L_g = Dt^T W Dt + e_0 e_0^T.
+    """
     e = Dt.shape[0]
-    W_inv = sp.identity(e) if w is None else sp.diags(1.0 / w)
+    w = np.ones(e) if w is None else w
     Js = sp.csr_matrix(J)
-    K = sp.bmat([[-W_inv, Dt, None], [Dt.T, None, Js.T], [None, Js, None]], format="csc")
+    K = sp.bmat([[-sp.diags(1.0 / w), Dt, None], [Dt.T, None, Js.T], [None, Js, None]],
+                format="csc")
     lu = spla.splu(K)
-    return lambda b: lu.solve(np.concatenate([np.zeros(e), b]))[e:]
+    L_g = (Dt.T @ sp.diags(w) @ Dt).toarray()
+    L_g[0, 0] += 1.0
+    return (lambda b: lu.solve(np.concatenate([np.zeros(e), b]))[e:],
+            np.linalg.solve(L_g, J.T), J.sum(axis=1))
 
 
 def test_identity_correction_matches_augmented_lu(small_system, rng, monkeypatch):
     # the capacitance solver against the augmented LU that held J in its
     # sparse factor, on a 1D N = 40 zolotarev m = 3 context and a 2D 30x10
-    # two-source one.  Identity weights: measured at most 2.9e-14 (1D) and
-    # 2.6e-12 (2D).  Adaptive weights (phi = 1e-3, 1e-1): measured at most
-    # 2.6e-15 (1D) and 1.3e-11 (2D), so their bound of 1e-9 leaves a margin
-    # of 77x
+    # two-source one; the reference's G comes from the formed L_g.  Identity
+    # weights: measured at most 7.5e-15 (1D) and 2.3e-12 (2D).  Adaptive
+    # weights (phi = 1e-3, 1e-1): measured at most 3.7e-15 (1D) and 1.1e-11
+    # (2D), so their bound of 1e-9 leaves a margin of 95x
     grid, field, op, b = small_system
     _, ctx = preconditioner_R(field, node_family("zolotarev", 3), return_context=True)
     r_2d, J_2d, Dt_2d = _jacobian_2d(30, 10)
@@ -296,6 +306,40 @@ def test_identity_correction_matches_augmented_lu(small_system, rng, monkeypatch
                 r_ref = regularize_nullspace(r_gn, J, Dt, w=w)
             rel = np.linalg.norm(r_next - r_ref) / np.linalg.norm(r_ref)
             assert rel < bound, (r.size, w is None, rel)
+
+
+def test_smallest_saddle_pair_matches_dense_eigh(small_system):
+    # v against the eigenvector of the formed M = [[Dt^T Dt, J^T], [J, 0]]
+    # whose eigenvalue is smallest in modulus, on the 1D N = 40 zolotarev
+    # m = 3 context.  Measured: 2.1e-8 for v (eigh's own eigenvector error,
+    # eps ||M|| / gap, is about 3e-8 here: ||M|| = 6.7e3, gap 5.1e-5) and
+    # 9.0e-8 relative for mu against -lambda, so both bounds of 1e-6 leave
+    # margins of 48x and 11x
+    grid, field, op, b = small_system
+    _, ctx = preconditioner_R(field, node_family("zolotarev", 3), return_context=True)
+    J, Dt = assemble_jacobian(ctx), regularization_gradient(grid)
+    solve, G, J1 = inversion._saddle_solver(J, Dt, None)
+    mu, v = inversion._smallest_saddle_pair(J, G, J1, solve)
+    k = J.shape[0]
+    lam, V = np.linalg.eigh(np.block([[(Dt.T @ Dt).toarray(), J.T], [J, np.zeros((k, k))]]))
+    i = np.argmin(np.abs(lam))
+    assert min(np.linalg.norm(v - V[:, i]), np.linalg.norm(v + V[:, i])) < 1e-6
+    assert abs(mu + lam[i]) < 1e-6 * abs(lam[i])
+
+
+def test_identity_correction_runs_no_arpack(small_system, rng, monkeypatch):
+    # the deflated eigenpair comes from the capacitance system, not eigsh
+    grid, field, op, b = small_system
+    _, ctx = preconditioner_R(field, node_family("zolotarev", 3), return_context=True)
+    J, Dt = assemble_jacobian(ctx), regularization_gradient(grid)
+
+    def no_eigsh(*args, **kwargs):
+        raise AssertionError("eigsh called")
+
+    monkeypatch.setattr(spla, "eigsh", no_eigsh)
+    r_gn = field.values * (1.0 + 0.1 * rng.random(grid.n_points))
+    r_next = regularize_nullspace(r_gn, J, Dt, w=None)
+    assert np.all(np.isfinite(r_next))
 
 
 def test_saddle_factorization_structure(rng, monkeypatch):
