@@ -17,7 +17,7 @@ op = assemble_operator(field, build_difference_1d(grid))
 b = source_vector(grid).b
 
 print("simulating y(t) = b^T exp(At) b on [0, 100] ...")
-y = simulate_response(op.A, b, T=100.0, h_T=1e-5)
+y = simulate_response(op, b, T=100.0, h_T=1e-5)
 print(f"  {y.n_samples} samples, y(h_T) = {y.samples[0]:.2f}, "
       f"y(T) = {y.samples[-1]:.3e}")
 

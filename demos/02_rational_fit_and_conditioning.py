@@ -31,7 +31,7 @@ grid = Grid1D(n)
 op = assemble_operator(ResistivityField(np.ones(n), grid),
                        build_difference_1d(grid))
 b = source_vector(grid).b
-y = simulate_response(op.A, b, T=100.0, h_T=1e-5)
+y = simulate_response(op, b, T=100.0, h_T=1e-5)
 print("\nconditioning of the fitting matrices (unit medium, N = 299):")
 print(f"{'m':>3} {'multipoint':>12} {'moments at 0':>14}")
 for m in range(2, 7):

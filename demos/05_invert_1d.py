@@ -17,7 +17,7 @@ for name, weights in (("rQ", "identity"), ("rJ", "adaptive"),
                       ("rH", "adaptive")):
     fine = Grid1D(n_fine)
     op = assemble_operator(phantom(name, fine), build_difference_1d(fine))
-    data = simulate_response(op.A, source_vector(fine).b, T=100.0, h_T=1e-5)
+    data = simulate_response(op, source_vector(fine).b, T=100.0, h_T=1e-5)
 
     coarse = Grid1D(n_coarse)
     truth = phantom(name, coarse)

@@ -73,14 +73,16 @@ class NoiseModel:
 
 
 def _as_dense(A):
-    return A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+    """A dense copy of a sparse matrix or a ``SystemOperator``, or A as floats."""
+    return A.toarray() if hasattr(A, "toarray") else np.asarray(A, dtype=float)
 
 
 def spectral_weights(A, b) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of A and weights (b^T q_i)^2 for the symmetrized response.
 
-    A must be exactly symmetric, as every assembled operator is: ``eigh``
-    would otherwise read only its lower triangle.
+    A is a dense or sparse matrix or a ``SystemOperator``.  It must be
+    exactly symmetric, as every assembled operator is: ``eigh`` would
+    otherwise read only its lower triangle.
     """
     Ad = _as_dense(A)
     if not np.array_equal(Ad, Ad.T):

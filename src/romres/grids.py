@@ -15,6 +15,7 @@ chains stay short sums of rank-one terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -194,16 +195,11 @@ class SystemOperator:
     def A(self) -> sp.csr_matrix:
         if self._A is None:
             main, off = self.bands
-            n = main.size
-            # rows hold (off, main, off) in column order; the first row has
-            # no entry left of the diagonal and the last none right of it
-            rows = np.empty((n, 3))
-            rows[1:, 0], rows[:, 1], rows[:-1, 2] = off, main, off
-            cols = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
-            indptr = np.clip(3 * np.arange(n + 1, dtype=np.int32) - 1, 0, 3 * n - 2)
-            self._A = sp.csr_matrix((rows.ravel()[1:-1], cols.ravel()[1:-1], indptr),
-                                    shape=(n, n))
+            self._A = sp.diags([off, main, off], [-1, 0, 1], format="csr")
         return self._A
+
+    def toarray(self) -> np.ndarray:
+        return self.A.toarray()
 
     def __matmul__(self, X):
         if self.bands is None:
@@ -231,24 +227,21 @@ class SourceVector:
     support: np.ndarray
 
 
+@lru_cache(maxsize=8)
 def build_difference_1d(grid: Grid1D) -> sp.csr_matrix:
     """Forward-difference factor on the 1D grid.
 
     Row i < N is (v_{i+1} - v_i)/h; the last row is -v_N/h, which folds the
     Dirichlet condition at x = 1 into the product -D^T diag(r) D.  The
-    zero-flux edge at x = 0 carries no row.
+    zero-flux edge at x = 0 carries no row.  It is built once per grid and
+    shared by every caller on an equal grid (every evaluation of the chain
+    and every iterate of an inversion on it), so its arrays are read-only.
     """
-    n = grid.n_points
-    h = grid.spacing
-    # rows hold (main, upper) in column order; the last row only main
-    data = np.empty(2 * n - 1)
-    data[0::2] = -1.0 / h
-    data[1::2] = 1.0 / h
-    indices = np.empty(2 * n - 1, dtype=np.int32)
-    indices[0::2] = np.arange(n)
-    indices[1::2] = np.arange(1, n)
-    indptr = np.minimum(2 * np.arange(n + 1, dtype=np.int32), 2 * n - 1)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    n, h = grid.n_points, grid.spacing
+    D = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n), format="csr")
+    for array in (D.data, D.indices, D.indptr):
+        array.flags.writeable = False
+    return D
 
 
 def _weighted_gram(D: sp.csr_matrix, rho: np.ndarray) -> sp.csr_matrix:

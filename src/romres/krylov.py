@@ -16,7 +16,6 @@ reuse them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -267,16 +266,6 @@ def preconditioner_chain(op: SystemOperator, b: np.ndarray, family: NodeFamily,
                         pr=pr, Z=Z, cf=pole_residue_to_cfrac(pr))
 
 
-@lru_cache(maxsize=8)
-def _difference_1d(grid: Grid1D):
-    """The grid's difference factor, built once per grid and shared by every
-    evaluation on it (as invert_1d's iterates share theirs), so read-only."""
-    D = build_difference_1d(grid)
-    for array in (D.data, D.indices, D.indptr):
-        array.flags.writeable = False
-    return D
-
-
 def preconditioner_R(field: ResistivityField, family: NodeFamily, generation: str = "auto",
                      return_context: bool = False):
     """Log continued-fraction coefficients of a 1D resistivity field.
@@ -287,15 +276,15 @@ def preconditioner_R(field: ResistivityField, family: NodeFamily, generation: st
     each segment's source vector.  ``generation`` is checked as there, and
     selects nothing.
 
-    The grid's difference factor D is built once and shared by every call
-    on an equal grid, so a call builds no sparse matrix: the chain runs on
-    the operator's bands (``SystemOperator``).
+    The grid's difference factor D is built once per grid and shared
+    (``build_difference_1d``), so a call builds no sparse matrix: the chain
+    runs on the operator's bands (``SystemOperator``).
     """
     grid = field.grid
     if not isinstance(grid, Grid1D):
         raise RomresError("preconditioner_R takes a 1D field; "
                           "use preconditioner_chain for a 2D source")
-    op = assemble_operator(field, _difference_1d(grid))
+    op = assemble_operator(field, build_difference_1d(grid))
     ctx = preconditioner_chain(op, source_vector(grid).b, family, generation=generation)
     vec = ctx.log_vector()
     return (vec, ctx) if return_context else vec

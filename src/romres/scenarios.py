@@ -79,7 +79,7 @@ def synthesize_1d(cfg: ExperimentConfig):
     field = phantom(cfg.phantom, grid)
     op = assemble_operator(field, build_difference_1d(grid))
     b = source_vector(grid).b
-    y = simulate_response(op.A, b, cfg.T, cfg.h_T)
+    y = simulate_response(op, b, cfg.T, cfg.h_T)
     if cfg.epsilon > 0:
         y = add_noise(y, NoiseModel(cfg.epsilon, cfg.seed))
     return y
@@ -103,7 +103,7 @@ def _scenario_table_ratcond(cfg: ExperimentConfig, outdir: Path):
     op = assemble_operator(ResistivityField(np.ones(cfg.n_fine), grid),
                            build_difference_1d(grid))
     b = source_vector(grid).b
-    y = simulate_response(op.A, b, cfg.T, cfg.h_T)
+    y = simulate_response(op, b, cfg.T, cfg.h_T)
     rows = []
     for m in range(2, 7):
         fam = node_family("zolotarev", m)

@@ -82,6 +82,19 @@ def test_simulate_response_rejects_nonsymmetric(small_system):
                 simulate_response(op.A, short, T=1.0, h_T=1e-2)
 
 
+def test_simulate_response_takes_an_operator(small_system):
+    # an assembled operator is densified through its CSR A, so the series
+    # and the spectral weights from op and from op.A are bitwise equal
+    g2 = Grid2D(nx=12, ny=4)
+    op2 = assemble_operator_2d(phantom("two-rect-side", g2))
+    _, _, op1, b1 = small_system
+    for op, b in ((op1, b1), (op2, source_vector(g2, uniform_segments(g2, 2)[0]).b)):
+        y, y_ref = (simulate_response(A, b, T=1.0, h_T=1e-3) for A in (op, op.A))
+        assert np.array_equal(y.samples, y_ref.samples)
+        for part, ref in zip(spectral_weights(op, b), spectral_weights(op.A, b)):
+            assert np.array_equal(part, ref)
+
+
 def test_response_positive_decreasing(small_system):
     grid, field, op, b = small_system
     y = simulate_response(op.A, b, T=5.0, h_T=1e-3)

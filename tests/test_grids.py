@@ -61,6 +61,16 @@ def test_difference_coarse_grid_shape():
     assert D.nnz == 2 * 199 - 1  # bidiagonal
 
 
+def test_difference_factor_shared_and_read_only():
+    # equal grids share one factor, so no caller may write into it
+    D = build_difference_1d(Grid1D(40))
+    assert build_difference_1d(Grid1D(np.int64(40))) is D
+    assert build_difference_1d(Grid1D(41)) is not D
+    for array in (D.data, D.indices, D.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_assemble_negative_definite(rng):
     for _ in range(5):
         n = int(rng.integers(3, 50))
@@ -104,20 +114,15 @@ def test_assembly_matches_two_products_bitwise(rng):
 
 @pytest.mark.parametrize("n", [2, 3, 40, 1999])
 def test_direct_1d_assembly_matches_sparse_products_bitwise(n, rng, sparse_constructions):
-    # D, filled in directly, equals the generic sparse construction bit for
-    # bit.  The operator keeps A's main diagonal and its one off-diagonal,
-    # builds no sparse matrix and has no averaging map.  Its CSR A, built
-    # when first read, equals the sparse product bit for bit (format, shape,
+    # the operator keeps A's main diagonal and its one off-diagonal, builds
+    # no sparse matrix and has no averaging map.  Its CSR A, built when
+    # first read, equals the sparse product bit for bit (format, shape,
     # index dtype and arrays), whose two off-diagonals both equal the one
     # band, and so does its band product with the CSR product.  That holds
     # on any factor with rows (d_i, -d_i), here also one whose row scales
     # vary over four decades
     g = Grid1D(n)
     D = build_difference_1d(g)
-    D_ref = sp.diags([np.full(n, -1.0 / g.spacing), np.full(n - 1, 1.0 / g.spacing)],
-                     [0, 1], shape=(n, n), format="csr")
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(D, part), getattr(D_ref, part))
     d = -(10.0 ** rng.uniform(0.0, 4.0, n))
     scaled = sp.diags([d, -d[:-1]], [0, 1], shape=(n, n), format="csr")
     fields = (phantom("rQ", g).values, 0.1 + rng.random(n), np.exp(rng.normal(0.0, 3.0, n)))

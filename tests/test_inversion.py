@@ -270,7 +270,7 @@ def _augmented_saddle_solver(J, Dt, w):
     """M^-1 through one sparse LU of [[-W^-1, Dt, 0], [Dt^T, 0, J^T], [0, J, 0]].
 
     The capacitance columns G = L_g^-1 J^T come from a dense solve of the
-    formed grounded operator L_g = Dt^T W Dt + e_0 e_0^T.
+    formed grounded operator L_g = Dt^T W Dt + e_0 e_0^T, and C from G.
     """
     e = Dt.shape[0]
     w = np.ones(e) if w is None else w
@@ -280,8 +280,9 @@ def _augmented_saddle_solver(J, Dt, w):
     lu = spla.splu(K)
     L_g = (Dt.T @ sp.diags(w) @ Dt).toarray()
     L_g[0, 0] += 1.0
-    return (lambda b: lu.solve(np.concatenate([np.zeros(e), b]))[e:],
-            np.linalg.solve(L_g, J.T), J.sum(axis=1))
+    G, J1 = np.linalg.solve(L_g, J.T), J.sum(axis=1)
+    C = np.block([[J @ G, J1[:, None]], [J1, 0.0]])
+    return lambda b: lu.solve(np.concatenate([np.zeros(e), b]))[e:], G, C
 
 
 def test_identity_correction_matches_augmented_lu(small_system, rng, monkeypatch):
@@ -308,23 +309,37 @@ def test_identity_correction_matches_augmented_lu(small_system, rng, monkeypatch
             assert rel < bound, (r.size, w is None, rel)
 
 
-def test_smallest_saddle_pair_matches_dense_eigh(small_system):
-    # v against the eigenvector of the formed M = [[Dt^T Dt, J^T], [J, 0]]
-    # whose eigenvalue is smallest in modulus, on the 1D N = 40 zolotarev
-    # m = 3 context.  Measured: 2.1e-8 for v (eigh's own eigenvector error,
-    # eps ||M|| / gap, is about 3e-8 here: ||M|| = 6.7e3, gap 5.1e-5) and
-    # 9.0e-8 relative for mu against -lambda, so both bounds of 1e-6 leave
-    # margins of 48x and 11x
-    grid, field, op, b = small_system
-    _, ctx = preconditioner_R(field, node_family("zolotarev", 3), return_context=True)
-    J, Dt = assemble_jacobian(ctx), regularization_gradient(grid)
-    solve, G, J1 = inversion._saddle_solver(J, Dt, None)
-    mu, v = inversion._smallest_saddle_pair(J, G, J1, solve)
+def _assert_smallest_saddle_pair(J, Dt, bound):
+    """v against the eigenvector of the formed M = [[Dt^T Dt, J^T], [J, 0]]
+    whose eigenvalue lambda is smallest in modulus, up to sign, and mu
+    against -lambda, both relative, within ``bound``."""
+    solve, G, C = inversion._saddle_solver(J, Dt, None)
+    mu, v = inversion._smallest_saddle_pair(C, G, solve)
     k = J.shape[0]
     lam, V = np.linalg.eigh(np.block([[(Dt.T @ Dt).toarray(), J.T], [J, np.zeros((k, k))]]))
     i = np.argmin(np.abs(lam))
-    assert min(np.linalg.norm(v - V[:, i]), np.linalg.norm(v + V[:, i])) < 1e-6
-    assert abs(mu + lam[i]) < 1e-6 * abs(lam[i])
+    assert min(np.linalg.norm(v - V[:, i]), np.linalg.norm(v + V[:, i])) < bound
+    assert abs(mu + lam[i]) < bound * abs(lam[i])
+
+
+def test_smallest_saddle_pair_matches_dense_eigh(small_system):
+    # on the 1D N = 40 zolotarev m = 3 context, where the path solve gives
+    # G.  Measured: 2.1e-8 for v (eigh's own eigenvector error, eps ||M|| /
+    # gap, is about 3e-8 here: ||M|| = 6.7e3, gap 5.1e-5) and 9.0e-8 for mu,
+    # so the bound of 1e-6 leaves margins of 48x and 11x
+    grid, field, op, b = small_system
+    _, ctx = preconditioner_R(field, node_family("zolotarev", 3), return_context=True)
+    _assert_smallest_saddle_pair(assemble_jacobian(ctx), regularization_gradient(grid), 1e-6)
+
+
+def test_smallest_saddle_pair_matches_dense_eigh_2d(rng):
+    # on a 30 x 10 grid, where SuperLU's factor of the grounded Laplacian
+    # gives G, with a random 20-row J of scale 0.01.  One inverse-iteration
+    # step is leading-order accurate, so the error grows as J's scale
+    # squared (regularize_nullspace); measured 7.0e-7 for v and 6.8e-7 for
+    # mu, so the bound of 1e-5 leaves margins of 14x and 15x
+    Dt = regularization_gradient(Grid2D(nx=30, ny=10))
+    _assert_smallest_saddle_pair(0.01 * rng.standard_normal((20, 300)), Dt, 1e-5)
 
 
 def test_identity_correction_runs_no_arpack(small_system, rng, monkeypatch):

@@ -259,11 +259,10 @@ def test_sequential_matches_raw_values(small_system):
 
 def test_1d_chain_builds_no_sparse_matrix(sparse_constructions):
     # once the grid's difference factor exists, a 1D evaluation and its
-    # Jacobian run on the operator's bands and construct no sparse matrix;
-    # the CSR A is built only when read.  The factor is shared by every
-    # evaluation on the grid, so it is read-only.  The Jacobian keeps the
-    # column-major layout of the identity product it replaces, which J's
-    # later products round by
+    # Jacobian run on the grid's shared factor and the operator's bands, and
+    # construct no sparse matrix; the CSR A is built when first read and
+    # kept.  The Jacobian keeps the column-major layout of the identity
+    # product it replaces, which J's later products round by
     grid = Grid1D(199)
     r = phantom("rQ", grid).values
     for label in ("zolotarev", "pade0"):
@@ -273,10 +272,12 @@ def test_1d_chain_builds_no_sparse_matrix(sparse_constructions):
         _, ctx = preconditioner_R(ResistivityField(1.1 * r, grid), fam, return_context=True)
         J = assemble_jacobian(ctx)
         assert sparse_constructions == []
+        assert ctx.operator.D is build_difference_1d(grid)
         assert J.shape == (10, 199) and J.flags.f_contiguous
-        assert ctx.operator.A.format == "csr" and sparse_constructions == ["csr_matrix"]
-        with pytest.raises(ValueError, match="read-only"):
-            ctx.operator.D.data[0] = 0.0
+        A = ctx.operator.A
+        assert A.format == "csr" and sparse_constructions[-1] == "csr_matrix"
+        sparse_constructions.clear()
+        assert ctx.operator.A is A and sparse_constructions == []
 
 
 def test_project_reuses_its_eigendecomposition(small_system):
