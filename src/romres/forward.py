@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,19 +34,32 @@ _BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Samples y(t_k) at t_k = k*h_T for k = 1..N_T."""
+    """Samples y(t_k) at t_k = k*h_T for k = 1..N_T.
+
+    ``samples`` is a read-only view of the array given (converted to float
+    if it is not), and the array must not change after construction:
+    ``peak``, the largest sample magnitude, is recorded by the validation
+    pass, and the Laplace quadratures bound the samples they leave out by it.
+    The caller's own array keeps its flags.
+    """
 
     samples: np.ndarray
     step: float
+    peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        samples = np.asarray(self.samples, dtype=float).view()
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
         if not 0 < self.step < np.inf:
             raise RomresError(f"time step must be positive and finite, got {self.step!r}")
-        if self.samples.ndim != 1 or self.samples.size == 0:
+        if samples.ndim != 1 or samples.size == 0:
             raise RomresError("time series must be a nonempty vector")
-        if not np.all(np.isfinite(self.samples)):
+        # NaN and +-inf carry through min and max, with no boolean temporary
+        lo, hi = float(samples.min()), float(samples.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise RomresError("time series contains nonfinite samples")
+        object.__setattr__(self, "peak", max(-lo, hi))
 
     @property
     def n_samples(self) -> int:

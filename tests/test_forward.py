@@ -108,6 +108,26 @@ def test_time_series_rejects_bad_step(step):
         forward.TimeSeries(np.ones(4), step)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_time_series_rejects_nonfinite_samples(bad):
+    samples = np.ones(5)
+    samples[3] = bad
+    with pytest.raises(RomresError, match="time series contains nonfinite samples"):
+        forward.TimeSeries(samples, 0.1)
+
+
+def test_time_series_samples_read_only():
+    samples = np.array([0.5, -2.0, 1.5])
+    y = forward.TimeSeries(samples, 0.1)
+    assert y.peak == 2.0
+    assert np.shares_memory(y.samples, samples)
+    with pytest.raises(ValueError):
+        y.samples[0] = 1.0
+    # the caller's array is a separate view and stays writeable
+    samples[0] = 1.0
+    assert samples.flags.writeable and y.samples[0] == 1.0
+
+
 @pytest.mark.parametrize("level", [-1e-3, np.nan, np.inf])
 def test_noise_model_rejects_bad_level(level):
     with pytest.raises(RomresError, match="noise level"):

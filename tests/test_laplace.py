@@ -8,7 +8,8 @@ from romres.forward import (_EXP_UNDERFLOW, TimeSeries, simulate_response,
                             transfer_eval)
 from romres.grids import (Grid1D, ResistivityField, assemble_operator,
                           build_difference_1d, source_vector)
-from romres.laplace import (_CHUNK, _active_slice, laplace_derivative,
+from romres.laplace import (_CHUNK, _CUT_ROUND, _active_slice, _cut_chunks,
+                            _cut_moments, _slice_sums, laplace_derivative,
                             laplace_moments, laplace_transform)
 from romres.ratfit import node_family
 
@@ -160,10 +161,67 @@ def test_single_active_sample():
     assert laplace_derivative(d, s) == 0.0
 
 
+@pytest.fixture(scope="module")
+def long_series():
+    return _noisy_series(10**7, 1e-5)
+
+
 @_extended
-def test_long_noisy_series_accuracy():
+def test_long_noisy_series_accuracy(long_series):
     # 1e7 samples at s = 2: a single per-sample dot product is off by ~1e-13
-    _assert_matches_longdouble(_noisy_series(10**7, 1e-5), 2.0, 1e-14)
+    _assert_matches_longdouble(long_series, 2.0, 1e-14)
+
+
+def _full_sums(series, s, K):
+    n = _active_slice(series, s)
+    return _slice_sums(series, s, K, n, n // _CHUNK)
+
+
+@pytest.mark.parametrize("s, K", [(s, 2) for m in (6, 5) for s in node_family("zolotarev", m).nodes]
+                         + [(60.0, 10)])
+def test_tail_cut_agrees_with_full_slice(long_series, s, K):
+    # the cut leaves out chunks whose terms sit below 2^-80 of each moment;
+    # bitwise equality holds on the pinned stack but depends on how the BLAS
+    # groups GEMV rows, so only the agreement is asserted here
+    S, kept = _cut_moments(long_series, float(s), K)
+    assert 0 < kept < _active_slice(long_series, s) // _CHUNK
+    assert kept % _CUT_ROUND == 0
+    full = _full_sums(long_series, float(s), K)
+    assert np.all(np.abs(S - full) <= 1e-14 * np.abs(full))
+
+
+def _late_signal(n, h, start):
+    # zero up to sample `start`, then +-1: a signed series whose early sums vanish
+    d = np.zeros(n)
+    d[start:] = (-1.0) ** np.arange(n - start)
+    return TimeSeries(d, h)
+
+
+def _growing(n, h):
+    # exp(10 t) up to t = 40: peak e^400, while the kernel at s = 20 decays faster
+    return TimeSeries(np.exp(10.0 * h * np.arange(1, n + 1)), h)
+
+
+@pytest.mark.parametrize("make", [lambda: _growing(400_000, 1e-4),
+                                  lambda: _late_signal(400_000, 1e-4, 300_000)],
+                         ids=["growing", "signed"])
+def test_tail_cut_falls_back_to_full_slice(make):
+    # peak * (kernel mass past the cut) is not below 2^-80 |S_k|, so the cut
+    # sums are refused and the whole active slice is summed as before
+    series = make()
+    s, K = 20.0, 3
+    nc = _active_slice(series, s) // _CHUNK
+    assert _cut_chunks(s, series.step, K, nc) < nc
+    S, kept = _cut_moments(series, s, K)
+    assert kept == nc
+    assert np.array_equal(S, _full_sums(series, s, K))
+    assert np.array_equal(laplace_moments(series, s, K) * (-1.0) ** np.arange(K), S)
+
+
+def test_no_tail_cut_at_zero_s(long_series):
+    S, kept = _cut_moments(long_series, 0.0, 2)
+    assert kept == long_series.n_samples // _CHUNK
+    assert np.array_equal(S, _full_sums(long_series, 0.0, 2))
 
 
 @_extended
@@ -210,7 +268,24 @@ def test_input_contract():
         for K in (0, 2.5, "2", None):
             with pytest.raises(RomresError):
                 laplace_moments(d, 1.0, K)
-        # past every sample the kernel is exactly zero
-        assert laplace_transform(d, np.inf) == 0.0
-        assert laplace_derivative(d, np.inf) == 0.0
-        assert np.array_equal(laplace_moments(d, np.inf, 3), np.zeros(3))
+
+
+_READS = [laplace_transform, laplace_derivative, lambda d, s: laplace_moments(d, s, 3)]
+
+
+@pytest.mark.parametrize("s", ["2", 1 + 0j, np.array([1.0]), np.inf, 5e-324, 1e308],
+                         ids=["str", "complex", "array", "inf", "tiny", "huge"])
+def test_laplace_variable_contract(s):
+    # finite, nonnegative real scalars only, each read without a warning
+    d = _noisy_series(3 * _CHUNK, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in _READS:
+            if isinstance(s, float) and 0 < s < np.inf:
+                # a tiny s reads every sample with the kernel of s = 0, and
+                # past s h = 746 the kernel is exactly zero
+                expect = read(d, 0.0) if s < 1 else 0.0 * read(d, 0.0)
+                assert np.array_equal(read(d, s), expect)
+            else:
+                with pytest.raises(RomresError, match="finite, nonnegative real scalar"):
+                    read(d, s)
