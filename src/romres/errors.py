@@ -1,13 +1,15 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class RomresError(Exception):
     """Base class for all package-specific errors."""
 
 
 class InvalidGridError(RomresError):
-    """Grid parameters, or a difference factor or source vector on a grid,
-    are inconsistent or too small."""
+    """Grid parameters, or a difference factor, operator or source vector on
+    a grid, are inconsistent or too small; or an operator is of a raw kind."""
 
 
 class PositivityError(RomresError):
@@ -60,3 +62,10 @@ class DataUnusableError(RomresError):
 
 class AmbiguousFitWarning(UserWarning):
     """Trailing singular values nearly coincide; fitted model is not unique."""
+
+
+def _require_integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise RomresError(f"{name} must be an integer, got {value!r}") from None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numbers
-import operator
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +11,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import RomresError
+from .errors import InvalidGridError, RomresError, _require_integer
 from .grids import SystemOperator
 
 __all__ = [
@@ -85,24 +85,42 @@ class NoiseModel:
             raise RomresError(f"noise level must be nonnegative and finite, got {self.level!r}")
 
 
+def _rows(op) -> int:
+    """The rows of a ``SystemOperator``; InvalidGridError for anything else."""
+    if not isinstance(op, SystemOperator):
+        raise InvalidGridError(f"expected a SystemOperator, got {type(op).__name__}")
+    return op.shape[0]
+
+
+def _source(b, n: int) -> np.ndarray:
+    """The source b as a float64 vector (b itself if it is one); InvalidGridError
+    unless it is a finite real vector of the operator's n rows."""
+    b = np.asarray(b)
+    if b.dtype.kind not in "biuf" or b.shape != (n,) or not np.all(np.isfinite(b)):
+        raise InvalidGridError(f"source of shape {b.shape} and dtype {b.dtype} does not match "
+                               f"a finite real vector of the operator's {n} rows")
+    return np.asarray(b, dtype=float)
+
+
 def _as_dense(A):
-    """A dense copy of a sparse matrix or a ``SystemOperator``, or A as floats."""
-    return A.toarray() if hasattr(A, "toarray") else np.asarray(A, dtype=float)
+    """A dense copy of a sparse matrix or a ``SystemOperator``, or A as an array."""
+    return A.toarray() if hasattr(A, "toarray") else np.asarray(A)
 
 
 def spectral_weights(A, b) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of A and weights (b^T q_i)^2 for the symmetrized response.
 
-    A is a dense or sparse matrix or a ``SystemOperator``.  It must be
-    exactly symmetric, as every assembled operator is: ``eigh`` would
-    otherwise read only its lower triangle.
+    A is a ``SystemOperator`` or a dense or sparse matrix.  It must be finite,
+    real and exactly symmetric, as every assembled operator is: ``eigh``
+    would otherwise read only its lower triangle.
     """
     Ad = _as_dense(A)
-    if not np.array_equal(Ad, Ad.T):
-        raise RomresError("A must be a symmetric matrix")
+    if Ad.ndim != 2 or Ad.dtype.kind not in "biuf" or not np.all(np.isfinite(Ad)) \
+            or not np.array_equal(Ad, Ad.T):
+        raise RomresError("A must be a finite, real symmetric matrix")
+    b = _source(b, Ad.shape[0])
     lam, Q = sla.eigh(Ad)
-    w = (Q.T @ b) ** 2
-    return lam, w
+    return lam, (Q.T @ b) ** 2
 
 
 def _spectral_series(lam, w, n_t, h_t):
@@ -148,14 +166,11 @@ def simulate_response(A, b, T: float, h_T: float) -> TimeSeries:
     the rest is a few block-sized buffers, so the peak stays within 1.5x
     the output's bytes for long series.
     """
-    if not (0 < h_T < np.inf and 0 < T < np.inf):
+    if not all(isinstance(x, numbers.Real) and 0 < x < np.inf for x in (T, h_T)):
         raise RomresError(f"T and h_T must be positive and finite, got {T!r}, {h_T!r}")
     n_t = int(round(T / h_T))
     if n_t < 1:
         raise RomresError("empty time interval")
-    b = np.asarray(b, dtype=float)
-    if b.shape != np.shape(A)[:1]:
-        raise RomresError(f"source of shape {b.shape} does not match A of shape {np.shape(A)}")
     lam, w = spectral_weights(A, b)
     return TimeSeries(_spectral_series(lam, w, n_t, h_T), h_T)
 
@@ -175,12 +190,12 @@ def add_noise(series: TimeSeries, noise: NoiseModel) -> TimeSeries:
 
 
 class shifted_solver:
-    """Cached factorizations of (s I - A) across shifts.
+    """Cached factorizations of (s I - A) across shifts of a ``SystemOperator``.
 
     The factorization is chosen by the kind of operator, because the two
     kinds are different problems:
 
-    - a 1D ``SystemOperator`` (symmetric tridiagonal by construction, see
+    - a 1D operator (symmetric tridiagonal by construction, see
       ``assemble_operator``): LAPACK's LDL^T of a symmetric positive
       definite tridiagonal matrix, ``pttrf``/``pttrs``, on the operator's
       bands (main, off) as they are, with no sparse matrix built.  It costs
@@ -188,33 +203,26 @@ class shifted_solver:
       positive definite for every shift s >= 0, since A = -D^T diag(r) D
       with r > 0, so a pivot that is not positive means the shift is
       singular (or, below zero, that sI - A is indefinite) and raises.
-    - everything else (a 2D operator's CSR A, full reduced models, any
-      other matrix, tridiagonal or not): SuperLU, whose fill-reducing
-      ordering a 2D operator needs.  sI - A is symmetric, so the ordering
-      is the symmetric minimum degree on A^T + A (``MMD_AT_PLUS_A``), with
+    - a 2D operator: SuperLU of its CSR A, whose fill-reducing ordering the
+      five-point stencil needs.  sI - A is symmetric, so the ordering is
+      the symmetric minimum degree on A^T + A (``MMD_AT_PLUS_A``), with
       partial pivoting kept: on a 90 x 30 grid the factor holds a third
       fewer entries than under SuperLU's default column ordering.
 
-    ``RomresError`` is raised for a matrix that is not square, a shift that
-    is not a real scalar (a complex shift, numpy's included, a string or an
-    array), is not finite or is singular ("singular shift"), and a
-    right-hand side that is not a vector or matrix with n rows.
+    Any other input raises InvalidGridError, before any work.  RomresError
+    is raised for a shift that is not a real scalar (a complex shift, numpy's
+    included, a string or an array), is not finite or is singular ("singular
+    shift"), and a right-hand side that is not a real vector or matrix with n rows.
     """
 
-    def __init__(self, A):
-        self._factors = {}
-        self._bands = A.bands if isinstance(A, SystemOperator) else None
-        if self._bands is None:
-            A = self._A = sp.csc_matrix(A.A if isinstance(A, SystemOperator) else A)
-            if A.shape[0] != A.shape[1]:
-                raise RomresError(f"shifted_solver needs a square matrix, got shape {A.shape}")
-        self._n = A.shape[0]
+    def __init__(self, op: SystemOperator):
+        self._n, self._op, self._factors = _rows(op), op, {}
 
     def _factor(self, s: float):
         if not np.isfinite(s):
             raise RomresError(f"shift must be finite, got s={s!r}")
-        if self._bands is not None:
-            main, off = self._bands
+        if self._op.bands is not None:
+            main, off = self._op.bands
             d, e, info = sla.lapack.dpttrf(s - main, -off, overwrite_d=1, overwrite_e=1)
             if info > 0:
                 raise RomresError(f"singular shift s={s!r}: pivot {info} of sI - A is not "
@@ -227,16 +235,17 @@ class shifted_solver:
                 return x
 
             return solve_bands
-        mat = (s * sp.identity(self._n, format="csc") - self._A).tocsc()
+        mat = (s * sp.identity(self._n, format="csc") - self._op.A).tocsc()
         try:
             return spla.splu(mat, permc_spec="MMD_AT_PLUS_A").solve
         except RuntimeError as exc:  # singular shift
             raise RomresError(f"singular shift s={s!r}: {exc}") from exc
 
     def solve(self, s: float, rhs: np.ndarray) -> np.ndarray:
-        if np.ndim(rhs) not in (1, 2) or np.shape(rhs)[0] != self._n:
-            raise RomresError(f"right-hand side of shape {np.shape(rhs)} does not have "
-                              f"the operator's {self._n} rows")
+        rhs = np.asarray(rhs)
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self._n or rhs.dtype.kind not in "biuf":
+            raise RomresError(f"right-hand side of shape {rhs.shape} and dtype {rhs.dtype} is "
+                              f"not a real vector or matrix with the operator's {self._n} rows")
         if not isinstance(s, numbers.Real):
             raise RomresError(f"shift must be a real scalar, got {s!r}")
         key = float(s)
@@ -246,44 +255,36 @@ class shifted_solver:
         return solve(rhs)
 
 
-def transfer_eval(A, b, s: float):
+def transfer_eval(op: SystemOperator, b, s: float):
     """Value and s-derivative of the transfer function b^T (sI - A)^{-1} b.
 
-    One resolvent solve x = (sI - A)^{-1} b serves both: A is symmetric, so
-    the derivative -b^T (sI - A)^{-2} b equals -x^T x.
+    ``op`` must be a ``SystemOperator`` and b a finite real vector of its n
+    rows (InvalidGridError).  One solve x = (sI - A)^{-1} b serves both: A is
+    symmetric, so the derivative -b^T (sI - A)^{-2} b equals -x^T x.
     """
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise RomresError("source vector must be finite")
-    x = shifted_solver(A).solve(s, b)
+    b = _source(b, _rows(op))
+    x = shifted_solver(op).solve(s, b)
     return float(np.dot(b, x)), -float(np.dot(x, x))
 
 
-def transfer_moments(A, b, s_hat: float, K: int, solver: shifted_solver | None = None) -> np.ndarray:
+def transfer_moments(op: SystemOperator, b, s_hat: float, K: int,
+                     solver: shifted_solver | None = None) -> np.ndarray:
     """Taylor coefficients tau_0..tau_{K-1} of the transfer function at s_hat.
 
     tau_k = (-1)^k b^T (s_hat I - A)^{-(k+1)} b, so that
-    Y(s) = sum_k tau_k (s - s_hat)^k.
+    Y(s) = sum_k tau_k (s - s_hat)^k.  ``op`` and b are checked as in
+    ``transfer_eval``, also when a ``solver`` is given.
     """
-    import warnings
-
-    try:
-        K = operator.index(K)
-    except TypeError:
-        raise RomresError(f"K must be an integer, got {K!r}") from None
+    K = _require_integer("K", K)
     if K < 1:
         raise RomresError("need at least one moment")
-    if K > A.shape[0]:
+    b = _source(b, _rows(op))
+    if K > b.size:
         warnings.warn("more moments than system dimension; trailing ones are rank deficient")
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise RomresError("source vector must be finite")
-    solver = solver or shifted_solver(A)
-    tau = np.empty(K)
-    x = b
-    sign = 1.0
+    solver = solver or shifted_solver(op)
+    tau, x = np.empty(K), b
     for k in range(K):
         x = solver.solve(s_hat, x)
-        tau[k] = sign * float(np.dot(b, x))
-        sign = -sign
+        tau[k] = float(np.dot(b, x))
+    tau[1::2] *= -1.0
     return tau

@@ -162,7 +162,7 @@ class ResistivityField:
 class SystemOperator:
     """Assembled operator A = -D^T diag(rho) D with its factors.
 
-    ``D`` is the sparse difference factor.  ``op @ X`` is A X.
+    ``D`` is the sparse difference factor, with n columns.  ``op @ X`` is A X.
 
     A 2D operator holds A, D and the sparse edge-from-cell map M
     (``averaging``) as CSR matrices.  A 1D operator is symmetric
@@ -174,6 +174,9 @@ class SystemOperator:
     ``op.A @ X`` bit for bit (but for the sign of a zero result).  A 1D
     operator's CSR ``A`` is built from (off, main, off) on first read and
     kept; the chain and its Jacobian never read it.
+
+    Shapes are checked here (InvalidGridError): a 1D operator needs n >= 2
+    and bands of shapes (n,) and (n - 1,), a 2D one an n x n ``A``.
     """
 
     def __init__(self, A=None, D=None, averaging=None, *, bands=None):
@@ -181,15 +184,16 @@ class SystemOperator:
         if D is None or (A is None, averaging is None) != (one_d, one_d):
             raise InvalidGridError("an operator needs D and either A and averaging "
                                    "or the bands of a symmetric tridiagonal A")
+        n = D.shape[1]
+        if not (n >= 2 and tuple(map(np.shape, bands)) == ((n,), (n - 1,)) if one_d
+                else np.shape(A) == (n, n)):
+            raise InvalidGridError(f"an operator on D's {n} columns needs bands of shapes "
+                                   f"({n},) and ({n - 1},) with n >= 2, or an {n} x {n} A")
+        self.shape = (n, n)
         self.D = D
         self.averaging = averaging
         self.bands = bands
         self._A = A
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.D.shape[1]
-        return n, n
 
     @property
     def A(self) -> sp.csr_matrix:

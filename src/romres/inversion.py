@@ -13,7 +13,6 @@ residual.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (AdmissibilityError, DataUnusableError, DegeneracyError,
                      RegularizationError, RomresError, SpectralValidityError,
-                     StepFailureError)
+                     StepFailureError, _require_integer)
 from .forward import TimeSeries, shifted_solver, transfer_moments
 from .grids import (Grid1D, Grid2D, ResistivityField, SystemOperator, _difference_diagonal,
                     assemble_operator, assemble_operator_2d,
@@ -49,13 +48,6 @@ __all__ = [
     "invert_2d",
     "relative_error",
 ]
-
-
-def _require_integer(name: str, value):
-    try:
-        operator.index(value)
-    except TypeError:
-        raise RomresError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

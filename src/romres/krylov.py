@@ -21,9 +21,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cfrac import ContinuedFraction, pole_residue_to_cfrac
-from .errors import (BasisCollapseError, DegeneracyError, InvalidGridError, ProjectionError,
-                     RomresError)
-from .forward import shifted_solver
+from .errors import BasisCollapseError, DegeneracyError, ProjectionError, RomresError
+from .forward import _rows, _source, shifted_solver
 from .grids import (Grid1D, ResistivityField, SystemOperator, assemble_operator,
                     build_difference_1d, source_vector)
 from .ratfit import NodeFamily, PoleResidue
@@ -105,25 +104,23 @@ def _gram_schmidt_step(V: np.ndarray, j: int, u: np.ndarray):
     return coeffs
 
 
-def build_krylov(A, b, family: NodeFamily,
+def build_krylov(op: SystemOperator, b, family: NodeFamily,
                  solver: shifted_solver | None = None) -> KrylovBasis:
     """Orthonormal basis of the rational Krylov subspace of ``family``.
 
     Solves, orthogonalizes and normalizes one column at a time (see
-    KrylovBasis).  Before any solve, a source that is not a finite vector
-    with A's n rows raises InvalidGridError, and a family with more nodes
-    (with multiplicity) than n raises BasisCollapseError; so does a column
-    that vanishes after the Gram-Schmidt step.
+    KrylovBasis).  Before any solve, also when a ``solver`` is given, an
+    ``op`` that is not a ``SystemOperator`` or a source that is not a finite
+    real vector of its n rows raises InvalidGridError, and a family with
+    more nodes (with multiplicity) than n raises BasisCollapseError; so does
+    a column that vanishes after the Gram-Schmidt step.
     """
-    b = np.asarray(b, dtype=float)
-    n, m = np.shape(A)[0], family.m
-    if b.shape != (n,) or not np.all(np.isfinite(b)):
-        raise InvalidGridError(f"source must be a finite vector of the operator's "
-                               f"length {n}, got shape {b.shape}")
+    n, m = _rows(op), family.m
+    b = _source(b, n)
     if m > n:
         raise BasisCollapseError(f"model size m={m} exceeds the system dimension {n}; "
                                  "reduce the model size m")
-    solver = solver or shifted_solver(A)
+    solver = solver or shifted_solver(op)
     K = np.zeros((n, m))
     V = np.zeros((n, m))
     U = np.zeros((m, m))
@@ -190,18 +187,19 @@ def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> 
     return Q[:, :k]
 
 
-def project(A, b, basis: KrylovBasis) -> ReducedModel:
+def project(op: SystemOperator, b, basis: KrylovBasis) -> ReducedModel:
     """Galerkin projection A_m = V^T A V, b_m = V^T b, with A_m's ``eigh``.
 
-    ``A`` is a ``SystemOperator`` (a 1D one multiplies by its two bands,
-    bitwise as its CSR A would) or a matrix.  Raises ProjectionError if A_m
-    is not negative definite.
+    ``op`` and b are checked as in ``build_krylov``; a 1D operator multiplies
+    by its two bands, bitwise as its CSR A would.  Raises ProjectionError if
+    A_m is not negative definite.
     """
+    b = _source(b, _rows(op))
     V = basis.V
-    AV = A @ V
+    AV = op @ V
     A_m = V.T @ AV
     A_m = 0.5 * (A_m + A_m.T)
-    b_m = V.T @ np.asarray(b, dtype=float)
+    b_m = V.T @ b
     lam, Z = sla.eigh(A_m)
     if lam[-1] >= 0:
         raise ProjectionError(f"projected operator not negative definite (max eig {lam[-1]:g})")

@@ -68,12 +68,11 @@ cuts there), and the samples read fall 6.5-fold; at s = 0 nothing is cut.
 from __future__ import annotations
 
 import numbers
-import operator
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .errors import RomresError
+from .errors import RomresError, _require_integer
 from .forward import _EXP_UNDERFLOW, TimeSeries
 
 __all__ = ["laplace_transform", "laplace_derivative", "laplace_moments"]
@@ -204,10 +203,7 @@ def laplace_moments(series: TimeSeries, s_hat: float, K: int) -> np.ndarray:
     tau_0 and tau_1 are the value and the s-derivative.
     """
     s_hat = _check(series, s_hat)
-    try:
-        K = operator.index(K)
-    except TypeError:
-        raise RomresError(f"K must be an integer, got {K!r}") from None
+    K = _require_integer("K", K)
     if K < 1:
         raise RomresError("need at least one moment")
     tau = _chunked_moments(series, s_hat, K)

@@ -8,14 +8,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from romres import forward
-from romres.errors import RomresError
+from romres.errors import InvalidGridError, RomresError
 from romres.forward import (NoiseModel, add_noise, shifted_solver, simulate_response,
                             spectral_weights, transfer_eval, transfer_moments)
 from romres.grids import (Grid1D, Grid2D, ResistivityField, SystemOperator, assemble_operator,
                           assemble_operator_2d, build_difference_1d, source_vector,
                           uniform_segments)
 from romres.jacobian import assemble_jacobian
-from romres.krylov import preconditioner_chain
+from romres.krylov import build_krylov, preconditioner_chain, project
 from romres.phantoms import phantom
 from romres.ratfit import node_family
 
@@ -49,16 +49,24 @@ def lapack_calls(monkeypatch):
     return calls
 
 
+def diagonal_operator(main):
+    """A 1D-kind operator with main diagonal ``main`` and a zero off-diagonal."""
+    main = np.asarray(main, dtype=float)
+    return SystemOperator(D=sp.identity(main.size, format="csr"),
+                          bands=(main, np.zeros(main.size - 1)))
+
+
+# the operator diag(-1, -2) with the source e_1 answers as the scalar -1
+SCALAR_OP, SCALAR_B = diagonal_operator([-1.0, -2.0]), np.array([1.0, 0.0])
+
+
 def test_scalar_exponential():
-    A = np.array([[-1.0]])
-    b = np.array([1.0])
-    y = simulate_response(A, b, T=1.0, h_T=0.25)
+    y = simulate_response(SCALAR_OP, SCALAR_B, T=1.0, h_T=0.25)
     assert y.samples[-1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
 
 def test_sample_count():
-    A = np.array([[-1.0]])
-    y = simulate_response(A, np.array([1.0]), T=2.0, h_T=1e-4)
+    y = simulate_response(SCALAR_OP, SCALAR_B, T=2.0, h_T=1e-4)
     assert y.n_samples == 20000
     assert y.times()[0] == pytest.approx(1e-4)
 
@@ -245,9 +253,7 @@ def test_add_noise_memory(small_system):
 
 
 def test_transfer_eval_scalar():
-    A = np.array([[-1.0]])
-    b = np.array([1.0])
-    val, der = transfer_eval(A, b, s=1.0)
+    val, der = transfer_eval(SCALAR_OP, SCALAR_B, s=1.0)
     assert val == pytest.approx(0.5)
     assert der == pytest.approx(-0.25)
 
@@ -270,10 +276,8 @@ def test_laplace_of_spectral_response_analytic(small_system):
 
 
 def test_transfer_moments_geometric():
-    A = np.array([[-1.0]])
-    b = np.array([1.0])
     with pytest.warns(UserWarning, match="more moments than system dimension"):
-        tau = transfer_moments(A, b, 0.0, 4)
+        tau = transfer_moments(SCALAR_OP, SCALAR_B, 0.0, 4)
     assert np.allclose(tau, [1.0, -1.0, 1.0, -1.0])
 
 
@@ -287,17 +291,15 @@ def test_transfer_moment_zero_equals_value(small_system):
 
 
 def test_transfer_moments_rank_warning():
-    A = np.array([[-1.0]])
     with pytest.warns(UserWarning, match="more moments than system dimension"):
-        transfer_moments(A, np.array([1.0]), 0.0, 3)
+        transfer_moments(SCALAR_OP, SCALAR_B, 0.0, 3)
 
 
 def test_transfer_moments_needs_integer_count():
-    A = np.array([[-1.0]])
     for K in (2.5, "2", None):
         with pytest.raises(RomresError, match="integer"):
-            transfer_moments(A, np.array([1.0]), 0.0, K)
-    assert transfer_moments(A, np.array([1.0]), 0.0, np.int64(1)).shape == (1,)
+            transfer_moments(SCALAR_OP, SCALAR_B, 0.0, K)
+    assert transfer_moments(SCALAR_OP, SCALAR_B, 0.0, np.int64(1)).shape == (1,)
 
 
 @pytest.mark.parametrize("N", [2, 199, 1999])
@@ -325,9 +327,9 @@ def test_band_solver_matches_csr_solver_bitwise(n, rng, lapack_calls, sparse_con
     # shifted_solver(op) factors a 1D operator's bands as they are, building
     # no sparse matrix, and its solves equal bit for bit the LDL^T of the
     # operator's CSR A read off its diagonals (both off-diagonals are the
-    # one band).  The CSR A itself is a raw matrix and takes SuperLU, which
-    # agrees to rounding: measured at most 2.1e-12 relative (n = 1999),
-    # bound 1e-10 as in test_shifted_solver_matches_superlu
+    # one band).  SuperLU of the CSR A agrees to rounding: measured at most
+    # 2.1e-12 relative (n = 1999), bound 1e-10 as in
+    # test_shifted_solver_matches_superlu
     grid = Grid1D(n)
     op = assemble_operator(phantom("rQ", grid), build_difference_1d(grid))
     sparse_constructions.clear()
@@ -336,60 +338,39 @@ def test_band_solver_matches_csr_solver_bitwise(n, rng, lapack_calls, sparse_con
     assert sparse_constructions == [] and lapack_calls == ["dpttrf"]
     A = op.A
     assert np.array_equal(A.diagonal(1), A.diagonal(-1))
-    csr = shifted_solver(A)
     for s in (0.0, 2.0, 60.0):
         d, e, info = sla.lapack.dpttrf(s - A.diagonal(), -A.diagonal(1))
         assert info == 0
+        ref_lu = reference_splu(sp.csc_matrix(s * sp.identity(n) - A))
         for shape in ((n,), (n, 7)):
             rhs = rng.standard_normal(shape)
             x = band.solve(s, rhs)
             assert np.array_equal(x, sla.lapack.dpttrs(d, e, rhs)[0])
-            ref = csr.solve(s, rhs)
+            ref = ref_lu.solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_singular_shift_raises(splu_calls, lapack_calls):
     # the Neumann Laplacian -Dt^T Dt of a path is symmetric tridiagonal and
-    # singular at s = 0.  As the bands of an operator it takes the LDL^T,
-    # whose last pivot is exactly 0; as a raw matrix, and with the periodic
-    # wrap's corner entries, it takes SuperLU.
+    # singular at s = 0.  As the bands of a 1D operator it takes the LDL^T,
+    # whose last pivot is exactly 0; as the A of a 2D-kind operator, and
+    # with the periodic wrap's row in D, it takes SuperLU.
     n = 6
     main = np.r_[-1.0, np.full(n - 2, -2.0), -1.0]
     Dt = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n), format="csr")
     bands = SystemOperator(D=Dt, bands=(main, np.ones(n - 1)))
-    neumann = sp.diags([np.ones(n - 1), main, np.ones(n - 1)], [-1, 0, 1], format="lil")
-    assert np.array_equal(bands.A.toarray(), neumann.toarray())
-    periodic = neumann.copy()
-    periodic[0, 0] = periodic[-1, -1] = -2.0
-    periodic[0, -1] = periodic[-1, 0] = 1.0
-    for A in (bands, neumann.tocsr(), periodic.tocsr()):
+    Dp = sp.vstack([Dt, sp.csr_matrix(([1.0, -1.0], [0, n - 1], [0, 2]), shape=(1, n))])
+    neumann, periodic = (SystemOperator(A=-(D.T @ D).tocsr(), D=D, averaging=abs(D) / 2)
+                         for D in (Dt, Dp.tocsr()))
+    assert np.array_equal(bands.A.toarray(), neumann.A.toarray())
+    assert np.array_equal(np.diag(periodic.toarray()), np.full(n, -2.0))
+    assert periodic.toarray()[0, -1] == periodic.toarray()[-1, 0] == 1.0
+    for A in (bands, neumann, periodic):
         solver = shifted_solver(A)
         with pytest.raises(RomresError, match="singular shift"):
             solver.solve(0.0, np.ones(n))
         assert solver.solve(1.0, np.ones(n)).shape == (n,)
     assert splu_calls == [n] * 4 and lapack_calls == ["dpttrf", "dpttrf"]
-
-
-def test_shifted_solver_rejects_nonsquare():
-    # a banded 4 x 5 matrix and a full 2 x 3 one
-    for A in (sp.eye(4, 5, format="csr") - 2.0 * sp.eye(4, 5, 1), np.ones((2, 3))):
-        with pytest.raises(RomresError, match="square"):
-            shifted_solver(A)
-
-
-def test_nonsymmetric_tridiagonal_takes_superlu(rng, splu_calls, lapack_calls):
-    # only an operator's bands take the LDL^T: every raw matrix is factored
-    # by SuperLU, a 1D operator's own symmetric CSR A and a tridiagonal
-    # matrix whose two off-diagonals differ in one entry alike
-    grid = Grid1D(40)
-    A = assemble_operator(phantom("rQ", grid), build_difference_1d(grid)).A
-    skew = A.tolil()
-    skew[20, 19] *= 1.5
-    rhs = rng.standard_normal(40)
-    for M in (A, skew.tocsr()):
-        x = shifted_solver(M).solve(2.0, rhs)
-        assert np.linalg.norm((2.0 * sp.identity(40) - M) @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
-    assert splu_calls == [40, 40] and lapack_calls == []
 
 
 def test_indefinite_shift_raises(lapack_calls):
@@ -408,30 +389,35 @@ def test_indefinite_shift_raises(lapack_calls):
     assert lapack_calls == ["dpttrf", "dpttrf"]
 
 
-def _three_kinds_of_operator(rng):
-    """A 1D operator, a 2D operator and a raw matrix, each with its source."""
+def _two_kinds_of_operator(rng):
+    """A 1D operator and a 2D operator, each with its source."""
     g1 = Grid1D(40)
     op1 = assemble_operator(phantom("rQ", g1), build_difference_1d(g1))
     g2 = Grid2D(nx=10, ny=5)
     op2 = assemble_operator_2d(ResistivityField(1.0 + 0.5 * rng.random(g2.n_cells), g2))
     b2 = source_vector(g2, uniform_segments(g2, 1)[0]).b
-    return ((op1, source_vector(g1).b), (op2, b2), (op1.A, source_vector(g1).b))
+    return ((op1, source_vector(g1).b), (op2, b2))
 
 
 def test_solve_refuses_wrong_rows(rng, splu_calls, lapack_calls):
     # a right-hand side without the operator's n rows is refused on every
     # path; dpttrs would report it only in info and on stdout and return it
-    # unchanged, so transfer_eval would answer for the wrong vector
-    for A, b in _three_kinds_of_operator(rng):
+    # unchanged, so transfer_eval would answer for the wrong vector.  One
+    # that is not real is refused too: dpttrs raised a bare TypeError on a
+    # complex one and SuperLU dropped its imaginary part with a ComplexWarning
+    for A, b in _two_kinds_of_operator(rng):
         n = b.size
         solver = shifted_solver(A)
         assert solver.solve(2.0, b).shape == (n,)
-        for bad in (b[:-1], np.ones((n - 1, 3)), np.ones((n, 2, 2)), np.ones(2 * n), 1.0):
-            with pytest.raises(RomresError, match="rows"):
-                solver.solve(2.0, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (b[:-1], np.ones((n - 1, 3)), np.ones((n, 2, 2)), np.ones(2 * n), 1.0,
+                        b + 1j, ["a"] * n, [None] * n):
+                with pytest.raises(RomresError, match="rows"):
+                    solver.solve(2.0, bad)
         with pytest.raises(RomresError, match="rows"):
             transfer_eval(A, b[:-1], 2.0)
-    assert lapack_calls == ["dpttrf"] and splu_calls == [50, 40]
+    assert lapack_calls == ["dpttrf"] and splu_calls == [50]
 
 
 def test_band_solve_checks_lapack_info(monkeypatch):
@@ -446,7 +432,7 @@ def test_band_solve_checks_lapack_info(monkeypatch):
 def test_nonfinite_shift_refused(rng, splu_calls, lapack_calls):
     # a shift that is not finite is refused before anything is factored, on
     # the band path (where pttrf would return NaNs) as on SuperLU's
-    for A, b in _three_kinds_of_operator(rng):
+    for A, b in _two_kinds_of_operator(rng):
         solver = shifted_solver(A)
         for s in (np.nan, np.inf, -np.inf):
             with pytest.raises(RomresError, match="finite"):
@@ -459,7 +445,7 @@ def test_nonfinite_shift_refused(rng, splu_calls, lapack_calls):
 def test_non_real_shift_refused(rng, splu_calls, lapack_calls):
     # float(s) raised a bare TypeError on a Python complex, dropped a numpy
     # complex's imaginary part with only a ComplexWarning and parsed a string
-    for A, b in _three_kinds_of_operator(rng):
+    for A, b in _two_kinds_of_operator(rng):
         solver = shifted_solver(A)
         for s in (2.0 + 1j, np.complex128(2.0 + 1j), "2.0", np.array([2.0])):
             with pytest.raises(RomresError, match="real scalar"):
@@ -469,10 +455,82 @@ def test_non_real_shift_refused(rng, splu_calls, lapack_calls):
     assert splu_calls == [] and lapack_calls == []
 
 
+def test_raw_matrix_refused(rng, splu_calls, lapack_calls):
+    # the resolvent layer takes a SystemOperator only: a raw matrix used to
+    # go to SuperLU (a 1D operator's CSR A among them), and None or a 3D
+    # array raised a bare ValueError from scipy.sparse.  Each is refused on
+    # entry, also when a solver of a valid operator is passed
+    fam = node_family("zolotarev", 2)
+    for op, b in _two_kinds_of_operator(rng):
+        if op.bands is None:
+            fam = node_family("single-node", 2, s_hat=30.0)
+        basis, solver = build_krylov(op, b, fam), shifted_solver(op)
+        splu_calls.clear()
+        lapack_calls.clear()
+        entry_points = [shifted_solver, lambda A: transfer_eval(A, b, 2.0),
+                        lambda A: project(A, b, basis)]
+        for kw in ({}, {"solver": solver}):
+            entry_points += [lambda A, kw=kw: transfer_moments(A, b, 2.0, 2, **kw),
+                             lambda A, kw=kw: build_krylov(A, b, fam, **kw),
+                             lambda A, kw=kw: preconditioner_chain(A, b, fam, **kw)]
+        for raw in (op.A.toarray(), op.A, op.A.toarray().tolist(), None):
+            for call in entry_points:
+                with pytest.raises(InvalidGridError, match="SystemOperator"):
+                    call(raw)
+        assert splu_calls == [] and lapack_calls == []
+    for raw in (np.ones((2, 2, 2)), np.ones((2, 3)), "A"):
+        with pytest.raises(InvalidGridError, match="SystemOperator"):
+            shifted_solver(raw)
+
+
+def test_source_escapes_refused(rng, splu_calls, lapack_calls):
+    # a complex source lost its imaginary part behind a ComplexWarning, a
+    # string source raised a bare ValueError, and project took a short one
+    # to matmul's ValueError; each now raises InvalidGridError before any
+    # factorization
+    fam = node_family("zolotarev", 2)
+    for op, b in _two_kinds_of_operator(rng):
+        if op.bands is None:
+            fam = node_family("single-node", 2, s_hat=30.0)
+        basis = build_krylov(op, b, fam)
+        splu_calls.clear()
+        lapack_calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (b + 1j, ["a"] * b.size, [None] * b.size, None, b[:-1], b[:, None]):
+                for call in (lambda: transfer_eval(op, bad, 2.0),
+                             lambda: transfer_moments(op, bad, 2.0, 2),
+                             lambda: build_krylov(op, bad, fam),
+                             lambda: project(op, bad, basis),
+                             lambda: preconditioner_chain(op, bad, fam),
+                             lambda: simulate_response(op, bad, 1.0, 0.1)):
+                    with pytest.raises(InvalidGridError, match="source .* does not match .* rows"):
+                        call()
+        assert splu_calls == [] and lapack_calls == []
+    # an integer or float32 source is read as float64, and a float64 vector
+    # is used as it is
+    op, b = _two_kinds_of_operator(rng)[0]
+    assert forward._source(b, b.size) is b
+    assert transfer_eval(op, b.astype(np.float32), 2.0) == pytest.approx(
+        transfer_eval(op, b.astype(np.float32).astype(float), 2.0), rel=0)
+
+
+def test_simulate_response_needs_real_times(small_system):
+    # a string T used to raise a bare TypeError from the comparison
+    grid, field, op, b = small_system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T, h_T in (("1", 0.1), (1.0, "0.1"), (1.0 + 0j, 0.1), (1.0, None),
+                       (np.array([1.0]), 0.1), (1.0, np.array(0.1))):
+            with pytest.raises(RomresError, match="positive and finite"):
+                simulate_response(op, b, T, h_T)
+    assert simulate_response(op, b, np.float64(1.0), 0.25).n_samples == 4
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_source_refused(bad, rng, splu_calls, lapack_calls):
     # each used to return NaN: the solves check a right-hand side's rows only
-    for A, b in _three_kinds_of_operator(rng):
+    for A, b in _two_kinds_of_operator(rng):
         b = b.copy()
         b[1] = bad
         with pytest.raises(RomresError, match="source"):
@@ -506,7 +564,7 @@ def test_2d_resolvent_symmetric_ordering(rng, monkeypatch):
     # on the 90x30 tilted operator at s = 60 the factor holds 73,546
     # entries, against 110,398 under SuperLU's default column ordering
     g = Grid2D(nx=90, ny=30)
-    A = assemble_operator_2d(phantom("tilted", g), g).A
+    op = assemble_operator_2d(phantom("tilted", g), g)
     factors = []
 
     def capturing_splu(M, *args, **kwargs):
@@ -515,9 +573,9 @@ def test_2d_resolvent_symmetric_ordering(rng, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", capturing_splu)
     rhs = rng.standard_normal((g.n_cells, 10))
-    x = shifted_solver(A).solve(60.0, rhs)
+    x = shifted_solver(op).solve(60.0, rhs)
     (lu,) = factors
     assert lu.L.nnz + lu.U.nnz <= 80_000
-    ref = reference_splu(sp.csc_matrix(60.0 * sp.identity(g.n_cells) - A)).solve(rhs)
+    ref = reference_splu(sp.csc_matrix(60.0 * sp.identity(g.n_cells) - op.A)).solve(rhs)
     # measured 1.0e-15
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from romres.errors import InvalidGridError, PositivityError
 from romres.grids import (BoundarySegment, Grid1D, Grid2D, ResistivityField,
-                          _weighted_gram, assemble_operator, assemble_operator_2d,
+                          SystemOperator, _weighted_gram, assemble_operator, assemble_operator_2d,
                           build_difference_1d, build_difference_2d,
                           source_vector, uniform_segments)
 from romres.phantoms import phantom
@@ -348,6 +348,29 @@ def test_2d_source_normalization_cross_grid():
         g = Grid2D(nx=nx, ny=ny, segments=(seg,))
         op = assemble_operator_2d(ResistivityField(np.ones(g.n_cells), g), g)
         b = source_vector(g, seg).b
-        vals.append(transfer_eval(op.A, b, s=40.0)[0])
+        vals.append(transfer_eval(op, b, s=40.0)[0])
     assert vals[0] == pytest.approx(vals[1], rel=0.1)
 
+
+def test_operator_checks_its_shapes():
+    # n is D's column count: a 1D operator needs bands of shapes (n,) and
+    # (n - 1,) with n >= 2, a 2D one an n x n A.  The 1 x 1 band operator
+    # used to raise a bare ValueError from dpttrf on its first solve, and a
+    # non-square A one from SuperLU
+    D1, D3 = sp.csr_matrix([[1.0]]), sp.identity(3, format="csr")
+    main, off = -np.ones(3), np.ones(2)
+    bad = [dict(D=D1, bands=(np.array([-1.0]), np.zeros(0))),
+           dict(D=D3, bands=(main, np.ones(3))), dict(D=D3, bands=(main[:2], off)),
+           dict(D=D3, bands=(main, off, off)), dict(D=D3, bands=(main[:, None], off)),
+           dict(D=D3, A=sp.eye(3, 4, format="csr"), averaging=D3),
+           dict(D=sp.eye(4, 5, format="csr"), A=np.ones((2, 3)), averaging=D3),
+           dict(D=D3, A=np.ones((4, 4)), averaging=D3)]
+    for kwargs in bad:
+        with pytest.raises(InvalidGridError, match="needs bands of shapes"):
+            SystemOperator(**kwargs)
+    for kwargs in (dict(D=D3), dict(A=np.ones((3, 3)), bands=(main, off)),
+                   dict(D=D3, bands=(main, off), averaging=D3)):
+        with pytest.raises(InvalidGridError, match="needs D and either"):
+            SystemOperator(**kwargs)
+    assert SystemOperator(D=D3, bands=(main, off)).shape == (3, 3)
+    assert SystemOperator(D=D3, A=-sp.identity(3, format="csr"), averaging=D3).shape == (3, 3)
