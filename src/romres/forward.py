@@ -30,6 +30,9 @@ _EXP_UNDERFLOW = -746.0
 # samples per block of the time-series synthesis: a block's times and one
 # mode's terms (2 x 512 KB) stay in L2 while every active mode is added
 _BLOCK = 1 << 16
+# the longest series simulate_response makes: 1e9 samples are 8 GB of output,
+# a hundred times the experiments' 1e7
+_MAX_SAMPLES = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,6 @@ class TimeSeries:
     def horizon(self) -> float:
         return self.n_samples * self.step
 
-    def times(self) -> np.ndarray:
-        return self.step * np.arange(1, self.n_samples + 1)
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -95,7 +95,10 @@ def _rows(op) -> int:
 def _source(b, n: int) -> np.ndarray:
     """The source b as a float64 vector (b itself if it is one); InvalidGridError
     unless it is a finite real vector of the operator's n rows."""
-    b = np.asarray(b)
+    try:
+        b = np.asarray(b)
+    except ValueError as exc:  # a ragged nested sequence
+        raise InvalidGridError(f"source is not an array: {exc}") from None
     if b.dtype.kind not in "biuf" or b.shape != (n,) or not np.all(np.isfinite(b)):
         raise InvalidGridError(f"source of shape {b.shape} and dtype {b.dtype} does not match "
                                f"a finite real vector of the operator's {n} rows")
@@ -164,11 +167,17 @@ def simulate_response(A, b, T: float, h_T: float) -> TimeSeries:
     operations in the same order as a mode-by-mode sweep, so the series is
     bitwise identical to one.  The output is the only full-length array;
     the rest is a few block-sized buffers, so the peak stays within 1.5x
-    the output's bytes for long series.
+    the output's bytes for long series.  A T / h_T above ``_MAX_SAMPLES``
+    (1e9) raises RomresError before anything is allocated.
     """
     if not all(isinstance(x, numbers.Real) and 0 < x < np.inf for x in (T, h_T)):
         raise RomresError(f"T and h_T must be positive and finite, got {T!r}, {h_T!r}")
-    n_t = int(round(T / h_T))
+    # Python floats: T / h_T is inf, not an overflow warning, for a tiny h_T
+    ratio = float(T) / float(h_T)
+    if not ratio < _MAX_SAMPLES + 0.5:
+        raise RomresError(f"T / h_T = {ratio:.3g} samples exceeds the ceiling of "
+                          f"{_MAX_SAMPLES:.0e}")
+    n_t = int(round(ratio))
     if n_t < 1:
         raise RomresError("empty time interval")
     lam, w = spectral_weights(A, b)

@@ -241,21 +241,23 @@ def data_fitting_moments(moments: np.ndarray, s_hat: float, m0: int) -> FitTarge
 
 
 def gauss_newton_step(r: np.ndarray, J: np.ndarray, residual: np.ndarray,
-                      alpha: float = 1.0, J_pinv: np.ndarray | None = None):
+                      alpha: float = 1.0, *, J_pinv: np.ndarray):
     """Pseudoinverse step with a positivity guard on the step length.
 
     rho = -J^+ residual; alpha is halved (at most ``_MAX_HALVINGS`` times)
-    until r + alpha*rho stays strictly positive.  ``J_pinv`` is J^+ if the
-    caller already has it.  A non-finite residual or J, or a J whose shape
-    is not (residual size, r size), raises ``RomresError``.
+    until r + alpha*rho stays strictly positive.  ``J_pinv`` is J^+, which
+    the caller forms (``_gn_loop`` takes ``np.linalg.pinv`` with relative
+    cutoff ``_PINV_RCOND`` once per iteration, for this step and the
+    null-space correction).  A non-finite residual or J, a J whose shape is
+    not (residual size, r size), or a ``J_pinv`` not of J's transposed shape
+    raises ``RomresError``.
     """
     if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(J))):
         raise RomresError("residual and Jacobian must be finite")
-    if np.shape(J) != (np.size(residual), np.size(r)):
-        raise RomresError(f"Jacobian of shape {np.shape(J)} does not map {np.size(r)} "
-                          f"cells to {np.size(residual)} residuals")
-    if J_pinv is None:
-        J_pinv = np.linalg.pinv(J, rcond=_PINV_RCOND)
+    if np.shape(J) != (np.size(residual), np.size(r)) or np.shape(J_pinv) != np.shape(J)[::-1]:
+        raise RomresError(f"Jacobian of shape {np.shape(J)} and pseudoinverse of shape "
+                          f"{np.shape(J_pinv)} do not map {np.size(r)} cells to "
+                          f"{np.size(residual)} residuals and back")
     rho = -J_pinv @ residual
     a = alpha
     for _ in range(_MAX_HALVINGS + 1):
@@ -367,8 +369,8 @@ def _smallest_saddle_pair(C: np.ndarray, G: np.ndarray, solve):
 
 
 def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
-                         w: np.ndarray | None = None, solver: str = "auto",
-                         J_pinv: np.ndarray | None = None):
+                         w: np.ndarray | None = None, solver: str = "auto", *,
+                         J_pinv: np.ndarray):
     """Null-space correction minimizing the weighted H1 seminorm.
 
     Computes the minimizer of
@@ -423,19 +425,20 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
     as the square of J's scale: on a 30 x 10 grid with a random 20-row J
     (seven draws) v lies 5e-7 to 7e-6 from the dense eigenvector at scale
     0.01, 5e-5 to 7e-4 at 0.1 and 5e-3 to 8e-2 at 1.  Either way the
-    correction is finally projected onto null(J), through ``J_pinv`` if
-    the caller passes J^+ (``np.linalg.pinv`` with relative cutoff
-    ``_PINV_RCOND``).
+    correction is finally projected onto null(J) through ``J_pinv``, the
+    J^+ that the caller forms (``_gn_loop`` shares its one
+    ``np.linalg.pinv`` per iteration, relative cutoff ``_PINV_RCOND``, with
+    the step).
 
     ``solver`` is a label that selects nothing: ``'auto'`` or the weights'
     own mode (``'kkt'`` or ``'nullspace'``); anything else raises
     RomresError.  ROADMAP item 0 deletes it with the harness that reads it.
 
     Weights of the wrong shape, NaN or nonpositive weights, an r_gn whose
-    size is not Dt's column count, a J of the wrong width, a non-finite
-    r_gn or J, and a one-row J with identity weights (whose (J 1)^perp
-    holds no multiplier combination to deflate) raise ``RomresError``
-    before anything is factored.
+    size is not Dt's column count, a J of the wrong width, a ``J_pinv`` not
+    of J's transposed shape, a non-finite r_gn or J, and a one-row J with
+    identity weights (whose (J 1)^perp holds no multiplier combination to
+    deflate) raise ``RomresError`` before anything is factored.
     """
     if w is not None:
         w = np.asarray(w, dtype=float)
@@ -445,9 +448,10 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
         if not np.all(w > 0):
             raise RomresError("weights must be positive")
     n = Dt.shape[1]
-    if np.shape(r_gn) != (n,) or np.ndim(J) != 2 or np.shape(J)[1] != n:
-        raise RomresError(f"r_gn of shape {np.shape(r_gn)} and J of shape {np.shape(J)} "
-                          f"do not both have Dt's {n} columns")
+    if np.shape(r_gn) != (n,) or np.ndim(J) != 2 or np.shape(J)[1] != n \
+            or np.shape(J_pinv) != np.shape(J)[::-1]:
+        raise RomresError(f"r_gn of shape {np.shape(r_gn)}, J of shape {np.shape(J)} and "
+                          f"J_pinv of shape {np.shape(J_pinv)} do not all fit Dt's {n} columns")
     if not (np.all(np.isfinite(r_gn)) and np.all(np.isfinite(J))):
         raise RomresError("r_gn and Jacobian must be finite")
     if w is None and np.shape(J)[0] < 2:
@@ -468,8 +472,6 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
         x -= v * (v @ x)
     # exact constraint enforcement: project the correction onto null(J)
     corr = x[:n] - r_gn
-    if J_pinv is None:
-        J_pinv = np.linalg.pinv(J, rcond=_PINV_RCOND)
     corr -= J_pinv @ (J @ corr)
     return r_gn + corr
 

@@ -21,7 +21,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cfrac import ContinuedFraction, pole_residue_to_cfrac
-from .errors import BasisCollapseError, DegeneracyError, ProjectionError, RomresError
+from .errors import (BasisCollapseError, DegeneracyError, InvalidGridError, ProjectionError,
+                     RomresError)
 from .forward import _rows, _source, shifted_solver
 from .grids import (Grid1D, ResistivityField, SystemOperator, assemble_operator,
                     build_difference_1d, source_vector)
@@ -190,12 +191,16 @@ def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> 
 def project(op: SystemOperator, b, basis: KrylovBasis) -> ReducedModel:
     """Galerkin projection A_m = V^T A V, b_m = V^T b, with A_m's ``eigh``.
 
-    ``op`` and b are checked as in ``build_krylov``; a 1D operator multiplies
-    by its two bands, bitwise as its CSR A would.  Raises ProjectionError if
-    A_m is not negative definite.
+    ``op`` and b are checked as in ``build_krylov``, and a basis whose V
+    does not have the operator's n rows raises InvalidGridError; a 1D
+    operator multiplies by its two bands, bitwise as its CSR A would.
+    Raises ProjectionError if A_m is not negative definite.
     """
-    b = _source(b, _rows(op))
+    n = _rows(op)
+    b = _source(b, n)
     V = basis.V
+    if V.shape[0] != n:
+        raise InvalidGridError(f"basis of {V.shape[0]} rows does not fit the operator's {n} rows")
     AV = op @ V
     A_m = V.T @ AV
     A_m = 0.5 * (A_m + A_m.T)

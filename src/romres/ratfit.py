@@ -108,6 +108,8 @@ class RationalModel:
 
     Coefficients are stored in the working variable sigma = (s - shift)/scale
     used by the fit; ``numerator``/``denominator`` are ascending in sigma.
+    The model is read through ``to_pole_residue``, whose ``PoleResidue``
+    evaluates it.
     """
 
     numerator: np.ndarray
@@ -129,15 +131,6 @@ class RationalModel:
     @property
     def m(self) -> int:
         return self.denominator.size - 1
-
-    def _sigma(self, s):
-        return (np.asarray(s, dtype=float) - self.shift) / self.scale
-
-    def __call__(self, s):
-        sig = self._sigma(s)
-        num = np.polyval(self.numerator[::-1], sig)
-        den = np.polyval(self.denominator[::-1], sig)
-        return num / den
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def test_scalar_exponential():
 def test_sample_count():
     y = simulate_response(SCALAR_OP, SCALAR_B, T=2.0, h_T=1e-4)
     assert y.n_samples == 20000
-    assert y.times()[0] == pytest.approx(1e-4)
+    assert y.step == 1e-4 and y.horizon == pytest.approx(2.0)
 
 
 def test_simulate_response_rejects_nonsymmetric(small_system):
@@ -513,6 +513,42 @@ def test_source_escapes_refused(rng, splu_calls, lapack_calls):
     assert forward._source(b, b.size) is b
     assert transfer_eval(op, b.astype(np.float32), 2.0) == pytest.approx(
         transfer_eval(op, b.astype(np.float32).astype(float), 2.0), rel=0)
+
+
+def test_ragged_source_refused(splu_calls, lapack_calls):
+    # a ragged nested list escaped from _source as numpy's bare ValueError
+    # ("inhomogeneous shape")
+    grid = Grid1D(10)
+    op = assemble_operator(ResistivityField(np.ones(10), grid), build_difference_1d(grid))
+    ragged = [[1.0, 2.0], [1.0]] + [0.0] * 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: transfer_eval(op, ragged, 2.0),
+                     lambda: transfer_moments(op, ragged, 2.0, 2),
+                     lambda: build_krylov(op, ragged, node_family("zolotarev", 2)),
+                     lambda: simulate_response(op, ragged, 1.0, 0.1)):
+            with pytest.raises(InvalidGridError, match="source is not an array"):
+                call()
+    assert splu_calls == [] and lapack_calls == []
+
+
+def test_simulate_response_bounds_the_sample_count(small_system, monkeypatch):
+    # h_T = 5e-324 made T / h_T infinite, and round() raised a bare
+    # OverflowError; 1e12 samples would have been allocated.  Both are
+    # refused before the eigendecomposition, and the ceiling itself is not
+    grid, field, op, b = small_system
+
+    def no_decomposition(A, b):
+        raise AssertionError("decomposed before the sample count was checked")
+
+    monkeypatch.setattr(forward, "spectral_weights", no_decomposition)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T, h_T in ((1.0, 5e-324), (np.float64(1.0), np.float64(5e-324)), (1e6, 1e-6)):
+            with pytest.raises(RomresError, match="exceeds the ceiling of 1e\\+09"):
+                simulate_response(op, b, T, h_T)
+        with pytest.raises(AssertionError, match="decomposed"):
+            simulate_response(op, b, float(forward._MAX_SAMPLES), 1.0)
 
 
 def test_simulate_response_needs_real_times(small_system):

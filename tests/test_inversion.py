@@ -28,6 +28,11 @@ from romres.phantoms import phantom
 from romres.ratfit import fit_multipoint, node_family
 
 
+def _pinv(J):
+    """J^+ as the Gauss-Newton loop forms it for the step and the correction."""
+    return np.linalg.pinv(J, rcond=inversion._PINV_RCOND)
+
+
 def synthesize(name, n_fine=149, T=100.0, h_T=2e-5):
     g = Grid1D(n_fine)
     op = assemble_operator(phantom(name, g), build_difference_1d(g))
@@ -52,7 +57,7 @@ def test_gauss_newton_fixed_point(small_system):
     fam = node_family("zolotarev", 3)
     vec, ctx = preconditioner_R(field, fam, return_context=True)
     J = assemble_jacobian(ctx)
-    r_gn, rho, a = gauss_newton_step(field.values, J, np.zeros(6))
+    r_gn, rho, a = gauss_newton_step(field.values, J, np.zeros(6), J_pinv=_pinv(J))
     assert np.linalg.norm(rho) <= 1e-12 * np.linalg.norm(field.values)
     assert np.array_equal(r_gn, field.values)
 
@@ -61,12 +66,12 @@ def test_gauss_newton_positivity_guard():
     J = np.eye(2)
     r = np.array([1.0, 1.0])
     residual = np.array([100.0, 0.0])  # rho = (-100, 0)
-    r_gn, rho, a = gauss_newton_step(r, J, residual)
+    r_gn, rho, a = gauss_newton_step(r, J, residual, J_pinv=J)
     assert np.all(r_gn > 0)
     assert a < 1.0
     # rho = (-1e8, 0) needs 27 halvings, past the fixed budget of 20
     with pytest.raises(StepFailureError):
-        gauss_newton_step(r, J, np.array([1e8, 0.0]))
+        gauss_newton_step(r, J, np.array([1e8, 0.0]), J_pinv=J)
 
 
 @pytest.mark.parametrize("bad", ["residual", "J"])
@@ -78,7 +83,7 @@ def test_gauss_newton_rejects_nonfinite(bad):
     else:
         J[1, 0] = np.inf
     with pytest.raises(RomresError, match="finite") as info:
-        gauss_newton_step(np.ones(2), J, residual)
+        gauss_newton_step(np.ones(2), J, residual, J_pinv=np.eye(2))
     assert not isinstance(info.value, StepFailureError)
 
 
@@ -90,7 +95,7 @@ def test_nullspace_correction_preserves_residual(small_system, rng):
     Dt = regularization_gradient(grid)
     r_gn = field.values * (1.0 + 0.1 * rng.random(grid.n_points))
     for w in (None, adaptive_weights(Dt, r_gn, 1e-3)):
-        r_next = regularize_nullspace(r_gn, J, Dt, w=w)
+        r_next = regularize_nullspace(r_gn, J, Dt, w=w, J_pinv=_pinv(J))
         rel = np.linalg.norm(J @ (r_next - r_gn)) / np.linalg.norm(J @ r_gn)
         assert rel < 1e-8, w is None
 
@@ -103,7 +108,7 @@ def test_nullspace_correction_keeps_constant(small_system):
     J = assemble_jacobian(ctx)
     Dt = regularization_gradient(grid)
     r_gn = np.full(grid.n_points, 1.37)
-    r_next = regularize_nullspace(r_gn, J, Dt, w=None)
+    r_next = regularize_nullspace(r_gn, J, Dt, w=None, J_pinv=_pinv(J))
     assert np.allclose(r_next, r_gn, atol=1e-8)
 
 
@@ -151,7 +156,7 @@ def test_nullspace_correction_matches_dense_formulas(rng):
     for w, ref, w_ref, tol in ((None, _dense_kkt, ones, 1e-8),
                                (ones, _dense_nullspace, ones, 1e-10),
                                (w, _dense_nullspace, w, 1e-10)):
-        r_next = regularize_nullspace(r_gn, J, Dt, w=w)
+        r_next = regularize_nullspace(r_gn, J, Dt, w=w, J_pinv=_pinv(J))
         r_ref = ref(r_gn, J, Dt, w_ref)
         rel = np.linalg.norm(r_next - r_ref) / np.linalg.norm(r_ref)
         assert rel < tol, (ref.__name__, w is None, rel)
@@ -162,8 +167,8 @@ def test_nullspace_correction_rerun_identical(rng):
     # capacitance columns and one saddle solve, with no random start
     r, J, Dt = _jacobian_2d(12, 6)
     r_gn = r * (1.0 + 0.1 * rng.random(r.size))
-    first = regularize_nullspace(r_gn, J, Dt, w=None)
-    assert np.array_equal(regularize_nullspace(r_gn, J, Dt, w=None), first)
+    first = regularize_nullspace(r_gn, J, Dt, w=None, J_pinv=_pinv(J))
+    assert np.array_equal(regularize_nullspace(r_gn, J, Dt, w=None, J_pinv=_pinv(J)), first)
 
 
 def test_nullspace_correction_large_grid(rng):
@@ -173,7 +178,7 @@ def test_nullspace_correction_large_grid(rng):
     J = rng.standard_normal((80, g.n_cells))
     r_gn = 1.0 + 0.1 * rng.random(g.n_cells)
     for w in (None, adaptive_weights(Dt, r_gn, 1e-3)):
-        r_next = regularize_nullspace(r_gn, J, Dt, w=w)
+        r_next = regularize_nullspace(r_gn, J, Dt, w=w, J_pinv=_pinv(J))
         rel = np.linalg.norm(J @ (r_next - r_gn)) / np.linalg.norm(J @ r_gn)
         assert rel < 1e-10, (w is None, rel)
 
@@ -189,12 +194,12 @@ def test_singular_saddle_system_raises(small_system, rng):
         warnings.simplefilter("error")
         for weights in (None, w):
             with pytest.raises(RegularizationError, match="capacitance"):
-                regularize_nullspace(field.values, J, Dt, w=weights)
+                regularize_nullspace(field.values, J, Dt, w=weights, J_pinv=_pinv(J))
         # without the last edge the last cell is cut off from the grounded one
         J = rng.standard_normal((2, grid.n_points))
         for weights in (None, w[:-1]):
             with pytest.raises(RegularizationError, match="grounded Laplacian"):
-                regularize_nullspace(field.values, J, Dt[:-1], w=weights)
+                regularize_nullspace(field.values, J, Dt[:-1], w=weights, J_pinv=_pinv(J))
 
 
 @pytest.mark.parametrize("bad", ["short", "negative", "nan"])
@@ -214,7 +219,7 @@ def test_nullspace_rejects_bad_weights(bad, rng, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", no_factorization)
     with pytest.raises(RomresError, match="weights") as info:
-        regularize_nullspace(1.0 + rng.random(20), J, Dt, w=w)
+        regularize_nullspace(1.0 + rng.random(20), J, Dt, w=w, J_pinv=_pinv(J))
     assert not isinstance(info.value, RegularizationError)
 
 
@@ -227,24 +232,32 @@ def test_unknown_solver_label_rejected(rng):
     r_gn = 1.0 + rng.random(20)
     for w, label, other in ((None, "kkt", "nullspace"),
                             (adaptive_weights(Dt, r_gn, 1e-3), "nullspace", "kkt")):
-        ref = regularize_nullspace(r_gn, J, Dt, w=w)
-        assert np.array_equal(regularize_nullspace(r_gn, J, Dt, w=w, solver=label), ref)
+        ref = regularize_nullspace(r_gn, J, Dt, w=w, J_pinv=_pinv(J))
+        assert np.array_equal(
+            regularize_nullspace(r_gn, J, Dt, w=w, solver=label, J_pinv=_pinv(J)), ref)
         for bad in (other, "bogus"):
             with pytest.raises(RomresError, match="solver"):
-                regularize_nullspace(r_gn, J, Dt, w=w, solver=bad)
+                regularize_nullspace(r_gn, J, Dt, w=w, solver=bad, J_pinv=_pinv(J))
 
 
 # calls that each must raise RomresError on entry, given a 1D N = 20 zolotarev
 # m = 3 Jacobian J (6 x 20), its seminorm operator Dt and a field r
 _BAD_INPUTS = {
-    "step J width": lambda J, Dt, r: gauss_newton_step(r, J[:, :-1], np.zeros(6)),
-    "step J height": lambda J, Dt, r: gauss_newton_step(r, J, np.zeros(5)),
-    "correction J width": lambda J, Dt, r: regularize_nullspace(r, J[:, :-1], Dt),
-    "correction r_gn length": lambda J, Dt, r: regularize_nullspace(r[:-1], J[:, :-1], Dt),
+    "step J width": lambda J, Dt, r: gauss_newton_step(r, J[:, :-1], np.zeros(6),
+                                                       J_pinv=_pinv(J[:, :-1])),
+    "step J height": lambda J, Dt, r: gauss_newton_step(r, J, np.zeros(5), J_pinv=_pinv(J)),
+    "step J_pinv shape": lambda J, Dt, r: gauss_newton_step(r, J, np.zeros(6), J_pinv=J),
+    "correction J width": lambda J, Dt, r: regularize_nullspace(r, J[:, :-1], Dt,
+                                                                J_pinv=_pinv(J[:, :-1])),
+    "correction r_gn length": lambda J, Dt, r: regularize_nullspace(r[:-1], J[:, :-1], Dt,
+                                                                    J_pinv=_pinv(J[:, :-1])),
     "correction J nan": lambda J, Dt, r: regularize_nullspace(
-        r, np.where(np.indices(J.shape)[1] == 5, np.nan, J), Dt),
-    "correction r_gn nan": lambda J, Dt, r: regularize_nullspace(np.full(20, np.nan), J, Dt),
-    "correction J one row": lambda J, Dt, r: regularize_nullspace(r, J[:1], Dt),
+        r, np.where(np.indices(J.shape)[1] == 5, np.nan, J), Dt, J_pinv=_pinv(J)),
+    "correction r_gn nan": lambda J, Dt, r: regularize_nullspace(np.full(20, np.nan), J, Dt,
+                                                                 J_pinv=_pinv(J)),
+    "correction J one row": lambda J, Dt, r: regularize_nullspace(r, J[:1], Dt,
+                                                                  J_pinv=_pinv(J[:1])),
+    "correction J_pinv shape": lambda J, Dt, r: regularize_nullspace(r, J, Dt, J_pinv=J),
     "relative error nan": lambda J, Dt, r: relative_error(np.full(20, np.nan), r),
     "relative error nan reference": lambda J, Dt, r: relative_error(r, np.full(20, np.nan)),
 }
@@ -301,10 +314,10 @@ def test_identity_correction_matches_augmented_lu(small_system, rng, monkeypatch
         r_gn = r * (1.0 + 0.1 * rng.random(r.size))
         modes = [(None, tol)] + [(adaptive_weights(Dt, r_gn, phi), 1e-9) for phi in (1e-3, 1e-1)]
         for w, bound in modes:
-            r_next = regularize_nullspace(r_gn, J, Dt, w=w)
+            r_next = regularize_nullspace(r_gn, J, Dt, w=w, J_pinv=_pinv(J))
             with monkeypatch.context() as m:
                 m.setattr(inversion, "_saddle_solver", _augmented_saddle_solver)
-                r_ref = regularize_nullspace(r_gn, J, Dt, w=w)
+                r_ref = regularize_nullspace(r_gn, J, Dt, w=w, J_pinv=_pinv(J))
             rel = np.linalg.norm(r_next - r_ref) / np.linalg.norm(r_ref)
             assert rel < bound, (r.size, w is None, rel)
 
@@ -353,7 +366,7 @@ def test_identity_correction_runs_no_arpack(small_system, rng, monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", no_eigsh)
     r_gn = field.values * (1.0 + 0.1 * rng.random(grid.n_points))
-    r_next = regularize_nullspace(r_gn, J, Dt, w=None)
+    r_next = regularize_nullspace(r_gn, J, Dt, w=None, J_pinv=_pinv(J))
     assert np.all(np.isfinite(r_next))
 
 
@@ -374,7 +387,7 @@ def test_saddle_factorization_structure(rng, monkeypatch):
     monkeypatch.setattr(spla, "splu", capturing_splu)
     w = adaptive_weights(Dt, r_gn, 1e-3)
     for weights, size in ((None, n), (w, e + n)):
-        regularize_nullspace(r_gn, J, Dt, w=weights)
+        regularize_nullspace(r_gn, J, Dt, w=weights, J_pinv=_pinv(J))
         assert shapes == [(size, size)], weights is None
         shapes.clear()
 
@@ -807,6 +820,57 @@ def test_gn_stops_at_rounding_level(monkeypatch):
     # p, and no chain is evaluated again at the iterate it has just evaluated
     assert hist.iterations == list(range(1, p + 1))
     assert len(hist.residual) == len(hist.iterates) == len(chains) == p
+
+
+def test_gn_stops_on_stagnation(monkeypatch):
+    # a step that returns r unchanged repeats the residual exactly, and the
+    # relative stagnation test stops the loop at the second evaluation
+    g = Grid1D(60)
+    l_star = preconditioner_R(phantom("rQ", g), node_family("zolotarev", 3))
+    target = FitTarget(m=3, log_cfrac=l_star, spectral=np.zeros(6))
+
+    def standing_still(r, J, residual, *, J_pinv):
+        return r, np.zeros_like(r), 1.0
+
+    monkeypatch.setattr(inversion, "gauss_newton_step", standing_still)
+    _, hist = invert_1d(target, g, InversionConfig(m0=3, n_gn=5, nullspace_correction=False))
+    assert hist.notes == ["stagnated at iteration 2"]
+    assert hist.residual[0] == hist.residual[1] > 0
+    assert hist.iterations == [1, 2] and len(hist.residual) == len(hist.iterates) == 2
+    assert hist.step_length == [1.0]
+
+
+def test_invert_2d_reduces_m_across_sources(monkeypatch):
+    # the middle source's moments are those of a two-pole model, so its fit
+    # drops to m = 2 while the others fit at m0 = 3; every source is then
+    # refitted at m = 2, and the loop runs at that size
+    gf, gc = Grid2D(nx=24, ny=8), Grid2D(nx=18, ny=6)
+    gf = replace(gf, segments=uniform_segments(gf, 3))
+    gc = replace(gc, segments=uniform_segments(gc, 3))
+    cfg = InversionConfig(m0=3, family_kind="single-node", s_hat=30.0, n_gn=1, n_sources=3)
+    op = assemble_operator_2d(phantom("two-rect-side", gf), gf)
+    tau = moments_from_operator(op, [source_vector(gf, s).b for s in gf.segments],
+                                cfg.s_hat, 2 * cfg.m0)
+    k = np.arange(2 * cfg.m0)[:, None]
+    theta, c = np.array([5.0, 40.0]), np.array([0.02, 0.01])
+    tau[1] = np.sum((-1.0) ** k * c / (cfg.s_hat + theta) ** (k + 1), axis=1)
+    fits, chains = [], []
+
+    def recording_fit(moments, s_hat, m0):
+        target = data_fitting_moments(moments, s_hat, m0)
+        fits.append((m0, target.m))
+        return target
+
+    def recording_chain(op, b, family, **kwargs):
+        chains.append(family.m)
+        return preconditioner_chain(op, b, family, **kwargs)
+
+    monkeypatch.setattr(inversion, "data_fitting_moments", recording_fit)
+    monkeypatch.setattr(inversion, "preconditioner_chain", recording_chain)
+    _, hist = invert_2d(tau, gc, cfg)
+    assert hist.m == 2
+    assert fits == [(3, 3), (3, 2), (3, 3), (2, 2), (2, 2), (2, 2)]
+    assert chains == [2] * 3 * len(hist.residual)
 
 
 @pytest.mark.parametrize("weights", ["identity", "adaptive"])

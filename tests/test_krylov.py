@@ -80,6 +80,21 @@ def test_bad_source_refused_on_entry(small_system):
             preconditioner_chain(o, bad, family, solver=NoSolver())
 
 
+def test_project_refuses_a_basis_of_another_size():
+    # a basis built on a 12-point operator and projected on a 10-point one
+    # raised a bare ValueError from SystemOperator.__matmul__
+    systems = {}
+    for n in (10, 12):
+        g = Grid1D(n)
+        systems[n] = (assemble_operator(ResistivityField(np.ones(n), g), build_difference_1d(g)),
+                      source_vector(g).b)
+    fam = node_family("zolotarev", 3)
+    for built_on, projected_on in ((12, 10), (10, 12)):
+        basis = build_krylov(*systems[built_on], fam)
+        with pytest.raises(InvalidGridError, match=f"basis of {built_on} rows .* {projected_on} rows"):
+            project(*systems[projected_on], basis)
+
+
 def test_indefinite_projection_raises_its_own_error(small_system):
     # projecting -A (positive definite) on a valid basis of A
     grid, field, op, b = small_system

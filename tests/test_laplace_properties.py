@@ -40,7 +40,7 @@ def _series(draw):
 def _abs_terms(series, s, K):
     """h sum_i |d_i| t_i^k / k! exp(-s t_i), k < K, over the active samples."""
     n = laplace._active_slice(series, s)
-    t = series.times()[:n]
+    t = series.step * np.arange(1, n + 1)
     k = np.arange(K)[:, None]
     w = np.exp(k * np.log(t) - s * t - gammaln(k + 1))
     return series.step * (w @ np.abs(series.samples[:n]))

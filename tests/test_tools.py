@@ -1,8 +1,9 @@
-"""The scripts under tools/: ab_pairs' verdicts and output_hashes."""
+"""The scripts under tools/: ab_pairs' verdicts, output_hashes and reach."""
 
 import importlib.util
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ def _load(name):
 
 ab_pairs = _load("ab_pairs")
 output_hashes = _load("output_hashes")
+reach = _load("reach")
 
 
 @pytest.mark.parametrize("change, sign, bound, expected", [
@@ -78,3 +80,69 @@ def test_output_hashes_tiny_run(capsys, monkeypatch):
         output_hashes.main(["--tiny", "--workload", "jacsweep", "--seed", str(seed)])
         digest = capsys.readouterr().out.split()[-1]
         assert (digest == parts[-1].group(3)) == same
+
+
+def test_reach_marks_input_checks(tmp_path):
+    # a branch that ends in raise or warnings.warn is a check, and so is a
+    # raise that ends a function; other branches are not
+    path = tmp_path / "example.py"
+    path.write_text(textwrap.dedent("""\
+        import warnings
+
+        def f(x):
+            if x < 0:
+                message = "negative"
+                raise ValueError(message)
+            elif x > 100:
+                warnings.warn("large")
+            try:
+                y = 1 / x
+            except ZeroDivisionError:
+                raise ValueError("zero") from None
+            if x > 10:
+                y = 10
+            return y
+
+        def g(kind):
+            if kind == "a":
+                return 1
+            raise ValueError(kind)
+        """))
+    src = reach.Source(path)
+    checks = sorted(src.text[line - 1].strip() for line in src.executable
+                    if src.statements[line].check)
+    assert checks == ['except ZeroDivisionError:', 'message = "negative"',
+                      'raise ValueError("zero") from None', 'raise ValueError(kind)',
+                      'raise ValueError(message)', 'warnings.warn("large")']
+    assert {src.statements[line].function for line in src.executable} == {"f", "g"}
+
+
+def test_reach_allowlist_resolves():
+    # every entry names a function, and an anchor, that the tree still has
+    sources = reach.load_sources()
+    for module, function, anchor, reason in reach.ALLOWLIST:
+        assert sources[module].anchored(function, anchor), (module, function, anchor)
+        assert reason and "\n" not in reason
+
+
+def test_reach_collects_one_scenario(tmp_path, capsys):
+    # the collector on one small synthesize run: the lines it ran are
+    # reached, so simulate_response leaves only its input checks unreached,
+    # and no statement of invert_1d is reached
+    from romres import cli
+
+    sources = reach.load_sources()
+    hit = reach.collect(lambda: cli.main(["synthesize", "--n-fine", "9", "--n-coarse", "7",
+                                          "--T", "1", "--h-T", "0.01", "--outdir",
+                                          str(tmp_path)]))
+    assert (tmp_path / "synthesize" / "manifest.json").is_file()
+    rows, _ = reach.classify(sources, hit)
+    marks = {}
+    for module, st, mark, _ in rows:
+        marks.setdefault((module, st.function), []).append(mark)
+    assert set(marks[("forward", "simulate_response")]) == {"check"}
+    inversion = sources["inversion"]
+    body = [line for line in inversion.executable
+            if inversion.statements[line].function == "invert_1d"]
+    assert len(marks[("inversion", "invert_1d")]) == len(body) > 0
+    assert "NEW" in marks[("inversion", "invert_1d")]
