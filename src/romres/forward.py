@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -126,14 +127,27 @@ def spectral_weights(A, b) -> tuple[np.ndarray, np.ndarray]:
     return lam, (Q.T @ b) ** 2
 
 
+def _active_samples(decay: float, n: int) -> int:
+    """How many of the samples exp(-decay * k), k = 1..n, are not 0.0.
+
+    They underflow to exactly 0.0 past k = -_EXP_UNDERFLOW / decay.  A decay
+    that is not positive keeps every sample, and so does a tiny one, whose
+    bound overflows to inf or passes n (a Python float division: inf, not an
+    OverflowError or a warning).
+    """
+    if not decay > 0:
+        return n
+    bound = -_EXP_UNDERFLOW / float(decay)
+    return n if bound >= n else math.floor(bound) + 1
+
+
 def _spectral_series(lam, w, n_t, h_t):
     # mode i is nonzero on samples [0, n_i): exp(li * t) underflows to 0.0 past it
     modes = []
     for li, wi in zip(lam, w):
         if wi == 0.0:
             continue
-        n_i = n_t if li >= 0 else min(n_t, int(np.floor(_EXP_UNDERFLOW / (li * h_t))) + 1)
-        modes.append((li, wi, n_i))
+        modes.append((li, wi, _active_samples(-li * h_t, n_t)))
     y = np.zeros(n_t)
     t = np.empty(min(n_t, _BLOCK))
     term = np.empty_like(t)
@@ -201,6 +215,13 @@ def add_noise(series: TimeSeries, noise: NoiseModel) -> TimeSeries:
 class shifted_solver:
     """Cached factorizations of (s I - A) across shifts of a ``SystemOperator``.
 
+    Each operator keeps one, built on first use (``SystemOperator.solver``),
+    and every resolvent evaluation in the library asks the operator for it:
+    one factorization per (operator, shift) serves every Krylov column,
+    every source, the moments and the Jacobian.  The solver holds the
+    operator's bands or A, not the operator, so its factors are freed with
+    the operator.
+
     The factorization is chosen by the kind of operator, because the two
     kinds are different problems:
 
@@ -225,13 +246,16 @@ class shifted_solver:
     """
 
     def __init__(self, op: SystemOperator):
-        self._n, self._op, self._factors = _rows(op), op, {}
+        # the bands or A, not op itself: op keeps its solver
+        # (``SystemOperator.solver``), and holding op would make a cycle
+        self._n, self._bands, self._factors = _rows(op), op.bands, {}
+        self._A = op.A if op.bands is None else None
 
     def _factor(self, s: float):
         if not np.isfinite(s):
             raise RomresError(f"shift must be finite, got s={s!r}")
-        if self._op.bands is not None:
-            main, off = self._op.bands
+        if self._bands is not None:
+            main, off = self._bands
             d, e, info = sla.lapack.dpttrf(s - main, -off, overwrite_d=1, overwrite_e=1)
             if info > 0:
                 raise RomresError(f"singular shift s={s!r}: pivot {info} of sI - A is not "
@@ -244,7 +268,7 @@ class shifted_solver:
                 return x
 
             return solve_bands
-        mat = (s * sp.identity(self._n, format="csc") - self._op.A).tocsc()
+        mat = (s * sp.identity(self._n, format="csc") - self._A).tocsc()
         try:
             return spla.splu(mat, permc_spec="MMD_AT_PLUS_A").solve
         except RuntimeError as exc:  # singular shift
@@ -272,17 +296,17 @@ def transfer_eval(op: SystemOperator, b, s: float):
     symmetric, so the derivative -b^T (sI - A)^{-2} b equals -x^T x.
     """
     b = _source(b, _rows(op))
-    x = shifted_solver(op).solve(s, b)
+    x = op.solver.solve(s, b)
     return float(np.dot(b, x)), -float(np.dot(x, x))
 
 
-def transfer_moments(op: SystemOperator, b, s_hat: float, K: int,
-                     solver: shifted_solver | None = None) -> np.ndarray:
+def transfer_moments(op: SystemOperator, b, s_hat: float, K: int) -> np.ndarray:
     """Taylor coefficients tau_0..tau_{K-1} of the transfer function at s_hat.
 
     tau_k = (-1)^k b^T (s_hat I - A)^{-(k+1)} b, so that
     Y(s) = sum_k tau_k (s - s_hat)^k.  ``op`` and b are checked as in
-    ``transfer_eval``, also when a ``solver`` is given.
+    ``transfer_eval``; the K solves run on the operator's one factor of
+    s_hat I - A (``SystemOperator.solver``).
     """
     K = _require_integer("K", K)
     if K < 1:
@@ -290,7 +314,7 @@ def transfer_moments(op: SystemOperator, b, s_hat: float, K: int,
     b = _source(b, _rows(op))
     if K > b.size:
         warnings.warn("more moments than system dimension; trailing ones are rank deficient")
-    solver = solver or shifted_solver(op)
+    solver = op.solver
     tau, x = np.empty(K), b
     for k in range(K):
         x = solver.solve(s_hat, x)

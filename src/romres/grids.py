@@ -169,11 +169,17 @@ class SystemOperator:
     tridiagonal by construction: it holds A's main diagonal and its one
     off-diagonal, ``bands = (main, off)``, and D, and ``averaging`` is
     None, since its parameters are the edge values themselves.  The 1D
-    chain works on the bands alone: ``shifted_solver(op)`` factors them and
+    chain works on the bands alone: its ``solver`` factors them and
     ``op @ X`` forms main X plus the shifted off X, which equals
     ``op.A @ X`` bit for bit (but for the sign of a zero result).  A 1D
     operator's CSR ``A`` is built from (off, main, off) on first read and
     kept; the chain and its Jacobian never read it.
+
+    ``solver`` is the operator's one ``forward.shifted_solver``, likewise
+    built on first read and kept: every resolvent evaluation on the
+    operator shares its factors, one per shift.  So the operator's arrays
+    must not change after construction, or the cached factors go stale;
+    ``assemble_operator`` and ``assemble_operator_2d`` hand it read-only ones.
 
     Shapes are checked here (InvalidGridError): a 1D operator needs n >= 2
     and bands of shapes (n,) and (n - 1,), a 2D one an n x n ``A``.
@@ -194,6 +200,7 @@ class SystemOperator:
         self.averaging = averaging
         self.bands = bands
         self._A = A
+        self._solver = None
 
     @property
     def A(self) -> sp.csr_matrix:
@@ -201,6 +208,13 @@ class SystemOperator:
             main, off = self.bands
             self._A = sp.diags([off, main, off], [-1, 0, 1], format="csr")
         return self._A
+
+    @property
+    def solver(self):
+        if self._solver is None:
+            from .forward import shifted_solver  # forward imports this module
+            self._solver = shifted_solver(self)
+        return self._solver
 
     def toarray(self) -> np.ndarray:
         return self.A.toarray()
@@ -243,9 +257,13 @@ def build_difference_1d(grid: Grid1D) -> sp.csr_matrix:
     """
     n, h = grid.n_points, grid.spacing
     D = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n), format="csr")
-    for array in (D.data, D.indices, D.indptr):
-        array.flags.writeable = False
+    _read_only(D.data, D.indices, D.indptr)
     return D
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
 
 
 def _weighted_gram(D: sp.csr_matrix, rho: np.ndarray) -> sp.csr_matrix:
@@ -300,6 +318,7 @@ def assemble_operator(field: ResistivityField, D: sp.csr_matrix) -> SystemOperat
     p = d * r * d
     main = -p
     main[1:] -= p[:-1]
+    _read_only(main, p)
     return SystemOperator(D=D, bands=(main, p[:-1]))
 
 
@@ -352,6 +371,7 @@ def assemble_operator_2d(field: ResistivityField, grid: Grid2D | None = None) ->
     D, M = build_difference_2d(grid)
     rho = M @ field.values
     A = _weighted_gram(D, rho)
+    _read_only(*(a for mat in (A, D, M) for a in (mat.data, mat.indices, mat.indptr)))
     return SystemOperator(A=A, D=D, averaging=M)
 
 

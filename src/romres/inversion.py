@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 from .errors import (AdmissibilityError, DataUnusableError, DegeneracyError,
                      RegularizationError, RomresError, SpectralValidityError,
                      StepFailureError, _require_integer)
-from .forward import TimeSeries, shifted_solver, transfer_moments
+from .forward import TimeSeries, transfer_moments
 from .grids import (Grid1D, Grid2D, ResistivityField, SystemOperator, _difference_diagonal,
                     assemble_operator, assemble_operator_2d,
                     build_difference_1d, build_difference_2d, source_vector,
@@ -520,7 +520,7 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
 
     ``assemble(r)`` returns the SystemOperator at resistivity r.  Each
     evaluation runs the stable chain of ``family`` once per source vector
-    in ``sources``, all on one shifted solver of that operator, and stacks
+    in ``sources``, all on that operator's one set of factors, and stacks
     the per-source coefficient vectors and Jacobians in source order; the
     iteration matches the stack to ``l_star``.  Step, weights, null-space
     correction and bookkeeping follow ``config``; the unknowns are the
@@ -529,8 +529,7 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
 
     def eval_chain(r):
         op = assemble(r)
-        solver = shifted_solver(op)
-        ctxs = [preconditioner_chain(op, b, family, solver=solver) for b in sources]
+        ctxs = [preconditioner_chain(op, b, family) for b in sources]
         if config.parametrization == "cfrac":
             vecs = [c.log_vector() for c in ctxs]
         else:
@@ -619,10 +618,12 @@ def invert_1d(data: TimeSeries | FitTarget, grid: Grid1D,
 
 
 def moments_from_operator(op: SystemOperator, sources, s_hat: float, K: int) -> np.ndarray:
-    """Per-source transfer moments of a semi-discrete model (data synthesis)."""
-    solver = shifted_solver(op)
-    return np.vstack([transfer_moments(op, b, s_hat, K, solver=solver)
-                      for b in sources])
+    """Per-source transfer moments of a semi-discrete model (data synthesis).
+
+    Every source's solves run on the operator's one factor of s_hat I - A
+    (``SystemOperator.solver``), which is kept on ``op`` while it lives.
+    """
+    return np.vstack([transfer_moments(op, b, s_hat, K) for b in sources])
 
 
 def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,

@@ -151,14 +151,14 @@ def _adjoint_sweep(ctx: ChainContext, T_A: np.ndarray, T_b: np.ndarray) -> np.nd
     D = ctx.operator.D
     K, V, U = ctx.basis.K, ctx.basis.V, ctx.basis.U
     m = ctx.m
-    Q = doubled_basis(ctx.solver, ctx.basis, ctx.b)
+    Q = doubled_basis(ctx.operator, ctx.basis, ctx.b)
     DK = np.asarray(D @ K)
     DV = np.asarray(D @ V)
     Vq, Kq = Q.T @ V, Q.T @ K
     Wq = Q.T @ np.column_stack([ctx.model.AV, ctx.b])
     DY, QY = [], []
     for s in ctx.basis.family.nodes:
-        Y = ctx.solver.solve(s, Q)
+        Y = ctx.operator.solver.solve(s, Q)
         DY.append(np.asarray(D @ Y))
         QY.append(Q.T @ Y)
     layout = _column_layout(ctx.basis.family)

@@ -23,7 +23,7 @@ import scipy.linalg as sla
 from .cfrac import ContinuedFraction, pole_residue_to_cfrac
 from .errors import (BasisCollapseError, DegeneracyError, InvalidGridError, ProjectionError,
                      RomresError)
-from .forward import _rows, _source, shifted_solver
+from .forward import _rows, _source
 from .grids import (Grid1D, ResistivityField, SystemOperator, assemble_operator,
                     build_difference_1d, source_vector)
 from .ratfit import NodeFamily, PoleResidue
@@ -105,23 +105,23 @@ def _gram_schmidt_step(V: np.ndarray, j: int, u: np.ndarray):
     return coeffs
 
 
-def build_krylov(op: SystemOperator, b, family: NodeFamily,
-                 solver: shifted_solver | None = None) -> KrylovBasis:
+def build_krylov(op: SystemOperator, b, family: NodeFamily) -> KrylovBasis:
     """Orthonormal basis of the rational Krylov subspace of ``family``.
 
     Solves, orthogonalizes and normalizes one column at a time (see
-    KrylovBasis).  Before any solve, also when a ``solver`` is given, an
-    ``op`` that is not a ``SystemOperator`` or a source that is not a finite
-    real vector of its n rows raises InvalidGridError, and a family with
-    more nodes (with multiplicity) than n raises BasisCollapseError; so does
-    a column that vanishes after the Gram-Schmidt step.
+    KrylovBasis), on the operator's own factors (``SystemOperator.solver``).
+    Before any solve, an ``op`` that is not a ``SystemOperator`` or a source
+    that is not a finite real vector of its n rows raises InvalidGridError,
+    and a family with more nodes (with multiplicity) than n raises
+    BasisCollapseError; so does a column that vanishes after the
+    Gram-Schmidt step.
     """
     n, m = _rows(op), family.m
     b = _source(b, n)
     if m > n:
         raise BasisCollapseError(f"model size m={m} exceeds the system dimension {n}; "
                                  "reduce the model size m")
-    solver = solver or shifted_solver(op)
+    solver = op.solver
     K = np.zeros((n, m))
     V = np.zeros((n, m))
     U = np.zeros((m, m))
@@ -149,13 +149,14 @@ def build_krylov(op: SystemOperator, b, family: NodeFamily,
 _SPAN_FLOOR = 1e-13
 
 
-def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> np.ndarray:
+def doubled_basis(op: SystemOperator, basis: KrylovBasis, b: np.ndarray) -> np.ndarray:
     """Orthonormal Q of the space every adjoint-sweep input lies in.
 
     That space is span{b, (s_j I - A)^{-k} b : k <= 2 mult_j - 1}, of
     dimension d = 2m + 1 - (number of nodes).  Q starts as [V, b] and each
     node's chain is extended from its last column of V by mult_j - 1 more
-    solves, each on the newest column, with a two-pass Gram-Schmidt step.
+    solves on ``op``'s factors, each on the newest column, with a two-pass
+    Gram-Schmidt step.
     A direction left with at most 1e-13 of its norm is skipped with the rest
     of its node's chain: the space is then invariant under that node's
     resolvent (as when n < d), so the skip is exact and Q has fewer than d
@@ -182,7 +183,7 @@ def doubled_basis(solver: shifted_solver, basis: KrylovBasis, b: np.ndarray) -> 
     for s, mult, last in zip(fam.nodes, fam.multiplicities, np.cumsum(fam.multiplicities) - 1):
         x = V[:, last]
         for _ in range(int(mult) - 1):
-            if not append(solver.solve(s, x)):
+            if not append(op.solver.solve(s, x)):
                 break
             x = Q[:, k - 1]
     return Q[:, :k]
@@ -226,11 +227,14 @@ def reduced_spectral(model: ReducedModel):
 
 @dataclass(frozen=True)
 class ChainContext:
-    """All intermediates of one preconditioner evaluation at a fixed r."""
+    """All intermediates of one preconditioner evaluation at a fixed r.
+
+    The Jacobian's solves run on ``operator.solver``, whose factors the
+    chain made.
+    """
 
     operator: SystemOperator
     b: np.ndarray
-    solver: shifted_solver
     basis: KrylovBasis
     model: ReducedModel
     pr: PoleResidue
@@ -246,17 +250,17 @@ class ChainContext:
 
 
 def preconditioner_chain(op: SystemOperator, b: np.ndarray, family: NodeFamily,
-                         generation: str = "auto",
-                         solver: shifted_solver | None = None) -> ChainContext:
+                         generation: str = "auto") -> ChainContext:
     """Run the full stable chain at one operator/source pair.
 
-    ``generation`` selects nothing: it accepts ``'auto'`` or the family's
+    The solves run on the operator's own factors (``SystemOperator.solver``),
+    so every source and the Jacobian of every chain on one operator share
+    one factorization per shift.  ``generation`` selects nothing: it accepts ``'auto'`` or the family's
     own ``KrylovBasis.generation`` label and raises RomresError otherwise.
     It stays only because the benchmark harness passes it, and goes with
     the harness's next change (ROADMAP item 0).
     """
-    solver = solver or shifted_solver(op)
-    basis = build_krylov(op, b, family, solver=solver)
+    basis = build_krylov(op, b, family)
     if generation not in ("auto", basis.generation):
         raise RomresError(f"generation {generation!r} is neither 'auto' nor "
                           f"{basis.generation!r}, the label of this family's basis")
@@ -265,7 +269,7 @@ def preconditioner_chain(op: SystemOperator, b: np.ndarray, family: NodeFamily,
     gaps = np.diff(pr.theta)
     if gaps.size and np.min(gaps) < 1e-10 * abs(pr.theta[-1]):
         raise DegeneracyError("nearly coinciding reduced eigenvalues")
-    return ChainContext(operator=op, b=b, solver=solver, basis=basis, model=model,
+    return ChainContext(operator=op, b=b, basis=basis, model=model,
                         pr=pr, Z=Z, cf=pole_residue_to_cfrac(pr))
 
 

@@ -73,7 +73,7 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from .errors import RomresError, _require_integer
-from .forward import _EXP_UNDERFLOW, TimeSeries
+from .forward import TimeSeries, _active_samples
 
 __all__ = ["laplace_transform", "laplace_derivative", "laplace_moments"]
 
@@ -103,14 +103,7 @@ def _check(series: TimeSeries, s) -> float:
 
 def _active_slice(series: TimeSeries, s: float) -> int:
     # samples past this index multiply an exactly-zero kernel
-    if s <= 0:
-        return series.n_samples
-    sh = s * series.step
-    # a tiny s h underflows to 0 or sends the bound past every sample
-    bound = -_EXP_UNDERFLOW / sh if sh > 0 else np.inf
-    if bound >= series.n_samples:
-        return series.n_samples
-    return max(int(np.floor(bound)) + 1, 1)
+    return _active_samples(s * series.step, series.n_samples)
 
 
 def _log_weights(x: np.ndarray, s: float, K: int) -> np.ndarray:

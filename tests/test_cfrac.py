@@ -3,7 +3,7 @@ import pytest
 
 from romres.cfrac import (ContinuedFraction, _scheme_inverse, eval_cfrac,
                           pole_residue_to_cfrac, solve_fd_scheme, three_point_scheme)
-from romres.errors import AdmissibilityError, DegeneracyError
+from romres.errors import AdmissibilityError, DegeneracyError, RomresError
 from romres.ratfit import PoleResidue
 
 
@@ -126,3 +126,10 @@ def test_log_vector_ordering(rng):
     assert np.allclose(v[:3], np.log(cf.kappa))
     assert np.allclose(v[3:], np.log(cf.kappa_hat))
 
+
+
+def test_fd_scheme_singular_shift():
+    # m = 1, kappa = kappahat = 1: sI - A vanishes at s = -1
+    cf = ContinuedFraction(np.array([1.0]), np.array([1.0]))
+    with pytest.raises(RomresError, match="singular reduced scheme"):
+        solve_fd_scheme(cf, -1.0)

@@ -1,12 +1,16 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import romres.scenarios as scenarios
 from romres.cli import main
 from romres.errors import DataUnusableError, RomresError
 from romres.forward import simulate_response
-from romres.scenarios import ExperimentConfig, run_scenario
+from romres.grids import Grid1D
+from romres.inversion import invert_1d
+from romres.scenarios import ExperimentConfig, run_scenario, synthesize_1d
 
 
 def test_grids_verb(tmp_path, capsys):
@@ -153,3 +157,53 @@ def test_noise_ladder_maps_only_unusable_data(tmp_path, monkeypatch, error, term
     run_scenario(_small_ladder(tmp_path))
     rows = (tmp_path / "noise-ladder" / "noise_ladder.csv").read_text().splitlines()[1:]
     assert {row.split(",")[-1] for row in rows} == {terminal_m}
+
+
+def _rows(path):
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _finite(cells):
+    return all(np.isfinite(float(c)) for c in cells)
+
+
+def test_conditioning_scenarios_write_their_tables(tmp_path):
+    out = str(tmp_path)
+    assert main(["scenario", "table-ratcond", "--n-fine", "99", "--T", "10",
+                 "--h-T", "1e-3", "--outdir", out]) == 0
+    header, rows = _rows(tmp_path / "table-ratcond" / "conditioning.csv")
+    assert header == ["m", "cond_multipoint", "cond_toeplitz"]
+    assert [r[0] for r in rows] == ["2", "3", "4", "5", "6"]
+    assert all(_finite(r[1:]) for r in rows)
+
+    assert main(["condnum", "--outdir", out]) == 0
+    header, rows = _rows(tmp_path / "condnum" / "jacobian_conditioning.csv")
+    assert header == ["family", "m", "cond"]
+    assert [(r[0], r[1]) for r in rows] == [(f, str(m)) for f in ("pade0", "zolotarev", "fast")
+                                            for m in range(2, 9)]
+    assert all(_finite(r[2:]) and float(r[2]) >= 1.0 for r in rows)
+
+    assert main(["sensmap", "--fine-shape", "24", "8", "--coarse-shape", "18", "6",
+                 "--n-sources", "4", "--m0", "3", "--outdir", out]) == 0
+    header, rows = _rows(tmp_path / "sensmap" / "sensitivity_rows.csv")
+    assert header == (["x", "y"] + [f"dlog_kappa_{l}" for l in (1, 2, 3)]
+                      + [f"dlog_kappa_hat_{l}" for l in (1, 2, 3)])
+    assert len(rows) == 18 * 6 and all(_finite(r) for r in rows)
+    assert len(list((tmp_path / "sensmap").glob("sens_*.pgm"))) == 6
+    for scenario in ("table-ratcond", "condnum", "sensmap"):
+        assert (tmp_path / scenario / "manifest.json").exists()
+
+
+def test_no_nullspace_flag(tmp_path):
+    small = ["--n-fine", "149", "--n-coarse", "99", "--m0", "3", "--n-gn", "2",
+             "--h-T", "1e-4", "--T", "50"]
+    assert main(["invert1d", *small, "--no-nullspace", "--outdir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "invert1d" / "manifest.json").read_text())
+    assert manifest["config"]["nullspace_correction"] is False
+    cfg = ExperimentConfig(scenario="invert1d", n_fine=149, n_coarse=99, m0=3, n_gn=2,
+                           h_T=1e-4, T=50.0)
+    rec, _ = invert_1d(synthesize_1d(cfg), Grid1D(99),
+                       replace(cfg.inversion_config(), nullspace_correction=False))
+    _, rows = _rows(tmp_path / "invert1d" / "reconstruction.csv")
+    assert np.array_equal([float(r[2]) for r in rows], rec.values)

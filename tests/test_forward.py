@@ -15,7 +15,7 @@ from romres.grids import (Grid1D, Grid2D, ResistivityField, SystemOperator, asse
                           assemble_operator_2d, build_difference_1d, source_vector,
                           uniform_segments)
 from romres.jacobian import assemble_jacobian
-from romres.krylov import build_krylov, preconditioner_chain, project
+from romres.krylov import build_krylov, preconditioner_R, preconditioner_chain, project
 from romres.phantoms import phantom
 from romres.ratfit import node_family
 
@@ -459,20 +459,19 @@ def test_raw_matrix_refused(rng, splu_calls, lapack_calls):
     # the resolvent layer takes a SystemOperator only: a raw matrix used to
     # go to SuperLU (a 1D operator's CSR A among them), and None or a 3D
     # array raised a bare ValueError from scipy.sparse.  Each is refused on
-    # entry, also when a solver of a valid operator is passed
+    # entry
     fam = node_family("zolotarev", 2)
     for op, b in _two_kinds_of_operator(rng):
         if op.bands is None:
             fam = node_family("single-node", 2, s_hat=30.0)
-        basis, solver = build_krylov(op, b, fam), shifted_solver(op)
+        basis = build_krylov(op, b, fam)
         splu_calls.clear()
         lapack_calls.clear()
         entry_points = [shifted_solver, lambda A: transfer_eval(A, b, 2.0),
-                        lambda A: project(A, b, basis)]
-        for kw in ({}, {"solver": solver}):
-            entry_points += [lambda A, kw=kw: transfer_moments(A, b, 2.0, 2, **kw),
-                             lambda A, kw=kw: build_krylov(A, b, fam, **kw),
-                             lambda A, kw=kw: preconditioner_chain(A, b, fam, **kw)]
+                        lambda A: project(A, b, basis),
+                        lambda A: transfer_moments(A, b, 2.0, 2),
+                        lambda A: build_krylov(A, b, fam),
+                        lambda A: preconditioner_chain(A, b, fam)]
         for raw in (op.A.toarray(), op.A, op.A.toarray().tolist(), None):
             for call in entry_points:
                 with pytest.raises(InvalidGridError, match="SystemOperator"):
@@ -615,3 +614,119 @@ def test_2d_resolvent_symmetric_ordering(rng, monkeypatch):
     ref = reference_splu(sp.csc_matrix(60.0 * sp.identity(g.n_cells) - op.A)).solve(rhs)
     # measured 1.0e-15
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_underflowing_decay_keeps_every_sample():
+    # a mode whose decay per sample li * h_T underflows to a subnormal or to
+    # -0.0 sent the underflow bound to inf, and int(inf) raised a bare
+    # OverflowError after a RuntimeWarning: a ResistivityField of 1e-320
+    # (which the field accepts) and a CSR diag(-1e-318, -1).  Such a mode is
+    # active on every sample
+    g = Grid1D(4)
+    tiny = assemble_operator(ResistivityField(np.full(4, 1e-320), g), build_difference_1d(g))
+    t = 0.25 * np.arange(1, 5)
+    for A in (tiny, sp.csr_matrix(np.diag([-1e-318, -1.0]))):
+        b = np.ones(A.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = simulate_response(A, b, 1.0, 0.25)
+        lam, w = spectral_weights(A, b)
+        ref = np.zeros(4)
+        for li, wi in zip(lam, w):
+            ref += wi * np.exp(li * t)
+        assert np.array_equal(y.samples, ref)
+    assert np.allclose(simulate_response(tiny, np.ones(4), 1.0, 0.25).samples, 4.0)
+
+
+def test_active_samples_rule():
+    # bitwise the old count floor(-746 / (li h)) + 1 wherever that was finite,
+    # and every sample where the bound overflows, is past n or the decay is not
+    # positive
+    for li, h in ((-1e5, 1e-3), (-3.0, 1e-5), (-2.0, 0.1), (-746.0, 1.0)):
+        old = int(np.floor(forward._EXP_UNDERFLOW / (li * h))) + 1
+        assert forward._active_samples(-li * h, 10 ** 9) == old
+    n = 1000
+    for decay in (0.0, -0.0, -1.0, 1e-320, 5e-324, 0.746):
+        assert forward._active_samples(decay, n) == n
+    assert forward._active_samples(746.0 / 10.5, n) == 11
+
+
+def test_operator_keeps_one_solver(rng, lapack_calls, splu_calls):
+    # every resolvent evaluation asks the operator for its one solver, so a
+    # shift is factored once per operator, whichever functions ask
+    grid = Grid1D(50)
+    op = assemble_operator(ResistivityField(1.0 + rng.random(50), grid),
+                           build_difference_1d(grid))
+    b = source_vector(grid).b
+    assert op.solver is op.solver
+    fam = node_family("zolotarev", 3)
+    transfer_eval(op, b, float(fam.nodes[0]))
+    transfer_moments(op, b, float(fam.nodes[1]), 3)
+    build_krylov(op, b, fam)
+    assemble_jacobian(preconditioner_chain(op, b, fam))
+    assert lapack_calls == ["dpttrf"] * 3 and splu_calls == []
+    g2 = Grid2D(nx=10, ny=5)
+    op2 = assemble_operator_2d(ResistivityField(1.0 + rng.random(g2.n_cells), g2))
+    fam2 = node_family("single-node", 3, s_hat=30.0)
+    for seg in uniform_segments(g2, 2):
+        b2 = source_vector(g2, seg).b
+        transfer_moments(op2, b2, 30.0, 2)
+        assemble_jacobian(preconditioner_chain(op2, b2, fam2))
+    assert splu_calls == [g2.n_cells]
+
+
+def test_jacobian_reuses_the_chain_factors(lapack_calls):
+    # preconditioner_R then assemble_jacobian: one dpttrf per distinct node
+    field = phantom("rQ", Grid1D(199))
+    for name, m in (("zolotarev", 4), ("pade0", 3), ("fast", 5)):
+        fam = node_family(name, m)
+        lapack_calls.clear()
+        _, ctx = preconditioner_R(field, fam, return_context=True)
+        assemble_jacobian(ctx)
+        assert lapack_calls == ["dpttrf"] * len(fam.nodes)
+
+
+def test_assembled_operator_arrays_read_only(rng):
+    # the operator's solver caches factors of its arrays, so they must not change
+    grid = Grid1D(10)
+    op = assemble_operator(ResistivityField(1.0 + rng.random(10), grid),
+                           build_difference_1d(grid))
+    g2 = Grid2D(nx=6, ny=3)
+    op2 = assemble_operator_2d(ResistivityField(1.0 + rng.random(g2.n_cells), g2))
+    arrays = list(op.bands) + [a for mat in (op2.A, op2.D, op2.averaging)
+                               for a in (mat.data, mat.indices, mat.indptr)]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def test_operator_and_factors_freed_without_gc(rng):
+    # the solver holds the operator's bands or A, not the operator: dropping
+    # the operator (and a chain context on it) frees its factors at once,
+    # with the cycle collector off
+    import gc
+    import weakref
+
+    g2 = Grid2D(nx=10, ny=5)
+    b2 = source_vector(g2, uniform_segments(g2, 1)[0]).b
+    systems = [(phantom("rQ", Grid1D(40)), source_vector(Grid1D(40)).b,
+                node_family("zolotarev", 3)),
+               (ResistivityField(1.0 + rng.random(g2.n_cells), g2), b2,
+                node_family("single-node", 3, s_hat=30.0))]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for field, b, fam in systems:
+            if isinstance(field.grid, Grid1D):
+                op = assemble_operator(field, build_difference_1d(field.grid))
+            else:
+                op = assemble_operator_2d(field)
+            ctx = preconditioner_chain(op, b, fam)
+            assemble_jacobian(ctx)
+            refs = [weakref.ref(op), weakref.ref(op.solver)]
+            del op, ctx
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

@@ -11,7 +11,7 @@ import romres.inversion as inversion
 import romres.laplace as laplace
 from romres.errors import (DataUnusableError, RegularizationError, RomresError,
                            SpectralValidityError, StepFailureError)
-from romres.forward import TimeSeries, simulate_response
+from romres.forward import TimeSeries, shifted_solver, simulate_response
 from romres.grids import (Grid1D, Grid2D, ResistivityField, _difference_diagonal,
                           assemble_operator, assemble_operator_2d, build_difference_1d,
                           source_vector, uniform_segments)
@@ -937,3 +937,41 @@ def test_quadrature_moments_match_operator_moments(small_system):
     tau_q = laplace_moments(y, s_hat, 4)
     tau_m = moments_from_operator(op, [b], s_hat, 4)[0]
     assert np.allclose(tau_q, tau_m, rtol=5e-3)
+
+
+def test_gauss_newton_evaluation_factors_once(monkeypatch):
+    # each 2D evaluation (18 x 6 grid, 2 sources, single node m = 3) builds
+    # one solver and factors s_hat I - A once for every chain and Jacobian;
+    # the synthesis factors its operator once for every source
+    built, factored = [], []
+    init, factor = shifted_solver.__init__, shifted_solver._factor
+
+    def counting_init(self, op):
+        built.append(self)
+        init(self, op)
+
+    def counting_factor(self, s):
+        factored.append((self, s))
+        return factor(self, s)
+
+    monkeypatch.setattr(shifted_solver, "__init__", counting_init)
+    monkeypatch.setattr(shifted_solver, "_factor", counting_factor)
+    gf, gc = Grid2D(nx=24, ny=8), Grid2D(nx=18, ny=6)
+    gf = replace(gf, segments=uniform_segments(gf, 2))
+    cfg = InversionConfig(m0=3, family_kind="single-node", s_hat=30.0, n_gn=1, n_sources=2)
+    op = assemble_operator_2d(phantom("two-rect-side", gf), gf)
+    tau = moments_from_operator(op, [source_vector(gf, s).b for s in gf.segments],
+                                cfg.s_hat, 2 * cfg.m0)
+    assert factored == [(op.solver, 30.0)] and built == [op.solver]
+    built.clear()
+    factored.clear()
+    _, hist = invert_2d(tau, gc, cfg)
+    assert hist.m == 3 and len(hist.iterations) == 2
+    assert factored == [(solver, 30.0) for solver in built] and len(built) == 2
+
+
+def test_toeplitz_scale_zero_moment_guard():
+    # a vanishing first or last moment leaves the Toeplitz system unscaled
+    assert inversion._toeplitz_scale(np.array([0.0, 0.5, 0.25])) == 1.0
+    assert inversion._toeplitz_scale(np.array([1.0, 0.5, 0.0])) == 1.0
+    assert inversion._toeplitz_scale(np.array([1.0, 0.5, 0.25])) == 2.0

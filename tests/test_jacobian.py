@@ -43,13 +43,14 @@ def _forward_mode_reference(ctx, lo=0, hi=None):
     DK = np.asarray(op.D @ K)[lo:hi]
     Dt = op.D.T.tocsc()[:, lo:hi].toarray()
     dV = np.zeros((ctx.m, op.A.shape[0], hi - lo))
+    solver = op.solver
     col = 0
     for s, mult in zip(ctx.basis.family.nodes, ctx.basis.family.multiplicities):
-        gd = ctx.solver.solve(s, Dt)
+        gd = solver.solve(s, Dt)
         d_in = np.zeros_like(gd)  # the chain input b is fixed
         for _ in range(int(mult)):
             u_raw, coeffs, nrm = K[:, col], U[:col, col], U[col, col]
-            du = -gd * DK[:, col][None, :] + ctx.solver.solve(s, d_in)
+            du = -gd * DK[:, col][None, :] + solver.solve(s, d_in)
             c_d = np.einsum("lnq,n->lq", dV[:col], u_raw) + V[:, :col].T @ du
             du_perp = du - V[:, :col] @ c_d
             if col:

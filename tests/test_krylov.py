@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from romres.cfrac import pole_residue_to_cfrac
 from romres.errors import BasisCollapseError, InvalidGridError, ProjectionError, RomresError
-from romres.forward import transfer_eval, transfer_moments
+from romres.forward import shifted_solver, transfer_eval, transfer_moments
 from romres.grids import Grid1D, Grid2D, ResistivityField, SystemOperator, assemble_operator, \
     assemble_operator_2d, build_difference_1d, source_vector, uniform_segments
 from romres.jacobian import assemble_jacobian
@@ -40,30 +40,31 @@ def test_zero_source_collapses_basis(small_system):
         build_krylov(op, np.zeros_like(b), node_family("zolotarev", 3))
 
 
-def test_model_larger_than_system_rejected_before_solving():
+def _refuse_solves(monkeypatch, what):
+    def no_solve(self, s, rhs):
+        raise AssertionError(f"solved before checking the {what}")
+
+    monkeypatch.setattr(shifted_solver, "solve", no_solve)
+
+
+def test_model_larger_than_system_rejected_before_solving(monkeypatch):
     # zolotarev m = 6 on four unknowns is refused on entry, before any
     # resolvent is factored
-    class NoSolver:
-        def solve(self, s, rhs):
-            raise AssertionError("solved before checking the model size")
-
+    _refuse_solves(monkeypatch, "model size")
     grid = Grid1D(4)
     op = assemble_operator(ResistivityField(np.ones(4), grid), build_difference_1d(grid))
     with pytest.raises(BasisCollapseError, match="exceeds the system dimension"):
-        build_krylov(op, source_vector(grid).b, node_family("zolotarev", 6), solver=NoSolver())
+        build_krylov(op, source_vector(grid).b, node_family("zolotarev", 6))
     with pytest.raises(BasisCollapseError):
         preconditioner_R(ResistivityField(np.ones(4), grid), node_family("zolotarev", 6))
 
 
-def test_bad_source_refused_on_entry(small_system):
+def test_bad_source_refused_on_entry(small_system, monkeypatch):
     # a source that is not finite, or not of the operator's length, is
     # refused before any solve, on a 1D and a 2D operator alike, not left to
     # eigh's ValueError (NaN), a RuntimeWarning (inf), SuperLU's ValueError
     # (2D length) or a misleading BasisCollapseError (1D length)
-    class NoSolver:
-        def solve(self, s, rhs):
-            raise AssertionError("solved before checking the source")
-
+    _refuse_solves(monkeypatch, "source")
     grid, field, op, b = small_system
     g2 = Grid2D(nx=6, ny=3)
     op2 = assemble_operator_2d(ResistivityField(np.ones(g2.n_cells), g2), g2)
@@ -75,9 +76,9 @@ def test_bad_source_refused_on_entry(small_system):
                         (op2, np.r_[b2, 0.0], "single-node")):
         family = node_family(fam, 2, s_hat=30.0) if fam == "single-node" else node_family(fam, 2)
         with pytest.raises(InvalidGridError, match="source"):
-            build_krylov(o, bad, family, solver=NoSolver())
+            build_krylov(o, bad, family)
         with pytest.raises(InvalidGridError, match="source"):
-            preconditioner_chain(o, bad, family, solver=NoSolver())
+            preconditioner_chain(o, bad, family)
 
 
 def test_project_refuses_a_basis_of_another_size():

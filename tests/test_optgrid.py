@@ -66,3 +66,13 @@ def test_ratio_tracks_smooth_phantom():
     truth = phantom_function_1d("rQ")(ref.x_hat)
     assert np.max(np.abs(rec.zeta_tilde - truth) / truth) < 0.1
 
+
+
+def test_interlacing_first_and_last_verdicts():
+    # a first dual node at or left of 0, and a last primary node past 1
+    g = OptimalGrid(x=np.array([0.3, 0.8]), x_hat=np.array([0.0, 0.5]),
+                    kappa0=np.array([0.3, 0.5]), kappa_hat0=np.array([0.0, 0.5]))
+    assert check_interlacing(g) == (False, 0)
+    g = OptimalGrid(x=np.array([0.3, 1.1]), x_hat=np.array([0.1, 0.5]),
+                    kappa0=np.array([0.3, 0.8]), kappa_hat0=np.array([0.1, 0.4]))
+    assert check_interlacing(g) == (False, 3)
