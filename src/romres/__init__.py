@@ -17,8 +17,7 @@ from .ratfit import (NodeFamily, RationalModel, PoleResidue, nodes_geometric,
 from .cfrac import (ContinuedFraction, pole_residue_to_cfrac, eval_cfrac,
                     solve_fd_scheme)
 from .krylov import (KrylovBasis, ReducedModel, ChainContext, build_krylov,
-                     project, reduced_spectral, preconditioner_chain,
-                     preconditioner_R)
+                     project, preconditioner_chain, preconditioner_R)
 from .jacobian import assemble_jacobian
 from .optgrid import (OptimalGrid, RatioReconstruction, reference_grid,
                       check_interlacing, ratio_reconstruction)

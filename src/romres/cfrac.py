@@ -37,7 +37,9 @@ _POSITIVITY_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class ContinuedFraction:
-    """Coefficients (kappa_j, kappahat_j); admissible when all positive."""
+    """Coefficients (kappa_j, kappahat_j), admissible by construction: a
+    coefficient that is not finite, or not above 1e-14 of the largest in
+    its vector, raises AdmissibilityError with its ``index``."""
 
     kappa: np.ndarray
     kappa_hat: np.ndarray
@@ -49,21 +51,21 @@ class ContinuedFraction:
         object.__setattr__(self, "kappa_hat", kh)
         if k.shape != kh.shape or k.ndim != 1 or k.size == 0:
             raise RomresError("kappa and kappa_hat must be matching vectors")
+        for name, arr in (("kappa", k), ("kappa_hat", kh)):
+            # a NaN passes the floor test, so nonfinite entries are found first
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if not bad.size:
+                bad = np.flatnonzero(arr <= _POSITIVITY_FLOOR * np.max(np.abs(arr)))
+            if bad.size:
+                raise AdmissibilityError(f"{name}[{bad[0]}] = {arr[bad[0]]:.3e} is not a "
+                                         "finite positive coefficient", index=int(bad[0]))
 
     @property
     def m(self) -> int:
         return self.kappa.size
 
-    def require_admissible(self):
-        for name, arr in (("kappa", self.kappa), ("kappa_hat", self.kappa_hat)):
-            bad = np.flatnonzero(arr <= _POSITIVITY_FLOOR * np.max(np.abs(arr)))
-            if bad.size:
-                raise AdmissibilityError(f"{name}[{bad[0]}] = {arr[bad[0]]:.3e} not positive",
-                                         index=int(bad[0]))
-
     def log_vector(self) -> np.ndarray:
         """Fixed wire ordering: (log kappa_1..m, log kappahat_1..m)."""
-        self.require_admissible()
         return np.concatenate([np.log(self.kappa), np.log(self.kappa_hat)])
 
 
@@ -128,15 +130,13 @@ def pole_residue_to_cfrac(pr: PoleResidue) -> ContinuedFraction:
     The Lanczos iteration on the poles with start vector
     eta_i = sqrt(c_i / sum c) builds the three-point scheme, and its
     inverse gives the coefficients; coefficients that are not all positive
-    raise AdmissibilityError.
+    raise AdmissibilityError when the ContinuedFraction is built.
     """
     theta, c = pr.theta, pr.c
     if np.any(c <= 0):
         raise AdmissibilityError("residues must be positive", index=int(np.argmin(c)))
     total = float(np.sum(c))
-    cf = _scheme_inverse(*_lanczos(theta, np.sqrt(c / total)), total)
-    cf.require_admissible()
-    return cf
+    return _scheme_inverse(*_lanczos(theta, np.sqrt(c / total)), total)
 
 
 def three_point_scheme(cf: ContinuedFraction) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ class InvalidGridError(RomresError):
 
 
 class PositivityError(RomresError):
-    """A resistivity vector has nonpositive entries."""
+    """A resistivity vector has entries that are not finite and positive."""
 
 
 class SpectralValidityError(RomresError):

@@ -41,7 +41,8 @@ class TimeSeries:
     """Samples y(t_k) at t_k = k*h_T for k = 1..N_T.
 
     ``samples`` is a read-only view of the array given (converted to float
-    if it is not), and the array must not change after construction:
+    if it is not; samples that are not real numbers are refused), and the
+    array must not change after construction:
     ``peak``, the largest sample magnitude, is recorded by the validation
     pass, and the Laplace quadratures bound the samples they leave out by it.
     The caller's own array keeps its flags.
@@ -52,7 +53,13 @@ class TimeSeries:
     peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float).view()
+        try:
+            samples = np.asarray(self.samples)
+        except ValueError as exc:  # a ragged nested sequence
+            raise RomresError(f"time series is not an array: {exc}") from None
+        if samples.dtype.kind not in "biuf":
+            raise RomresError(f"time series samples must be real, got dtype {samples.dtype}")
+        samples = np.asarray(samples, dtype=float).view()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         if not 0 < self.step < np.inf:
@@ -76,14 +83,18 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Multiplicative Gaussian noise, d_k = y_k (1 + level * chi_k)."""
+    """Multiplicative Gaussian noise, d_k = y_k (1 + level * chi_k); the
+    chi_k are drawn from ``numpy.random.default_rng(seed)``, so the seed is a
+    nonnegative integer."""
 
     level: float
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.level < np.inf:
+        if not (isinstance(self.level, numbers.Real) and 0 <= self.level < np.inf):
             raise RomresError(f"noise level must be nonnegative and finite, got {self.level!r}")
+        if _require_integer("seed", self.seed) < 0:
+            raise RomresError(f"noise seed must be nonnegative, got {self.seed!r}")
 
 
 def _rows(op) -> int:

@@ -110,8 +110,9 @@ class Grid2D:
             if not isinstance(n, (int, np.integer)) or n < 2:
                 raise InvalidGridError(f"2D grid needs integer nx, ny >= 2, "
                                        f"got {self.nx!r} x {self.ny!r}")
-        if self.Lx <= 0 or self.Ly <= 0:
-            raise InvalidGridError("domain extents must be positive")
+        if not (0 < self.Lx < np.inf and 0 < self.Ly < np.inf):
+            raise InvalidGridError(f"domain extents must be positive and finite, "
+                                   f"got {self.Lx!r} x {self.Ly!r}")
         a0, a1 = self.accessible
         if not (0.0 <= a0 < a1 <= self.Lx):
             raise InvalidGridError("accessible interval outside the bottom side")
@@ -144,7 +145,7 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class ResistivityField:
-    """Strictly positive resistivity samples attached to a grid."""
+    """Finite, strictly positive resistivity samples attached to a grid."""
 
     values: np.ndarray
     grid: Grid1D | Grid2D
@@ -155,8 +156,9 @@ class ResistivityField:
         n = self.grid.n_points if isinstance(self.grid, Grid1D) else self.grid.n_cells
         if v.shape != (n,):
             raise InvalidGridError(f"field length {v.shape} does not match grid ({n})")
-        if not np.all(v > 0):
-            raise PositivityError("resistivity must be strictly positive")
+        # NaN carries through min and max, with no boolean temporary
+        if not (v.min() > 0 and v.max() < np.inf):
+            raise PositivityError("resistivity must be finite and strictly positive")
 
 
 class SystemOperator:

@@ -13,6 +13,7 @@ residual.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -230,8 +231,8 @@ def data_fitting_moments(moments: np.ndarray, s_hat: float, m0: int) -> FitTarge
         raise RomresError("not enough moments for the requested m")
     if not np.all(np.isfinite(tau_all)):
         raise RomresError("moments must be finite")
-    if not np.isfinite(s_hat):
-        raise RomresError(f"expansion node s_hat must be finite, got {s_hat!r}")
+    if not (isinstance(s_hat, numbers.Real) and np.isfinite(s_hat)):
+        raise RomresError(f"expansion node s_hat must be a finite real number, got {s_hat!r}")
 
     def fit_at(m):
         tau = tau_all[: 2 * m]
@@ -533,7 +534,7 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
         if config.parametrization == "cfrac":
             vecs = [c.log_vector() for c in ctxs]
         else:
-            vecs = [np.concatenate([c.pr.theta, c.pr.c]) for c in ctxs]
+            vecs = [np.concatenate([c.model.pr.theta, c.model.pr.c]) for c in ctxs]
         return np.concatenate(vecs), ctxs
 
     def jac(ctxs):

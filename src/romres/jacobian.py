@@ -78,7 +78,7 @@ def _scheme_derivative(cf: ContinuedFraction) -> np.ndarray:
 
     The poles and residues are the eigenpairs of the symmetric three-point
     scheme (A, b), so F is ``diff_spectral`` on the 2m log-coefficient
-    directions of (A, b), with theta ascending as in ``ChainContext.pr``.
+    directions of (A, b), with theta ascending as in ``ReducedModel.pr``.
     """
     m = cf.m
     A, b = three_point_scheme(cf)
@@ -107,7 +107,7 @@ def _chain_tail(ctx: ChainContext, dA_m: np.ndarray, db_m: np.ndarray,
     For ``target='cfrac'`` the spectral derivatives S are mapped to the
     log coefficients as F^-1 S, with F from ``_scheme_derivative``.
     """
-    dtheta, dc = diff_spectral(dA_m, ctx.model.b_m, db_m, ctx.pr.theta, ctx.Z)
+    dtheta, dc = diff_spectral(dA_m, ctx.model.b_m, db_m, ctx.model.pr.theta, ctx.model.Z)
     S = np.vstack([dtheta.T, dc.T])
     if target == "spectral":
         return S

@@ -34,7 +34,6 @@ __all__ = [
     "ChainContext",
     "build_krylov",
     "project",
-    "reduced_spectral",
     "preconditioner_chain",
     "preconditioner_R",
 ]
@@ -64,14 +63,14 @@ class KrylovBasis:
 
     @property
     def generation(self) -> str:
-        """``'sequential'`` if the family repeats a node, else ``'raw'``.
+        """``'sequential'`` if the family is confluent, else ``'raw'``.
 
         A label only: with simple nodes every solve is applied to b, so the
         plain powers and the sequential chain are the same computation.  It
         is kept because the benchmark harness reads it, and goes with the
         harness's next change (ROADMAP item 0).
         """
-        return "sequential" if np.any(self.family.multiplicities > 1) else "raw"
+        return "sequential" if self.family.confluent else "raw"
 
 
 @dataclass(frozen=True)
@@ -79,16 +78,17 @@ class ReducedModel:
     """Projected system (A_m, b_m); A_m symmetric negative definite.
 
     ``AV`` is the product A V the projection formed, which the Jacobian's
-    adjoint sweep reuses, and ``eigenvalues`` (ascending) and
-    ``eigenvectors`` are A_m's one ``eigh``, which both the definiteness
-    check and ``reduced_spectral`` read.
+    adjoint sweep reuses.  ``pr`` and ``Z`` are A_m's one ``eigh`` in chain
+    order: the poles theta (ascending, the negated eigenvalues), the
+    residues c_j = (b_m^T z_j)^2 >= 0, and the eigenvector z_j of each
+    pole in column j of Z.
     """
 
     A_m: np.ndarray
     b_m: np.ndarray
     AV: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    pr: PoleResidue
+    Z: np.ndarray
 
 
 def _gram_schmidt_step(V: np.ndarray, j: int, u: np.ndarray):
@@ -190,7 +190,8 @@ def doubled_basis(op: SystemOperator, basis: KrylovBasis, b: np.ndarray) -> np.n
 
 
 def project(op: SystemOperator, b, basis: KrylovBasis) -> ReducedModel:
-    """Galerkin projection A_m = V^T A V, b_m = V^T b, with A_m's ``eigh``.
+    """Galerkin projection A_m = V^T A V, b_m = V^T b, with A_m's poles and
+    residues from its one ``eigh`` (see ReducedModel).
 
     ``op`` and b are checked as in ``build_krylov``, and a basis whose V
     does not have the operator's n rows raises InvalidGridError; a 1D
@@ -209,36 +210,25 @@ def project(op: SystemOperator, b, basis: KrylovBasis) -> ReducedModel:
     lam, Z = sla.eigh(A_m)
     if lam[-1] >= 0:
         raise ProjectionError(f"projected operator not negative definite (max eig {lam[-1]:g})")
-    return ReducedModel(A_m=A_m, b_m=b_m, AV=AV, eigenvalues=lam, eigenvectors=Z)
-
-
-def reduced_spectral(model: ReducedModel):
-    """Poles and residues of the reduced model.
-
-    Eigenvalues of A_m are -theta; residues are c_j = (b_m^T z_j)^2 >= 0.
-    Returns (PoleResidue, Z) with theta ascending and the eigenvector
-    columns of Z ordered accordingly.
-    """
-    theta = -model.eigenvalues[::-1]
-    Z = model.eigenvectors[:, ::-1]
-    c = (model.b_m @ Z) ** 2
-    return PoleResidue(theta=theta, c=c), Z
+    Z = Z[:, ::-1]
+    return ReducedModel(A_m=A_m, b_m=b_m, AV=AV,
+                        pr=PoleResidue(theta=-lam[::-1], c=(b_m @ Z) ** 2), Z=Z)
 
 
 @dataclass(frozen=True)
 class ChainContext:
     """All intermediates of one preconditioner evaluation at a fixed r.
 
-    The Jacobian's solves run on ``operator.solver``, whose factors the
-    chain made.
+    Each stage's result is held once: the poles, residues and eigenvectors
+    in ``model`` (``model.pr``, ``model.Z``), the admissible coefficients in
+    ``cf``.  The Jacobian's solves run on ``operator.solver``, whose factors
+    the chain made.
     """
 
     operator: SystemOperator
     b: np.ndarray
     basis: KrylovBasis
     model: ReducedModel
-    pr: PoleResidue
-    Z: np.ndarray
     cf: ContinuedFraction
 
     @property
@@ -255,22 +245,23 @@ def preconditioner_chain(op: SystemOperator, b: np.ndarray, family: NodeFamily,
 
     The solves run on the operator's own factors (``SystemOperator.solver``),
     so every source and the Jacobian of every chain on one operator share
-    one factorization per shift.  ``generation`` selects nothing: it accepts ``'auto'`` or the family's
-    own ``KrylovBasis.generation`` label and raises RomresError otherwise.
-    It stays only because the benchmark harness passes it, and goes with
-    the harness's next change (ROADMAP item 0).
+    one factorization per shift.  ``generation`` selects nothing: it accepts
+    ``'auto'`` or the family's own ``KrylovBasis.generation`` label and
+    raises RomresError otherwise.  It stays only because the benchmark
+    harness passes it, and goes with the harness's next change (ROADMAP
+    item 0).
     """
     basis = build_krylov(op, b, family)
     if generation not in ("auto", basis.generation):
         raise RomresError(f"generation {generation!r} is neither 'auto' nor "
                           f"{basis.generation!r}, the label of this family's basis")
     model = project(op, b, basis)
-    pr, Z = reduced_spectral(model)
+    pr = model.pr
     gaps = np.diff(pr.theta)
     if gaps.size and np.min(gaps) < 1e-10 * abs(pr.theta[-1]):
         raise DegeneracyError("nearly coinciding reduced eigenvalues")
     return ChainContext(operator=op, b=b, basis=basis, model=model,
-                        pr=pr, Z=Z, cf=pole_residue_to_cfrac(pr))
+                        cf=pole_residue_to_cfrac(pr))
 
 
 def preconditioner_R(field: ResistivityField, family: NodeFamily, generation: str = "auto",

@@ -9,12 +9,13 @@ residues, the partial-fraction form of the reduced transfer function.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousFitWarning, RomresError, SpectralValidityError
+from .errors import AmbiguousFitWarning, RomresError, SpectralValidityError, _require_integer
 
 __all__ = [
     "NodeFamily",
@@ -35,12 +36,12 @@ class NodeFamily:
     ``multiplicities[j]`` is the depth of resolvent powers taken at node j;
     the reduced model size is m = sum of multiplicities.  Distinct-node
     families match value and first derivative at each node; a single node of
-    multiplicity m matches the first 2m Taylor coefficients there.
+    multiplicity m matches the first 2m Taylor coefficients there, and is
+    ``confluent``.  A family is its nodes and multiplicities only.
     """
 
     nodes: np.ndarray
     multiplicities: np.ndarray
-    label: str = "custom"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -68,14 +69,15 @@ class NodeFamily:
         return bool(np.any(self.multiplicities > 1))
 
 
-def nodes_geometric(m: int, s1: float, ratio: float, label: str = "geometric") -> NodeFamily:
+def nodes_geometric(m: int, s1: float, ratio: float) -> NodeFamily:
     """Geometric node ladder s_j = s1 * ratio^(j-1), j = 1..m."""
+    _require_integer("m", m)
     if s1 <= 0:
         raise RomresError("first node must be positive")
     if ratio <= 1:
         raise RomresError("geometric ratio must exceed 1")
     nodes = s1 * ratio ** np.arange(m)
-    return NodeFamily(nodes, np.ones(m, dtype=int), label)
+    return NodeFamily(nodes, np.ones(m, dtype=int))
 
 
 def node_family(kind: str, m: int, s_hat: float = 60.0) -> NodeFamily:
@@ -89,16 +91,18 @@ def node_family(kind: str, m: int, s_hat: float = 60.0) -> NodeFamily:
     single-node single node at ``s_hat`` with multiplicity m (the 2D
                 inversion's family; the other kinds ignore ``s_hat``)
     """
-    if m < 1:
+    if _require_integer("m", m) < 1:
         raise RomresError("m must be at least 1")
     if kind == "zolotarev":
-        return nodes_geometric(m, 2.0, 1.0 + 12.0 / m, "zolotarev")
+        return nodes_geometric(m, 2.0, 1.0 + 12.0 / m)
     if kind == "fast":
-        return nodes_geometric(m, 2.0, (1.0 + 12.0 / m) ** 3, "fast")
+        return nodes_geometric(m, 2.0, (1.0 + 12.0 / m) ** 3)
     if kind == "pade0":
-        return NodeFamily(np.array([0.0]), np.array([m]), "pade0")
+        return NodeFamily(np.array([0.0]), np.array([m]))
     if kind == "single-node":
-        return NodeFamily(np.array([float(s_hat)]), np.array([m]), "single-node")
+        if not isinstance(s_hat, numbers.Real):
+            raise RomresError(f"s_hat must be a real number, got {s_hat!r}")
+        return NodeFamily(np.array([float(s_hat)]), np.array([m]))
     raise RomresError(f"unknown node family {kind!r}")
 
 
@@ -217,8 +221,10 @@ def fit_pade_toeplitz(moments, shift: float = 0.0, scale: float = 1.0) -> Ration
     moment range for expansion points far from the spectrum.
     """
     tau = np.asarray(moments, dtype=float)
-    if tau.size % 2 or tau.size == 0:
-        raise RomresError("need an even number of moments, 2m")
+    if tau.ndim != 1 or tau.size % 2 or tau.size == 0:
+        raise RomresError(f"need a vector of an even number of moments, 2m; got shape {tau.shape}")
+    if not np.all(np.isfinite(tau)):
+        raise RomresError("moments must be finite")
     if not np.any(tau != 0):
         raise RomresError("all moments vanish")
     m = tau.size // 2

@@ -62,7 +62,10 @@ class ExperimentConfig:
             raise RomresError("fine and coarse grids must differ (inverse crime)")
         if tuple(self.fine_shape) == tuple(self.coarse_shape):
             raise RomresError("fine and coarse grids must differ (inverse crime)")
-        NoiseModel(self.epsilon)  # rejects a nonfinite or negative level
+        # the noise level and seed, and the inversion settings, are checked
+        # here, so a bad value is refused before any scenario runs
+        NoiseModel(self.epsilon, self.seed)
+        self.inversion_config()
 
     def inversion_config(self) -> InversionConfig:
         return InversionConfig(m0=self.m0, family_kind=self.family,

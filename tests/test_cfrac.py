@@ -104,19 +104,29 @@ def test_recursion_depends_on_beta_squared(rng):
 
 
 def test_admissibility_floor_is_relative():
-    # a coefficient at or below 1e-14 of the largest is degenerate
-    tiny = ContinuedFraction(np.array([1.0, 0.5e-14]), np.ones(2))
+    # a coefficient at or below 1e-14 of the largest is degenerate, and is
+    # refused when the continued fraction is built
     with pytest.raises(AdmissibilityError) as err:
-        tiny.require_admissible()
+        ContinuedFraction(np.array([1.0, 0.5e-14]), np.ones(2))
     assert err.value.index == 1
-    ContinuedFraction(np.array([1.0, 1e-13]), np.ones(2)).require_admissible()
+    ContinuedFraction(np.array([1.0, 1e-13]), np.ones(2))
 
 
 def test_admissibility_check():
-    cf = ContinuedFraction(np.array([1.0, -0.1]), np.array([0.5, 0.5]))
     with pytest.raises(AdmissibilityError) as err:
-        cf.require_admissible()
+        ContinuedFraction(np.array([1.0, -0.1]), np.array([0.5, 0.5]))
     assert err.value.index == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["kappa", "kappa_hat"])
+def test_nonfinite_coefficient_refused(bad, which):
+    # a NaN passes the relative floor test, so it is refused before it
+    coef = {"kappa": np.array([1.0, 2.0, 0.5]), "kappa_hat": np.ones(3)}
+    coef[which][2] = bad
+    with pytest.raises(AdmissibilityError, match=f"{which}\\[2\\]") as err:
+        ContinuedFraction(**coef)
+    assert err.value.index == 2
 
 
 def test_log_vector_ordering(rng):

@@ -96,6 +96,29 @@ def test_negative_epsilon_as_separate_token(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, match", [
+    (["synthesize", "--epsilon", "1e-3", "--seed", "-1"], "seed must be nonnegative"),
+    (["grids", "--family", "bogus"], "unknown node family"),
+    (["grids", "--m0", "0"], "m0 must be at least 1"),
+])
+def test_bad_setting_refused_before_any_work(tmp_path, capsys, argv, match):
+    # a negative seed used to exit with numpy's traceback, and the grids verb
+    # used to write an unknown family and m0 = 0 into its manifest
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fields", [{"seed": 1.5}, {"epsilon": 1e-3, "seed": -2},
+                                    {"epsilon": "a"}, {"s_hat": "a"},
+                                    {"family": "bogus"}, {"m0": 0}, {"n_gn": -1},
+                                    {"weights": "bogus"}, {"parametrization": "bogus"}])
+def test_config_checks_noise_and_inversion_settings(fields):
+    with pytest.raises(RomresError):
+        ExperimentConfig(scenario="fig-grids", **fields)
+
+
 def test_scenario_artifacts(tmp_path):
     small = dict(n_fine=149, n_coarse=99, T=50.0, h_T=1e-4, m0=3, n_gn=1,
                  fine_shape=(24, 8), coarse_shape=(18, 6), n_sources=2,

@@ -124,6 +124,16 @@ def test_time_series_rejects_nonfinite_samples(bad):
         forward.TimeSeries(samples, 0.1)
 
 
+@pytest.mark.parametrize("samples", [np.ones(3) + 1j, ["a", "b"], [[1.0], [1.0, 2.0]],
+                                     np.array([1.0, None])])
+def test_time_series_rejects_non_real_samples(samples):
+    # complex samples used to drop their imaginary part with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RomresError, match="time series"):
+            forward.TimeSeries(samples, 0.1)
+
+
 def test_time_series_samples_read_only():
     samples = np.array([0.5, -2.0, 1.5])
     y = forward.TimeSeries(samples, 0.1)
@@ -136,10 +146,18 @@ def test_time_series_samples_read_only():
     assert samples.flags.writeable and y.samples[0] == 1.0
 
 
-@pytest.mark.parametrize("level", [-1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("level", [-1e-3, np.nan, np.inf, "a", None])
 def test_noise_model_rejects_bad_level(level):
     with pytest.raises(RomresError, match="noise level"):
         NoiseModel(level)
+
+
+@pytest.mark.parametrize("seed, match", [(-1, "nonnegative"), (1.5, "integer"),
+                                         ("a", "integer"), (None, "integer")])
+def test_noise_model_rejects_bad_seed(seed, match):
+    # numpy's default_rng would fail on these only when the noise is drawn
+    with pytest.raises(RomresError, match=match):
+        NoiseModel(0.1, seed)
 
 
 def test_noise_zero_level_bitwise(small_system):

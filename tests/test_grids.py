@@ -34,6 +34,14 @@ def test_grid2d_needs_integer_size(nx, ny):
         Grid2D(nx=nx, ny=ny)
 
 
+@pytest.mark.parametrize("extent", [{"Lx": np.inf}, {"Ly": np.inf}, {"Lx": np.nan},
+                                    {"Ly": np.nan}, {"Ly": 0.0}])
+def test_grid2d_needs_positive_finite_extents(extent):
+    # an infinite Ly used to give a transfer function of (0.0, -0.0)
+    with pytest.raises(InvalidGridError, match="positive and finite"):
+        Grid2D(nx=4, ny=3, **extent)
+
+
 def test_difference_constant_vector():
     g = Grid1D(2)
     D = build_difference_1d(g)
@@ -171,6 +179,17 @@ def test_positivity_required():
     g = Grid1D(5)
     with pytest.raises(PositivityError):
         ResistivityField(np.array([1.0, -1.0, 1.0, 1.0, 1.0]), g)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_field_rejects_nonfinite_values(bad):
+    # an infinite resistivity used to reach eigh in the chain as a bare
+    # ValueError; it is refused where the field is made, in 1D and 2D
+    for g, n in ((Grid1D(5), 5), (Grid2D(nx=3, ny=2), 6)):
+        values = np.ones(n)
+        values[2] = bad
+        with pytest.raises(PositivityError, match="finite and strictly positive"):
+            ResistivityField(values, g)
 
 
 def test_operator_derivative_matches_difference_quotient(rng):

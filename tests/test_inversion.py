@@ -725,6 +725,13 @@ def test_data_fitting_moments_rejects_nonfinite(bad):
             assert not isinstance(err.value, DataUnusableError)
 
 
+@pytest.mark.parametrize("s_hat", ["a", 2.0 + 1j, None])
+def test_data_fitting_moments_rejects_non_real_node(s_hat):
+    tau = np.array([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0, -1.0 / 81.0])
+    with pytest.raises(RomresError, match="s_hat must be a finite real number"):
+        data_fitting_moments(tau, s_hat, 2)
+
+
 def test_invert_1d_noiseless_quick():
     y = synthesize("rQ")
     g = Grid1D(99)

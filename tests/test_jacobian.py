@@ -78,7 +78,7 @@ def test_chain_stage_identities(small_system):
         S = np.einsum("na,inq->qai", V, dV)
         assert np.max(np.abs(S + S.transpose(0, 2, 1))) < 1e-8
         dtheta, dc = diff_spectral(dA_m, ctx.model.b_m, db_m,
-                                   ctx.pr.theta, ctx.Z)
+                                   ctx.model.pr.theta, ctx.model.Z)
         assert dtheta.shape == dc.shape == (n, 3)
         # Parseval derivative: sum dc = 2 b_m . db_m
         assert np.allclose(dc.sum(axis=1), 2.0 * db_m @ ctx.model.b_m, rtol=1e-8)
@@ -286,7 +286,7 @@ def test_spectral_target_fd(small_system, rng):
     def R(rv):
         v, c = preconditioner_R(ResistivityField(rv, grid), fam,
                                 return_context=True)
-        return np.concatenate([c.pr.theta, c.pr.c])
+        return np.concatenate([c.model.pr.theta, c.model.pr.c])
 
     vec, ctx = preconditioner_R(field, fam, return_context=True)
     J = assemble_jacobian(ctx, target="spectral")

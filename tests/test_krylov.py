@@ -9,7 +9,7 @@ from romres.grids import Grid1D, Grid2D, ResistivityField, SystemOperator, assem
     assemble_operator_2d, build_difference_1d, source_vector, uniform_segments
 from romres.jacobian import assemble_jacobian
 from romres.krylov import (KrylovBasis, build_krylov, preconditioner_R,
-                           preconditioner_chain, project, reduced_spectral)
+                           preconditioner_chain, project)
 from romres.phantoms import phantom
 from romres.ratfit import NodeFamily, fit_multipoint, node_family, to_pole_residue
 
@@ -122,7 +122,7 @@ def test_pade0_snapshots_are_inverse_powers(small_system):
 
 def reduced_moments(model, s_hat, K):
     """tau_k = (-1)^k sum_j c_j / (s_hat + theta_j)^(k+1) of the reduced model."""
-    pr, _ = reduced_spectral(model)
+    pr = model.pr
     return np.array([(-1) ** k * np.sum(pr.c / (s_hat + pr.theta) ** (k + 1))
                      for k in range(K)])
 
@@ -132,7 +132,7 @@ def test_projection_moment_matching(small_system):
     grid, field, op, b = small_system
     fam = node_family("zolotarev", 4)
     basis = build_krylov(op, b, fam)
-    pr, _ = reduced_spectral(project(op, b, basis))
+    pr = project(op, b, basis).pr
     for s in fam.nodes:
         val, der = transfer_eval(op, b, s=s)
         assert pr(s) == pytest.approx(val, rel=1e-8)
@@ -157,16 +157,16 @@ def test_full_basis_is_exact(rng):
     b = source_vector(grid).b
     fam = NodeFamily(np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
                      np.ones(8, dtype=int))
-    pr, _ = reduced_spectral(project(op, b, build_krylov(op, b, fam)))
+    pr = project(op, b, build_krylov(op, b, fam)).pr
     for s in (0.5, 3.0, 300.0):
         assert pr(s) == pytest.approx(transfer_eval(op, b, s=s)[0], rel=1e-9)
 
 
-def test_reduced_spectral_basics(small_system):
+def test_reduced_poles_and_residues_basics(small_system):
     grid, field, op, b = small_system
     fam = node_family("zolotarev", 4)
     model = project(op, b, build_krylov(op, b, fam))
-    pr, Z = reduced_spectral(model)
+    pr = model.pr
     assert np.all(np.diff(pr.theta) > 0)
     assert np.all(pr.c >= 0)
     assert np.sum(pr.c) == pytest.approx(model.b_m @ model.b_m)
@@ -179,7 +179,7 @@ def test_projection_equals_interpolation(small_system):
     # Galerkin ROM and the osculatory fit give the same poles/residues
     grid, field, op, b = small_system
     fam = node_family("zolotarev", 4)
-    pr_proj, _ = reduced_spectral(project(op, b, build_krylov(op, b, fam)))
+    pr_proj = project(op, b, build_krylov(op, b, fam)).pr
     vals = np.empty(4)
     ders = np.empty(4)
     for j, s in enumerate(fam.nodes):
@@ -209,7 +209,7 @@ def test_constant_field_node_rescaling_exact():
     N, m, gamma = 120, 4, 2.5
     grid = Grid1D(N)
     fam = node_family("zolotarev", m)
-    fam_scaled = NodeFamily(fam.nodes / gamma, fam.multiplicities, "rescaled")
+    fam_scaled = NodeFamily(fam.nodes / gamma, fam.multiplicities)
     v_gamma, ctx_gamma = preconditioner_R(
         ResistivityField(gamma * np.ones(N), grid), fam, return_context=True)
     v_unit, ctx_unit = preconditioner_R(
@@ -272,7 +272,7 @@ def test_sequential_matches_raw_values(small_system):
     for j in range(4):
         x = P[:, j] = np.linalg.solve(resolvent, x)
     Q, R = np.linalg.qr(P)
-    poles, _ = reduced_spectral(project(op, b, KrylovBasis(K=P, V=Q, U=R, family=fam)))
+    poles = project(op, b, KrylovBasis(K=P, V=Q, U=R, family=fam)).pr
     cf = pole_residue_to_cfrac(poles)
     ctx = preconditioner_chain(op, b, fam)
     assert np.allclose(ctx.log_vector(), cf.log_vector(), atol=1e-9)
@@ -302,13 +302,17 @@ def test_1d_chain_builds_no_sparse_matrix(sparse_constructions):
 
 
 def test_project_reuses_its_eigendecomposition(small_system):
-    # the definiteness check and reduced_spectral read one eigh of A_m, and
-    # the model keeps the product A V the Jacobian's sweep reads
+    # the definiteness check, the poles, residues and eigenvectors come from
+    # one eigh of A_m, stored once in chain order (theta ascending), and the
+    # model keeps the product A V the Jacobian's sweep reads
     grid, field, op, b = small_system
     basis = build_krylov(op, b, node_family("zolotarev", 4))
     model = project(op, b, basis)
     lam, Z = sla.eigh(model.A_m)
-    assert np.array_equal(model.eigenvalues, lam) and np.array_equal(model.eigenvectors, Z)
+    assert np.array_equal(model.pr.theta, -lam[::-1])
+    assert np.array_equal(model.Z, Z[:, ::-1])
+    assert np.array_equal(model.pr.c, (model.b_m @ Z[:, ::-1]) ** 2)
     assert np.array_equal(model.AV, op.A @ basis.V)
-    pr, Zs = reduced_spectral(model)
-    assert np.array_equal(pr.theta, -lam[::-1]) and np.array_equal(Zs, Z[:, ::-1])
+    ctx = preconditioner_chain(op, b, basis.family)
+    assert np.array_equal(ctx.model.pr.theta, model.pr.theta)
+    assert np.array_equal(ctx.model.Z, model.Z)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from romres.errors import RomresError, SpectralValidityError
+from romres.errors import AdmissibilityError, RomresError, SpectralValidityError
 from romres.ratfit import (NodeFamily, PoleResidue, fit_multipoint,
                            fit_pade_toeplitz, node_family, nodes_geometric,
                            to_pole_residue)
@@ -40,6 +40,20 @@ def test_nodes_must_be_finite_and_nonnegative(s):
         node_family("single-node", 3, s_hat=s)
     with pytest.raises(RomresError, match="finite and nonnegative"):
         NodeFamily(np.array([2.0, s]), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("m", [2.5, "3", None])
+def test_family_size_must_be_an_integer(m):
+    with pytest.raises(RomresError, match="m must be an integer"):
+        node_family("zolotarev", m)
+    with pytest.raises(RomresError, match="m must be an integer"):
+        nodes_geometric(m, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("s_hat", ["a", None, 2.0 + 1j])
+def test_single_node_needs_real_s_hat(s_hat):
+    with pytest.raises(RomresError, match="s_hat must be a real number"):
+        node_family("single-node", 3, s_hat=s_hat)
 
 
 def test_multipoint_exact_recovery_m1():
@@ -145,6 +159,16 @@ def test_toeplitz_rejects_all_zero():
         fit_pade_toeplitz(np.zeros(6))
 
 
+@pytest.mark.parametrize("moments, match", [([1.0, np.nan], "finite"), ([np.inf, 1.0], "finite"),
+                                            (np.ones((2, 2)), "vector")])
+def test_toeplitz_rejects_nonfinite_or_matrix_moments(moments, match):
+    # input errors raised before the SVD, not LinAlgError or a broadcast
+    # ValueError
+    with pytest.raises(RomresError, match=match) as err:
+        fit_pade_toeplitz(moments)
+    assert not isinstance(err.value, SpectralValidityError)
+
+
 def test_pole_residue_validity_errors():
     from romres.ratfit import RationalModel
 
@@ -187,10 +211,8 @@ def test_noisy_fit_raises_validity_error():
         vals = np.array([laplace_transform(d, s) for s in fam.nodes])
         ders = np.array([laplace_derivative(d, s) for s in fam.nodes])
         try:
-            pr = to_pole_residue(fit_multipoint(vals, ders, fam))
-            cf = pole_residue_to_cfrac(pr)
-            cf.require_admissible()
-        except Exception:
+            pole_residue_to_cfrac(to_pole_residue(fit_multipoint(vals, ders, fam)))
+        except (SpectralValidityError, AdmissibilityError):
             raised += 1
     assert raised >= 3
 
