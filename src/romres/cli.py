@@ -62,8 +62,13 @@ def _build_config(scenario: str, args: argparse.Namespace) -> ExperimentConfig:
     if args.no_nullspace:
         values["nullspace_correction"] = False
     if args.config:
-        with open(args.config) as fh:
-            file_conf = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_conf = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON
+            raise RomresError(f"cannot read config file {args.config}: {exc}") from None
+        if not isinstance(file_conf, dict):
+            raise RomresError(f"config file {args.config} must hold a JSON object")
         known = {f.name for f in fields(ExperimentConfig)}
         for k, v in file_conf.items():
             if k not in known:

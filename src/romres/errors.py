@@ -1,5 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the contract they keep.
 
+The m-reduction and the Gauss-Newton loop decide what to do from an
+exception's type, so a wrong type is a wrong decision.  Every public
+function keeps this contract:
+
+- An input error is refused where the input enters, at construction of the
+  object that holds it or on entry to the function that takes it, before
+  any work: with ``InvalidGridError`` for grids, segments, operators,
+  sources and Krylov bases, ``PositivityError`` for resistivities, and
+  ``RomresError`` itself for the other settings (time series, noise, fits,
+  inversion and scenario settings).  A scalar that must be a number is
+  refused when it is a string, complex, an array, NaN or infinite.
+- The fit-validity errors are the three that reducing m can cure,
+  ``SpectralValidityError``, ``AdmissibilityError`` and ``DegeneracyError``
+  (``inversion._FIT_ERRORS``).  They report what a fit or the chain
+  computed, never a caller's setting; a ``ContinuedFraction`` whose
+  coefficients are not all positive and finite is inadmissible
+  (``AdmissibilityError``), whoever built it.  The other subclasses report
+  what a computation met: a collapsing basis, an indefinite projection, an
+  exhausted step, a failed correction, data that no model fits.
+- No numpy or scipy exception or warning escapes a public function, and no
+  public function returns NaN for a non-finite input.
+"""
+
+import math
+import numbers
 import operator
 
 
@@ -69,3 +94,14 @@ def _require_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise RomresError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _require_real(name: str, value, error=RomresError, positive: bool = False):
+    """``value`` itself if it is a finite real number (and > 0 if
+    ``positive``); ``error`` otherwise, for a string, a complex number, an
+    array, NaN or an infinity alike."""
+    if not (isinstance(value, numbers.Real) and -math.inf < value < math.inf
+            and (value > 0 or not positive)):
+        kind = "positive and finite" if positive else "finite"
+        raise error(f"{name} must be a {kind} real number, got {value!r}")
+    return value

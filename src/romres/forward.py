@@ -12,7 +12,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidGridError, RomresError, _require_integer
+from .errors import InvalidGridError, RomresError, _require_integer, _require_real
 from .grids import SystemOperator
 
 __all__ = [
@@ -62,8 +62,7 @@ class TimeSeries:
         samples = np.asarray(samples, dtype=float).view()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        if not 0 < self.step < np.inf:
-            raise RomresError(f"time step must be positive and finite, got {self.step!r}")
+        _require_real("time step", self.step, positive=True)
         if samples.ndim != 1 or samples.size == 0:
             raise RomresError("time series must be a nonempty vector")
         # NaN and +-inf carry through min and max, with no boolean temporary
@@ -195,8 +194,8 @@ def simulate_response(A, b, T: float, h_T: float) -> TimeSeries:
     the output's bytes for long series.  A T / h_T above ``_MAX_SAMPLES``
     (1e9) raises RomresError before anything is allocated.
     """
-    if not all(isinstance(x, numbers.Real) and 0 < x < np.inf for x in (T, h_T)):
-        raise RomresError(f"T and h_T must be positive and finite, got {T!r}, {h_T!r}")
+    for name, x in (("T", T), ("h_T", h_T)):
+        _require_real(name, x, positive=True)
     # Python floats: T / h_T is inf, not an overflow warning, for a tiny h_T
     ratio = float(T) / float(h_T)
     if not ratio < _MAX_SAMPLES + 0.5:

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidGridError, PositivityError
+from .errors import InvalidGridError, PositivityError, _require_real
 
 __all__ = [
     "Grid1D",
@@ -75,6 +75,8 @@ class BoundarySegment:
     hi: float
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            _require_real(f"segment end {name}", getattr(self, name), InvalidGridError)
         if not self.hi > self.lo:
             raise InvalidGridError("segment must have positive length")
 
@@ -110,13 +112,22 @@ class Grid2D:
             if not isinstance(n, (int, np.integer)) or n < 2:
                 raise InvalidGridError(f"2D grid needs integer nx, ny >= 2, "
                                        f"got {self.nx!r} x {self.ny!r}")
-        if not (0 < self.Lx < np.inf and 0 < self.Ly < np.inf):
-            raise InvalidGridError(f"domain extents must be positive and finite, "
-                                   f"got {self.Lx!r} x {self.Ly!r}")
-        a0, a1 = self.accessible
+        for name in ("Lx", "Ly"):
+            _require_real(f"domain extent {name}", getattr(self, name), InvalidGridError,
+                          positive=True)
+        try:
+            a0, a1 = self.accessible
+        except (TypeError, ValueError):
+            raise InvalidGridError(f"accessible must be a pair (a0, a1), "
+                                   f"got {self.accessible!r}") from None
+        for a in (a0, a1):
+            _require_real("accessible end", a, InvalidGridError)
+        object.__setattr__(self, "accessible", (a0, a1))
         if not (0.0 <= a0 < a1 <= self.Lx):
             raise InvalidGridError("accessible interval outside the bottom side")
         for i, s in enumerate(self.segments):
+            if not isinstance(s, BoundarySegment):
+                raise InvalidGridError(f"segment {i} is not a BoundarySegment: {s!r}")
             if s.lo < a0 - 1e-12 or s.hi > a1 + 1e-12:
                 raise InvalidGridError(f"segment {i} outside accessible boundary")
             for t in self.segments[i + 1:]:
@@ -365,9 +376,14 @@ def assemble_operator_2d(field: ResistivityField, grid: Grid2D | None = None) ->
 
     Edge resistivity is the arithmetic mean of the two adjacent cells, which
     keeps A linear in the cell values.  Zero-flux on the accessible
-    boundary interval, homogeneous Dirichlet elsewhere.
+    boundary interval, homogeneous Dirichlet elsewhere.  ``grid``, if given,
+    must be the field's own grid (InvalidGridError otherwise): the field's
+    values are samples on it, and another grid of as many cells would
+    silently build that grid's operator.
     """
-    grid = grid or field.grid
+    if grid is not None and grid != field.grid:
+        raise InvalidGridError(f"grid {grid!r} is not the field's grid {field.grid!r}")
+    grid = field.grid
     if not isinstance(grid, Grid2D):
         raise InvalidGridError("assemble_operator_2d needs a Grid2D field")
     D, M = build_difference_2d(grid)

@@ -13,7 +13,6 @@ residual.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (AdmissibilityError, DataUnusableError, DegeneracyError,
                      RegularizationError, RomresError, SpectralValidityError,
-                     StepFailureError, _require_integer)
+                     StepFailureError, _require_integer, _require_real)
 from .forward import TimeSeries, transfer_moments
 from .grids import (Grid1D, Grid2D, ResistivityField, SystemOperator, _difference_diagonal,
                     assemble_operator, assemble_operator_2d,
@@ -90,6 +89,9 @@ class InversionConfig:
             raise RomresError(f"unknown weight mode {self.weights!r}")
         if self.parametrization not in ("cfrac", "spectral"):
             raise RomresError(f"unknown parametrization {self.parametrization!r}")
+        if not isinstance(self.nullspace_correction, bool):
+            raise RomresError(f"nullspace_correction must be true or false, "
+                              f"got {self.nullspace_correction!r}")
         # node_family's own checks: the kind's name, and s_hat as the 2D node
         node_family(self.family_kind, 1)
         node_family("single-node", 1, s_hat=self.s_hat)
@@ -231,8 +233,7 @@ def data_fitting_moments(moments: np.ndarray, s_hat: float, m0: int) -> FitTarge
         raise RomresError("not enough moments for the requested m")
     if not np.all(np.isfinite(tau_all)):
         raise RomresError("moments must be finite")
-    if not (isinstance(s_hat, numbers.Real) and np.isfinite(s_hat)):
-        raise RomresError(f"expansion node s_hat must be a finite real number, got {s_hat!r}")
+    _require_real("expansion node s_hat", s_hat)
 
     def fit_at(m):
         tau = tau_all[: 2 * m]
@@ -249,10 +250,12 @@ def gauss_newton_step(r: np.ndarray, J: np.ndarray, residual: np.ndarray,
     until r + alpha*rho stays strictly positive.  ``J_pinv`` is J^+, which
     the caller forms (``_gn_loop`` takes ``np.linalg.pinv`` with relative
     cutoff ``_PINV_RCOND`` once per iteration, for this step and the
-    null-space correction).  A non-finite residual or J, a J whose shape is
+    null-space correction).  An alpha that is not a positive and finite real
+    number, a non-finite residual or J, a J whose shape is
     not (residual size, r size), or a ``J_pinv`` not of J's transposed shape
     raises ``RomresError``.
     """
+    _require_real("step length alpha", alpha, positive=True)
     if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(J))):
         raise RomresError("residual and Jacobian must be finite")
     if np.shape(J) != (np.size(residual), np.size(r)) or np.shape(J_pinv) != np.shape(J)[::-1]:
@@ -490,8 +493,14 @@ def regularization_gradient(grid: Grid1D | Grid2D) -> sp.csr_matrix:
 
 def relative_error(r_star: np.ndarray, r_true: np.ndarray) -> float:
     """Ratio of discrete l2 norms, ||r* - r_true|| / ||r_true||."""
-    r_star = np.asarray(r_star, dtype=float)
-    r_true = np.asarray(r_true, dtype=float)
+    try:
+        r_star, r_true = np.asarray(r_star), np.asarray(r_true)
+    except ValueError as exc:  # a ragged nested sequence
+        raise RomresError(f"fields are not arrays: {exc}") from None
+    if r_star.dtype.kind not in "biuf" or r_true.dtype.kind not in "biuf":
+        raise RomresError(f"fields must be real arrays, got dtypes {r_star.dtype} "
+                          f"and {r_true.dtype}")
+    r_star, r_true = r_star.astype(float, copy=False), r_true.astype(float, copy=False)
     if r_star.shape != r_true.shape:
         raise RomresError("fields must have matching shape")
     if not (np.all(np.isfinite(r_star)) and np.all(np.isfinite(r_true))):

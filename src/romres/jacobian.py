@@ -132,7 +132,8 @@ def _adjoint_sweep(ctx: ChainContext, T_A: np.ndarray, T_b: np.ndarray) -> np.nd
     -(D G u_c-bar)_k (D K_c)_k; when column c is not the first of its node,
     the solve was applied to V_{c-1}, and G u_c-bar is added to that
     column's cotangent.  The basis supplies each column's solve (K),
-    Gram-Schmidt coefficients and norm (U).
+    Gram-Schmidt coefficients and norm (U), and the operator (D and the
+    shifted factors) and source b it was built on.
 
     Every cotangent the sweep solves on lies in the span of the
     ``doubled_basis`` Q: the seeds lie in span{V, b}, and each solve at node
@@ -148,20 +149,21 @@ def _adjoint_sweep(ctx: ChainContext, T_A: np.ndarray, T_b: np.ndarray) -> np.nd
     1.4e-11 off a long-double recomputation of the full-space sweep, whose
     double-precision version is 2.7e-12 off.
     """
-    D = ctx.operator.D
-    K, V, U = ctx.basis.K, ctx.basis.V, ctx.basis.U
+    basis = ctx.basis
+    op = basis.operator
+    D, K, V, U = op.D, basis.K, basis.V, basis.U
     m = ctx.m
-    Q = doubled_basis(ctx.operator, ctx.basis, ctx.b)
+    Q = doubled_basis(basis)
     DK = np.asarray(D @ K)
     DV = np.asarray(D @ V)
     Vq, Kq = Q.T @ V, Q.T @ K
-    Wq = Q.T @ np.column_stack([ctx.model.AV, ctx.b])
+    Wq = Q.T @ np.column_stack([ctx.model.AV, basis.b])
     DY, QY = [], []
-    for s in ctx.basis.family.nodes:
-        Y = ctx.operator.solver.solve(s, Q)
+    for s in basis.family.nodes:
+        Y = op.solver.solve(s, Q)
         DY.append(np.asarray(D @ Y))
         QY.append(Q.T @ Y)
-    layout = _column_layout(ctx.basis.family)
+    layout = _column_layout(basis.family)
 
     C = np.concatenate([T_A + T_A.transpose(0, 2, 1), T_b[:, :, None]], axis=2)
     Vbar = Wq @ C.transpose(1, 2, 0)  # [a, :, o] is V_a-bar for output o, in Q
@@ -206,8 +208,9 @@ def assemble_jacobian(ctx: ChainContext, target: str = "cfrac") -> np.ndarray:
     T = _chain_tail(ctx, units[:, :m * m].reshape(-1, m, m), units[:, m * m:],
                     target)
     J_edge = _adjoint_sweep(ctx, T[:, :m * m].reshape(-1, m, m), T[:, m * m:])
-    if ctx.operator.averaging is None:
+    averaging = ctx.basis.operator.averaging
+    if averaging is None:
         # the identity product's result: 0.0 + x (which turns -0.0 into 0.0),
         # column-major, which the rounding of later products with J reads
         return np.add(J_edge.T, 0.0, order="F")
-    return np.asarray(J_edge.T @ ctx.operator.averaging)
+    return np.asarray(J_edge.T @ averaging)

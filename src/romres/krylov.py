@@ -41,7 +41,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KrylovBasis:
-    """Snapshots K, orthonormal V and triangular U with K = V U, diag(U) > 0.
+    """Snapshots K, orthonormal V and triangular U with K = V U, diag(U) > 0,
+    of the rational Krylov subspace of ``operator`` and source ``b``.
 
     Column j of K is the solve that produced V[:, j], and column j of U
     holds its Gram-Schmidt coefficients and remaining norm.  Each node's
@@ -50,12 +51,31 @@ class KrylovBasis:
     as the plain resolvent powers but stays well conditioned where they go
     numerically collinear.  The Jacobian's adjoint sweep reads K and U in
     the coordinates of the ``doubled_basis`` that extends V.
+
+    The basis carries the operator and source it was built on, so
+    ``project`` and ``doubled_basis`` take nothing else: a basis cannot be
+    projected on another operator of the same size.  Construction checks
+    them (InvalidGridError): ``family`` must be a ``NodeFamily``,
+    ``operator`` a ``SystemOperator``, b a finite real vector of its n rows
+    (kept as float64), K and V of shape (n, family.m) and U of shape (m, m).
     """
 
     K: np.ndarray
     V: np.ndarray
     U: np.ndarray
     family: NodeFamily
+    operator: SystemOperator
+    b: np.ndarray
+
+    def __post_init__(self):
+        if not isinstance(self.family, NodeFamily):
+            raise InvalidGridError(f"a basis needs a NodeFamily, got {type(self.family).__name__}")
+        n, m = _rows(self.operator), self.family.m
+        object.__setattr__(self, "b", _source(self.b, n))
+        shapes = tuple(np.shape(a) for a in (self.K, self.V, self.U))
+        if shapes != ((n, m), (n, m), (m, m)):
+            raise InvalidGridError(f"basis of K, V, U shapes {shapes} does not fit the "
+                                   f"operator's {n} rows and the family's m = {m}")
 
     @property
     def m(self) -> int:
@@ -141,7 +161,7 @@ def build_krylov(op: SystemOperator, b, family: NodeFamily) -> KrylovBasis:
             x = u / nrm
             V[:, col] = x
             col += 1
-    return KrylovBasis(K=K, V=V, U=U, family=family)
+    return KrylovBasis(K=K, V=V, U=U, family=family, operator=op, b=b)
 
 
 # a column left with at most this share of its norm after Gram-Schmidt
@@ -149,13 +169,14 @@ def build_krylov(op: SystemOperator, b, family: NodeFamily) -> KrylovBasis:
 _SPAN_FLOOR = 1e-13
 
 
-def doubled_basis(op: SystemOperator, basis: KrylovBasis, b: np.ndarray) -> np.ndarray:
+def doubled_basis(basis: KrylovBasis) -> np.ndarray:
     """Orthonormal Q of the space every adjoint-sweep input lies in.
 
-    That space is span{b, (s_j I - A)^{-k} b : k <= 2 mult_j - 1}, of
-    dimension d = 2m + 1 - (number of nodes).  Q starts as [V, b] and each
-    node's chain is extended from its last column of V by mult_j - 1 more
-    solves on ``op``'s factors, each on the newest column, with a two-pass
+    That space is span{b, (s_j I - A)^{-k} b : k <= 2 mult_j - 1} of the
+    basis's own operator A and source b, of dimension
+    d = 2m + 1 - (number of nodes).  Q starts as [V, b] and each node's
+    chain is extended from its last column of V by mult_j - 1 more solves on
+    the operator's factors, each on the newest column, with a two-pass
     Gram-Schmidt step.
     A direction left with at most 1e-13 of its norm is skipped with the rest
     of its node's chain: the space is then invariant under that node's
@@ -179,34 +200,30 @@ def doubled_basis(op: SystemOperator, basis: KrylovBasis, b: np.ndarray) -> np.n
         k += 1
         return True
 
-    append(np.array(b, dtype=float))
+    append(basis.b.copy())
     for s, mult, last in zip(fam.nodes, fam.multiplicities, np.cumsum(fam.multiplicities) - 1):
         x = V[:, last]
         for _ in range(int(mult) - 1):
-            if not append(op.solver.solve(s, x)):
+            if not append(basis.operator.solver.solve(s, x)):
                 break
             x = Q[:, k - 1]
     return Q[:, :k]
 
 
-def project(op: SystemOperator, b, basis: KrylovBasis) -> ReducedModel:
-    """Galerkin projection A_m = V^T A V, b_m = V^T b, with A_m's poles and
-    residues from its one ``eigh`` (see ReducedModel).
+def project(basis: KrylovBasis) -> ReducedModel:
+    """Galerkin projection A_m = V^T A V, b_m = V^T b of the basis's own
+    operator and source, with A_m's poles and residues from its one ``eigh``
+    (see ReducedModel).
 
-    ``op`` and b are checked as in ``build_krylov``, and a basis whose V
-    does not have the operator's n rows raises InvalidGridError; a 1D
-    operator multiplies by its two bands, bitwise as its CSR A would.
-    Raises ProjectionError if A_m is not negative definite.
+    The operator, source and V's rows were checked when the basis was built
+    (KrylovBasis); a 1D operator multiplies by its two bands, bitwise as its
+    CSR A would.  Raises ProjectionError if A_m is not negative definite.
     """
-    n = _rows(op)
-    b = _source(b, n)
     V = basis.V
-    if V.shape[0] != n:
-        raise InvalidGridError(f"basis of {V.shape[0]} rows does not fit the operator's {n} rows")
-    AV = op @ V
+    AV = basis.operator @ V
     A_m = V.T @ AV
     A_m = 0.5 * (A_m + A_m.T)
-    b_m = V.T @ b
+    b_m = V.T @ basis.b
     lam, Z = sla.eigh(A_m)
     if lam[-1] >= 0:
         raise ProjectionError(f"projected operator not negative definite (max eig {lam[-1]:g})")
@@ -219,14 +236,13 @@ def project(op: SystemOperator, b, basis: KrylovBasis) -> ReducedModel:
 class ChainContext:
     """All intermediates of one preconditioner evaluation at a fixed r.
 
-    Each stage's result is held once: the poles, residues and eigenvectors
+    Each stage's result is held once: the operator and source in ``basis``
+    (``basis.operator``, ``basis.b``), the poles, residues and eigenvectors
     in ``model`` (``model.pr``, ``model.Z``), the admissible coefficients in
-    ``cf``.  The Jacobian's solves run on ``operator.solver``, whose factors
-    the chain made.
+    ``cf``.  The Jacobian's solves run on ``basis.operator.solver``, whose
+    factors the chain made.
     """
 
-    operator: SystemOperator
-    b: np.ndarray
     basis: KrylovBasis
     model: ReducedModel
     cf: ContinuedFraction
@@ -255,13 +271,12 @@ def preconditioner_chain(op: SystemOperator, b: np.ndarray, family: NodeFamily,
     if generation not in ("auto", basis.generation):
         raise RomresError(f"generation {generation!r} is neither 'auto' nor "
                           f"{basis.generation!r}, the label of this family's basis")
-    model = project(op, b, basis)
+    model = project(basis)
     pr = model.pr
     gaps = np.diff(pr.theta)
     if gaps.size and np.min(gaps) < 1e-10 * abs(pr.theta[-1]):
         raise DegeneracyError("nearly coinciding reduced eigenvalues")
-    return ChainContext(operator=op, b=b, basis=basis, model=model,
-                        cf=pole_residue_to_cfrac(pr))
+    return ChainContext(basis=basis, model=model, cf=pole_residue_to_cfrac(pr))
 
 
 def preconditioner_R(field: ResistivityField, family: NodeFamily, generation: str = "auto",

@@ -65,7 +65,8 @@ def reference_grid(m: int, family: str = "zolotarev", n_fine: int = 1999) -> Opt
     partial sums of its kappa/kappahat.  Nothing is cached: one call costs a
     few milliseconds at N = 1999.
     """
-    field = ResistivityField(np.ones(n_fine), Grid1D(n_fine))
+    grid = Grid1D(n_fine)  # refuses an n_fine that is not an integer >= 2
+    field = ResistivityField(np.ones(n_fine), grid)
     _, ctx = preconditioner_R(field, node_family(family, m), return_context=True)
     k0, kh0 = ctx.cf.kappa, ctx.cf.kappa_hat
     return OptimalGrid(x=np.cumsum(k0), x_hat=np.cumsum(kh0), kappa0=k0, kappa_hat0=kh0)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousFitWarning, RomresError, SpectralValidityError, _require_integer
+from .errors import (AmbiguousFitWarning, RomresError, SpectralValidityError, _require_integer,
+                     _require_real)
 
 __all__ = [
     "NodeFamily",
@@ -72,11 +73,12 @@ class NodeFamily:
 def nodes_geometric(m: int, s1: float, ratio: float) -> NodeFamily:
     """Geometric node ladder s_j = s1 * ratio^(j-1), j = 1..m."""
     _require_integer("m", m)
-    if s1 <= 0:
-        raise RomresError("first node must be positive")
-    if ratio <= 1:
+    _require_real("first node s1", s1, positive=True)
+    if _require_real("geometric ratio", ratio) <= 1:
         raise RomresError("geometric ratio must exceed 1")
-    nodes = s1 * ratio ** np.arange(m)
+    # a ladder past the float range is refused by NodeFamily as not finite
+    with np.errstate(over="ignore"):
+        nodes = s1 * ratio ** np.arange(m)
     return NodeFamily(nodes, np.ones(m, dtype=int))
 
 
@@ -218,8 +220,12 @@ def fit_pade_toeplitz(moments, shift: float = 0.0, scale: float = 1.0) -> Ration
     truncated convolution.  When the Toeplitz matrix is rank deficient the
     degree is reduced accordingly (the fitted function has lower degree).
     A ``scale`` != 1 works in sigma = (s - shift)/scale, which tames the
-    moment range for expansion points far from the spectrum.
+    moment range for expansion points far from the spectrum.  ``shift`` must
+    be a finite real number and ``scale`` a positive and finite one
+    (RomresError).
     """
+    _require_real("expansion point shift", shift)
+    _require_real("moment scale", scale, positive=True)
     tau = np.asarray(moments, dtype=float)
     if tau.ndim != 1 or tau.size % 2 or tau.size == 0:
         raise RomresError(f"need a vector of an even number of moments, 2m; got shape {tau.shape}")
@@ -228,7 +234,10 @@ def fit_pade_toeplitz(moments, shift: float = 0.0, scale: float = 1.0) -> Ration
     if not np.any(tau != 0):
         raise RomresError("all moments vanish")
     m = tau.size // 2
-    tau_s = tau * scale ** np.arange(tau.size)
+    with np.errstate(over="ignore"):
+        tau_s = tau * scale ** np.arange(tau.size)
+    if not np.all(np.isfinite(tau_s)):
+        raise RomresError(f"moments scaled by {scale!r} overflow")
 
     cond_full = None
     while True:

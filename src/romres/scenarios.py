@@ -8,13 +8,14 @@ bit-stable across reruns with the same configuration.
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataUnusableError, RomresError
+from .errors import DataUnusableError, RomresError, _require_real
 from .fileio import write_csv, write_json, write_manifest, write_pgm
 from .forward import NoiseModel, add_noise, simulate_response
 from .grids import (Grid1D, Grid2D, ResistivityField, assemble_operator,
@@ -26,18 +27,38 @@ from .jacobian import assemble_jacobian
 from .krylov import preconditioner_chain, preconditioner_R
 from .laplace import laplace_moments
 from .optgrid import ratio_reconstruction, reference_grid
-from .phantoms import phantom
+from .phantoms import PHANTOMS_1D, PHANTOMS_2D, phantom
 from .ratfit import fit_multipoint, fit_pade_toeplitz, node_family
 
 __all__ = ["ExperimentConfig", "run_scenario", "SCENARIOS", "synthesize_1d"]
 
 
+# the phantom each 2D inversion scenario runs
+_SCENARIO_PHANTOMS = {"2d-tilted": "tilted", "2d-rect-corner": "two-rect-corner",
+                      "2d-rect-side": "two-rect-side"}
+
+
+def _shape_grid(name: str, shape) -> Grid2D:
+    """The Grid2D of an (nx, ny) pair; RomresError for anything else."""
+    if not (isinstance(shape, (tuple, list)) and len(shape) == 2):
+        raise RomresError(f"{name} must be a pair of integers (nx, ny), got {shape!r}")
+    return Grid2D(nx=shape[0], ny=shape[1])
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Scenario parameters; flags and config files map onto these fields."""
+    """Scenario parameters; flags and config files map onto these fields.
+
+    Every field is checked at construction, whatever the scenario reads, by
+    building what it names where it can (grids, the noise model, the
+    inversion settings), so a bad value is refused before any scenario
+    runs.  ``phantom`` is resolved here, once: a 2D inversion scenario runs
+    its own phantom (``None`` selects it, and any other name is refused),
+    and every other scenario takes a known phantom, ``rQ`` by default.
+    """
 
     scenario: str = "invert1d"
-    phantom: str = "rQ"
+    phantom: str | None = None
     n_fine: int = 299
     n_coarse: int = 199
     fine_shape: tuple[int, int] = (120, 40)
@@ -58,14 +79,31 @@ class ExperimentConfig:
     outdir: str = "out"
 
     def __post_init__(self):
-        if self.n_fine == self.n_coarse:
+        if not (isinstance(self.scenario, str) and self.scenario in SCENARIOS):
+            raise RomresError(f"unknown scenario {self.scenario!r}; known: {sorted(SCENARIOS)}")
+        own = _SCENARIO_PHANTOMS.get(self.scenario)
+        if self.phantom is None:
+            object.__setattr__(self, "phantom", own or "rQ")
+        if not (isinstance(self.phantom, str) and (self.phantom in PHANTOMS_1D
+                                                   or self.phantom in PHANTOMS_2D)):
+            raise RomresError(f"unknown phantom {self.phantom!r}; known: "
+                              f"{sorted(PHANTOMS_1D) + sorted(PHANTOMS_2D)}")
+        if own is not None and self.phantom != own:
+            raise RomresError(f"scenario {self.scenario} runs the {own!r} phantom, "
+                              f"not {self.phantom!r}")
+        if Grid1D(self.n_fine) == Grid1D(self.n_coarse):
             raise RomresError("fine and coarse grids must differ (inverse crime)")
-        if tuple(self.fine_shape) == tuple(self.coarse_shape):
+        if _shape_grid("fine_shape", self.fine_shape) == _shape_grid("coarse_shape",
+                                                                     self.coarse_shape):
             raise RomresError("fine and coarse grids must differ (inverse crime)")
-        # the noise level and seed, and the inversion settings, are checked
-        # here, so a bad value is refused before any scenario runs
+        _require_real("T", self.T, positive=True)
+        _require_real("h_T", self.h_T, positive=True)
         NoiseModel(self.epsilon, self.seed)
         self.inversion_config()
+        if not isinstance(self.save_models, bool):
+            raise RomresError(f"save_models must be true or false, got {self.save_models!r}")
+        if not isinstance(self.outdir, (str, os.PathLike)):
+            raise RomresError(f"outdir must be a path, got {self.outdir!r}")
 
     def inversion_config(self) -> InversionConfig:
         return InversionConfig(m0=self.m0, family_kind=self.family,
@@ -256,25 +294,18 @@ SCENARIOS = {
     "precond-action": _scenario_precond_action,
     "invert1d": _run_invert1d,
     "noise-ladder": _scenario_noise_ladder,
-    "2d-tilted": lambda cfg, out: _run_invert2d(replace(cfg, phantom="tilted"), out),
-    "2d-rect-corner": lambda cfg, out: _run_invert2d(
-        replace(cfg, phantom="two-rect-corner"), out),
-    "2d-rect-side": lambda cfg, out: _run_invert2d(
-        replace(cfg, phantom="two-rect-side"), out),
+    "2d-tilted": _run_invert2d,
+    "2d-rect-corner": _run_invert2d,
+    "2d-rect-side": _run_invert2d,
     "sensmap": _scenario_sensmap,
 }
 
 
 def run_scenario(cfg: ExperimentConfig):
     """Execute a named scenario; returns the list of files written."""
-    try:
-        fn = SCENARIOS[cfg.scenario]
-    except KeyError:
-        raise RomresError(f"unknown scenario {cfg.scenario!r}; "
-                          f"known: {sorted(SCENARIOS)}") from None
     outdir = Path(cfg.outdir) / cfg.scenario
     t0 = time.perf_counter()
-    outputs = fn(cfg, outdir)
+    outputs = SCENARIOS[cfg.scenario](cfg, outdir)
     wall = time.perf_counter() - t0
     conf = asdict(cfg)
     conf["fine_shape"] = list(conf["fine_shape"])

@@ -48,6 +48,19 @@ def test_unknown_config_key(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text, match", [("{bad", "cannot read"), ("[1]", "JSON object"),
+                                         (None, "cannot read")])
+def test_unreadable_config_file(tmp_path, capsys, text, match):
+    # invalid JSON, a JSON list and a missing file ended in a traceback
+    cpath = tmp_path / "conf.json"
+    if text is not None:
+        cpath.write_text(text)
+    assert main(["grids", "--outdir", str(tmp_path / "out"), "--config", str(cpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_inverse_crime_guard():
     with pytest.raises(RomresError):
         ExperimentConfig(scenario="invert1d", n_fine=199, n_coarse=199)
@@ -117,6 +130,56 @@ def test_bad_setting_refused_before_any_work(tmp_path, capsys, argv, match):
 def test_config_checks_noise_and_inversion_settings(fields):
     with pytest.raises(RomresError):
         ExperimentConfig(scenario="fig-grids", **fields)
+
+
+_SMALL_2D = ["--fine-shape", "24", "8", "--coarse-shape", "18", "6", "--n-sources", "4",
+             "--m0", "3", "--n-gn", "1"]
+
+
+def test_2d_manifest_records_the_phantom_that_ran(tmp_path, capsys):
+    # the manifest used to record the default "rQ" for the tilted run, and a
+    # --phantom naming another 2D phantom exited 0 and ran tilted all the same
+    assert main(["invert2d", *_SMALL_2D, "--outdir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "2d-tilted" / "manifest.json").read_text())
+    assert manifest["config"]["phantom"] == "tilted"
+    capsys.readouterr()
+    for other in ("rQ", "two-rect-side"):
+        assert main(["invert2d", *_SMALL_2D, "--phantom", other,
+                     "--outdir", str(tmp_path / other)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "'tilted'" in err
+        assert not (tmp_path / other).exists()
+    for name, own in (("2d-rect-corner", "two-rect-corner"), ("2d-rect-side", "two-rect-side")):
+        assert ExperimentConfig(scenario=name).phantom == own
+        assert ExperimentConfig(scenario=name, phantom=own).phantom == own
+    assert ExperimentConfig().phantom == "rQ"
+    assert ExperimentConfig(scenario="fig-grids", phantom="tilted").phantom == "tilted"
+
+
+@pytest.mark.parametrize("conf, match", [
+    ({"fine_shape": [3]}, "fine_shape must be a pair"),
+    ({"coarse_shape": 3}, "coarse_shape must be a pair"),
+    ({"fine_shape": ["a", 8]}, "integer nx, ny"),
+    ({"outdir": 3}, "outdir must be a path"),
+    ({"n_fine": "a"}, "integer n_points"),
+    ({"n_coarse": 1.5}, "integer n_points"),
+    ({"T": "a"}, "T must be a positive and finite"),
+    ({"h_T": 0.0}, "h_T must be a positive and finite"),
+    ({"phantom": 3}, "unknown phantom"),
+    ({"phantom": "bogus"}, "unknown phantom"),
+    ({"save_models": "no"}, "save_models must be true or false"),
+    ({"nullspace_correction": 1}, "nullspace_correction must be true or false"),
+    ({"scenario": "nope"}, "unknown scenario"),
+])
+def test_config_file_values_checked_whole(tmp_path, capsys, conf, match):
+    # each of these exited 1 with a bare IndexError or TypeError, or exited 0
+    # and recorded the bad value in the manifest, whatever the scenario
+    cpath = tmp_path / "conf.json"
+    cpath.write_text(json.dumps(conf))
+    assert main(["grids", "--outdir", str(tmp_path / "out"), "--config", str(cpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and match in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scenario_artifacts(tmp_path):

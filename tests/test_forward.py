@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,8 +111,11 @@ def test_response_positive_decreasing(small_system):
     assert np.all(np.diff(y.samples) < 0)
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf, "a", 1j, np.array([0.1]),
+                                  np.array([0.1, 0.2]), None])
 def test_time_series_rejects_bad_step(step):
+    # a string or complex step raised a bare TypeError, and an array one
+    # numpy's ValueError, from the comparison
     with pytest.raises(RomresError, match="time step"):
         forward.TimeSeries(np.ones(4), step)
 
@@ -486,7 +490,7 @@ def test_raw_matrix_refused(rng, splu_calls, lapack_calls):
         splu_calls.clear()
         lapack_calls.clear()
         entry_points = [shifted_solver, lambda A: transfer_eval(A, b, 2.0),
-                        lambda A: project(A, b, basis),
+                        lambda A: project(replace(basis, operator=A)),
                         lambda A: transfer_moments(A, b, 2.0, 2),
                         lambda A: build_krylov(A, b, fam),
                         lambda A: preconditioner_chain(A, b, fam)]
@@ -504,7 +508,7 @@ def test_source_escapes_refused(rng, splu_calls, lapack_calls):
     # a complex source lost its imaginary part behind a ComplexWarning, a
     # string source raised a bare ValueError, and project took a short one
     # to matmul's ValueError; each now raises InvalidGridError before any
-    # factorization
+    # factorization (a basis checks the source it carries when it is built)
     fam = node_family("zolotarev", 2)
     for op, b in _two_kinds_of_operator(rng):
         if op.bands is None:
@@ -518,7 +522,7 @@ def test_source_escapes_refused(rng, splu_calls, lapack_calls):
                 for call in (lambda: transfer_eval(op, bad, 2.0),
                              lambda: transfer_moments(op, bad, 2.0, 2),
                              lambda: build_krylov(op, bad, fam),
-                             lambda: project(op, bad, basis),
+                             lambda: project(replace(basis, b=bad)),
                              lambda: preconditioner_chain(op, bad, fam),
                              lambda: simulate_response(op, bad, 1.0, 0.1)):
                     with pytest.raises(InvalidGridError, match="source .* does not match .* rows"):
@@ -748,3 +752,4 @@ def test_operator_and_factors_freed_without_gc(rng):
     finally:
         if enabled:
             gc.enable()
+

@@ -2,6 +2,7 @@
 points and the time-domain synthesis raise only RomresError subclasses."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_forward_entry_points_raise_only_romres_errors(system, operand, source, 
              lambda: transfer_eval(A, b, s),
              lambda: transfer_moments(A, b, s, 2),
              lambda: build_krylov(A, b, fam),
-             lambda: project(A, b, basis),
+             lambda: project(replace(basis, operator=A, b=b)),
              lambda: preconditioner_chain(A, b, fam),
              lambda: simulate_response(A, b, T, h_T)]
     with warnings.catch_warnings():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -35,9 +37,11 @@ def test_grid2d_needs_integer_size(nx, ny):
 
 
 @pytest.mark.parametrize("extent", [{"Lx": np.inf}, {"Ly": np.inf}, {"Lx": np.nan},
-                                    {"Ly": np.nan}, {"Ly": 0.0}])
+                                    {"Ly": np.nan}, {"Ly": 0.0}, {"Lx": "a"}, {"Lx": 1j},
+                                    {"Ly": [1.0]}])
 def test_grid2d_needs_positive_finite_extents(extent):
-    # an infinite Ly used to give a transfer function of (0.0, -0.0)
+    # an infinite Ly used to give a transfer function of (0.0, -0.0), and a
+    # string, complex or list extent raised a bare TypeError
     with pytest.raises(InvalidGridError, match="positive and finite"):
         Grid2D(nx=4, ny=3, **extent)
 
@@ -393,3 +397,36 @@ def test_operator_checks_its_shapes():
             SystemOperator(**kwargs)
     assert SystemOperator(D=D3, bands=(main, off)).shape == (3, 3)
     assert SystemOperator(D=D3, A=-sp.identity(3, format="csr"), averaging=D3).shape == (3, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Grid2D(3, 3, accessible=("a", 2.0)), lambda: Grid2D(3, 3, accessible=(1.0, 2.0, 2.5)),
+    lambda: Grid2D(3, 3, accessible=1.0), lambda: Grid2D(3, 3, segments=((1.0, 1.5),)),
+    lambda: BoundarySegment("a", 1.0), lambda: BoundarySegment(0.0, np.inf),
+    lambda: BoundarySegment(np.array([0.0]), 1.0),
+])
+def test_grid_scalars_refused(build):
+    # each raised a bare TypeError, ValueError or AttributeError from a
+    # comparison, an unpacking or a field read, or built a segment whose
+    # midpoint is not finite
+    with pytest.raises(InvalidGridError):
+        build()
+
+
+def test_grid2d_keeps_accessible_as_a_tuple():
+    # a list or array pair is stored as a tuple, so grids still compare and hash
+    g = Grid2D(3, 3, accessible=np.array([1.0, 2.0]))
+    assert g.accessible == (1.0, 2.0) and g == Grid2D(3, 3) and hash(g) == hash(Grid2D(3, 3))
+
+
+def test_assemble_operator_2d_refuses_another_grid():
+    # a grid of as many cells used to build that grid's operator silently (a
+    # 4 x 4 unit field with Lx = 6 gave an A off by up to 29.3), and one of
+    # another count raised numpy's bare ValueError from the matmul
+    g = Grid2D(4, 4)
+    f = ResistivityField(np.ones(g.n_cells), g)
+    for other in (Grid2D(4, 4, Lx=6.0), Grid2D(5, 4), replace(g, segments=uniform_segments(g, 2))):
+        with pytest.raises(InvalidGridError, match="not the field's grid"):
+            assemble_operator_2d(f, other)
+    A = assemble_operator_2d(f).A
+    assert (assemble_operator_2d(f, Grid2D(4, 4)).A != A).nnz == 0

@@ -50,6 +50,11 @@ def test_relative_error_basics():
         warnings.simplefilter("error")
         with pytest.raises(RomresError, match="zero reference"):
             relative_error(r, np.zeros(2))
+        # a string or complex field raised numpy's ValueError or TypeError,
+        # and a ragged one its ValueError
+        for bad in (["a"], [1j], [1.0, [1.0, 2.0]]):
+            with pytest.raises(RomresError, match="arrays"):
+                relative_error(bad, [1.0] * len(bad))
 
 
 def test_gauss_newton_fixed_point(small_system):
@@ -84,6 +89,15 @@ def test_gauss_newton_rejects_nonfinite(bad):
         J[1, 0] = np.inf
     with pytest.raises(RomresError, match="finite") as info:
         gauss_newton_step(np.ones(2), J, residual, J_pinv=np.eye(2))
+    assert not isinstance(info.value, StepFailureError)
+
+
+@pytest.mark.parametrize("alpha", ["a", 0.0, -1.0, np.nan, np.inf, 1j, np.array([1.0])])
+def test_gauss_newton_refuses_a_bad_step_length(alpha):
+    # a string alpha raised numpy's UFuncTypeError from r + a * rho
+    J = np.eye(2)
+    with pytest.raises(RomresError, match="alpha") as info:
+        gauss_newton_step(np.ones(2), J, np.array([0.1, 0.0]), alpha, J_pinv=J)
     assert not isinstance(info.value, StepFailureError)
 
 

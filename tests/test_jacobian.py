@@ -35,7 +35,7 @@ def _forward_mode_reference(ctx, lo=0, hi=None):
     of its node is solved on the previous basis vector, so that solve's
     input tangent is dx.  dV has shape (m, n_state, hi - lo).  Reference for
     the adjoint sweep."""
-    op = ctx.operator
+    op = ctx.basis.operator
     K, V, U = ctx.basis.K, ctx.basis.V, ctx.basis.U
     hi = op.D.shape[0] if hi is None else hi
     AV = op.A @ V
@@ -63,7 +63,7 @@ def _forward_mode_reference(ctx, lo=0, hi=None):
             col += 1
     S = np.einsum("inq,nl->qil", dV, AV, optimize=True)
     dA_m = S + S.transpose(0, 2, 1) - DV[:, :, None] * DV[:, None, :]
-    db_m = np.einsum("inq,n->qi", dV, ctx.b)
+    db_m = np.einsum("inq,n->qi", dV, ctx.basis.b)
     return dV, dA_m, db_m
 
 
@@ -204,8 +204,8 @@ def test_adjoint_matches_forward_mode_reference(rng):
         _, dA_ref, db_ref = _forward_mode_reference(ctx)
         for target in ("cfrac", "spectral"):
             J_ref = _chain_tail(ctx, dA_ref, db_ref, target)
-            if ctx.operator.averaging is not None:  # 2D: to the cells
-                J_ref = np.asarray(J_ref @ ctx.operator.averaging)
+            if ctx.basis.operator.averaging is not None:  # 2D: to the cells
+                J_ref = np.asarray(J_ref @ ctx.basis.operator.averaging)
             J = assemble_jacobian(ctx, target=target)
             assert J.shape == J_ref.shape
             assert np.linalg.norm(J - J_ref) <= 1e-10 * np.linalg.norm(J_ref)
@@ -250,7 +250,7 @@ def test_jacobian_cost_structure(monkeypatch, rng):
 
     monkeypatch.setattr(shifted_solver, "solve", counting_solve)
     for ctx in contexts:
-        n, fam = ctx.operator.A.shape[0], ctx.basis.family
+        n, fam = ctx.basis.operator.A.shape[0], ctx.basis.family
         d = 2 * ctx.m + 1 - len(fam.nodes)
         expected = [(s, (n,)) for s, mult in zip(fam.nodes, fam.multiplicities)
                     for _ in range(int(mult) - 1)]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -81,29 +83,44 @@ def test_bad_source_refused_on_entry(small_system, monkeypatch):
             preconditioner_chain(o, bad, family)
 
 
-def test_project_refuses_a_basis_of_another_size():
-    # a basis built on a 12-point operator and projected on a 10-point one
-    # raised a bare ValueError from SystemOperator.__matmul__
-    systems = {}
-    for n in (10, 12):
-        g = Grid1D(n)
-        systems[n] = (assemble_operator(ResistivityField(np.ones(n), g), build_difference_1d(g)),
-                      source_vector(g).b)
-    fam = node_family("zolotarev", 3)
-    for built_on, projected_on in ((12, 10), (10, 12)):
-        basis = build_krylov(*systems[built_on], fam)
-        with pytest.raises(InvalidGridError, match=f"basis of {built_on} rows .* {projected_on} rows"):
-            project(*systems[projected_on], basis)
+def test_basis_refuses_what_does_not_fit_its_operator(small_system):
+    # a basis carries the operator and source it spans: a raw matrix, a
+    # source that is not a finite vector of the operator's rows, or snapshots
+    # of another size are refused when the basis is built, so a basis cannot
+    # be projected on another operator (a 12-row basis on a 10-point operator
+    # raised a bare ValueError from SystemOperator.__matmul__)
+    grid, field, op, b = small_system
+    basis = build_krylov(op, b, node_family("zolotarev", 3))
+    K, V, U, fam = basis.K, basis.V, basis.U, basis.family
+    nan = b.copy()
+    nan[2] = np.nan
+    with pytest.raises(InvalidGridError, match="NodeFamily"):
+        KrylovBasis(K=K, V=V, U=U, family=3, operator=op, b=b)
+    for operator in (op.A.toarray(), op.A, None):
+        with pytest.raises(InvalidGridError, match="SystemOperator"):
+            KrylovBasis(K=K, V=V, U=U, family=fam, operator=operator, b=b)
+    for source in (nan, b[:-1], b + 1j, None):
+        with pytest.raises(InvalidGridError, match="source"):
+            KrylovBasis(K=K, V=V, U=U, family=fam, operator=op, b=source)
+    for k, v, u in ((K[:-1], V[:-1], U), (K, V[:-1], U), (K[:, :2], V[:, :2], U[:2, :2]),
+                    (K, V, U[:2])):
+        with pytest.raises(InvalidGridError, match="does not fit"):
+            KrylovBasis(K=k, V=v, U=u, family=fam, operator=op, b=b)
+    g = Grid1D(12)
+    other = assemble_operator(ResistivityField(np.ones(12), g), build_difference_1d(g))
+    with pytest.raises(InvalidGridError, match=r"does not fit the operator's 12 rows"):
+        replace(basis, operator=other, b=source_vector(g).b)
+    assert replace(basis).b is basis.b
 
 
 def test_indefinite_projection_raises_its_own_error(small_system):
     # projecting -A (positive definite) on a valid basis of A
     grid, field, op, b = small_system
     basis = build_krylov(op, b, node_family("zolotarev", 3))
-    assert np.all(np.linalg.eigvalsh(project(op, b, basis).A_m) < 0)
+    assert np.all(np.linalg.eigvalsh(project(basis).A_m) < 0)
     main, off = op.bands
     with pytest.raises(ProjectionError, match="not negative definite"):
-        project(SystemOperator(D=op.D, bands=(-main, -off)), b, basis)
+        project(replace(basis, operator=SystemOperator(D=op.D, bands=(-main, -off))))
 
 
 def test_pade0_snapshots_are_inverse_powers(small_system):
@@ -132,7 +149,7 @@ def test_projection_moment_matching(small_system):
     grid, field, op, b = small_system
     fam = node_family("zolotarev", 4)
     basis = build_krylov(op, b, fam)
-    pr = project(op, b, basis).pr
+    pr = project(basis).pr
     for s in fam.nodes:
         val, der = transfer_eval(op, b, s=s)
         assert pr(s) == pytest.approx(val, rel=1e-8)
@@ -143,7 +160,7 @@ def test_single_node_higher_moments(small_system):
     grid, field, op, b = small_system
     s_hat = 20.0
     fam = node_family("single-node", 3, s_hat=s_hat)
-    model = project(op, b, build_krylov(op, b, fam))
+    model = project(build_krylov(op, b, fam))
     tau = transfer_moments(op, b, s_hat, 4)
     # four of the 2m = 6 moments the m = 3 single-node model matches
     tau_m = reduced_moments(model, s_hat, 4)
@@ -157,7 +174,7 @@ def test_full_basis_is_exact(rng):
     b = source_vector(grid).b
     fam = NodeFamily(np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
                      np.ones(8, dtype=int))
-    pr = project(op, b, build_krylov(op, b, fam)).pr
+    pr = project(build_krylov(op, b, fam)).pr
     for s in (0.5, 3.0, 300.0):
         assert pr(s) == pytest.approx(transfer_eval(op, b, s=s)[0], rel=1e-9)
 
@@ -165,7 +182,7 @@ def test_full_basis_is_exact(rng):
 def test_reduced_poles_and_residues_basics(small_system):
     grid, field, op, b = small_system
     fam = node_family("zolotarev", 4)
-    model = project(op, b, build_krylov(op, b, fam))
+    model = project(build_krylov(op, b, fam))
     pr = model.pr
     assert np.all(np.diff(pr.theta) > 0)
     assert np.all(pr.c >= 0)
@@ -179,7 +196,7 @@ def test_projection_equals_interpolation(small_system):
     # Galerkin ROM and the osculatory fit give the same poles/residues
     grid, field, op, b = small_system
     fam = node_family("zolotarev", 4)
-    pr_proj = project(op, b, build_krylov(op, b, fam)).pr
+    pr_proj = project(build_krylov(op, b, fam)).pr
     vals = np.empty(4)
     ders = np.empty(4)
     for j, s in enumerate(fam.nodes):
@@ -272,7 +289,7 @@ def test_sequential_matches_raw_values(small_system):
     for j in range(4):
         x = P[:, j] = np.linalg.solve(resolvent, x)
     Q, R = np.linalg.qr(P)
-    poles = project(op, b, KrylovBasis(K=P, V=Q, U=R, family=fam)).pr
+    poles = project(KrylovBasis(K=P, V=Q, U=R, family=fam, operator=op, b=b)).pr
     cf = pole_residue_to_cfrac(poles)
     ctx = preconditioner_chain(op, b, fam)
     assert np.allclose(ctx.log_vector(), cf.log_vector(), atol=1e-9)
@@ -293,12 +310,12 @@ def test_1d_chain_builds_no_sparse_matrix(sparse_constructions):
         _, ctx = preconditioner_R(ResistivityField(1.1 * r, grid), fam, return_context=True)
         J = assemble_jacobian(ctx)
         assert sparse_constructions == []
-        assert ctx.operator.D is build_difference_1d(grid)
+        assert ctx.basis.operator.D is build_difference_1d(grid)
         assert J.shape == (10, 199) and J.flags.f_contiguous
-        A = ctx.operator.A
+        A = ctx.basis.operator.A
         assert A.format == "csr" and sparse_constructions[-1] == "csr_matrix"
         sparse_constructions.clear()
-        assert ctx.operator.A is A and sparse_constructions == []
+        assert ctx.basis.operator.A is A and sparse_constructions == []
 
 
 def test_project_reuses_its_eigendecomposition(small_system):
@@ -307,7 +324,7 @@ def test_project_reuses_its_eigendecomposition(small_system):
     # model keeps the product A V the Jacobian's sweep reads
     grid, field, op, b = small_system
     basis = build_krylov(op, b, node_family("zolotarev", 4))
-    model = project(op, b, basis)
+    model = project(basis)
     lam, Z = sla.eigh(model.A_m)
     assert np.array_equal(model.pr.theta, -lam[::-1])
     assert np.array_equal(model.Z, Z[:, ::-1])

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from romres.errors import InvalidGridError
 from romres.grids import Grid1D, ResistivityField
 from romres.krylov import preconditioner_R
 from romres.optgrid import (OptimalGrid, check_interlacing, ratio_reconstruction,
@@ -76,3 +78,10 @@ def test_interlacing_first_and_last_verdicts():
     g = OptimalGrid(x=np.array([0.3, 1.1]), x_hat=np.array([0.1, 0.5]),
                     kappa0=np.array([0.3, 0.8]), kappa_hat0=np.array([0.1, 0.4]))
     assert check_interlacing(g) == (False, 3)
+
+
+@pytest.mark.parametrize("n_fine", ["a", 2.5, 1, None])
+def test_reference_grid_refuses_a_bad_size(n_fine):
+    # a string n_fine raised numpy's bare TypeError from np.ones
+    with pytest.raises(InvalidGridError, match="n_points"):
+        reference_grid(3, n_fine=n_fine)

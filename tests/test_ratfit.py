@@ -19,6 +19,17 @@ def test_geometric_ratio_must_exceed_one():
         nodes_geometric(4, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("s1, ratio", [("a", 2.0), (1j, 2.0), (2.0, "a"), (2.0, np.nan),
+                                       (np.inf, 2.0), (np.array([2.0]), 2.0), (1e300, 1e300)])
+def test_geometric_ladder_scalars_refused(s1, ratio):
+    # a string first node raised a bare TypeError from the comparison, and a
+    # ladder past the float range an overflow RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RomresError):
+            nodes_geometric(3, s1, ratio)
+
+
 def test_fast_dominates_zolotarev():
     m = 6
     z = node_family("zolotarev", m).nodes
@@ -166,6 +177,23 @@ def test_toeplitz_rejects_nonfinite_or_matrix_moments(moments, match):
     # ValueError
     with pytest.raises(RomresError, match=match) as err:
         fit_pade_toeplitz(moments)
+    assert not isinstance(err.value, SpectralValidityError)
+
+
+@pytest.mark.parametrize("setting, match", [
+    ({"shift": "a"}, "shift"), ({"shift": np.nan}, "shift"), ({"shift": 1j}, "shift"),
+    ({"scale": 0.0}, "scale"), ({"scale": -1.0}, "scale"), ({"scale": "a"}, "scale"),
+    ({"scale": np.inf}, "scale"), ({"scale": 1e200}, "overflow")])
+def test_toeplitz_refuses_a_bad_shift_or_scale(setting, match):
+    # a string shift was accepted and failed in to_pole_residue with numpy's
+    # UFuncTypeError, and scale = 0 was accepted and then reported as
+    # SpectralValidityError, a fit-validity error the m-reduction answers by
+    # reducing m
+    tau = np.array([4.0 / 3.0, -10.0 / 9.0, 28.0 / 27.0, -82.0 / 81.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RomresError, match=match) as err:
+            fit_pade_toeplitz(tau, **setting)
     assert not isinstance(err.value, SpectralValidityError)
 
 

@@ -63,8 +63,9 @@ VARIANTS = [
       "noise-ladder", "2d-tilted", "2d-rect-corner", "2d-rect-side", "sensmap"], SMALL, None),
     (["synthesize", "invert1d", "2d-tilted"], SMALL,
      {"epsilon": 0.05, "seed": 1, "weights": "adaptive", "parametrization": "spectral"}),
-    (["invert1d", "2d-rect-side"], SMALL + ["--no-nullspace", "--save-models"],
+    (["invert1d"], SMALL + ["--no-nullspace", "--save-models"],
      {"phantom": "rJ", "family": "fast"}),
+    (["2d-rect-side"], SMALL + ["--no-nullspace", "--save-models"], {"family": "fast"}),
 ]
 
 # (module, function, anchor, reason).  An entry covers the unreached
