@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, DegeneracyError, RomresError
+from .errors import AdmissibilityError, DegeneracyError, RomresError, _real_array
 from .ratfit import PoleResidue
 
 __all__ = [
@@ -45,8 +45,8 @@ class ContinuedFraction:
     kappa_hat: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.kappa, dtype=float)
-        kh = np.asarray(self.kappa_hat, dtype=float)
+        k = _real_array("kappa", self.kappa)
+        kh = _real_array("kappa_hat", self.kappa_hat)
         object.__setattr__(self, "kappa", k)
         object.__setattr__(self, "kappa_hat", kh)
         if k.shape != kh.shape or k.ndim != 1 or k.size == 0:

@@ -9,8 +9,11 @@ function keeps this contract:
   any work: with ``InvalidGridError`` for grids, segments, operators,
   sources and Krylov bases, ``PositivityError`` for resistivities, and
   ``RomresError`` itself for the other settings (time series, noise, fits,
-  inversion and scenario settings).  A scalar that must be a number is
-  refused when it is a string, complex, an array, NaN or infinite.
+  inversion and scenario settings).  A value is checked once, by the type
+  that holds it, and a function that receives that type does not check it
+  again.  A scalar that must be a number is refused when it is a string,
+  complex, an array, NaN or infinite, and an array of numbers when it is
+  ragged or holds strings, complex numbers or objects (``_real_array``).
 - The fit-validity errors are the three that reducing m can cure,
   ``SpectralValidityError``, ``AdmissibilityError`` and ``DegeneracyError``
   (``inversion._FIT_ERRORS``).  They report what a fit or the chain
@@ -26,6 +29,8 @@ function keeps this contract:
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class RomresError(Exception):
@@ -89,11 +94,15 @@ class AmbiguousFitWarning(UserWarning):
     """Trailing singular values nearly coincide; fitted model is not unique."""
 
 
-def _require_integer(name: str, value) -> int:
+def _require_integer(name: str, value, low: int | None = None) -> int:
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise RomresError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        bound = "nonnegative" if low == 0 else f"at least {low}"
+        raise RomresError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def _require_real(name: str, value, error=RomresError, positive: bool = False):
@@ -105,3 +114,17 @@ def _require_real(name: str, value, error=RomresError, positive: bool = False):
         kind = "positive and finite" if positive else "finite"
         raise error(f"{name} must be a {kind} real number, got {value!r}")
     return value
+
+
+def _real_array(name: str, value, error=RomresError,
+                expected: str = "a real vector") -> np.ndarray:
+    """``value`` as a float array (itself if it is one); ``error``, saying what
+    is ``expected``, if it is ragged or its entries are not real numbers."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # a ragged nested sequence
+        raise error(f"{name} is not an array ({expected}): {exc}") from None
+    if array.dtype.kind not in "biuf":
+        raise error(f"{name} of shape {array.shape} and dtype {array.dtype} does not match "
+                    f"{expected}")
+    return np.asarray(array, dtype=float)

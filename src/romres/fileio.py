@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RomresError
+from .errors import RomresError, _real_array
 from .grids import Grid2D
 
 __all__ = ["write_csv", "render_heatmap", "write_pgm", "write_json",
@@ -47,7 +47,7 @@ def render_heatmap(values: np.ndarray, grid: Grid2D) -> bytes:
     the picture matches the physical layout with the accessible boundary
     at the bottom.
     """
-    v = np.asarray(values, dtype=float)
+    v = _real_array("field", values, expected="a real cell field")
     if v.size != grid.n_cells:
         raise RomresError("field length does not match the grid")
     img = v.reshape(grid.ny, grid.nx)[::-1, :]

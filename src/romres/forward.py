@@ -12,7 +12,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidGridError, RomresError, _require_integer, _require_real
+from .errors import (InvalidGridError, RomresError, _real_array, _require_integer,
+                     _require_real)
 from .grids import SystemOperator
 
 __all__ = [
@@ -53,13 +54,8 @@ class TimeSeries:
     peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            samples = np.asarray(self.samples)
-        except ValueError as exc:  # a ragged nested sequence
-            raise RomresError(f"time series is not an array: {exc}") from None
-        if samples.dtype.kind not in "biuf":
-            raise RomresError(f"time series samples must be real, got dtype {samples.dtype}")
-        samples = np.asarray(samples, dtype=float).view()
+        samples = _real_array("time series", self.samples,
+                              expected="a nonempty vector of finite real samples").view()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         _require_real("time step", self.step, positive=True)
@@ -92,8 +88,7 @@ class NoiseModel:
     def __post_init__(self):
         if not (isinstance(self.level, numbers.Real) and 0 <= self.level < np.inf):
             raise RomresError(f"noise level must be nonnegative and finite, got {self.level!r}")
-        if _require_integer("seed", self.seed) < 0:
-            raise RomresError(f"noise seed must be nonnegative, got {self.seed!r}")
+        _require_integer("noise seed", self.seed, low=0)
 
 
 def _rows(op) -> int:
@@ -106,19 +101,11 @@ def _rows(op) -> int:
 def _source(b, n: int) -> np.ndarray:
     """The source b as a float64 vector (b itself if it is one); InvalidGridError
     unless it is a finite real vector of the operator's n rows."""
-    try:
-        b = np.asarray(b)
-    except ValueError as exc:  # a ragged nested sequence
-        raise InvalidGridError(f"source is not an array: {exc}") from None
-    if b.dtype.kind not in "biuf" or b.shape != (n,) or not np.all(np.isfinite(b)):
-        raise InvalidGridError(f"source of shape {b.shape} and dtype {b.dtype} does not match "
-                               f"a finite real vector of the operator's {n} rows")
-    return np.asarray(b, dtype=float)
-
-
-def _as_dense(A):
-    """A dense copy of a sparse matrix or a ``SystemOperator``, or A as an array."""
-    return A.toarray() if hasattr(A, "toarray") else np.asarray(A)
+    expected = f"a finite real vector of the operator's {n} rows"
+    b = _real_array("source", b, InvalidGridError, expected)
+    if b.shape != (n,) or not np.all(np.isfinite(b)):
+        raise InvalidGridError(f"source of shape {b.shape} does not match {expected}")
+    return b
 
 
 def spectral_weights(A, b) -> tuple[np.ndarray, np.ndarray]:
@@ -128,10 +115,11 @@ def spectral_weights(A, b) -> tuple[np.ndarray, np.ndarray]:
     real and exactly symmetric, as every assembled operator is: ``eigh``
     would otherwise read only its lower triangle.
     """
-    Ad = _as_dense(A)
-    if Ad.ndim != 2 or Ad.dtype.kind not in "biuf" or not np.all(np.isfinite(Ad)) \
-            or not np.array_equal(Ad, Ad.T):
-        raise RomresError("A must be a finite, real symmetric matrix")
+    expected = "a finite, real symmetric matrix"
+    # a dense copy of a sparse matrix or a SystemOperator
+    Ad = _real_array("A", A.toarray() if hasattr(A, "toarray") else A, expected=expected)
+    if Ad.ndim != 2 or not np.all(np.isfinite(Ad)) or not np.array_equal(Ad, Ad.T):
+        raise RomresError(f"A must be {expected}")
     b = _source(b, Ad.shape[0])
     lam, Q = sla.eigh(Ad)
     return lam, (Q.T @ b) ** 2
@@ -262,8 +250,6 @@ class shifted_solver:
         self._A = op.A if op.bands is None else None
 
     def _factor(self, s: float):
-        if not np.isfinite(s):
-            raise RomresError(f"shift must be finite, got s={s!r}")
         if self._bands is not None:
             main, off = self._bands
             d, e, info = sla.lapack.dpttrf(s - main, -off, overwrite_d=1, overwrite_e=1)
@@ -289,8 +275,8 @@ class shifted_solver:
         if rhs.ndim not in (1, 2) or rhs.shape[0] != self._n or rhs.dtype.kind not in "biuf":
             raise RomresError(f"right-hand side of shape {rhs.shape} and dtype {rhs.dtype} is "
                               f"not a real vector or matrix with the operator's {self._n} rows")
-        if not isinstance(s, numbers.Real):
-            raise RomresError(f"shift must be a real scalar, got {s!r}")
+        if not (isinstance(s, numbers.Real) and -math.inf < s < math.inf):
+            raise RomresError(f"shift must be a finite real scalar, got {s!r}")
         key = float(s)
         solve = self._factors.get(key)
         if solve is None:
@@ -318,9 +304,7 @@ def transfer_moments(op: SystemOperator, b, s_hat: float, K: int) -> np.ndarray:
     ``transfer_eval``; the K solves run on the operator's one factor of
     s_hat I - A (``SystemOperator.solver``).
     """
-    K = _require_integer("K", K)
-    if K < 1:
-        raise RomresError("need at least one moment")
+    K = _require_integer("K", K, low=1)
     b = _source(b, _rows(op))
     if K > b.size:
         warnings.warn("more moments than system dimension; trailing ones are rank deficient")

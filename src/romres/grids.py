@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidGridError, PositivityError, _require_real
+from .errors import InvalidGridError, PositivityError, _real_array, _require_real
 
 __all__ = [
     "Grid1D",
@@ -156,13 +156,20 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class ResistivityField:
-    """Finite, strictly positive resistivity samples attached to a grid."""
+    """Finite, strictly positive resistivity samples attached to a grid.
+
+    ``values`` is a read-only view of the array given (as float), which must
+    not change after construction: assembly relies on the check made here.
+    The caller's own array keeps its flags.
+    """
 
     values: np.ndarray
     grid: Grid1D | Grid2D
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _real_array("resistivity", self.values, PositivityError,
+                        "finite and strictly positive values").view()
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         n = self.grid.n_points if isinstance(self.grid, Grid1D) else self.grid.n_cells
         if v.shape != (n,):
@@ -318,7 +325,8 @@ def assemble_operator(field: ResistivityField, D: sp.csr_matrix) -> SystemOperat
     since u = -d makes both off-diagonal products -(u r) d and -(d r) u
     equal to p.  The operator keeps the main diagonal and the one
     off-diagonal as its ``bands``, and builds no sparse matrix (see
-    ``SystemOperator``).
+    ``SystemOperator``).  The field's values are finite and positive
+    (``ResistivityField``) and are not checked again.
     """
     r = field.values
     n = r.shape[0]
@@ -326,8 +334,6 @@ def assemble_operator(field: ResistivityField, D: sp.csr_matrix) -> SystemOperat
     if d is None or D.shape != (n, n):
         raise InvalidGridError(f"the 1D difference factor must be a sparse {n} x {n} "
                                "bidiagonal with rows (d_i, -d_i) and no d_i zero")
-    if not np.all(r > 0):
-        raise PositivityError("resistivity must be strictly positive")
     p = d * r * d
     main = -p
     main[1:] -= p[:-1]

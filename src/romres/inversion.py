@@ -20,9 +20,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (AdmissibilityError, DataUnusableError, DegeneracyError,
+from .errors import (AdmissibilityError, DataUnusableError, DegeneracyError, InvalidGridError,
                      RegularizationError, RomresError, SpectralValidityError,
-                     StepFailureError, _require_integer, _require_real)
+                     StepFailureError, _real_array, _require_integer, _require_real)
 from .forward import TimeSeries, transfer_moments
 from .grids import (Grid1D, Grid2D, ResistivityField, SystemOperator, _difference_diagonal,
                     assemble_operator, assemble_operator_2d,
@@ -77,14 +77,8 @@ class InversionConfig:
     n_sources: int = 8
 
     def __post_init__(self):
-        for name in ("m0", "n_gn", "n_sources"):
-            _require_integer(name, getattr(self, name))
-        if self.m0 < 1:
-            raise RomresError(f"m0 must be at least 1, got {self.m0}")
-        if self.n_gn < 0:
-            raise RomresError(f"n_gn must be nonnegative, got {self.n_gn}")
-        if self.n_sources < 1:
-            raise RomresError(f"n_sources must be at least 1, got {self.n_sources}")
+        for name, low in (("m0", 1), ("n_gn", 0), ("n_sources", 1)):
+            _require_integer(name, getattr(self, name), low=low)
         if self.weights not in ("identity", "adaptive"):
             raise RomresError(f"unknown weight mode {self.weights!r}")
         if self.parametrization not in ("cfrac", "spectral"):
@@ -110,11 +104,9 @@ class FitTarget:
     attempts: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        _require_integer("m", self.m)
-        if self.m < 1:
-            raise RomresError(f"m must be at least 1, got {self.m}")
+        _require_integer("m", self.m, low=1)
         for name in ("log_cfrac", "spectral"):
-            v = np.asarray(getattr(self, name), dtype=float)
+            v = _real_array(name, getattr(self, name))
             if v.shape != (2 * self.m,) or not np.all(np.isfinite(v)):
                 raise RomresError(f"{name} must be a finite vector of length 2m = {2 * self.m}")
             object.__setattr__(self, name, v)
@@ -223,16 +215,11 @@ def data_fitting_moments(moments: np.ndarray, s_hat: float, m0: int) -> FitTarge
     Toeplitz fit's degree, which may fall below the trial m when the
     moments have lower rank.
     """
-    _require_integer("m0", m0)
-    if m0 < 1:
-        raise RomresError(f"m0 must be at least 1, got {m0}")
-    tau_all = np.asarray(moments, dtype=float)
-    if tau_all.ndim != 1:
-        raise RomresError(f"moments must be a vector, got shape {tau_all.shape}")
-    if tau_all.size < 2 * m0:
-        raise RomresError("not enough moments for the requested m")
-    if not np.all(np.isfinite(tau_all)):
-        raise RomresError("moments must be finite")
+    _require_integer("m0", m0, low=1)
+    expected = f"a finite vector of at least 2 m0 = {2 * m0} moments"
+    tau_all = _real_array("moments", moments, expected=expected)
+    if tau_all.ndim != 1 or tau_all.size < 2 * m0 or not np.all(np.isfinite(tau_all)):
+        raise RomresError(f"moments of shape {tau_all.shape} do not match {expected}")
     _require_real("expansion node s_hat", s_hat)
 
     def fit_at(m):
@@ -493,18 +480,12 @@ def regularization_gradient(grid: Grid1D | Grid2D) -> sp.csr_matrix:
 
 def relative_error(r_star: np.ndarray, r_true: np.ndarray) -> float:
     """Ratio of discrete l2 norms, ||r* - r_true|| / ||r_true||."""
-    try:
-        r_star, r_true = np.asarray(r_star), np.asarray(r_true)
-    except ValueError as exc:  # a ragged nested sequence
-        raise RomresError(f"fields are not arrays: {exc}") from None
-    if r_star.dtype.kind not in "biuf" or r_true.dtype.kind not in "biuf":
-        raise RomresError(f"fields must be real arrays, got dtypes {r_star.dtype} "
-                          f"and {r_true.dtype}")
-    r_star, r_true = r_star.astype(float, copy=False), r_true.astype(float, copy=False)
-    if r_star.shape != r_true.shape:
-        raise RomresError("fields must have matching shape")
-    if not (np.all(np.isfinite(r_star)) and np.all(np.isfinite(r_true))):
-        raise RomresError("fields must be finite")
+    expected = "two finite real arrays of one shape"
+    r_star = _real_array("r_star", r_star, expected=expected)
+    r_true = _real_array("r_true", r_true, expected=expected)
+    if r_star.shape != r_true.shape or not np.all(np.isfinite(r_star) & np.isfinite(r_true)):
+        raise RomresError(f"fields of shapes {r_star.shape} and {r_true.shape} do not match "
+                          f"{expected}")
     norm_true = np.linalg.norm(r_true)
     if norm_true == 0:
         raise RomresError("relative error against a zero reference field")
@@ -614,8 +595,11 @@ def invert_1d(data: TimeSeries | FitTarget, grid: Grid1D,
 
     ``data`` may be a measured time series (fitted here, with the
     m-reduction rule) or an already-computed FitTarget.  Returns
-    (ResistivityField, InversionHistory).
+    (ResistivityField, InversionHistory).  A grid that is not a ``Grid1D``
+    raises InvalidGridError before any fit.
     """
+    if not isinstance(grid, Grid1D):
+        raise InvalidGridError(f"invert_1d needs a Grid1D, got {type(grid).__name__}")
     config = config or InversionConfig()
     target = data if isinstance(data, FitTarget) else data_fitting_Q(data, config)
     D = build_difference_1d(grid)
@@ -646,8 +630,11 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
     series).  The family is the single node ``s_hat`` whatever
     ``config.family_kind``.  Per-source residuals and Jacobians are stacked
     into one coupled least-squares update; the shared model size m is the
-    largest at which every source admits a positive-coefficient fit.
+    largest at which every source admits a positive-coefficient fit.  A
+    grid that is not a ``Grid2D`` raises InvalidGridError before any fit.
     """
+    if not isinstance(grid, Grid2D):
+        raise InvalidGridError(f"invert_2d needs a Grid2D, got {type(grid).__name__}")
     config = config or InversionConfig()
     if not grid.segments:
         grid = replace(grid, segments=uniform_segments(grid, config.n_sources))
@@ -657,7 +644,7 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
     if not isinstance(data, np.ndarray) or data.ndim != 2 or data.shape[0] != n_d \
             or data.shape[1] < 2:
         raise RomresError("moment array must be (n_sources, 2*m0), m0 >= 1")
-    tau = np.asarray(data, dtype=float)
+    tau = _real_array("moment array", data, expected="real moments")
 
     # each fit's size lies in 1..m (or the fit raises DataUnusableError),
     # so m strictly decreases until every source fits at the same size
@@ -670,7 +657,7 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
         m = min(t.m for t in targets)
     fam = node_family("single-node", m, s_hat=config.s_hat)
     l_star = np.concatenate([t.vector(config.parametrization) for t in targets])
-    r, hist = _gn_loop(lambda r: assemble_operator_2d(ResistivityField(r, grid), grid),
+    r, hist = _gn_loop(lambda r: assemble_operator_2d(ResistivityField(r, grid)),
                        sources, fam, l_star, config, regularization_gradient(grid),
                        r_true=r_true)
     hist.m = m

@@ -55,9 +55,10 @@ class KrylovBasis:
     The basis carries the operator and source it was built on, so
     ``project`` and ``doubled_basis`` take nothing else: a basis cannot be
     projected on another operator of the same size.  Construction checks
-    them (InvalidGridError): ``family`` must be a ``NodeFamily``,
-    ``operator`` a ``SystemOperator``, b a finite real vector of its n rows
-    (kept as float64), K and V of shape (n, family.m) and U of shape (m, m).
+    them, once per chain (InvalidGridError): ``family`` must be a
+    ``NodeFamily``, ``operator`` a ``SystemOperator``, b a finite real
+    vector of its n rows (kept as float64), K and V of shape (n, family.m)
+    and U of shape (m, m); all three None are zeros for build_krylov to fill.
     """
 
     K: np.ndarray
@@ -72,8 +73,12 @@ class KrylovBasis:
             raise InvalidGridError(f"a basis needs a NodeFamily, got {type(self.family).__name__}")
         n, m = _rows(self.operator), self.family.m
         object.__setattr__(self, "b", _source(self.b, n))
+        fits = ((n, m), (n, m), (m, m))
+        if self.K is None and self.V is None and self.U is None:
+            for name, shape in zip("KVU", fits):
+                object.__setattr__(self, name, np.zeros(shape))
         shapes = tuple(np.shape(a) for a in (self.K, self.V, self.U))
-        if shapes != ((n, m), (n, m), (m, m)):
+        if shapes != fits:
             raise InvalidGridError(f"basis of K, V, U shapes {shapes} does not fit the "
                                    f"operator's {n} rows and the family's m = {m}")
 
@@ -128,23 +133,21 @@ def _gram_schmidt_step(V: np.ndarray, j: int, u: np.ndarray):
 def build_krylov(op: SystemOperator, b, family: NodeFamily) -> KrylovBasis:
     """Orthonormal basis of the rational Krylov subspace of ``family``.
 
-    Solves, orthogonalizes and normalizes one column at a time (see
-    KrylovBasis), on the operator's own factors (``SystemOperator.solver``).
-    Before any solve, an ``op`` that is not a ``SystemOperator`` or a source
-    that is not a finite real vector of its n rows raises InvalidGridError,
-    and a family with more nodes (with multiplicity) than n raises
+    Builds the empty basis first, whose construction checks ``op``, b and
+    ``family`` once (InvalidGridError, see KrylovBasis), and then solves,
+    orthogonalizes and normalizes one column at a time into its K, V and U,
+    on the operator's own factors (``SystemOperator.solver``).  Before any
+    solve, a family with more nodes (with multiplicity) than n raises
     BasisCollapseError; so does a column that vanishes after the
     Gram-Schmidt step.
     """
-    n, m = _rows(op), family.m
-    b = _source(b, n)
+    basis = KrylovBasis(K=None, V=None, U=None, family=family, operator=op, b=b)
+    K, V, U, b = basis.K, basis.V, basis.U, basis.b
+    n, m = K.shape
     if m > n:
         raise BasisCollapseError(f"model size m={m} exceeds the system dimension {n}; "
                                  "reduce the model size m")
     solver = op.solver
-    K = np.zeros((n, m))
-    V = np.zeros((n, m))
-    U = np.zeros((m, m))
     col = 0
     for s, mult in zip(family.nodes, family.multiplicities):
         x = b
@@ -161,7 +164,7 @@ def build_krylov(op: SystemOperator, b, family: NodeFamily) -> KrylovBasis:
             x = u / nrm
             V[:, col] = x
             col += 1
-    return KrylovBasis(K=K, V=V, U=U, family=family, operator=op, b=b)
+    return basis
 
 
 # a column left with at most this share of its norm after Gram-Schmidt
@@ -215,9 +218,9 @@ def project(basis: KrylovBasis) -> ReducedModel:
     operator and source, with A_m's poles and residues from its one ``eigh``
     (see ReducedModel).
 
-    The operator, source and V's rows were checked when the basis was built
-    (KrylovBasis); a 1D operator multiplies by its two bands, bitwise as its
-    CSR A would.  Raises ProjectionError if A_m is not negative definite.
+    The operator, source and V's rows were checked once, when the basis was
+    built (KrylovBasis); a 1D operator multiplies by its two bands, bitwise
+    as its CSR A would.  Raises ProjectionError if A_m is not negative definite.
     """
     V = basis.V
     AV = basis.operator @ V

@@ -91,11 +91,9 @@ _TAIL_SHARE = 2.0 ** -80
 _CUT_ROUND = 32
 
 
-def _check(series: TimeSeries, s) -> float:
-    if series.n_samples == 0:
-        raise RomresError("empty time series")
-    # a string, complex number or array is refused before any arithmetic;
-    # NaN compares false and inf fails the bound
+def _laplace_variable(s) -> float:
+    # a string, complex number or array is refused before any arithmetic; NaN
+    # compares false and inf fails the bound (a TimeSeries was checked when built)
     if not (isinstance(s, numbers.Real) and 0 <= s < np.inf):
         raise RomresError(f"Laplace variable must be a finite, nonnegative real scalar, got {s!r}")
     return float(s)
@@ -179,13 +177,13 @@ def _chunked_moments(series: TimeSeries, s: float, K: int) -> np.ndarray:
 
 def laplace_transform(series: TimeSeries, s: float) -> float:
     """Rectangle-rule value of int_0^inf d(t) exp(-s t) dt."""
-    s = _check(series, s)
+    s = _laplace_variable(s)
     return float(_chunked_moments(series, s, 1)[0])
 
 
 def laplace_derivative(series: TimeSeries, s: float) -> float:
     """Rectangle-rule value of -int_0^inf d(t) t exp(-s t) dt."""
-    s = _check(series, s)
+    s = _laplace_variable(s)
     return -float(_chunked_moments(series, s, 2)[1])
 
 
@@ -195,10 +193,8 @@ def laplace_moments(series: TimeSeries, s_hat: float, K: int) -> np.ndarray:
     tau_k = ((-1)^k / k!) * h_T * sum_j d_j t_j^k exp(-s_hat t_j), so
     tau_0 and tau_1 are the value and the s-derivative.
     """
-    s_hat = _check(series, s_hat)
-    K = _require_integer("K", K)
-    if K < 1:
-        raise RomresError("need at least one moment")
+    s_hat = _laplace_variable(s_hat)
+    K = _require_integer("K", K, low=1)
     tau = _chunked_moments(series, s_hat, K)
     tau[1::2] *= -1.0
     return tau

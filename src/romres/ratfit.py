@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AmbiguousFitWarning, RomresError, SpectralValidityError, _require_integer,
-                     _require_real)
+from .errors import (AmbiguousFitWarning, RomresError, SpectralValidityError, _real_array,
+                     _require_integer, _require_real)
 
 __all__ = [
     "NodeFamily",
@@ -45,7 +45,7 @@ class NodeFamily:
     multiplicities: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = _real_array("nodes", self.nodes)
         mult = np.asarray(self.multiplicities, dtype=int)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "multiplicities", mult)
@@ -93,8 +93,7 @@ def node_family(kind: str, m: int, s_hat: float = 60.0) -> NodeFamily:
     single-node single node at ``s_hat`` with multiplicity m (the 2D
                 inversion's family; the other kinds ignore ``s_hat``)
     """
-    if _require_integer("m", m) < 1:
-        raise RomresError("m must be at least 1")
+    _require_integer("m", m, low=1)
     if kind == "zolotarev":
         return nodes_geometric(m, 2.0, 1.0 + 12.0 / m)
     if kind == "fast":
@@ -125,8 +124,8 @@ class RationalModel:
     cond: float = float("nan")
 
     def __post_init__(self):
-        f = np.asarray(self.numerator, dtype=float)
-        g = np.asarray(self.denominator, dtype=float)
+        f = _real_array("numerator", self.numerator)
+        g = _real_array("denominator", self.denominator)
         object.__setattr__(self, "numerator", f)
         object.__setattr__(self, "denominator", g)
         if not np.any(g != 0):
@@ -147,8 +146,8 @@ class PoleResidue:
     c: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        theta = _real_array("theta", self.theta)
+        c = _real_array("c", self.c)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "c", c)
         if theta.shape != c.shape or theta.ndim != 1 or theta.size == 0 \
@@ -180,12 +179,12 @@ def fit_multipoint(values, derivatives, family: NodeFamily) -> RationalModel:
         raise RomresError("confluent families are fitted from moments")
     s_nodes = family.nodes
     m = s_nodes.size
-    Y = np.asarray(values, dtype=float)
-    Yp = np.asarray(derivatives, dtype=float)
-    if Y.shape != (m,) or Yp.shape != (m,):
-        raise RomresError("need one value and one derivative per node")
-    if not np.all(np.isfinite(Y) & np.isfinite(Yp)):
-        raise RomresError("values and derivatives must be finite")
+    expected = f"a finite vector of one entry per node ({m})"
+    Y = _real_array("values", values, expected=expected)
+    Yp = _real_array("derivatives", derivatives, expected=expected)
+    if Y.shape != (m,) or Yp.shape != (m,) or not np.all(np.isfinite(Y) & np.isfinite(Yp)):
+        raise RomresError(f"values and derivatives of shapes {Y.shape} and {Yp.shape} do not "
+                          f"match {expected}")
 
     s_max = s_nodes[-1]
     s = s_nodes / s_max
@@ -226,11 +225,10 @@ def fit_pade_toeplitz(moments, shift: float = 0.0, scale: float = 1.0) -> Ration
     """
     _require_real("expansion point shift", shift)
     _require_real("moment scale", scale, positive=True)
-    tau = np.asarray(moments, dtype=float)
-    if tau.ndim != 1 or tau.size % 2 or tau.size == 0:
-        raise RomresError(f"need a vector of an even number of moments, 2m; got shape {tau.shape}")
-    if not np.all(np.isfinite(tau)):
-        raise RomresError("moments must be finite")
+    expected = "a finite vector of an even number of moments, 2m"
+    tau = _real_array("moments", moments, expected=expected)
+    if tau.ndim != 1 or tau.size % 2 or tau.size == 0 or not np.all(np.isfinite(tau)):
+        raise RomresError(f"moments of shape {tau.shape} do not match {expected}")
     if not np.any(tau != 0):
         raise RomresError("all moments vanish")
     m = tau.size // 2

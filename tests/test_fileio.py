@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from romres.errors import RomresError
 from romres.fileio import config_hash, render_heatmap, write_csv, write_manifest, write_pgm
 from romres.grids import Grid2D
 
@@ -33,6 +34,14 @@ def test_pgm_constant_field_uniform():
     img = render_heatmap(np.full(g.n_cells, 3.3), g)
     body = img.split(b"255\n", 1)[1]
     assert set(body) == {0}
+
+
+def test_pgm_refuses_a_field_that_is_not_real():
+    # a string field raised numpy's ValueError from the float conversion
+    g = Grid2D(nx=3, ny=2)
+    for bad in (np.array(list("abcdef")), np.ones(g.n_cells) + 1j):
+        with pytest.raises(RomresError, match="field"):
+            render_heatmap(bad, g)
 
 
 def test_pgm_deterministic(tmp_path):

@@ -73,11 +73,14 @@ def test_sample_count():
 
 
 def test_simulate_response_rejects_nonsymmetric(small_system):
-    # eigh would read only the lower triangle and answer for another matrix
+    # eigh would read only the lower triangle and answer for another matrix;
+    # a ragged, string or complex matrix raised numpy's ValueError or a
+    # ComplexWarning
     grid, field, op, b = small_system
     A = op.A.tolil()
     A[0, 1] *= 2.0
-    for bad in (A.tocsr(), A.toarray()):
+    for bad in (A.tocsr(), A.toarray(), [[-2.0, 1.0], [1.0]], op.A.toarray().astype(str),
+                op.A.toarray() + 1j):
         with pytest.raises(RomresError, match="symmetric"):
             simulate_response(bad, b, T=1.0, h_T=1e-2)
     with warnings.catch_warnings():

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,18 @@ def test_difference_factor_shared_and_read_only():
     for array in (D.data, D.indices, D.indptr):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_field_values_read_only():
+    # assembly does not check the values again, so they cannot change
+    values = np.array([1.0, 2.0, 3.0])
+    field = ResistivityField(values, Grid1D(3))
+    assert np.shares_memory(field.values, values)
+    with pytest.raises(ValueError, match="read-only"):
+        field.values[0] = -1.0
+    # the caller's array is a separate view and stays writeable
+    values[0] = 4.0
+    assert values.flags.writeable and field.values[0] == 4.0
 
 
 def test_assemble_negative_definite(rng):
@@ -194,6 +207,17 @@ def test_field_rejects_nonfinite_values(bad):
         values[2] = bad
         with pytest.raises(PositivityError, match="finite and strictly positive"):
             ResistivityField(values, g)
+
+
+def test_field_rejects_values_that_are_not_real():
+    # a string or ragged field raised numpy's ValueError from the float
+    # conversion, and a complex one lost its imaginary part behind a
+    # ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in (np.ones(3) + 1j, ["a", "b", "c"], [1.0, [1.0, 2.0], 1.0]):
+            with pytest.raises(PositivityError, match="resistivity"):
+                ResistivityField(values, Grid1D(3))
 
 
 def test_operator_derivative_matches_difference_quotient(rng):

@@ -9,8 +9,8 @@ import scipy.sparse.linalg as spla
 
 import romres.inversion as inversion
 import romres.laplace as laplace
-from romres.errors import (DataUnusableError, RegularizationError, RomresError,
-                           SpectralValidityError, StepFailureError)
+from romres.errors import (DataUnusableError, InvalidGridError, RegularizationError,
+                           RomresError, SpectralValidityError, StepFailureError)
 from romres.forward import TimeSeries, shifted_solver, simulate_response
 from romres.grids import (Grid1D, Grid2D, ResistivityField, _difference_diagonal,
                           assemble_operator, assemble_operator_2d, build_difference_1d,
@@ -564,10 +564,13 @@ def test_adaptive_weight_scale(monkeypatch):
                                     {"log_cfrac": np.zeros(4)},
                                     {"spectral": np.zeros((2, 3))},
                                     {"log_cfrac": np.full(6, np.nan)},
-                                    {"spectral": np.array([1.0, 2.0, np.inf, 1.0, 1.0, 1.0])}])
+                                    {"spectral": np.array([1.0, 2.0, np.inf, 1.0, 1.0, 1.0])},
+                                    {"log_cfrac": np.full(6, "1.0")},
+                                    {"spectral": np.ones(6) + 1j}])
 def test_fit_target_checks_itself(fields):
     # an m = 3 target with the wrong m or vector used to reach invert_1d and
-    # fail there with numpy's broadcast ValueError
+    # fail there with numpy's broadcast ValueError (or, for a string vector,
+    # its conversion ValueError)
     args = dict(m=3, log_cfrac=np.zeros(6), spectral=np.ones(6)) | fields
     with pytest.raises(RomresError):
         FitTarget(**args)
@@ -633,6 +636,21 @@ def test_data_fitting_rejects_too_short_series(n_samples, m0, monkeypatch):
     with pytest.raises(RomresError, match="samples cannot determine") as info:
         data_fitting_Q(y, InversionConfig(m0=m0))
     assert type(info.value) is RomresError and calls == []
+
+
+def test_drivers_refuse_the_other_grid_kind(monkeypatch):
+    # invert_1d on a Grid2D and invert_2d on a Grid1D raised a bare
+    # AttributeError ('n_points', 'segments'); both refuse the grid on entry
+    def no_work(*args, **kwargs):
+        raise AssertionError("fitted or ran the chain before checking the grid")
+
+    for name in ("data_fitting_Q", "data_fitting_moments", "preconditioner_chain"):
+        monkeypatch.setattr(inversion, name, no_work)
+    y = TimeSeries(np.exp(-0.5 * np.arange(1, 101)), 0.1)
+    with pytest.raises(InvalidGridError, match="invert_1d needs a Grid1D"):
+        inversion.invert_1d(y, Grid2D(nx=6, ny=3))
+    with pytest.raises(InvalidGridError, match="invert_2d needs a Grid2D"):
+        inversion.invert_2d(np.ones((2, 4)), Grid1D(10))
 
 
 def test_data_fitting_reduces_m_after_fit_failure(monkeypatch):
@@ -733,7 +751,9 @@ def test_data_fitting_moments_rejects_nonfinite(bad):
         # no bare LinAlgError or ValueError, and no warning in their place
         warnings.simplefilter("error")
         for moments, s_hat, match in ((tau, 2.0, "finite"), (good, bad, "finite"),
-                                      (np.vstack([good, good]), 2.0, "vector")):
+                                      (np.vstack([good, good]), 2.0, "vector"),
+                                      (good.astype(str), 2.0, "finite"),
+                                      (good + 1j, 2.0, "finite")):
             with pytest.raises(RomresError, match=match) as err:
                 data_fitting_moments(moments, s_hat, 2)
             assert not isinstance(err.value, DataUnusableError)
@@ -930,10 +950,12 @@ def test_one_pseudoinverse_per_gn_iteration(weights, pinv_calls, splu_callers):
 
 @pytest.mark.parametrize("tau", [np.ones((2, 1)), np.ones((2, 0)),
                                  np.array([[1.0, np.nan], [1.0, 0.5]]),
-                                 [[1.0, 0.5], [1.0, 0.5]]])
+                                 [[1.0, 0.5], [1.0, 0.5]], np.full((2, 2), "1.0"),
+                                 np.ones((2, 2)) + 1j])
 def test_invert_2d_rejects_bad_moment_array(tau):
     # fewer than two moments per source, a nonfinite moment or data that are
-    # not a moment array is an input error, not a verdict on the data
+    # not a moment array is an input error, not a verdict on the data (a
+    # string array raised numpy's ValueError, a complex one a ComplexWarning)
     g = Grid2D(nx=12, ny=4)
     cfg = InversionConfig(m0=2, family_kind="single-node", n_gn=1, n_sources=2)
     with pytest.raises(RomresError, match="moment") as err:

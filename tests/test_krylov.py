@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import romres.krylov as krylov
 from romres.cfrac import pole_residue_to_cfrac
 from romres.errors import BasisCollapseError, InvalidGridError, ProjectionError, RomresError
 from romres.forward import shifted_solver, transfer_eval, transfer_moments
@@ -59,6 +60,35 @@ def test_model_larger_than_system_rejected_before_solving(monkeypatch):
         build_krylov(op, source_vector(grid).b, node_family("zolotarev", 6))
     with pytest.raises(BasisCollapseError):
         preconditioner_R(ResistivityField(np.ones(4), grid), node_family("zolotarev", 6))
+
+
+def test_bad_family_refused_on_entry(small_system, monkeypatch):
+    # build_krylov, preconditioner_chain and preconditioner_R read family.m
+    # before the basis could check the family, so anything else escaped as a
+    # bare AttributeError; the basis now refuses it before any solve
+    _refuse_solves(monkeypatch, "family")
+    grid, field, op, b = small_system
+    for family in (None, "zolotarev", (2.0, 3.0)):
+        for call in (lambda: build_krylov(op, b, family),
+                     lambda: preconditioner_chain(op, b, family),
+                     lambda: preconditioner_R(field, family)):
+            with pytest.raises(InvalidGridError, match="NodeFamily"):
+                call()
+
+
+def test_chain_checks_its_operator_and_source_once(small_system, monkeypatch):
+    # the basis's construction is the chain's one check of the operator and
+    # the source; build_krylov ran both checks before building it as well
+    grid, field, op, b = small_system
+    calls = []
+    for name in ("_rows", "_source"):
+        def counting(*args, check=getattr(krylov, name), name=name):
+            calls.append(name)
+            return check(*args)
+
+        monkeypatch.setattr(krylov, name, counting)
+    preconditioner_chain(op, b, node_family("zolotarev", 3))
+    assert sorted(calls) == ["_rows", "_source"]
 
 
 def test_bad_source_refused_on_entry(small_system, monkeypatch):

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from romres.cfrac import ContinuedFraction
 from romres.errors import AdmissibilityError, RomresError, SpectralValidityError
-from romres.ratfit import (NodeFamily, PoleResidue, fit_multipoint,
+from romres.ratfit import (NodeFamily, PoleResidue, RationalModel, fit_multipoint,
                            fit_pade_toeplitz, node_family, nodes_geometric,
                            to_pole_residue)
 
@@ -92,6 +93,22 @@ def test_multipoint_rejects_nonfinite(bad):
             assert not isinstance(err.value, SpectralValidityError)
 
 
+def test_types_refuse_arrays_that_are_not_real():
+    # a string or ragged array raised numpy's ValueError from the float
+    # conversion, and a complex one lost its imaginary part behind a
+    # ComplexWarning; each type parses its arrays with the one real-array parse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.array(["1", "2"]), np.array([1.0, 2.0]) + 1j, [1.0, [1.0, 2.0]]):
+            for make in (lambda: NodeFamily(bad, np.ones(2, dtype=int)),
+                         lambda: PoleResidue(bad, np.ones(2)),
+                         lambda: RationalModel(np.ones(1), bad),
+                         lambda: ContinuedFraction(bad, np.ones(2)),
+                         lambda: fit_multipoint(bad, np.ones(2), node_family("zolotarev", 2))):
+                with pytest.raises(RomresError, match="not an array|does not match"):
+                    make()
+
+
 @pytest.mark.parametrize("theta, c", [([], []), ([1.0, np.nan], [1.0, 1.0]),
                                       ([1.0, 2.0], [np.inf, 1.0])])
 def test_pole_residue_rejects_empty_or_nonfinite(theta, c):
@@ -171,7 +188,10 @@ def test_toeplitz_rejects_all_zero():
 
 
 @pytest.mark.parametrize("moments, match", [([1.0, np.nan], "finite"), ([np.inf, 1.0], "finite"),
-                                            (np.ones((2, 2)), "vector")])
+                                            (np.ones((2, 2)), "vector"),
+                                            (np.array(["1", "2"]), "finite"),
+                                            (np.ones(2) + 1j, "finite"),
+                                            ([1.0, [1.0, 2.0]], "vector")])
 def test_toeplitz_rejects_nonfinite_or_matrix_moments(moments, match):
     # input errors raised before the SVD, not LinAlgError or a broadcast
     # ValueError
