@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, DegeneracyError, RomresError, _real_array
+from .errors import AdmissibilityError, DegeneracyError, RomresError, _real_array, _require_real
 from .ratfit import PoleResidue
 
 __all__ = [
@@ -158,13 +158,14 @@ def three_point_scheme(cf: ContinuedFraction) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eval_cfrac(cf: ContinuedFraction, s) -> np.ndarray | float:
-    """Bottom-up evaluation of the nested fraction."""
-    s = np.asarray(s, dtype=float)
+    """Bottom-up evaluation of the nested fraction at finite real s."""
+    s = _real_array("s", s, expected="finite real points", finite=True)
     k, kh = cf.kappa, cf.kappa_hat
-    t = kh[-1] * s + 1.0 / k[-1]
-    for j in range(cf.m - 2, -1, -1):
-        t = kh[j] * s + 1.0 / (k[j] + 1.0 / t)
-    out = 1.0 / t
+    with np.errstate(divide="ignore", over="ignore"):  # +-inf at a pole, 0 at a huge |s|
+        t = kh[-1] * s + 1.0 / k[-1]
+        for j in range(cf.m - 2, -1, -1):
+            t = kh[j] * s + 1.0 / (k[j] + 1.0 / t)
+        out = 1.0 / t
     return float(out) if out.ndim == 0 else out
 
 
@@ -175,8 +176,10 @@ def solve_fd_scheme(cf: ContinuedFraction, s: float) -> np.ndarray:
         (1/kh_j) [ (w_{j+1}-w_j)/k_j - (w_j-w_{j-1})/k_{j-1} ] - s w_j = 0
     with the excitation folded into row 1 and w_{m+1} = 0.  In the
     symmetric form (A, b) of ``three_point_scheme``,
-    w = diag(kh^(-1/2)) (sI - A)^-1 b.
+    w = diag(kh^(-1/2)) (sI - A)^-1 b.  A shift that is not a finite real
+    number raises RomresError.
     """
+    s = _require_real("shift s", s)
     A, b = three_point_scheme(cf)
     try:
         u = np.linalg.solve(s * np.eye(cf.m) - A, b)

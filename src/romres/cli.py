@@ -43,8 +43,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--family")
     p.add_argument("--n-gn", type=int)
     p.add_argument("--n-sources", type=int)
-    p.add_argument("--weights", choices=["identity", "adaptive"])
-    p.add_argument("--parametrization", choices=["cfrac", "spectral"])
+    p.add_argument("--weights")
+    p.add_argument("--parametrization")
     p.add_argument("--no-nullspace", action="store_true",
                    help="skip the null-space regularization step")
     p.add_argument("--save-models", action="store_true")

@@ -11,9 +11,9 @@ function keeps this contract:
   ``RomresError`` itself for the other settings (time series, noise, fits,
   inversion and scenario settings).  A value is checked once, by the type
   that holds it, and a function that receives that type does not check it
-  again.  A scalar that must be a number is refused when it is a string,
-  complex, an array, NaN or infinite, and an array of numbers when it is
-  ragged or holds strings, complex numbers or objects (``_real_array``).
+  again.  The ``_require_*`` and ``_*_array`` parsers below are the only
+  parse of a setting, flag or array from outside, and a type stores what
+  its parser returns (an int, a float, a float or int array).
 - The fit-validity errors are the three that reducing m can cure,
   ``SpectralValidityError``, ``AdmissibilityError`` and ``DegeneracyError``
   (``inversion._FIT_ERRORS``).  They report what a fit or the chain
@@ -29,6 +29,7 @@ function keeps this contract:
 import math
 import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -94,37 +95,52 @@ class AmbiguousFitWarning(UserWarning):
     """Trailing singular values nearly coincide; fitted model is not unique."""
 
 
-def _require_integer(name: str, value, low: int | None = None) -> int:
+def _require_integer(name: str, value, error=RomresError, low: int | None = None) -> int:
     try:
         value = operator.index(value)
     except TypeError:
-        raise RomresError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
     if low is not None and value < low:
         bound = "nonnegative" if low == 0 else f"at least {low}"
-        raise RomresError(f"{name} must be {bound}, got {value}")
+        raise error(f"{name} must be {bound}, got {value}")
     return value
 
 
-def _require_real(name: str, value, error=RomresError, positive: bool = False):
-    """``value`` itself if it is a finite real number (and > 0 if
-    ``positive``); ``error`` otherwise, for a string, a complex number, an
-    array, NaN or an infinity alike."""
-    if not (isinstance(value, numbers.Real) and -math.inf < value < math.inf
-            and (value > 0 or not positive)):
-        kind = "positive and finite" if positive else "finite"
+def _require_real(name: str, value, error=RomresError, positive=False, nonnegative=False):
+    """``value`` as a float if it is a finite real number, > 0 if ``positive`` and
+    >= 0 if ``nonnegative``; ``error`` otherwise (a string, complex, NaN...)."""
+    # float first: it holds np.float64 too, and the abstract-class test is ten times slower
+    finite = isinstance(value, (float, numbers.Real)) and abs(value) <= sys.float_info.max
+    x = float(value) if finite else math.nan
+    if not (finite and (x > 0 or not positive) and (x >= 0 or not nonnegative)):
+        kind = ("positive and finite" if positive else
+                "finite and nonnegative" if nonnegative else "finite")
         raise error(f"{name} must be a {kind} real number, got {value!r}")
+    return x
+
+
+def _require_bool(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise RomresError(f"{name} must be true or false, got {value!r}")
     return value
 
 
-def _real_array(name: str, value, error=RomresError,
-                expected: str = "a real vector") -> np.ndarray:
-    """``value`` as a float array (itself if it is one); ``error``, saying what
-    is ``expected``, if it is ragged or its entries are not real numbers."""
+def _real_array(name: str, value, error=RomresError, expected: str = "a real vector",
+                dtype=float, finite=False) -> np.ndarray:
+    """``value`` as a float (or ``dtype``) array, itself if it is one; ``error``,
+    saying what is ``expected``, if it is ragged, its entries are not real numbers
+    (integers for ``dtype=int``, so 2.0 is refused) or, if ``finite``, not finite."""
     try:
         array = np.asarray(value)
     except ValueError as exc:  # a ragged nested sequence
         raise error(f"{name} is not an array ({expected}): {exc}") from None
-    if array.dtype.kind not in "biuf":
+    if array.dtype.kind not in ("biuf" if dtype is float else "biu"):
         raise error(f"{name} of shape {array.shape} and dtype {array.dtype} does not match "
                     f"{expected}")
-    return np.asarray(array, dtype=float)
+    if finite and not np.all(np.isfinite(array)):
+        raise error(f"{name} is not finite ({expected})")
+    return np.asarray(array, dtype=dtype)
+
+
+def _integer_array(name: str, value, error=RomresError, expected: str = "an integer vector"):
+    return _real_array(name, value, error, expected, dtype=int)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -58,7 +57,7 @@ class TimeSeries:
                               expected="a nonempty vector of finite real samples").view()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        _require_real("time step", self.step, positive=True)
+        object.__setattr__(self, "step", _require_real("time step", self.step, positive=True))
         if samples.ndim != 1 or samples.size == 0:
             raise RomresError("time series must be a nonempty vector")
         # NaN and +-inf carry through min and max, with no boolean temporary
@@ -86,9 +85,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.level, numbers.Real) and 0 <= self.level < np.inf):
-            raise RomresError(f"noise level must be nonnegative and finite, got {self.level!r}")
-        _require_integer("noise seed", self.seed, low=0)
+        object.__setattr__(self, "level", _require_real("noise level", self.level,
+                                                        nonnegative=True))
+        object.__setattr__(self, "seed", _require_integer("noise seed", self.seed, low=0))
 
 
 def _rows(op) -> int:
@@ -182,10 +181,9 @@ def simulate_response(A, b, T: float, h_T: float) -> TimeSeries:
     the output's bytes for long series.  A T / h_T above ``_MAX_SAMPLES``
     (1e9) raises RomresError before anything is allocated.
     """
-    for name, x in (("T", T), ("h_T", h_T)):
-        _require_real(name, x, positive=True)
+    T, h_T = (_require_real(name, x, positive=True) for name, x in (("T", T), ("h_T", h_T)))
     # Python floats: T / h_T is inf, not an overflow warning, for a tiny h_T
-    ratio = float(T) / float(h_T)
+    ratio = T / h_T
     if not ratio < _MAX_SAMPLES + 0.5:
         raise RomresError(f"T / h_T = {ratio:.3g} samples exceeds the ceiling of "
                           f"{_MAX_SAMPLES:.0e}")
@@ -271,13 +269,11 @@ class shifted_solver:
             raise RomresError(f"singular shift s={s!r}: {exc}") from exc
 
     def solve(self, s: float, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs)
-        if rhs.ndim not in (1, 2) or rhs.shape[0] != self._n or rhs.dtype.kind not in "biuf":
-            raise RomresError(f"right-hand side of shape {rhs.shape} and dtype {rhs.dtype} is "
-                              f"not a real vector or matrix with the operator's {self._n} rows")
-        if not (isinstance(s, numbers.Real) and -math.inf < s < math.inf):
-            raise RomresError(f"shift must be a finite real scalar, got {s!r}")
-        key = float(s)
+        rhs = _real_array("right-hand side", rhs, expected="a real vector or matrix of n rows")
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self._n:
+            raise RomresError(f"right-hand side of shape {rhs.shape} does not have the "
+                              f"operator's n = {self._n} rows")
+        key = _require_real("shift", s)
         solve = self._factors.get(key)
         if solve is None:
             solve = self._factors[key] = self._factor(key)

@@ -20,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidGridError, PositivityError, _real_array, _require_real
+from .errors import (InvalidGridError, PositivityError, _real_array, _require_integer,
+                     _require_real)
 
 __all__ = [
     "Grid1D",
@@ -53,9 +54,8 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 2:
-            raise InvalidGridError(f"1D grid needs an integer n_points >= 2, "
-                                   f"got {self.n_points!r}")
+        object.__setattr__(self, "n_points", _require_integer("n_points", self.n_points,
+                                                             InvalidGridError, low=2))
 
     @property
     def spacing(self) -> float:
@@ -76,7 +76,8 @@ class BoundarySegment:
 
     def __post_init__(self):
         for name in ("lo", "hi"):
-            _require_real(f"segment end {name}", getattr(self, name), InvalidGridError)
+            object.__setattr__(self, name, _require_real(f"segment end {name}",
+                                                         getattr(self, name), InvalidGridError))
         if not self.hi > self.lo:
             raise InvalidGridError("segment must have positive length")
 
@@ -108,20 +109,19 @@ class Grid2D:
     segments: tuple[BoundarySegment, ...] = field(default=())
 
     def __post_init__(self):
-        for n in (self.nx, self.ny):
-            if not isinstance(n, (int, np.integer)) or n < 2:
-                raise InvalidGridError(f"2D grid needs integer nx, ny >= 2, "
-                                       f"got {self.nx!r} x {self.ny!r}")
+        for name in ("nx", "ny"):
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name),
+                                                            InvalidGridError, low=2))
         for name in ("Lx", "Ly"):
-            _require_real(f"domain extent {name}", getattr(self, name), InvalidGridError,
-                          positive=True)
+            object.__setattr__(self, name, _require_real(f"domain extent {name}",
+                                                         getattr(self, name), InvalidGridError,
+                                                         positive=True))
         try:
             a0, a1 = self.accessible
         except (TypeError, ValueError):
             raise InvalidGridError(f"accessible must be a pair (a0, a1), "
                                    f"got {self.accessible!r}") from None
-        for a in (a0, a1):
-            _require_real("accessible end", a, InvalidGridError)
+        a0, a1 = (_require_real("accessible end", a, InvalidGridError) for a in (a0, a1))
         object.__setattr__(self, "accessible", (a0, a1))
         if not (0.0 <= a0 < a1 <= self.Lx):
             raise InvalidGridError("accessible interval outside the bottom side")
@@ -406,8 +406,7 @@ def uniform_segments(grid: Grid2D, n_segments: int) -> tuple[BoundarySegment, ..
     is centered in its slot and covers ``_SEGMENT_FILL`` of the slot width,
     leaving gaps that keep the supports disjoint on any raster.
     """
-    if not isinstance(n_segments, (int, np.integer)) or n_segments < 1:
-        raise InvalidGridError(f"n_segments must be an integer >= 1, got {n_segments!r}")
+    n_segments = _require_integer("n_segments", n_segments, InvalidGridError, low=1)
     a0, a1 = grid.accessible
     pitch = (a1 - a0) / n_segments
     half = 0.5 * _SEGMENT_FILL * pitch

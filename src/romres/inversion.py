@@ -22,7 +22,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import (AdmissibilityError, DataUnusableError, DegeneracyError, InvalidGridError,
                      RegularizationError, RomresError, SpectralValidityError,
-                     StepFailureError, _real_array, _require_integer, _require_real)
+                     StepFailureError, _real_array, _require_bool, _require_integer,
+                     _require_real)
 from .forward import TimeSeries, transfer_moments
 from .grids import (Grid1D, Grid2D, ResistivityField, SystemOperator, _difference_diagonal,
                     assemble_operator, assemble_operator_2d,
@@ -78,14 +79,12 @@ class InversionConfig:
 
     def __post_init__(self):
         for name, low in (("m0", 1), ("n_gn", 0), ("n_sources", 1)):
-            _require_integer(name, getattr(self, name), low=low)
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name), low=low))
         if self.weights not in ("identity", "adaptive"):
             raise RomresError(f"unknown weight mode {self.weights!r}")
         if self.parametrization not in ("cfrac", "spectral"):
             raise RomresError(f"unknown parametrization {self.parametrization!r}")
-        if not isinstance(self.nullspace_correction, bool):
-            raise RomresError(f"nullspace_correction must be true or false, "
-                              f"got {self.nullspace_correction!r}")
+        _require_bool("nullspace_correction", self.nullspace_correction)
         # node_family's own checks: the kind's name, and s_hat as the 2D node
         node_family(self.family_kind, 1)
         node_family("single-node", 1, s_hat=self.s_hat)
@@ -104,7 +103,7 @@ class FitTarget:
     attempts: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        _require_integer("m", self.m, low=1)
+        object.__setattr__(self, "m", _require_integer("m", self.m, low=1))
         for name in ("log_cfrac", "spectral"):
             v = _real_array(name, getattr(self, name))
             if v.shape != (2 * self.m,) or not np.all(np.isfinite(v)):
@@ -238,17 +237,18 @@ def gauss_newton_step(r: np.ndarray, J: np.ndarray, residual: np.ndarray,
     the caller forms (``_gn_loop`` takes ``np.linalg.pinv`` with relative
     cutoff ``_PINV_RCOND`` once per iteration, for this step and the
     null-space correction).  An alpha that is not a positive and finite real
-    number, a non-finite residual or J, a J whose shape is
-    not (residual size, r size), or a ``J_pinv`` not of J's transposed shape
-    raises ``RomresError``.
+    number, an r, J, residual or ``J_pinv`` that is not a finite real array,
+    a J whose shape is not (residual size, r size), or a ``J_pinv`` not of
+    J's transposed shape raises ``RomresError``.
     """
-    _require_real("step length alpha", alpha, positive=True)
-    if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(J))):
-        raise RomresError("residual and Jacobian must be finite")
-    if np.shape(J) != (np.size(residual), np.size(r)) or np.shape(J_pinv) != np.shape(J)[::-1]:
-        raise RomresError(f"Jacobian of shape {np.shape(J)} and pseudoinverse of shape "
-                          f"{np.shape(J_pinv)} do not map {np.size(r)} cells to "
-                          f"{np.size(residual)} residuals and back")
+    alpha = _require_real("step length alpha", alpha, positive=True)
+    r, J, residual, J_pinv = (
+        _real_array(name, x, expected="a finite real array", finite=True)
+        for name, x in (("r", r), ("J", J), ("residual", residual), ("J_pinv", J_pinv)))
+    if J.shape != (residual.size, r.size) or J_pinv.shape != J.shape[::-1]:
+        raise RomresError(f"Jacobian of shape {J.shape} and pseudoinverse of shape "
+                          f"{J_pinv.shape} do not map {r.size} cells to "
+                          f"{residual.size} residuals and back")
     rho = -J_pinv @ residual
     a = alpha
     for _ in range(_MAX_HALVINGS + 1):
@@ -427,25 +427,25 @@ def regularize_nullspace(r_gn: np.ndarray, J: np.ndarray, Dt: sp.spmatrix,
 
     Weights of the wrong shape, NaN or nonpositive weights, an r_gn whose
     size is not Dt's column count, a J of the wrong width, a ``J_pinv`` not
-    of J's transposed shape, a non-finite r_gn or J, and a one-row J with
+    of J's transposed shape, an r_gn, J or ``J_pinv`` that is not a finite
+    real array, and a one-row J with
     identity weights (whose (J 1)^perp holds no multiplier combination to
     deflate) raise ``RomresError`` before anything is factored.
     """
     if w is not None:
-        w = np.asarray(w, dtype=float)
+        w = _real_array("weights", w)
         if w.shape != (Dt.shape[0],):
             raise RomresError(f"weights must have shape ({Dt.shape[0]},), got {w.shape}")
         # also rejects NaN, which compares false
         if not np.all(w > 0):
             raise RomresError("weights must be positive")
+    r_gn, J, J_pinv = (_real_array(name, x, expected="a finite real array", finite=True)
+                       for name, x in (("r_gn", r_gn), ("J", J), ("J_pinv", J_pinv)))
     n = Dt.shape[1]
-    if np.shape(r_gn) != (n,) or np.ndim(J) != 2 or np.shape(J)[1] != n \
-            or np.shape(J_pinv) != np.shape(J)[::-1]:
-        raise RomresError(f"r_gn of shape {np.shape(r_gn)}, J of shape {np.shape(J)} and "
-                          f"J_pinv of shape {np.shape(J_pinv)} do not all fit Dt's {n} columns")
-    if not (np.all(np.isfinite(r_gn)) and np.all(np.isfinite(J))):
-        raise RomresError("r_gn and Jacobian must be finite")
-    if w is None and np.shape(J)[0] < 2:
+    if r_gn.shape != (n,) or J.ndim != 2 or J.shape[1] != n or J_pinv.shape != J.shape[::-1]:
+        raise RomresError(f"r_gn of shape {r_gn.shape}, J of shape {J.shape} and "
+                          f"J_pinv of shape {J_pinv.shape} do not all fit Dt's {n} columns")
+    if w is None and J.shape[0] < 2:
         raise RomresError("the deflated correction needs a Jacobian with at least two rows")
     mode = "kkt" if w is None else "nullspace"
     if solver not in ("auto", mode):
@@ -478,18 +478,26 @@ def regularization_gradient(grid: Grid1D | Grid2D) -> sp.csr_matrix:
     return D[:n_interior, :]
 
 
-def relative_error(r_star: np.ndarray, r_true: np.ndarray) -> float:
-    """Ratio of discrete l2 norms, ||r* - r_true|| / ||r_true||."""
-    expected = "two finite real arrays of one shape"
-    r_star = _real_array("r_star", r_star, expected=expected)
-    r_true = _real_array("r_true", r_true, expected=expected)
-    if r_star.shape != r_true.shape or not np.all(np.isfinite(r_star) & np.isfinite(r_true)):
-        raise RomresError(f"fields of shapes {r_star.shape} and {r_true.shape} do not match "
-                          f"{expected}")
+_FIELDS = "two finite real arrays of one shape"
+
+
+def _error_against(r_true, shape: tuple[int, ...]):
+    """r -> ||r - r_true|| / ||r_true|| on fields of ``shape``, r_true parsed
+    once; RomresError unless it is a finite, nonzero real array of that shape."""
+    r_true = _real_array("r_true", r_true, expected=_FIELDS, finite=True)
+    if r_true.shape != shape:
+        raise RomresError(f"r_true of shape {r_true.shape} does not match fields of shape "
+                          f"{shape} ({_FIELDS})")
     norm_true = np.linalg.norm(r_true)
     if norm_true == 0:
         raise RomresError("relative error against a zero reference field")
-    return float(np.linalg.norm(r_star - r_true) / norm_true)
+    return lambda r: float(np.linalg.norm(r - r_true) / norm_true)
+
+
+def relative_error(r_star: np.ndarray, r_true: np.ndarray) -> float:
+    """Ratio of discrete l2 norms, ||r* - r_true|| / ||r_true||."""
+    r_star = _real_array("r_star", r_star, expected=_FIELDS, finite=True)
+    return _error_against(r_true, r_star.shape)(r_star)
 
 
 @dataclass
@@ -506,7 +514,7 @@ class InversionHistory:
 
 
 def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionConfig,
-             Dt, r_true=None):
+             Dt, error=None):
     """Gauss-Newton driver shared by 1D (one source) and 2D (several).
 
     ``assemble(r)`` returns the SystemOperator at resistivity r.  Each
@@ -515,7 +523,8 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
     the per-source coefficient vectors and Jacobians in source order; the
     iteration matches the stack to ``l_star``.  Step, weights, null-space
     correction and bookkeeping follow ``config``; the unknowns are the
-    columns of the seminorm difference operator ``Dt``.
+    columns of the seminorm difference operator ``Dt``.  ``error(r)``, if
+    given, is each iterate's relative error (``_error_against``).
     """
 
     def eval_chain(r):
@@ -548,8 +557,8 @@ def _gn_loop(assemble, sources, family: NodeFamily, l_star, config: InversionCon
             res_norm = float(np.linalg.norm(residual))
             hist.iterations.append(p)
             hist.residual.append(res_norm)
-            if r_true is not None:
-                hist.error.append(relative_error(r, r_true))
+            if error is not None:
+                hist.error.append(error(r))
             hist.iterates.append(r.copy())
             if p > config.n_gn:
                 break
@@ -596,17 +605,19 @@ def invert_1d(data: TimeSeries | FitTarget, grid: Grid1D,
     ``data`` may be a measured time series (fitted here, with the
     m-reduction rule) or an already-computed FitTarget.  Returns
     (ResistivityField, InversionHistory).  A grid that is not a ``Grid1D``
-    raises InvalidGridError before any fit.
+    raises InvalidGridError, and an ``r_true`` that is not a finite, nonzero
+    real vector of the grid's unknowns RomresError, before any fit.
     """
     if not isinstance(grid, Grid1D):
         raise InvalidGridError(f"invert_1d needs a Grid1D, got {type(grid).__name__}")
+    error = None if r_true is None else _error_against(r_true, (grid.n_points,))
     config = config or InversionConfig()
     target = data if isinstance(data, FitTarget) else data_fitting_Q(data, config)
     D = build_difference_1d(grid)
     r, hist = _gn_loop(lambda r: assemble_operator(ResistivityField(r, grid), D),
                        [source_vector(grid).b], config.family(target.m),
                        target.vector(config.parametrization), config,
-                       regularization_gradient(grid), r_true=r_true)
+                       regularization_gradient(grid), error=error)
     hist.m = target.m
     return ResistivityField(r, grid), hist
 
@@ -631,10 +642,13 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
     ``config.family_kind``.  Per-source residuals and Jacobians are stacked
     into one coupled least-squares update; the shared model size m is the
     largest at which every source admits a positive-coefficient fit.  A
-    grid that is not a ``Grid2D`` raises InvalidGridError before any fit.
+    grid that is not a ``Grid2D`` raises InvalidGridError, and an ``r_true``
+    that is not a finite, nonzero real vector of its cells RomresError,
+    before any fit.
     """
     if not isinstance(grid, Grid2D):
         raise InvalidGridError(f"invert_2d needs a Grid2D, got {type(grid).__name__}")
+    error = None if r_true is None else _error_against(r_true, (grid.n_cells,))
     config = config or InversionConfig()
     if not grid.segments:
         grid = replace(grid, segments=uniform_segments(grid, config.n_sources))
@@ -659,6 +673,6 @@ def invert_2d(data, grid: Grid2D, config: InversionConfig | None = None,
     l_star = np.concatenate([t.vector(config.parametrization) for t in targets])
     r, hist = _gn_loop(lambda r: assemble_operator_2d(ResistivityField(r, grid)),
                        sources, fam, l_star, config, regularization_gradient(grid),
-                       r_true=r_true)
+                       error=error)
     hist.m = m
     return ResistivityField(r, grid), hist

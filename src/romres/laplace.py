@@ -67,12 +67,10 @@ cuts there), and the samples read fall 6.5-fold; at s = 0 nothing is cut.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .errors import RomresError, _require_integer
+from .errors import _require_integer, _require_real
 from .forward import TimeSeries, _active_samples
 
 __all__ = ["laplace_transform", "laplace_derivative", "laplace_moments"]
@@ -89,14 +87,6 @@ _TAIL_SHARE = 2.0 ** -80
 # same kernel path as in the full pass (OpenBLAS groups GEMV rows by 4, with a
 # different path for the remainder)
 _CUT_ROUND = 32
-
-
-def _laplace_variable(s) -> float:
-    # a string, complex number or array is refused before any arithmetic; NaN
-    # compares false and inf fails the bound (a TimeSeries was checked when built)
-    if not (isinstance(s, numbers.Real) and 0 <= s < np.inf):
-        raise RomresError(f"Laplace variable must be a finite, nonnegative real scalar, got {s!r}")
-    return float(s)
 
 
 def _active_slice(series: TimeSeries, s: float) -> int:
@@ -177,13 +167,13 @@ def _chunked_moments(series: TimeSeries, s: float, K: int) -> np.ndarray:
 
 def laplace_transform(series: TimeSeries, s: float) -> float:
     """Rectangle-rule value of int_0^inf d(t) exp(-s t) dt."""
-    s = _laplace_variable(s)
+    s = _require_real("Laplace variable", s, nonnegative=True)
     return float(_chunked_moments(series, s, 1)[0])
 
 
 def laplace_derivative(series: TimeSeries, s: float) -> float:
     """Rectangle-rule value of -int_0^inf d(t) t exp(-s t) dt."""
-    s = _laplace_variable(s)
+    s = _require_real("Laplace variable", s, nonnegative=True)
     return -float(_chunked_moments(series, s, 2)[1])
 
 
@@ -193,7 +183,7 @@ def laplace_moments(series: TimeSeries, s_hat: float, K: int) -> np.ndarray:
     tau_k = ((-1)^k / k!) * h_T * sum_j d_j t_j^k exp(-s_hat t_j), so
     tau_0 and tau_1 are the value and the s-derivative.
     """
-    s_hat = _laplace_variable(s_hat)
+    s_hat = _require_real("Laplace variable", s_hat, nonnegative=True)
     K = _require_integer("K", K, low=1)
     tau = _chunked_moments(series, s_hat, K)
     tau[1::2] *= -1.0

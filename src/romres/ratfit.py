@@ -9,14 +9,13 @@ residues, the partial-fraction form of the reduced transfer function.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AmbiguousFitWarning, RomresError, SpectralValidityError, _real_array,
-                     _require_integer, _require_real)
+from .errors import (AmbiguousFitWarning, RomresError, SpectralValidityError, _integer_array,
+                     _real_array, _require_integer, _require_real)
 
 __all__ = [
     "NodeFamily",
@@ -46,7 +45,7 @@ class NodeFamily:
 
     def __post_init__(self):
         nodes = _real_array("nodes", self.nodes)
-        mult = np.asarray(self.multiplicities, dtype=int)
+        mult = _integer_array("multiplicities", self.multiplicities)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "multiplicities", mult)
         if nodes.shape != mult.shape or nodes.ndim != 1 or nodes.size == 0:
@@ -101,9 +100,8 @@ def node_family(kind: str, m: int, s_hat: float = 60.0) -> NodeFamily:
     if kind == "pade0":
         return NodeFamily(np.array([0.0]), np.array([m]))
     if kind == "single-node":
-        if not isinstance(s_hat, numbers.Real):
-            raise RomresError(f"s_hat must be a real number, got {s_hat!r}")
-        return NodeFamily(np.array([float(s_hat)]), np.array([m]))
+        s_hat = _require_real("s_hat", s_hat, nonnegative=True)
+        return NodeFamily(np.array([s_hat]), np.array([m]))
     raise RomresError(f"unknown node family {kind!r}")
 
 
@@ -146,12 +144,11 @@ class PoleResidue:
     c: np.ndarray
 
     def __post_init__(self):
-        theta = _real_array("theta", self.theta)
-        c = _real_array("c", self.c)
+        theta = _real_array("theta", self.theta, expected="matching finite vectors", finite=True)
+        c = _real_array("c", self.c, expected="matching finite vectors", finite=True)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "c", c)
-        if theta.shape != c.shape or theta.ndim != 1 or theta.size == 0 \
-                or not np.all(np.isfinite(theta) & np.isfinite(c)):
+        if theta.shape != c.shape or theta.ndim != 1 or theta.size == 0:
             raise RomresError("theta and c must be matching finite vectors")
 
     @property
@@ -159,12 +156,14 @@ class PoleResidue:
         return self.theta.size
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        return (self.c / (s[..., None] + self.theta)).sum(axis=-1)
+        s = _real_array("s", s, expected="finite real points", finite=True)
+        with np.errstate(divide="ignore", over="ignore"):  # +-inf at a pole, 0 at a huge |s|
+            return (self.c / (s[..., None] + self.theta)).sum(axis=-1)
 
     def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        return -(self.c / (s[..., None] + self.theta) ** 2).sum(axis=-1)
+        s = _real_array("s", s, expected="finite real points", finite=True)
+        with np.errstate(divide="ignore", over="ignore"):
+            return -(self.c / (s[..., None] + self.theta) ** 2).sum(axis=-1)
 
 
 def fit_multipoint(values, derivatives, family: NodeFamily) -> RationalModel:

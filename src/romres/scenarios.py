@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataUnusableError, RomresError, _require_real
+from .errors import DataUnusableError, RomresError, _require_bool, _require_real
 from .fileio import write_csv, write_json, write_manifest, write_pgm
 from .forward import NoiseModel, add_noise, simulate_response
 from .grids import (Grid1D, Grid2D, ResistivityField, assemble_operator,
@@ -100,8 +100,7 @@ class ExperimentConfig:
         _require_real("h_T", self.h_T, positive=True)
         NoiseModel(self.epsilon, self.seed)
         self.inversion_config()
-        if not isinstance(self.save_models, bool):
-            raise RomresError(f"save_models must be true or false, got {self.save_models!r}")
+        _require_bool("save_models", self.save_models)
         if not isinstance(self.outdir, (str, os.PathLike)):
             raise RomresError(f"outdir must be a path, got {self.outdir!r}")
 

@@ -113,10 +113,13 @@ def test_negative_epsilon_as_separate_token(tmp_path, capsys):
     (["synthesize", "--epsilon", "1e-3", "--seed", "-1"], "seed must be nonnegative"),
     (["grids", "--family", "bogus"], "unknown node family"),
     (["grids", "--m0", "0"], "m0 must be at least 1"),
+    (["invert1d", "--weights", "bogus"], "unknown weight mode 'bogus'"),
+    (["invert1d", "--parametrization", "bogus"], "unknown parametrization 'bogus'"),
 ])
 def test_bad_setting_refused_before_any_work(tmp_path, capsys, argv, match):
     # a negative seed used to exit with numpy's traceback, and the grids verb
-    # used to write an unknown family and m0 = 0 into its manifest
+    # used to write an unknown family and m0 = 0 into its manifest; a weight
+    # mode or parametrization is refused by the config, as from a config file
     assert main(argv + ["--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
@@ -159,10 +162,10 @@ def test_2d_manifest_records_the_phantom_that_ran(tmp_path, capsys):
 @pytest.mark.parametrize("conf, match", [
     ({"fine_shape": [3]}, "fine_shape must be a pair"),
     ({"coarse_shape": 3}, "coarse_shape must be a pair"),
-    ({"fine_shape": ["a", 8]}, "integer nx, ny"),
+    ({"fine_shape": ["a", 8]}, "nx must be an integer"),
     ({"outdir": 3}, "outdir must be a path"),
-    ({"n_fine": "a"}, "integer n_points"),
-    ({"n_coarse": 1.5}, "integer n_points"),
+    ({"n_fine": "a"}, "n_points must be an integer"),
+    ({"n_coarse": 1.5}, "n_points must be an integer"),
     ({"T": "a"}, "T must be a positive and finite"),
     ({"h_T": 0.0}, "h_T must be a positive and finite"),
     ({"phantom": 3}, "unknown phantom"),

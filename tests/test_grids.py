@@ -37,6 +37,16 @@ def test_grid2d_needs_integer_size(nx, ny):
         Grid2D(nx=nx, ny=ny)
 
 
+def test_grids_hold_the_integers_they_parse():
+    # a numpy integer or 0-d array is an integer size, and the grid holds it
+    # as an int: a 0-d array would make the grid unhashable
+    for n in (np.int64(5), np.array(5)):
+        assert type(Grid1D(n).n_points) is int and Grid1D(n) == Grid1D(5)
+        g = Grid2D(nx=n, ny=n)
+        assert type(g.nx) is int and type(g.ny) is int and hash(g) == hash(Grid2D(5, 5))
+    assert build_difference_1d(Grid1D(np.array(40))) is build_difference_1d(Grid1D(40))
+
+
 @pytest.mark.parametrize("extent", [{"Lx": np.inf}, {"Ly": np.inf}, {"Lx": np.nan},
                                     {"Ly": np.nan}, {"Ly": 0.0}, {"Lx": "a"}, {"Lx": 1j},
                                     {"Ly": [1.0]}])

@@ -272,6 +272,16 @@ _BAD_INPUTS = {
     "correction J one row": lambda J, Dt, r: regularize_nullspace(r, J[:1], Dt,
                                                                   J_pinv=_pinv(J[:1])),
     "correction J_pinv shape": lambda J, Dt, r: regularize_nullspace(r, J, Dt, J_pinv=J),
+    "step complex J": lambda J, Dt, r: gauss_newton_step(r, J + 0j, np.zeros(6),
+                                                         J_pinv=_pinv(J) + 0j),
+    "step string residual": lambda J, Dt, r: gauss_newton_step(r, J, ["a"] * 6,
+                                                               J_pinv=_pinv(J)),
+    "correction complex weights": lambda J, Dt, r: regularize_nullspace(
+        r, J, Dt, w=np.ones(Dt.shape[0]) + 1j, J_pinv=_pinv(J)),
+    "correction complex J": lambda J, Dt, r: regularize_nullspace(r, J + 0j, Dt,
+                                                                  J_pinv=_pinv(J) + 0j),
+    "correction string r_gn": lambda J, Dt, r: regularize_nullspace(["a"] * 20, J, Dt,
+                                                                    J_pinv=_pinv(J)),
     "relative error nan": lambda J, Dt, r: relative_error(np.full(20, np.nan), r),
     "relative error nan reference": lambda J, Dt, r: relative_error(r, np.full(20, np.nan)),
 }
@@ -651,6 +661,42 @@ def test_drivers_refuse_the_other_grid_kind(monkeypatch):
         inversion.invert_1d(y, Grid2D(nx=6, ny=3))
     with pytest.raises(InvalidGridError, match="invert_2d needs a Grid2D"):
         inversion.invert_2d(np.ones((2, 4)), Grid1D(10))
+
+
+def test_drivers_refuse_a_reference_field_on_entry(monkeypatch):
+    # r_true was parsed only inside the Gauss-Newton loop, so invert_1d ran a
+    # chain evaluation (and fitted a time series first) before refusing it
+    calls = []
+
+    def counting(name):
+        real = getattr(inversion, name)
+
+        def count(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return count
+
+    for name in ("data_fitting_Q", "data_fitting_moments", "preconditioner_chain"):
+        monkeypatch.setattr(inversion, name, counting(name))
+    g = Grid1D(39)
+    truth = phantom("rQ", g).values
+    vec, ctx = preconditioner_R(phantom("rQ", g), node_family("zolotarev", 3),
+                                return_context=True)
+    target = FitTarget(m=3, log_cfrac=vec, spectral=np.concatenate([ctx.model.pr.theta,
+                                                                    ctx.model.pr.c]))
+    cfg = InversionConfig(m0=3, n_gn=2)
+    g2 = Grid2D(nx=12, ny=4)
+    for bad in (np.ones(5), np.zeros(39), np.full(39, np.nan), ["a"] * 39, truth + 1j):
+        with pytest.raises(RomresError, match="r_true|zero reference"):
+            inversion.invert_1d(target, g, cfg, r_true=bad)
+        with pytest.raises(RomresError, match="r_true"):
+            inversion.invert_2d(np.ones((2, 4)), g2, replace(cfg, n_sources=2), r_true=bad)
+    assert calls == []
+    # a reference that fits is read once, and each iterate's error is the
+    # relative error, bit for bit
+    _, hist = inversion.invert_1d(target, g, cfg, r_true=list(truth))
+    assert calls.count("preconditioner_chain") == len(hist.iterations)
+    assert hist.error == [relative_error(r, truth) for r in hist.iterates]
 
 
 def test_data_fitting_reduces_m_after_fit_failure(monkeypatch):

@@ -287,5 +287,5 @@ def test_laplace_variable_contract(s):
                 expect = read(d, 0.0) if s < 1 else 0.0 * read(d, 0.0)
                 assert np.array_equal(read(d, s), expect)
             else:
-                with pytest.raises(RomresError, match="finite, nonnegative real scalar"):
+                with pytest.raises(RomresError, match="Laplace variable must be a finite and nonnegative real number"):
                     read(d, s)

@@ -64,7 +64,7 @@ def test_family_size_must_be_an_integer(m):
 
 @pytest.mark.parametrize("s_hat", ["a", None, 2.0 + 1j])
 def test_single_node_needs_real_s_hat(s_hat):
-    with pytest.raises(RomresError, match="s_hat must be a real number"):
+    with pytest.raises(RomresError, match="s_hat must be a finite and nonnegative real number"):
         node_family("single-node", 3, s_hat=s_hat)
 
 
@@ -96,17 +96,23 @@ def test_multipoint_rejects_nonfinite(bad):
 def test_types_refuse_arrays_that_are_not_real():
     # a string or ragged array raised numpy's ValueError from the float
     # conversion, and a complex one lost its imaginary part behind a
-    # ComplexWarning; each type parses its arrays with the one real-array parse
+    # ComplexWarning; each type parses its arrays with the one real-array parse,
+    # and a family its multiplicities with the one integer-array parse
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (np.array(["1", "2"]), np.array([1.0, 2.0]) + 1j, [1.0, [1.0, 2.0]]):
             for make in (lambda: NodeFamily(bad, np.ones(2, dtype=int)),
+                         lambda: NodeFamily(np.array([1.0, 2.0]), bad),
                          lambda: PoleResidue(bad, np.ones(2)),
+                         lambda: PoleResidue(np.ones(2), np.ones(2))(bad),
                          lambda: RationalModel(np.ones(1), bad),
                          lambda: ContinuedFraction(bad, np.ones(2)),
                          lambda: fit_multipoint(bad, np.ones(2), node_family("zolotarev", 2))):
                 with pytest.raises(RomresError, match="not an array|does not match"):
                     make()
+        # a fractional multiplicity was truncated: this family had m = 2
+        with pytest.raises(RomresError, match="multiplicities .* does not match"):
+            NodeFamily(np.array([3.0]), np.array([2.5]))
 
 
 @pytest.mark.parametrize("theta, c", [([], []), ([1.0, np.nan], [1.0, 1.0]),
