@@ -1,7 +1,8 @@
 """Command-line front end for the experiment scenarios.
 
-Verbs map onto named scenarios; flags mirror the ExperimentConfig fields
-and a JSON config file (--config) overrides any flags.
+Verbs map onto named scenarios; the flags are generated from the
+ExperimentConfig fields, and a JSON config file (--config) overrides any
+flags.
 """
 
 from __future__ import annotations
@@ -23,42 +24,37 @@ _VERBS = {
     "sensmap": "sensmap",
 }
 
-# the float-valued flags and their ExperimentConfig fields.  argparse takes
-# a value such as "-1e-3" for an option string (it knows only plain negative
-# decimals), so main glues the token after one of these flags to it.
-_FLOAT_FLAGS = {"--T": "T", "--h-T": "h_T", "--epsilon": "epsilon", "--s-hat": "s_hat"}
+# every ExperimentConfig field but the scenario, which the verb names, has a
+# flag whose dest is the field: --n-fine sets n_fine, taking the type of the
+# field's default (str where it is None); nullspace_correction is the one
+# inverted flag, --no-nullspace
+_FLAGS = {"--" + f.name.replace("_", "-"): f for f in fields(ExperimentConfig)
+          if f.name != "scenario"}
+# argparse takes a value such as "-1e-3" for an option string (it knows only
+# plain negative decimals), so main glues the token after a float flag to it
+_FLOAT_FLAGS = {flag for flag, f in _FLAGS.items() if isinstance(f.default, float)}
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file; overrides flags")
-    p.add_argument("--phantom")
-    p.add_argument("--n-fine", type=int)
-    p.add_argument("--n-coarse", type=int)
-    p.add_argument("--fine-shape", type=int, nargs=2, metavar=("NX", "NY"))
-    p.add_argument("--coarse-shape", type=int, nargs=2, metavar=("NX", "NY"))
-    for flag, dest in _FLOAT_FLAGS.items():
-        p.add_argument(flag, type=float, dest=dest)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--m0", type=int)
-    p.add_argument("--family")
-    p.add_argument("--n-gn", type=int)
-    p.add_argument("--n-sources", type=int)
-    p.add_argument("--weights")
-    p.add_argument("--parametrization")
-    p.add_argument("--no-nullspace", action="store_true",
-                   help="skip the null-space regularization step")
-    p.add_argument("--save-models", action="store_true")
-    p.add_argument("--outdir")
+    for flag, f in _FLAGS.items():
+        if f.name == "nullspace_correction":
+            p.add_argument("--no-nullspace", action="store_true",
+                           help="skip the null-space regularization step")
+        elif isinstance(f.default, bool):
+            p.add_argument(flag, action="store_true")
+        elif isinstance(f.default, tuple):
+            p.add_argument(flag, type=int, nargs=2, metavar=("NX", "NY"))
+        else:
+            p.add_argument(flag, type=str if f.default is None else type(f.default))
 
 
 def _build_config(scenario: str, args: argparse.Namespace) -> ExperimentConfig:
-    # each flag's dest is the ExperimentConfig field of the same name;
-    # --no-nullspace is the one inverted flag
     values = {"scenario": scenario}
-    for f in fields(ExperimentConfig):
+    for f in _FLAGS.values():
         v = getattr(args, f.name, None)
         if v is not None and v is not False:
-            values[f.name] = tuple(v) if isinstance(v, list) else v
+            values[f.name] = v
     if args.no_nullspace:
         values["nullspace_correction"] = False
     if args.config:
@@ -73,7 +69,7 @@ def _build_config(scenario: str, args: argparse.Namespace) -> ExperimentConfig:
         for k, v in file_conf.items():
             if k not in known:
                 raise RomresError(f"unknown config key {k!r}")
-            values[k] = tuple(v) if isinstance(v, list) else v
+            values[k] = v
     return ExperimentConfig(**values)
 
 
@@ -88,7 +84,7 @@ def _glue_float_values(argv):
     return out
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="romres",
         description="Resistivity inversion experiments via reduced-order models")
@@ -99,8 +95,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("scenario", help="run a named scenario")
     p.add_argument("name", choices=sorted(SCENARIOS))
     _add_config_flags(p)
+    return parser
 
-    args = parser.parse_args(_glue_float_values(sys.argv[1:] if argv is None else argv))
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(_glue_float_values(sys.argv[1:] if argv is None else argv))
     scenario = args.name if args.verb == "scenario" else _VERBS[args.verb]
     try:
         cfg = _build_config(scenario, args)

@@ -13,7 +13,8 @@ function keeps this contract:
   that holds it, and a function that receives that type does not check it
   again.  The ``_require_*`` and ``_*_array`` parsers below are the only
   parse of a setting, flag or array from outside, and a type stores what
-  its parser returns (an int, a float, a float or int array).
+  its parser returns (an int, a float, a float or int array); so does
+  ``ExperimentConfig``, which also keeps the objects it builds.
 - The fit-validity errors are the three that reducing m can cure,
   ``SpectralValidityError``, ``AdmissibilityError`` and ``DegeneracyError``
   (``inversion._FIT_ERRORS``).  They report what a fit or the chain
@@ -109,10 +110,14 @@ def _require_integer(name: str, value, error=RomresError, low: int | None = None
 def _require_real(name: str, value, error=RomresError, positive=False, nonnegative=False):
     """``value`` as a float if it is a finite real number, > 0 if ``positive`` and
     >= 0 if ``nonnegative``; ``error`` otherwise (a string, complex, NaN...)."""
-    # float first: it holds np.float64 too, and the abstract-class test is ten times slower
-    finite = isinstance(value, (float, numbers.Real)) and abs(value) <= sys.float_info.max
-    x = float(value) if finite else math.nan
-    if not (finite and (x > 0 or not positive) and (x >= 0 or not nonnegative)):
+    # float first: it holds np.float64 too, and the abstract-class test is ten times slower;
+    # the bound is compared after float(): numpy casts it down, and overflows, for a float32
+    try:
+        x = float(value) if isinstance(value, (float, numbers.Real)) else math.nan
+    except OverflowError:  # an integer past the float range
+        raise error(f"{name} must be a finite real number, got {value!r}") from None
+    if not (abs(x) <= sys.float_info.max and (x > 0 or not positive)
+            and (x >= 0 or not nonnegative)):
         kind = ("positive and finite" if positive else
                 "finite and nonnegative" if nonnegative else "finite")
         raise error(f"{name} must be a {kind} real number, got {value!r}")

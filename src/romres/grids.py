@@ -259,10 +259,9 @@ class SystemOperator:
 
 @dataclass(frozen=True)
 class SourceVector:
-    """Source/measurement vector with its support indices."""
+    """Source/measurement vector."""
 
     b: np.ndarray
-    support: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -431,7 +430,7 @@ def source_vector(grid: Grid1D | Grid2D, segment: BoundarySegment | None = None)
     if isinstance(grid, Grid1D):
         b = np.zeros(grid.n_points)
         b[0] = 1.0 / np.sqrt(grid.spacing)
-        return SourceVector(b=b, support=np.array([0]))
+        return SourceVector(b=b)
 
     if segment is None:
         raise InvalidGridError("2D source needs a boundary segment")
@@ -440,14 +439,12 @@ def source_vector(grid: Grid1D | Grid2D, segment: BoundarySegment | None = None)
         raise InvalidGridError("segment outside accessible boundary")
     hx, hy = grid.hx, grid.hy
     b = np.zeros(grid.n_cells)
-    support = []
     for ix in range(grid.nx):
         lo, hi = ix * hx, (ix + 1) * hx
         overlap = min(hi, segment.hi) - max(lo, segment.lo)
         if overlap > 1e-12 * hx:
             w = overlap / hx
             b[ix] = np.sqrt(hx / hy) * w  # bottom row: cell index = ix
-            support.append(ix)
-    if not support:
+    if not b.any():
         raise InvalidGridError("segment covers no boundary cells")
-    return SourceVector(b=b, support=np.array(support))
+    return SourceVector(b=b)

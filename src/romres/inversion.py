@@ -85,9 +85,8 @@ class InversionConfig:
         if self.parametrization not in ("cfrac", "spectral"):
             raise RomresError(f"unknown parametrization {self.parametrization!r}")
         _require_bool("nullspace_correction", self.nullspace_correction)
-        # node_family's own checks: the kind's name, and s_hat as the 2D node
-        node_family(self.family_kind, 1)
-        node_family("single-node", 1, s_hat=self.s_hat)
+        object.__setattr__(self, "s_hat", _require_real("s_hat", self.s_hat, nonnegative=True))
+        node_family(self.family_kind, 1)  # node_family's own check of the kind's name
 
     def family(self, m: int) -> NodeFamily:
         return node_family(self.family_kind, m, s_hat=self.s_hat)

@@ -156,14 +156,18 @@ class PoleResidue:
         return self.theta.size
 
     def __call__(self, s):
-        s = _real_array("s", s, expected="finite real points", finite=True)
-        with np.errstate(divide="ignore", over="ignore"):  # +-inf at a pole, 0 at a huge |s|
-            return (self.c / (s[..., None] + self.theta)).sum(axis=-1)
+        return self._terms(s, 1).sum(axis=-1)
 
     def derivative(self, s):
+        return -self._terms(s, 2).sum(axis=-1)
+
+    def _terms(self, s, power):
+        """c_j/(s + theta_j)**power at each point s; a zero residue's term is
+        identically zero, so it is left at 0 rather than divided (0/0 at its pole)."""
         s = _real_array("s", s, expected="finite real points", finite=True)
-        with np.errstate(divide="ignore", over="ignore"):
-            return -(self.c / (s[..., None] + self.theta) ** 2).sum(axis=-1)
+        with np.errstate(divide="ignore", over="ignore"):  # +-inf at a pole, 0 at a huge |s|
+            d = (s[..., None] + self.theta) ** power
+            return np.divide(self.c, d, out=np.zeros(d.shape), where=self.c != 0)
 
 
 def fit_multipoint(values, derivatives, family: NodeFamily) -> RationalModel:

@@ -38,23 +38,29 @@ _SCENARIO_PHANTOMS = {"2d-tilted": "tilted", "2d-rect-corner": "two-rect-corner"
                       "2d-rect-side": "two-rect-side"}
 
 
-def _shape_grid(name: str, shape) -> Grid2D:
-    """The Grid2D of an (nx, ny) pair; RomresError for anything else."""
+def _shape_grid(name: str, shape, n_sources: int) -> Grid2D:
+    """The Grid2D of an (nx, ny) pair, with ``n_sources`` uniform segments;
+    RomresError for anything else."""
     if not (isinstance(shape, (tuple, list)) and len(shape) == 2):
         raise RomresError(f"{name} must be a pair of integers (nx, ny), got {shape!r}")
-    return Grid2D(nx=shape[0], ny=shape[1])
+    grid = Grid2D(nx=shape[0], ny=shape[1])
+    return replace(grid, segments=uniform_segments(grid, n_sources))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Scenario parameters; flags and config files map onto these fields.
 
-    Every field is checked at construction, whatever the scenario reads, by
-    building what it names where it can (grids, the noise model, the
-    inversion settings), so a bad value is refused before any scenario
-    runs.  ``phantom`` is resolved here, once: a 2D inversion scenario runs
-    its own phantom (``None`` selects it, and any other name is refused),
-    and every other scenario takes a known phantom, ``rQ`` by default.
+    Construction parses every field, whatever the scenario reads, by building
+    once what the scenarios run: ``fine_grid`` and ``coarse_grid`` (Grid1D),
+    ``fine_grid_2d`` and ``coarse_grid_2d`` (Grid2D with ``n_sources``
+    uniform segments), ``noise`` (NoiseModel) and ``inversion``
+    (InversionConfig).  Those are attributes, not fields, so ``asdict`` (the
+    manifest) sees only the fields, and each field holds what its parser
+    returned: an int, a float, an (nx, ny) pair of ints, a str.  ``phantom``
+    is resolved here, once: a 2D inversion scenario runs its own phantom
+    (``None`` selects it, and any other name is refused), and every other
+    scenario takes a known phantom, ``rQ`` by default.
     """
 
     scenario: str = "invert1d"
@@ -91,38 +97,40 @@ class ExperimentConfig:
         if own is not None and self.phantom != own:
             raise RomresError(f"scenario {self.scenario} runs the {own!r} phantom, "
                               f"not {self.phantom!r}")
-        if Grid1D(self.n_fine) == Grid1D(self.n_coarse):
+        fine, coarse = Grid1D(self.n_fine), Grid1D(self.n_coarse)
+        T, h_T = (_require_real(name, getattr(self, name), positive=True) for name in ("T", "h_T"))
+        noise = NoiseModel(self.epsilon, self.seed)
+        inv = InversionConfig(m0=self.m0, family_kind=self.family, s_hat=self.s_hat,
+                              n_gn=self.n_gn, weights=self.weights,
+                              parametrization=self.parametrization,
+                              nullspace_correction=self.nullspace_correction,
+                              n_sources=self.n_sources)
+        fine_2d = _shape_grid("fine_shape", self.fine_shape, inv.n_sources)
+        coarse_2d = _shape_grid("coarse_shape", self.coarse_shape, inv.n_sources)
+        if fine == coarse or fine_2d == coarse_2d:
             raise RomresError("fine and coarse grids must differ (inverse crime)")
-        if _shape_grid("fine_shape", self.fine_shape) == _shape_grid("coarse_shape",
-                                                                     self.coarse_shape):
-            raise RomresError("fine and coarse grids must differ (inverse crime)")
-        _require_real("T", self.T, positive=True)
-        _require_real("h_T", self.h_T, positive=True)
-        NoiseModel(self.epsilon, self.seed)
-        self.inversion_config()
         _require_bool("save_models", self.save_models)
-        if not isinstance(self.outdir, (str, os.PathLike)):
+        outdir = os.fspath(self.outdir) if isinstance(self.outdir, (str, os.PathLike)) else None
+        if not isinstance(outdir, str):
             raise RomresError(f"outdir must be a path, got {self.outdir!r}")
-
-    def inversion_config(self) -> InversionConfig:
-        return InversionConfig(m0=self.m0, family_kind=self.family,
-                               s_hat=self.s_hat, n_gn=self.n_gn,
-                               weights=self.weights,
-                               parametrization=self.parametrization,
-                               nullspace_correction=self.nullspace_correction,
-                               n_sources=self.n_sources)
+        # keep what the scenarios run, and the values its parsers returned
+        # (the string and bool fields' checks return them as given)
+        for name, value in dict(
+                fine_grid=fine, coarse_grid=coarse, fine_grid_2d=fine_2d,
+                coarse_grid_2d=coarse_2d, noise=noise, inversion=inv, n_fine=fine.n_points,
+                n_coarse=coarse.n_points, fine_shape=(fine_2d.nx, fine_2d.ny),
+                coarse_shape=(coarse_2d.nx, coarse_2d.ny), T=T, h_T=h_T, epsilon=noise.level,
+                seed=noise.seed, m0=inv.m0, s_hat=inv.s_hat, n_gn=inv.n_gn,
+                n_sources=inv.n_sources, outdir=outdir).items():
+            object.__setattr__(self, name, value)
 
 
 def synthesize_1d(cfg: ExperimentConfig):
     """Noisy boundary data of a 1D phantom on the fine grid."""
-    grid = Grid1D(cfg.n_fine)
-    field = phantom(cfg.phantom, grid)
-    op = assemble_operator(field, build_difference_1d(grid))
-    b = source_vector(grid).b
-    y = simulate_response(op, b, cfg.T, cfg.h_T)
-    if cfg.epsilon > 0:
-        y = add_noise(y, NoiseModel(cfg.epsilon, cfg.seed))
-    return y
+    grid = cfg.fine_grid
+    op = assemble_operator(phantom(cfg.phantom, grid), build_difference_1d(grid))
+    y = simulate_response(op, source_vector(grid).b, cfg.T, cfg.h_T)
+    return add_noise(y, cfg.noise) if cfg.epsilon > 0 else y
 
 
 def _scenario_synthesize(cfg: ExperimentConfig, outdir: Path):
@@ -139,8 +147,8 @@ def _scenario_synthesize(cfg: ExperimentConfig, outdir: Path):
 
 
 def _scenario_table_ratcond(cfg: ExperimentConfig, outdir: Path):
-    grid = Grid1D(cfg.n_fine)
-    op = assemble_operator(ResistivityField(np.ones(cfg.n_fine), grid),
+    grid = cfg.fine_grid
+    op = assemble_operator(ResistivityField(np.ones(grid.n_points), grid),
                            build_difference_1d(grid))
     b = source_vector(grid).b
     y = simulate_response(op, b, cfg.T, cfg.h_T)
@@ -213,11 +221,9 @@ def _write_inversion(cfg: ExperimentConfig, outdir: Path, hist, header, columns)
 
 
 def _run_invert1d(cfg: ExperimentConfig, outdir: Path):
-    d = synthesize_1d(cfg)
-    icfg = cfg.inversion_config()
-    grid = Grid1D(cfg.n_coarse)
+    grid = cfg.coarse_grid
     truth = phantom(cfg.phantom, grid)
-    rec, hist = invert_1d(d, grid, icfg, r_true=truth.values)
+    rec, hist = invert_1d(synthesize_1d(cfg), grid, cfg.inversion, r_true=truth.values)
     return _write_inversion(cfg, outdir, hist, ["x", "r_true", "r"],
                             (grid.edge_midpoints, truth.values, rec.values))
 
@@ -230,7 +236,7 @@ def _scenario_noise_ladder(cfg: ExperimentConfig, outdir: Path):
         for seed in range(10):
             d = add_noise(y, NoiseModel(eps, seed)) if eps > 0 else y
             try:
-                target = data_fitting_Q(d, cfg.inversion_config())
+                target = data_fitting_Q(d, cfg.inversion)
                 rows.append((eps, seed, target.m))
             except DataUnusableError:
                 rows.append((eps, seed, 0))
@@ -240,22 +246,14 @@ def _scenario_noise_ladder(cfg: ExperimentConfig, outdir: Path):
                       ["epsilon", "seed", "terminal_m"], rows)]
 
 
-def _grids_2d(cfg: ExperimentConfig):
-    gf = Grid2D(nx=cfg.fine_shape[0], ny=cfg.fine_shape[1])
-    gc = Grid2D(nx=cfg.coarse_shape[0], ny=cfg.coarse_shape[1])
-    gf = replace(gf, segments=uniform_segments(gf, cfg.n_sources))
-    gc = replace(gc, segments=uniform_segments(gc, cfg.n_sources))
-    return gf, gc
-
-
 def _run_invert2d(cfg: ExperimentConfig, outdir: Path):
-    gf, gc = _grids_2d(cfg)
+    gf, gc = cfg.fine_grid_2d, cfg.coarse_grid_2d
     truth_f = phantom(cfg.phantom, gf)
     op_f = assemble_operator_2d(truth_f, gf)
     sources = [source_vector(gf, s).b for s in gf.segments]
     tau = moments_from_operator(op_f, sources, cfg.s_hat, 2 * cfg.m0)
     truth_c = phantom(cfg.phantom, gc)
-    rec, hist = invert_2d(tau, gc, cfg.inversion_config(), r_true=truth_c.values)
+    rec, hist = invert_2d(tau, gc, cfg.inversion, r_true=truth_c.values)
     out = _write_inversion(cfg, outdir, hist, ["x", "y", "r_true", "r"],
                            (*gc.cell_centers(), truth_c.values, rec.values))
     out.append(write_pgm(outdir / "reconstruction.pgm", rec.values, gc))
@@ -264,7 +262,7 @@ def _run_invert2d(cfg: ExperimentConfig, outdir: Path):
 
 
 def _scenario_sensmap(cfg: ExperimentConfig, outdir: Path):
-    gf, gc = _grids_2d(cfg)
+    gc = cfg.coarse_grid_2d
     f = ResistivityField(np.ones(gc.n_cells), gc)
     op = assemble_operator_2d(f, gc)
     j_src = cfg.n_sources // 2 - 1
@@ -306,9 +304,6 @@ def run_scenario(cfg: ExperimentConfig):
     t0 = time.perf_counter()
     outputs = SCENARIOS[cfg.scenario](cfg, outdir)
     wall = time.perf_counter() - t0
-    conf = asdict(cfg)
-    conf["fine_shape"] = list(conf["fine_shape"])
-    conf["coarse_shape"] = list(conf["coarse_shape"])
-    manifest = write_manifest(outdir / "manifest.json", conf,
+    manifest = write_manifest(outdir / "manifest.json", asdict(cfg),
                               [str(p) for p in outputs], wall)
     return [*outputs, manifest]

@@ -1,15 +1,18 @@
+import argparse
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import romres.cli as cli
 import romres.scenarios as scenarios
 from romres.cli import main
 from romres.errors import DataUnusableError, RomresError
-from romres.forward import simulate_response
+from romres.forward import NoiseModel, simulate_response
 from romres.grids import Grid1D
-from romres.inversion import invert_1d
+from romres.inversion import InversionConfig, invert_1d
 from romres.scenarios import ExperimentConfig, run_scenario, synthesize_1d
 
 
@@ -293,6 +296,79 @@ def test_no_nullspace_flag(tmp_path):
     cfg = ExperimentConfig(scenario="invert1d", n_fine=149, n_coarse=99, m0=3, n_gn=2,
                            h_T=1e-4, T=50.0)
     rec, _ = invert_1d(synthesize_1d(cfg), Grid1D(99),
-                       replace(cfg.inversion_config(), nullspace_correction=False))
+                       replace(cfg.inversion, nullspace_correction=False))
     _, rows = _rows(tmp_path / "invert1d" / "reconstruction.csv")
     assert np.array_equal([float(r[2]) for r in rows], rec.values)
+
+
+_OPTIONS = {  # option string: (dest, the type its value is read as, nargs)
+    "--config": ("config", str, None), "--phantom": ("phantom", str, None),
+    "--n-fine": ("n_fine", int, None), "--n-coarse": ("n_coarse", int, None),
+    "--fine-shape": ("fine_shape", int, 2), "--coarse-shape": ("coarse_shape", int, 2),
+    "--T": ("T", float, None), "--h-T": ("h_T", float, None),
+    "--epsilon": ("epsilon", float, None), "--seed": ("seed", int, None),
+    "--m0": ("m0", int, None), "--family": ("family", str, None),
+    "--s-hat": ("s_hat", float, None), "--n-gn": ("n_gn", int, None),
+    "--n-sources": ("n_sources", int, None), "--weights": ("weights", str, None),
+    "--parametrization": ("parametrization", str, None),
+    "--no-nullspace": ("no_nullspace", "store_true", 0),
+    "--save-models": ("save_models", "store_true", 0), "--outdir": ("outdir", str, None),
+}
+
+
+def test_every_verb_offers_the_config_flags():
+    # the flags are generated from ExperimentConfig's fields
+    verbs = next(a for a in cli._parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(verbs) == sorted([*cli._VERBS, "scenario"])
+    for verb, parser in verbs.items():
+        options = {s: (a.dest, "store_true" if isinstance(a, argparse._StoreTrueAction)
+                       else a.type or str, a.nargs)
+                   for a in parser._actions for s in a.option_strings if a.dest != "help"}
+        assert options == _OPTIONS, verb
+        positional = [(a.dest, a.choices) for a in parser._actions if not a.option_strings]
+        assert positional == ([("name", sorted(scenarios.SCENARIOS))]
+                              if verb == "scenario" else [])
+    assert cli._FLOAT_FLAGS == {"--T", "--h-T", "--epsilon", "--s-hat"}
+
+
+_SYNTH = dict(scenario="synthesize", n_fine=99, n_coarse=79, h_T=1e-3)
+
+
+@pytest.mark.parametrize("given, parsed, outdir", [
+    (dict(scenario="fig-grids", m0=np.int64(3), n_fine=np.array(59)), dict(m0=3, n_fine=59),
+     str),
+    (dict(_SYNTH, T=10.0), dict(T=10.0), Path),
+    (dict(_SYNTH, T=np.float32(10.0), fine_shape=[24, np.int64(8)]),
+     dict(T=10.0, fine_shape=[24, 8]), str),
+])
+def test_config_stores_what_it_parses(tmp_path, given, parsed, outdir):
+    # each ran its scenario, then json's TypeError ended it in write_manifest
+    cfg = ExperimentConfig(**given, outdir=outdir(tmp_path))
+    run_scenario(cfg)
+    conf = json.loads((tmp_path / cfg.scenario / "manifest.json").read_text())["config"]
+    assert conf["outdir"] == str(tmp_path)
+    for name, value in parsed.items():
+        assert conf[name] == value and type(conf[name]) is type(value)
+    assert ExperimentConfig(**conf) == cfg
+
+
+@pytest.mark.parametrize("scenario", ["invert1d", "2d-tilted", "noise-ladder"])
+def test_settings_objects_are_built_once(tmp_path, monkeypatch, scenario):
+    # the config builds its InversionConfig and NoiseModel at construction and
+    # the scenarios read them (the noise ladder built 33 InversionConfigs); the
+    # ladder builds a noiseless copy of the config, and a NoiseModel per draw
+    built = {"InversionConfig": 0, "NoiseModel": 0}
+    for cls in (InversionConfig, NoiseModel):
+        def counting(self, parse=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            parse(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    run_scenario(ExperimentConfig(scenario=scenario, n_fine=149, n_coarse=99, T=50.0,
+                                  h_T=1e-4, epsilon=1e-3, m0=3, n_gn=1, fine_shape=(24, 8),
+                                  coarse_shape=(18, 6), n_sources=2, outdir=str(tmp_path)))
+    if scenario == "noise-ladder":
+        assert built["InversionConfig"] <= 2
+    else:
+        assert built == {"InversionConfig": 1, "NoiseModel": 1}

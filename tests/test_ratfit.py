@@ -122,6 +122,21 @@ def test_pole_residue_rejects_empty_or_nonfinite(theta, c):
         PoleResidue(np.array(theta), np.array(c))
 
 
+def test_zero_residue_term_is_left_out():
+    # at the pole of a zero residue, numpy's 0/0 warning escaped both methods;
+    # the term is identically zero, and the other terms keep their bits
+    s = np.array([-1.0, 0.0, 0.5, 4.0])
+    other = PoleResidue(np.array([3.0]), np.array([2.0]))
+    pr = PoleResidue(np.array([1.0, 3.0]), np.array([0.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert PoleResidue(np.array([1.0]), np.array([0.0]))(-1.0) == 0.0
+        assert PoleResidue(np.array([1.0]), np.array([0.0])).derivative(-1.0) == 0.0
+        assert np.array_equal(pr(s), other(s))
+        assert np.array_equal(pr.derivative(s), other.derivative(s))
+        assert pr(-3.0) == np.inf and pr.derivative(-3.0) == -np.inf
+
+
 def test_multipoint_roundtrip_identity(rng):
     theta = np.array([0.7, 3.0, 11.0, 40.0])
     c = np.array([0.5, 1.0, 0.8, 2.0])

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from romres.cfrac import eval_cfrac, pole_residue_to_cfrac, solve_fd_scheme  # noqa: E402
-from romres.errors import InvalidGridError, RomresError  # noqa: E402
+from romres.errors import InvalidGridError, RomresError, _require_real  # noqa: E402
 from romres.forward import NoiseModel, TimeSeries  # noqa: E402
 from romres.grids import (BoundarySegment, Grid1D, Grid2D, ResistivityField,  # noqa: E402
                           assemble_operator, build_difference_1d, source_vector,
@@ -127,7 +127,26 @@ def test_a_value_that_is_not_an_integer_is_refused_where_it_enters(slot, value):
         f"{slot}={value!r} gave {result!r}"
 
 
+# a float32 or float16 scalar once leaked numpy's overflow warning from the
+# range check, which cast float_info.max down to its type
+_A_REAL = st.one_of(st.floats(allow_nan=False),
+                    st.floats(allow_nan=False, width=32).map(np.float32),
+                    st.floats(allow_nan=False, width=16).map(np.float16))
+
+
 @_SETTINGS
-@given(slot=st.sampled_from(sorted(_SLOTS)), value=st.floats(allow_nan=False))
+@given(slot=st.sampled_from(sorted(_SLOTS)), value=_A_REAL)
 def test_any_finite_float_raises_only_romres_errors(slot, value):
     _call(slot, value)
+
+
+def test_narrow_floats_widen_and_huge_integers_are_refused():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (np.float32(1e-3), np.float16(2.0), np.float32(3.4e38)):
+            x = _require_real("x", value)
+            assert type(x) is float and x == float(value)
+        assert NoiseModel(np.float32(1e-3)).level == float(np.float32(1e-3))
+        for value in (10 ** 400, -10 ** 400, np.float32(np.inf), np.float16(-np.inf)):
+            with pytest.raises(RomresError, match="x must be a finite real number"):
+                _require_real("x", value)

@@ -1,6 +1,7 @@
 """The scripts under tools/: ab_pairs' verdicts, output_hashes and reach."""
 
 import importlib.util
+import json
 import re
 import sys
 import textwrap
@@ -9,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import romres.scenarios as scenarios
 from romres.inversion import InversionHistory
+from romres.scenarios import ExperimentConfig
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -146,3 +149,16 @@ def test_reach_collects_one_scenario(tmp_path, capsys):
             if inversion.statements[line].function == "invert_1d"]
     assert len(marks[("inversion", "invert_1d")]) == len(body) > 0
     assert "NEW" in marks[("inversion", "invert_1d")]
+
+
+def test_reach_variants_manifests_rebuild_their_configs(tmp_path, monkeypatch):
+    # under every config variant, flags and config files alike, the manifest's
+    # config builds the config that wrote it (the scenario bodies stubbed out)
+    ran = []
+    for name in scenarios.SCENARIOS:
+        monkeypatch.setitem(scenarios.SCENARIOS, name, lambda cfg, outdir: ran.append(cfg) or [])
+    reach.run_scenarios(tmp_path)
+    assert len(ran) == sum(len(names) for names, _, _ in reach.VARIANTS)
+    for cfg in ran:
+        manifest = Path(cfg.outdir) / cfg.scenario / "manifest.json"
+        assert ExperimentConfig(**json.loads(manifest.read_text())["config"]) == cfg
